@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .errors import InputError, InversionError, StabilityWarning
-from .graphs import NodeDims
+from .graphs import NodeDims, partition_slices
 from .realization import BlockRealization, spectral_radius
 
 _DEFAULT_COND_LIMIT = 1e8
@@ -27,14 +27,11 @@ def node_major_indices(first: tuple[int, ...], second: tuple[int, ...]) -> np.nd
     result interleaves the two ranges so node ``k`` owns its ``first``
     entries followed by its ``second`` entries.
     """
-    offset_first = 0
-    offset_second = sum(first)
+    base = sum(first)
     indices: list[int] = []
-    for a, b in zip(first, second):
-        indices.extend(range(offset_first, offset_first + a))
-        indices.extend(range(offset_second, offset_second + b))
-        offset_first += a
-        offset_second += b
+    for a, b in zip(partition_slices(first), partition_slices(second)):
+        indices.extend(range(a.start, a.stop))
+        indices.extend(range(base + b.start, base + b.stop))
     return np.asarray(indices, dtype=int)
 
 

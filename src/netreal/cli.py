@@ -16,16 +16,16 @@ import numpy as np
 
 from .algebra import add, invert, multiply, node_major_indices
 from .demos import run_demo_remark1, run_demo_river
-from .errors import InputError, NetRealError, NumericalError, PoleError
+from .errors import InputError, NetRealError
 from .imc import imc_controller
 from .loops import close_loop, q_param, verify_identities
 from .realization import (
     DMode,
     certify_witness,
     check_compatibility,
+    circle_samples,
     eval_transfer,
     scaled_deviation,
-    spectral_radius,
     transfer_equal,
 )
 from .sim import simulate_distributed, simulate_lti
@@ -38,8 +38,6 @@ from .sysio import (
     write_system,
     write_trajectory,
 )
-
-_POINTWISE_RETRIES = 8
 
 
 def _d_mode(args) -> DMode:
@@ -77,23 +75,11 @@ def _fmt(value) -> str:
 
 def _pointwise(result, factors, combine, num_points):
     """Worst scaled gap between the result's transfer and a pointwise oracle."""
-    rho = max(spectral_radius(r) for r in [result, *factors])
-    radius = 2.0 * (1.0 + rho)
-    worst = 0.0
-    for k in range(num_points):
-        z = radius * np.exp(2j * np.pi * k / num_points)
-        for _ in range(_POINTWISE_RETRIES):
-            try:
-                got = eval_transfer(result, z)
-                want = combine([eval_transfer(f, z) for f in factors])
-                break
-            except (PoleError, np.linalg.LinAlgError):
-                z *= 1.37
-        else:
-            raise NumericalError(
-                f"no usable sample point near radius {radius:.3e}")
-        worst = max(worst, scaled_deviation(got, want))
-    return worst
+    gaps, _ = circle_samples(
+        [result, *factors], num_points,
+        lambda z: scaled_deviation(
+            eval_transfer(result, z), combine([eval_transfer(f, z) for f in factors])))
+    return max(gaps)
 
 
 def _cmd_check(args) -> int:

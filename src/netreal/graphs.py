@@ -10,6 +10,8 @@ declare ``(i, i)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -77,11 +79,16 @@ def _as_counts(values, label: str) -> tuple[int, ...]:
     return counts
 
 
-def _block_slice(counts: Sequence[int], index: int) -> slice:
-    if not 0 <= index < len(counts):
-        raise InputError(f"node index {index} out of range for {len(counts)} nodes")
-    start = sum(counts[:index])
-    return slice(start, start + counts[index])
+def partition_slices(counts: Sequence[int]) -> tuple[slice, ...]:
+    """Node-major slices: node ``i`` owns ``counts[i]`` entries after nodes ``0 .. i-1``."""
+    return tuple(
+        slice(stop - width, stop) for width, stop in zip(counts, accumulate(counts)))
+
+
+def _node_slice(slices: tuple[slice, ...], index: int) -> slice:
+    if not 0 <= index < len(slices):
+        raise InputError(f"node index {index} out of range for {len(slices)} nodes")
+    return slices[index]
 
 
 @dataclass(frozen=True)
@@ -143,11 +150,24 @@ class NodeDims:
     def p_total(self) -> int:
         return sum(self.outputs)
 
+    # Cached outside the dataclass fields, so equality and hashing ignore them.
+    @cached_property
+    def state_slices(self) -> tuple[slice, ...]:
+        return partition_slices(self.states)
+
+    @cached_property
+    def input_slices(self) -> tuple[slice, ...]:
+        return partition_slices(self.inputs)
+
+    @cached_property
+    def output_slices(self) -> tuple[slice, ...]:
+        return partition_slices(self.outputs)
+
     def state_slice(self, i: int) -> slice:
-        return _block_slice(self.states, i)
+        return _node_slice(self.state_slices, i)
 
     def input_slice(self, i: int) -> slice:
-        return _block_slice(self.inputs, i)
+        return _node_slice(self.input_slices, i)
 
     def output_slice(self, i: int) -> slice:
-        return _block_slice(self.outputs, i)
+        return _node_slice(self.output_slices, i)

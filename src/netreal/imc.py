@@ -22,25 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import multiply, node_major_indices
-from .errors import InputError
 from .graphs import NodeDims
+from .loops import _check_pair
 from .realization import BlockRealization
-
-
-def _check_imc_pair(plant: BlockRealization, q: BlockRealization) -> None:
-    if plant.num_nodes != q.num_nodes:
-        raise InputError(
-            f"plant has {plant.num_nodes} nodes, design parameter has {q.num_nodes}")
-    if np.any(plant.D):
-        raise InputError("plant must be strictly proper (zero direct term)")
-    if q.dims.inputs != plant.dims.outputs:
-        raise InputError(
-            "design parameter input counts must match plant output counts, "
-            f"got {q.dims.inputs} vs {plant.dims.outputs}")
-    if q.dims.outputs != plant.dims.inputs:
-        raise InputError(
-            "design parameter output counts must match plant input counts, "
-            f"got {q.dims.outputs} vs {plant.dims.inputs}")
 
 
 def imc_controller(plant: BlockRealization, q: BlockRealization) -> BlockRealization:
@@ -51,7 +35,7 @@ def imc_controller(plant: BlockRealization, q: BlockRealization) -> BlockRealiza
     its input is the per-node reference error and its output the per-node
     actuation.
     """
-    _check_imc_pair(plant, q)
+    _check_pair(plant, q, "design parameter")
     a, b, c = plant.A, plant.B, plant.C
     e, f, g, h = q.A, q.B, q.C, q.D
     bh = b @ h
@@ -85,5 +69,5 @@ def ideal_maps(
     drives the actuation through ``q`` alone and the output through the
     series system, so the maps are ``q`` itself and ``plant . q``.
     """
-    _check_imc_pair(plant, q)
+    _check_pair(plant, q, "design parameter")
     return q, multiply(plant, q)

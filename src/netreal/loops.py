@@ -19,33 +19,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import invert, node_major_indices
-from .errors import InputError, NumericalError, PoleError
+from .errors import InputError, PoleError
 from .graphs import NodeDims
 from .realization import (
     BlockRealization,
+    circle_samples,
     eval_transfer,
     scaled_deviation,
     spectral_radius,
 )
 
 _IDENTITY_COND_LIMIT = 1e12
-_MAX_RESAMPLES = 8
 
 
-def _check_pair(plant: BlockRealization, controller: BlockRealization) -> None:
-    if plant.num_nodes != controller.num_nodes:
+def _check_pair(plant: BlockRealization, other: BlockRealization, role: str) -> None:
+    """Require a strictly proper plant and ``other`` mapping its outputs to its inputs."""
+    if plant.num_nodes != other.num_nodes:
         raise InputError(
-            f"plant has {plant.num_nodes} nodes, controller has {controller.num_nodes}")
+            f"plant has {plant.num_nodes} nodes, {role} has {other.num_nodes}")
     if np.any(plant.D):
         raise InputError("plant must be strictly proper (zero direct term)")
-    if controller.dims.inputs != plant.dims.outputs:
+    if other.dims.inputs != plant.dims.outputs:
         raise InputError(
-            "controller per-node input counts must match plant output counts, "
-            f"got {controller.dims.inputs} vs {plant.dims.outputs}")
-    if controller.dims.outputs != plant.dims.inputs:
+            f"{role} per-node input counts must match plant output counts, "
+            f"got {other.dims.inputs} vs {plant.dims.outputs}")
+    if other.dims.outputs != plant.dims.inputs:
         raise InputError(
-            "controller per-node output counts must match plant input counts, "
-            f"got {controller.dims.outputs} vs {plant.dims.inputs}")
+            f"{role} per-node output counts must match plant input counts, "
+            f"got {other.dims.outputs} vs {plant.dims.inputs}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,15 +63,9 @@ class ClosedLoop:
     m_dims: tuple[int, ...]
 
     def _channel_indices(self, group: int) -> np.ndarray:
-        indices: list[int] = []
-        offset = 0
-        for pk, mk in zip(self.p_dims, self.m_dims):
-            if group == 1:
-                indices.extend(range(offset, offset + pk))
-            else:
-                indices.extend(range(offset + pk, offset + pk + mk))
-            offset += pk + mk
-        return np.asarray(indices, dtype=int)
+        positions = np.argsort(node_major_indices(self.p_dims, self.m_dims))
+        split = sum(self.p_dims)
+        return positions[:split] if group == 1 else positions[split:]
 
     def block(self, row: int, col: int) -> BlockRealization:
         """Sub-realization for one channel-group pair, 1-based as displayed above."""
@@ -109,7 +104,7 @@ def close_loop(
     block-triangular per node, hence always invertible; ``cond_limit``
     still guards against a pathological controller direct term.
     """
-    _check_pair(plant, controller)
+    _check_pair(plant, controller, "controller")
     n_p, n_c = plant.n, controller.n
     p, m = plant.p, plant.m
 
@@ -188,34 +183,20 @@ def verify_identities(
     Returns the worst deviation per identity; passes when every
     deviation is at most ``rel_tol``.
     """
-    _check_pair(plant, controller)
-    if num_points < 1:
-        raise InputError(f"num_points must be positive, got {num_points}")
+    _check_pair(plant, controller, "controller")
     p, m = plant.p, plant.m
     eye_p = np.eye(p)
     eye_m = np.eye(m)
-    radius = 2.0 * (1.0 + max(spectral_radius(plant), spectral_radius(controller)))
-    worst = {"inverse-complement": 0.0, "triangular-inverse": 0.0}
-    for k in range(num_points):
-        z = radius * np.exp(2j * np.pi * k / num_points)
-        for _ in range(_MAX_RESAMPLES):
-            try:
-                p_z = eval_transfer(plant, z)
-                c_z = eval_transfer(controller, z)
-                loop = eye_p + p_z @ c_z
-                cond = np.linalg.cond(loop) if loop.size else 1.0
-                if not np.isfinite(cond) or cond >= _IDENTITY_COND_LIMIT:
-                    raise PoleError(f"I + PC ill-conditioned at z = {z}")
-                loop_inv = np.linalg.inv(loop)
-                break
-            except (PoleError, np.linalg.LinAlgError):
-                z *= 1.31
-        else:
-            raise NumericalError("no well-conditioned sample point found")
 
+    def deviations(z):
+        p_z = eval_transfer(plant, z)
+        c_z = eval_transfer(controller, z)
+        loop = eye_p + p_z @ c_z
+        cond = np.linalg.cond(loop) if loop.size else 1.0
+        if not np.isfinite(cond) or cond >= _IDENTITY_COND_LIMIT:
+            raise PoleError(f"I + PC ill-conditioned at z = {z}")
+        loop_inv = np.linalg.inv(loop)
         rhs = eye_p - p_z @ c_z @ loop_inv
-        worst["inverse-complement"] = max(
-            worst["inverse-complement"], scaled_deviation(loop_inv, rhs))
 
         tri = np.zeros((p + m, p + m), dtype=complex)
         tri[:p, :p] = loop
@@ -225,7 +206,13 @@ def verify_identities(
         expected[:p, :p] = loop_inv
         expected[p:, :p] = -c_z @ loop_inv
         expected[p:, p:] = eye_m
-        worst["triangular-inverse"] = max(
-            worst["triangular-inverse"], scaled_deviation(np.linalg.inv(tri), expected))
+        return (scaled_deviation(loop_inv, rhs),
+                scaled_deviation(np.linalg.inv(tri), expected))
+
+    gaps, _ = circle_samples((plant, controller), num_points, deviations)
+    worst = {
+        "inverse-complement": max(g[0] for g in gaps),
+        "triangular-inverse": max(g[1] for g in gaps),
+    }
     passed = all(v <= rel_tol for v in worst.values())
     return IdentityReport(passed, worst, num_points, rel_tol)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -221,7 +221,10 @@ def _eigenvalues(a: np.ndarray) -> np.ndarray:
 
 
 def _rank(pencil: np.ndarray, tol: float) -> int:
-    sv = np.linalg.svd(pencil, compute_uv=False)
+    try:
+        sv = np.linalg.svd(pencil, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"rank test failed: {exc}") from exc
     if sv.size == 0:
         return 0
     cutoff = sv[0] * max(max(pencil.shape) * _EPS, tol)
@@ -295,11 +298,14 @@ def eval_transfer(real: BlockRealization, z: complex) -> np.ndarray:
     if real.n == 0:
         return d
     shifted = z * np.eye(real.n, dtype=complex) - real.A
-    cond = np.linalg.cond(shifted)
-    if not np.isfinite(cond) or cond >= POLE_COND_LIMIT:
-        raise PoleError(
-            f"z = {z} is too close to a pole: cond(zI - A) = {cond:.3e}")
-    states = np.linalg.solve(shifted, real.B.astype(complex))
+    try:
+        cond = np.linalg.cond(shifted)
+        if not np.isfinite(cond) or cond >= POLE_COND_LIMIT:
+            raise PoleError(
+                f"z = {z} is too close to a pole: cond(zI - A) = {cond:.3e}")
+        states = np.linalg.solve(shifted, real.B.astype(complex))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"transfer evaluation failed at z = {z}: {exc}") from exc
     return real.C @ states + d
 
 
@@ -327,6 +333,37 @@ class TransferComparison:
 _MAX_RESAMPLES = 8
 
 
+def circle_samples(
+    systems: Sequence[BlockRealization], num_points: int, evaluate: Callable[[complex], object]
+) -> tuple[list, float]:
+    """Apply ``evaluate`` at ``num_points`` frequencies around every pole.
+
+    The points lie evenly on the circle of radius
+    ``2 (1 + max spectral radius)`` over ``systems``, which encloses
+    every pole.  A point where ``evaluate`` raises
+    :class:`~netreal.errors.PoleError` or ``LinAlgError`` is pushed
+    outward by a factor 1.37 and retried a bounded number of times
+    before :class:`~netreal.errors.NumericalError` is raised.  Returns
+    the values in point order and the radius.
+    """
+    if num_points < 1:
+        raise InputError(f"num_points must be positive, got {num_points}")
+    radius = 2.0 * (1.0 + max(spectral_radius(s) for s in systems))
+    values = []
+    for k in range(num_points):
+        z = radius * np.exp(2j * np.pi * k / num_points)
+        for _ in range(_MAX_RESAMPLES):
+            try:
+                values.append(evaluate(z))
+                break
+            except (PoleError, np.linalg.LinAlgError):
+                z *= 1.37
+        else:
+            raise NumericalError(
+                f"no usable sample point found near radius {radius:.3e}")
+    return values, radius
+
+
 def transfer_equal(
     r1: BlockRealization,
     r2: BlockRealization,
@@ -335,30 +372,15 @@ def transfer_equal(
 ) -> TransferComparison:
     """Compare two transfer matrices on a circle of sample frequencies.
 
-    Samples ``num_points`` points on the circle of radius
-    ``2 (1 + max spectral radius)``, which encloses every pole of both
-    systems.  A point that still trips the pole guard is pushed outward
-    and retried.  Equality holds when the worst
-    :func:`scaled_deviation` over all points is at most ``rel_tol``.
+    Samples ``num_points`` points with :func:`circle_samples`.  Equality
+    holds when the worst :func:`scaled_deviation` over all points is at
+    most ``rel_tol``.
     """
     if (r1.p, r1.m) != (r2.p, r2.m):
         raise InputError(
             f"cannot compare a {r1.p}x{r1.m} transfer with a {r2.p}x{r2.m} one")
-    if num_points < 1:
-        raise InputError(f"num_points must be positive, got {num_points}")
-    radius = 2.0 * (1.0 + max(spectral_radius(r1), spectral_radius(r2)))
-    worst = 0.0
-    for k in range(num_points):
-        z = radius * np.exp(2j * np.pi * k / num_points)
-        for _ in range(_MAX_RESAMPLES):
-            try:
-                g1 = eval_transfer(r1, z)
-                g2 = eval_transfer(r2, z)
-                break
-            except PoleError:
-                z *= 1.37
-        else:
-            raise NumericalError(
-                f"no pole-free sample point found near radius {radius:.3e}")
-        worst = max(worst, scaled_deviation(g1, g2))
+    gaps, radius = circle_samples(
+        (r1, r2), num_points,
+        lambda z: scaled_deviation(eval_transfer(r1, z), eval_transfer(r2, z)))
+    worst = max(gaps)
     return TransferComparison(worst <= rel_tol, worst, num_points, radius)

@@ -1,20 +1,26 @@
 """Discrete-time simulation with a fixed block evaluation order.
 
-Every update accumulates per-node contributions in ascending node order,
-left to right within each block row.  A locality-enforced run can
-therefore reproduce the centralized recursion exactly (array equality,
-not tolerance): skipping a structurally zero block only ever drops an
-exact-zero contribution.
+Both simulators run one step loop over a plan that lists, per node,
+the state blocks it reads (A and C) and the input blocks that drive it
+(B and D), each in ascending node order.  Every step sums the planned
+contributions in that order.  :func:`simulate_lti` plans the blocks that
+hold a nonzero entry; :func:`simulate_distributed` plans the node's
+in-neighbors and its own input, so no block off an edge is ever read.
+On a strictly compatible realization the two plans differ only by
+exact-zero blocks, whose contributions are exact zeros, so the two runs
+agree under array equality, not tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .errors import InputError
-from .graphs import NetworkGraph
+from .errors import InputError, NumericalError
+from .graphs import NetworkGraph, partition_slices
+from .loops import _check_pair
 from .realization import BlockRealization, DMode, check_compatibility
 
 
@@ -69,8 +75,7 @@ class SignalTrajectory:
     def node_slice(self, i: int) -> slice:
         if not 0 <= i < len(self.partition):
             raise InputError(f"node index {i} out of range")
-        start = sum(self.partition[:i])
-        return slice(start, start + self.partition[i])
+        return partition_slices(self.partition)[i]
 
 
 def _coerce_input(real: BlockRealization, u) -> SignalTrajectory:
@@ -94,23 +99,60 @@ def _coerce_state(real: BlockRealization, x0) -> np.ndarray:
     return x
 
 
-def _blocks(matrix: np.ndarray, row_counts, col_counts) -> list[list[np.ndarray]]:
-    """Contiguous copies of every block, indexed [row node][col node]."""
-    row_slices = _partition_slices(row_counts)
-    col_slices = _partition_slices(col_counts)
-    return [
-        [np.ascontiguousarray(matrix[rs, cs]) for cs in col_slices]
-        for rs in row_slices
+def _check_finite(*traces: np.ndarray) -> None:
+    """Raise :class:`NumericalError` at the first step where a trace is non-finite."""
+    bad = np.zeros(len(traces[0]), dtype=bool)
+    for trace in traces:
+        bad |= ~np.isfinite(trace).all(axis=1)
+    if bad.any():
+        raise NumericalError(
+            f"simulation diverged: non-finite values at step {int(np.argmax(bad))}")
+
+
+def _run(
+    real: BlockRealization, u: SignalTrajectory, x: np.ndarray, reads, drives
+) -> tuple[SignalTrajectory, SignalTrajectory]:
+    """Step loop shared by both simulators.
+
+    Node ``i``'s output and next state sum its A and C blocks over the
+    node list ``reads[i]``, then its B and D blocks over ``drives[i]``.
+    """
+    dims = real.dims
+    plan = [
+        (
+            [(j, np.ascontiguousarray(real.a_block(i, j)),
+              np.ascontiguousarray(real.c_block(i, j))) for j in reads[i]],
+            [(j, np.ascontiguousarray(real.b_block(i, j)),
+              np.ascontiguousarray(real.d_block(i, j))) for j in drives[i]],
+        )
+        for i in range(dims.num_nodes)
     ]
-
-
-def _partition_slices(counts) -> list[slice]:
-    slices = []
-    start = 0
-    for w in counts:
-        slices.append(slice(start, start + w))
-        start += w
-    return slices
+    steps = u.length
+    ys = np.zeros((steps, real.p))
+    xs = np.zeros((steps, real.n))
+    x_seg = [x[s] for s in dims.state_slices]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            u_seg = [u.values[t, s] for s in dims.input_slices]
+            nxt = []
+            for i, (read, drive) in enumerate(plan):
+                xs[t, dims.state_slices[i]] = x_seg[i]
+                y_acc = np.zeros(dims.outputs[i])
+                x_acc = np.zeros(dims.states[i])
+                for j, a_ij, c_ij in read:
+                    y_acc += c_ij @ x_seg[j]
+                    x_acc += a_ij @ x_seg[j]
+                for j, b_ij, d_ij in drive:
+                    y_acc += d_ij @ u_seg[j]
+                    x_acc += b_ij @ u_seg[j]
+                ys[t, dims.output_slices[i]] = y_acc
+                nxt.append(x_acc)
+            x_seg = nxt
+    _check_finite(xs, ys)
+    return (
+        SignalTrajectory(ys, dims.outputs, "y"),
+        SignalTrajectory(xs, dims.states, "x"),
+    )
 
 
 def simulate_lti(
@@ -120,48 +162,18 @@ def simulate_lti(
 
     Row ``t`` of the state trajectory is the state at step ``t`` (so row
     0 is the initial state), aligned with the output ``y[t]`` it produced.
-    Contributions accumulate over column blocks in ascending node order,
-    matching :func:`simulate_distributed` exactly.
+    Contributions accumulate over the nonzero column blocks in ascending
+    node order, matching :func:`simulate_distributed` exactly.  Raises
+    :class:`~netreal.errors.NumericalError` if the run diverges.
     """
     u = _coerce_input(real, u)
     x = _coerce_state(real, x0)
-    dims = real.dims
-    count = dims.num_nodes
-    a_blk = _blocks(real.A, dims.states, dims.states)
-    b_blk = _blocks(real.B, dims.states, dims.inputs)
-    c_blk = _blocks(real.C, dims.outputs, dims.states)
-    d_blk = _blocks(real.D, dims.outputs, dims.inputs)
-    state_slices = _partition_slices(dims.states)
-    out_slices = _partition_slices(dims.outputs)
-    in_slices = _partition_slices(dims.inputs)
-
-    steps = u.length
-    ys = np.zeros((steps, real.p))
-    xs = np.zeros((steps, real.n))
-    x_seg = [np.ascontiguousarray(x[s]) for s in state_slices]
-    for t in range(steps):
-        u_seg = [np.ascontiguousarray(u.values[t, s]) for s in in_slices]
-        for i in range(count):
-            xs[t, state_slices[i]] = x_seg[i]
-            acc = np.zeros(dims.outputs[i])
-            for j in range(count):
-                acc += c_blk[i][j] @ x_seg[j]
-            for j in range(count):
-                acc += d_blk[i][j] @ u_seg[j]
-            ys[t, out_slices[i]] = acc
-        nxt = []
-        for i in range(count):
-            acc = np.zeros(dims.states[i])
-            for j in range(count):
-                acc += a_blk[i][j] @ x_seg[j]
-            for j in range(count):
-                acc += b_blk[i][j] @ u_seg[j]
-            nxt.append(acc)
-        x_seg = nxt
-    return (
-        SignalTrajectory(ys, dims.outputs, "y"),
-        SignalTrajectory(xs, dims.states, "x"),
-    )
+    nodes = range(real.num_nodes)
+    reads = [[j for j in nodes if np.any(real.a_block(i, j)) or np.any(real.c_block(i, j))]
+             for i in nodes]
+    drives = [[j for j in nodes if np.any(real.b_block(i, j)) or np.any(real.d_block(i, j))]
+              for i in nodes]
+    return _run(real, u, x, reads, drives)
 
 
 def simulate_distributed(
@@ -171,14 +183,15 @@ def simulate_distributed(
     x0=None,
     access_log: list | None = None,
 ) -> tuple[SignalTrajectory, SignalTrajectory, int]:
-    """Per-node simulation that only moves state along declared edges.
+    """Per-node simulation that only reads state along declared edges.
 
-    Each step every node receives a mailbox holding exactly the states of
-    its in-neighbors (a read outside the neighbor set is impossible by
-    construction; pass ``access_log`` to record the ``(step, reader,
-    source)`` reads actually performed).  Requires strict compatibility.
-    Outputs equal :func:`simulate_lti` under array equality, and the
-    returned message count is ``steps * number of non-self edges``.
+    The plan gives node ``i`` the states of its in-neighbors and its own
+    input, and nothing else, so a read off an edge cannot happen.  Pass
+    ``access_log`` to receive the ``(step, reader, source)`` state reads
+    of the plan, ordered by step, then reader, then source.  Requires
+    strict compatibility.  Outputs equal :func:`simulate_lti` under
+    array equality, and the returned message count, one per non-self
+    edge per step, is ``steps * number of non-self edges``.
     """
     report = check_compatibility(real, graph, DMode.STRICT)
     if not report.ok:
@@ -188,58 +201,15 @@ def simulate_distributed(
             f"realization is not strictly compatible with the graph ({worst})")
     u = _coerce_input(real, u)
     x = _coerce_state(real, x0)
-    dims = real.dims
-    count = dims.num_nodes
-    neighbors = [
-        [j for j in range(count) if graph.has_edge(i, j)] for i in range(count)
-    ]
-    a_loc = [
-        {j: np.ascontiguousarray(real.a_block(i, j)) for j in neighbors[i]}
-        for i in range(count)
-    ]
-    c_loc = [
-        {j: np.ascontiguousarray(real.c_block(i, j)) for j in neighbors[i]}
-        for i in range(count)
-    ]
-    b_own = [np.ascontiguousarray(real.b_block(i, i)) for i in range(count)]
-    d_own = [np.ascontiguousarray(real.d_block(i, i)) for i in range(count)]
-    state_slices = _partition_slices(dims.states)
-    out_slices = _partition_slices(dims.outputs)
-    in_slices = _partition_slices(dims.inputs)
-
-    steps = u.length
-    ys = np.zeros((steps, real.p))
-    xs = np.zeros((steps, real.n))
-    x_seg = [np.ascontiguousarray(x[s]) for s in state_slices]
-    messages = 0
-    for t in range(steps):
-        mailboxes = []
-        for i in range(count):
-            box = {j: x_seg[j].copy() for j in neighbors[i]}
-            messages += sum(1 for j in neighbors[i] if j != i)
-            mailboxes.append(box)
-        u_seg = [np.ascontiguousarray(u.values[t, s]) for s in in_slices]
-        nxt = []
-        for i in range(count):
-            xs[t, state_slices[i]] = x_seg[i]
-            y_acc = np.zeros(dims.outputs[i])
-            x_acc = np.zeros(dims.states[i])
-            for j in neighbors[i]:
-                if access_log is not None:
-                    access_log.append((t, i, j))
-                incoming = mailboxes[i][j]
-                y_acc += c_loc[i][j] @ incoming
-                x_acc += a_loc[i][j] @ incoming
-            y_acc += d_own[i] @ u_seg[i]
-            x_acc += b_own[i] @ u_seg[i]
-            ys[t, out_slices[i]] = y_acc
-            nxt.append(x_acc)
-        x_seg = nxt
-    return (
-        SignalTrajectory(ys, dims.outputs, "y"),
-        SignalTrajectory(xs, dims.states, "x"),
-        messages,
-    )
+    count = real.num_nodes
+    reads = [[] for _ in range(count)]
+    for i, j in graph.sorted_edges():
+        reads[i].append(j)
+    y, xs = _run(real, u, x, reads, [[i] for i in range(count)])
+    if access_log is not None:
+        access_log.extend(
+            (t, i, j) for t, i in product(range(u.length), range(count)) for j in reads[i])
+    return y, xs, u.length * graph.num_non_self_edges
 
 
 def simulate_imc_loop(
@@ -258,18 +228,11 @@ def simulate_imc_loop(
 
     Returns ``(u, y, prediction_error)`` where the prediction error is
     the model output minus the measured output.  With ``model`` equal to
-    ``plant`` and no disturbance it is identically zero.
+    ``plant`` and no disturbance it is identically zero.  Raises
+    :class:`~netreal.errors.NumericalError` if the run diverges.
     """
-    if plant.num_nodes != model.num_nodes:
-        raise InputError(
-            f"plant has {plant.num_nodes} nodes, model has {model.num_nodes}")
-    if plant.dims.inputs != model.dims.inputs or plant.dims.outputs != model.dims.outputs:
-        raise InputError("plant and model must share per-node channel counts")
-    if np.any(plant.D) or np.any(model.D):
-        raise InputError("plant and model must be strictly proper (zero direct terms)")
-    if q.dims.inputs != model.dims.outputs or q.dims.outputs != model.dims.inputs:
-        raise InputError(
-            "design parameter must map output-sized signals to input-sized ones")
+    _check_pair(plant, q, "design parameter")
+    _check_pair(model, q, "design parameter")
     if not isinstance(reference, SignalTrajectory):
         reference = SignalTrajectory(reference, model.dims.outputs, "r")
     if reference.partition != model.dims.outputs:
@@ -295,18 +258,20 @@ def simulate_imc_loop(
     us = np.zeros((steps, plant.m))
     ys = np.zeros((steps, plant.p))
     errs = np.zeros((steps, plant.p))
-    for t in range(steps):
-        y = plant.C @ x + output_disturbance.values[t]
-        y_hat = model.C @ x_hat
-        prediction = y_hat - y
-        v = reference.values[t] + prediction
-        u = q.C @ xi + q.D @ v
-        us[t] = u
-        ys[t] = y
-        errs[t] = prediction
-        x = plant.A @ x + plant.B @ u
-        x_hat = model.A @ x_hat + model.B @ u
-        xi = q.A @ xi + q.B @ v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            y = plant.C @ x + output_disturbance.values[t]
+            y_hat = model.C @ x_hat
+            prediction = y_hat - y
+            v = reference.values[t] + prediction
+            u = q.C @ xi + q.D @ v
+            us[t] = u
+            ys[t] = y
+            errs[t] = prediction
+            x = plant.A @ x + plant.B @ u
+            x_hat = model.A @ x_hat + model.B @ u
+            xi = q.A @ xi + q.B @ v
+    _check_finite(us, ys, errs)
     return (
         SignalTrajectory(us, plant.dims.inputs, "u"),
         SignalTrajectory(ys, plant.dims.outputs, "y"),

@@ -70,6 +70,11 @@ def test_node_dims_slices():
     assert dims.state_slice(2) == slice(2, 3)
     assert dims.input_slice(0) == slice(0, 1)
     assert dims.output_slice(1) == slice(0, 2)
+    assert dims.state_slices == (slice(0, 2), slice(2, 2), slice(2, 3))
+    assert dims.output_slices == (slice(0, 0), slice(0, 2), slice(2, 3))
+    assert dims.input_slices == (slice(0, 1), slice(1, 2), slice(2, 3))
+    same = NodeDims((2, 0, 1), (1, 1, 1), (0, 2, 1))
+    assert dims == same and hash(dims) == hash(same)
 
 
 def test_node_dims_from_triples_roundtrip():
@@ -91,6 +96,11 @@ def test_node_dims_slice_range_checked():
     dims = NodeDims((1,), (1,), (1,))
     with pytest.raises(InputError):
         dims.state_slice(1)
+    for bad in (-1, 1):
+        with pytest.raises(InputError):
+            dims.input_slice(bad)
+        with pytest.raises(InputError):
+            dims.output_slice(bad)
 
 
 def test_graph_rejects_malformed_edges():

@@ -1,4 +1,5 @@
 import json
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from netreal import (
+    BlockRealization,
     InputError,
+    NodeDims,
     SignalTrajectory,
     build_graph,
     packaged_system,
@@ -214,6 +217,43 @@ def test_cli_compose_and_save(tmp_path, capsys):
     assert main(["compose", "--op", "inv", paths["q"]]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["compose", "--op", "add", paths["plant"]]) == 2
+
+
+def test_cli_rejects_nonpositive_points(tmp_path, capsys):
+    paths = _write_river(tmp_path)
+    static = str(tmp_path / "static.json")
+    write_system(static, BlockRealization(NodeDims((0,), (1,), (1,)), D=[[2.0]]),
+                 build_graph(1, [(0, 0)]), "static")
+    for argv in (
+        ["compose", "--op", "add", paths["wide"], paths["wide"], "--points", "0"],
+        ["compose", "--op", "mul", paths["plant"], paths["q"], "--points", "0"],
+        ["compose", "--op", "inv", static, "--points", "0"],
+        ["closeloop", paths["wide"], paths["q"], "--points", "-1"],
+    ):
+        assert main(argv) == 2, argv
+        assert "num_points must be positive" in capsys.readouterr().err
+
+
+def test_cli_numerical_failures_exit_1(tmp_path, capsys):
+    graph = build_graph(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    huge = str(tmp_path / "huge.json")
+    write_system(huge, BlockRealization(
+        NodeDims((1, 1), (1, 1), (1, 1)), A=np.full((2, 2), 1.7e308),
+        B=np.eye(2), C=np.eye(2)), graph, "huge")
+    assert main(["check", huge]) == 1
+    assert "error:" in capsys.readouterr().err
+
+    scalar = str(tmp_path / "scalar.json")
+    write_system(scalar, BlockRealization(
+        NodeDims((1,), (1,), (1,)), A=[[10.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]]),
+        build_graph(1, [(0, 0)]), "scalar")
+    u_path = str(tmp_path / "u.csv")
+    write_trajectory(u_path, SignalTrajectory(np.ones((400, 1)), (1,), "u"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for extra in ([], ["--distributed"]):
+            assert main(["simulate", scalar, "--input", u_path, *extra]) == 1
+            assert "error: simulation diverged" in capsys.readouterr().err
 
 
 def test_cli_closeloop_and_imc(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from netreal import (
     BlockRealization,
     InputError,
     NodeDims,
+    NumericalError,
     SignalTrajectory,
     build_graph,
     multiply,
@@ -77,17 +80,29 @@ def test_distributed_matches_centralized_bitwise(river_wide, rng):
     assert messages == 40 * graph.num_non_self_edges
 
 
+def _dense_recursion(real, u, x0):
+    x, ys = x0.copy(), []
+    for u_t in u:
+        ys.append(real.C @ x + real.D @ u_t)
+        x = real.A @ x + real.B @ u_t
+    return np.array(ys).reshape(len(u), real.p)
+
+
 def test_distributed_matches_centralized_on_random_systems(rng):
-    for _ in range(12):
-        graph = random_graph(rng, int(rng.integers(2, 5)))
+    for k in range(24):
+        graph = random_graph(rng, int(rng.integers(2, 5)), self_loops=k % 2 == 0)
         dims = random_dims(rng, graph.num_nodes)
         real = random_system(rng, graph, dims, rho=0.8)
         u = SignalTrajectory(
             rng.normal(size=(25, dims.m_total)), dims.inputs, "u")
-        y_c, x_c = simulate_lti(real, u)
-        y_d, x_d, _ = simulate_distributed(real, graph, u)
+        x0 = rng.normal(size=dims.n_total)
+        y_c, x_c = simulate_lti(real, u, x0)
+        y_d, x_d, _ = simulate_distributed(real, graph, u, x0)
         assert np.array_equal(y_c.values, y_d.values)
         assert np.array_equal(x_c.values, x_d.values)
+        y_ref = _dense_recursion(real, u.values, x0)
+        scale = max(1.0, float(np.max(np.abs(y_ref), initial=0.0)))
+        assert np.max(np.abs(y_c.values - y_ref), initial=0.0) <= 1e-12 * scale
 
 
 def test_distributed_access_log_respects_edges(river_wide, rng):
@@ -102,6 +117,31 @@ def test_distributed_access_log_respects_edges(river_wide, rng):
     per_step = sum(
         1 for i in range(3) for j in range(3) if graph.has_edge(i, j))
     assert len(log) == 7 * per_step
+    assert log == [
+        (t, i, j) for t in range(7) for i in range(3) for j in range(3)
+        if graph.has_edge(i, j)]
+
+
+def test_diverging_run_raises_numerical_error():
+    real = BlockRealization(
+        NodeDims((1,), (1,), (1,)), A=[[10.0]], B=[[1.0]], C=[[1.0]])
+    graph = build_graph(1, [(0, 0)])
+    u = np.ones((400, 1))
+    x, first_bad = 0.0, None
+    for t in range(400):
+        if not np.isfinite(x):
+            first_bad = t
+            break
+        x = 10.0 * x + 1.0
+    static_q = BlockRealization(NodeDims((0,), (1,), (1,)), D=[[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"step {first_bad}$"):
+            simulate_lti(real, u)
+        with pytest.raises(NumericalError, match=f"step {first_bad}$"):
+            simulate_distributed(real, graph, u)
+        with pytest.raises(NumericalError, match="diverged"):
+            simulate_imc_loop(real, real, static_q, u)
 
 
 def test_imc_loop_exact_model_error_is_zero(river, river_q, rng):
