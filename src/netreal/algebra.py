@@ -107,11 +107,8 @@ def multiply(outer: BlockRealization, inner: BlockRealization) -> BlockRealizati
 
 
 def _block_diagonal(real: BlockRealization) -> bool:
-    for i in range(real.num_nodes):
-        for j in range(real.num_nodes):
-            if i != j and np.any(real.d_block(i, j)):
-                return False
-    return True
+    occupied = real.occupancy.D
+    return not np.any(occupied[~np.eye(real.num_nodes, dtype=bool)])
 
 
 def _invert_direct(real: BlockRealization, cond_limit: float) -> np.ndarray:

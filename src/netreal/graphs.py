@@ -14,6 +14,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InputError
 
 
@@ -62,6 +64,16 @@ class NetworkGraph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+    # Cached outside the dataclass fields, so equality and hashing ignore it.
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only ``num_nodes x num_nodes`` boolean array, True at every edge."""
+        adj = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
+        if self.edges:
+            adj[tuple(np.array(sorted(self.edges)).T)] = True
+        adj.setflags(write=False)
+        return adj
 
 
 def build_graph(num_nodes: int, edges: Iterable) -> NetworkGraph:

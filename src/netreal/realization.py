@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +59,34 @@ def _as_matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
         raise InputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def block_occupancy(matrix: np.ndarray, row_counts, col_counts) -> np.ndarray:
+    """Largest entry magnitude of every block of ``matrix``.
+
+    Rows are split node-major by ``row_counts`` and columns by
+    ``col_counts``; entry ``(i, j)`` of the result is the largest
+    ``|matrix[r, c]|`` over the rows of node ``i`` and the columns of node
+    ``j``.  A block without a nonzero entry, an empty one included,
+    reads 0.  Cost grows with the number of nonzero entries, plus the
+    size of the returned node grid.
+    """
+    rows, cols = np.nonzero(matrix)
+    grid = np.zeros((len(row_counts), len(col_counts)))
+    row_node = np.repeat(np.arange(len(row_counts)), row_counts)
+    col_node = np.repeat(np.arange(len(col_counts)), col_counts)
+    np.maximum.at(grid, (row_node[rows], col_node[cols]), np.abs(matrix[rows, cols]))
+    grid.setflags(write=False)
+    return grid
+
+
+class BlockOccupancy(NamedTuple):
+    """:func:`block_occupancy` of each of the four matrices of a realization."""
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +149,32 @@ class BlockRealization:
     def d_block(self, i: int, j: int) -> np.ndarray:
         return self.D[self.dims.output_slice(i), self.dims.input_slice(j)]
 
+    # The matrices are frozen, so values derived from them are computed
+    # once, on first use, and kept outside the dataclass fields.
+    @cached_property
+    def occupancy(self) -> BlockOccupancy:
+        """Largest entry magnitude of every node block of A, B, C and D."""
+        d = self.dims
+        return BlockOccupancy(
+            block_occupancy(self.A, d.states, d.states),
+            block_occupancy(self.B, d.states, d.inputs),
+            block_occupancy(self.C, d.outputs, d.states),
+            block_occupancy(self.D, d.outputs, d.inputs),
+        )
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of A, read-only."""
+        if self.n == 0:
+            eigs = np.zeros(0, dtype=complex)
+        else:
+            try:
+                eigs = np.linalg.eigvals(self.A)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+        eigs.setflags(write=False)
+        return eigs
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -159,32 +214,23 @@ def check_compatibility(
     if zero_tol < 0:
         raise InputError(f"zero_tol must be nonnegative, got {zero_tol}")
 
-    violations: list[Violation] = []
-
-    def scan(name, block_of, allowed):
-        for i in range(dims.num_nodes):
-            for j in range(dims.num_nodes):
-                if allowed(i, j):
-                    continue
-                blk = block_of(i, j)
-                if blk.size == 0:
-                    continue
-                worst = float(np.max(np.abs(blk)))
-                if worst > zero_tol:
-                    violations.append(Violation(name, (i, j), worst))
-
-    edge_ok = graph.has_edge
+    edges = graph.adjacency
+    diagonal = np.eye(dims.num_nodes, dtype=bool)
     if mode is DMode.STRICT:
-        d_ok = lambda i, j: i == j
+        d_ok = diagonal
     elif mode is DMode.EDGE_SPARSE:
-        d_ok = lambda i, j: i == j or graph.has_edge(i, j)
+        d_ok = diagonal | edges
     else:
         raise InputError(f"unknown D mode {mode!r}")
 
-    scan("A", real.a_block, edge_ok)
-    scan("B", real.b_block, lambda i, j: i == j)
-    scan("C", real.c_block, edge_ok)
-    scan("D", real.d_block, d_ok)
+    occ = real.occupancy
+    violations = [
+        Violation(name, (int(i), int(j)), float(grid[i, j]))
+        for name, grid, allowed in (
+            ("A", occ.A, edges), ("B", occ.B, diagonal),
+            ("C", occ.C, edges), ("D", occ.D, d_ok))
+        for i, j in zip(*np.nonzero((grid > zero_tol) & ~allowed))
+    ]
     return CompatibilityReport(not violations, tuple(violations))
 
 
@@ -211,15 +257,6 @@ class PbhReport:
     offending_modes: tuple[OffendingMode, ...]
 
 
-def _eigenvalues(a: np.ndarray) -> np.ndarray:
-    if a.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
-
-
 def _rank(pencil: np.ndarray, tol: float) -> int:
     try:
         sv = np.linalg.svd(pencil, compute_uv=False)
@@ -231,13 +268,22 @@ def _rank(pencil: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(sv > cutoff))
 
 
-def _pbh_scan(a: np.ndarray, other: np.ndarray, stack_rows: bool,
+def _group_heads(eigs, tol: float) -> list[complex]:
+    """One eigenvalue per group: each joins the first head within ``tol * max(1, |head|)``."""
+    heads: list[complex] = []
+    for lam in eigs:
+        if not any(abs(lam - head) <= tol * max(1.0, abs(head)) for head in heads):
+            heads.append(lam)
+    return heads
+
+
+def _pbh_scan(real: BlockRealization, other: np.ndarray, stack_rows: bool,
               test: str, tol: float) -> PbhTestResult:
-    n = a.shape[0]
+    """One rank test per group of repeated eigenvalues on or outside ``1 - tol``."""
+    a, n = real.A, real.n
+    outer = [lam for lam in real.eigenvalues if abs(lam) >= 1.0 - tol]
     offending = []
-    for lam in _eigenvalues(a):
-        if abs(lam) < 1.0 - tol:
-            continue
+    for lam in _group_heads(outer, tol):
         shifted = a - lam * np.eye(n)
         pencil = np.vstack([shifted, other]) if stack_rows else np.hstack([shifted, other])
         rank = _rank(pencil, tol)
@@ -249,14 +295,20 @@ def _pbh_scan(a: np.ndarray, other: np.ndarray, stack_rows: bool,
 def pbh_stabilizable(real: BlockRealization, tol: float = 1e-9) -> PbhTestResult:
     """Rank test ``[A - lambda I, B]`` at every eigenvalue with ``|lambda| >= 1 - tol``.
 
-    Singular values below ``smax * max(max(shape) * eps, tol)`` count as zero.
+    Singular values below ``smax * max(max(shape) * eps, tol)`` count as
+    zero.  Eigenvalues within ``tol`` (relative to their magnitude, when
+    above 1) of each other form one group, tested once and reported as
+    one mode whose deficiency covers the whole group.
     """
-    return _pbh_scan(real.A, real.B, False, "stabilizable", tol)
+    return _pbh_scan(real, real.B, False, "stabilizable", tol)
 
 
 def pbh_detectable(real: BlockRealization, tol: float = 1e-9) -> PbhTestResult:
-    """Rank test ``[A - lambda I; C]`` at every eigenvalue with ``|lambda| >= 1 - tol``."""
-    return _pbh_scan(real.A, real.C, True, "detectable", tol)
+    """Rank test ``[A - lambda I; C]`` at every eigenvalue with ``|lambda| >= 1 - tol``.
+
+    Repeated eigenvalues are grouped as in :func:`pbh_stabilizable`.
+    """
+    return _pbh_scan(real, real.C, True, "detectable", tol)
 
 
 @dataclass(frozen=True)
@@ -282,8 +334,12 @@ def certify_witness(
 
 
 def spectral_radius(real: BlockRealization) -> float:
-    """Largest eigenvalue magnitude of A; zero for a static system."""
-    eigs = _eigenvalues(real.A)
+    """Largest eigenvalue magnitude of A; zero for a static system.
+
+    Reads the eigenvalues cached on the realization, so A is decomposed
+    once however often this is asked.
+    """
+    eigs = real.eigenvalues
     return float(np.max(np.abs(eigs))) if eigs.size else 0.0
 
 

@@ -2,20 +2,25 @@
 
 Both simulators run one step loop over a plan that lists, per node,
 the state blocks it reads (A and C) and the input blocks that drive it
-(B and D), each in ascending node order.  Every step sums the planned
-contributions in that order.  :func:`simulate_lti` plans the blocks that
-hold a nonzero entry; :func:`simulate_distributed` plans the node's
-in-neighbors and its own input, so no block off an edge is ever read.
-On a strictly compatible realization the two plans differ only by
-exact-zero blocks, whose contributions are exact zeros, so the two runs
-agree under array equality, not tolerance.
+(B and D), each in ascending node order.  :func:`simulate_lti` plans the
+blocks that hold a nonzero entry; :func:`simulate_distributed` plans the
+node's in-neighbors and its own input, so no block off an edge is ever
+read.
+
+The step loop stacks the planned blocks once, zero-padded to the
+largest node, so a step costs one gather, two batched products (the
+read and the drive stack, each covering both the state and the output
+rows) and an ordered scatter-add, whatever the number of nodes.  Every
+node sums its contributions in plan order, reads before drives.  On a
+strictly compatible realization the two plans differ only by exact-zero
+blocks, whose contributions are exact zeros, and each planned block's
+product does not depend on which other blocks are planned, so the two
+runs agree under array equality, not tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-
 import numpy as np
 
 from .errors import InputError, NumericalError
@@ -109,45 +114,73 @@ def _check_finite(*traces: np.ndarray) -> None:
             f"simulation diverged: non-finite values at step {int(np.argmax(bad))}")
 
 
+def _padded_index(counts: tuple[int, ...], pad: int) -> np.ndarray:
+    """Node-major positions of each node's entries, one row per node.
+
+    Row ``i`` lists node ``i``'s ``counts[i]`` positions, then repeats
+    ``pad`` up to the width of the widest node.
+    """
+    counts = np.asarray(counts)
+    slot = np.arange(counts.max())
+    starts = np.cumsum(counts) - counts
+    return np.where(slot < counts[:, None], starts[:, None] + slot, pad)
+
+
 def _run(
     real: BlockRealization, u: SignalTrajectory, x: np.ndarray, reads, drives
 ) -> tuple[SignalTrajectory, SignalTrajectory]:
     """Step loop shared by both simulators.
 
-    Node ``i``'s output and next state sum its A and C blocks over the
-    node list ``reads[i]``, then its B and D blocks over ``drives[i]``.
+    ``reads`` and ``drives`` are ``(node, source)`` index-array pairs in
+    plan order: ascending node, then ascending source.  Node ``i``'s
+    next state and output sum its A and C blocks over its ``reads``
+    sources, then its B and D blocks over its ``drives`` sources.
+
+    The planned blocks are stacked once.  Each node's rows of ``[A; C]``
+    (or ``[B; D]``) are zero-padded to the most states and the most
+    outputs of any node, its columns to the most states (or inputs).
+    Each step gathers the source states, forms every planned block's
+    contribution with one batched ``matmul`` over the read stack and one
+    over the drive stack, and adds the contributions into a zeroed
+    per-node accumulator with ``np.add.at``: the reads in plan order,
+    then the drives in plan order.  So each node's sum runs in its plan
+    order, and a planned block of exact zeros, padding included, adds
+    exact zeros.
     """
     dims = real.dims
-    plan = [
-        (
-            [(j, np.ascontiguousarray(real.a_block(i, j)),
-              np.ascontiguousarray(real.c_block(i, j))) for j in reads[i]],
-            [(j, np.ascontiguousarray(real.b_block(i, j)),
-              np.ascontiguousarray(real.d_block(i, j))) for j in drives[i]],
-        )
-        for i in range(dims.num_nodes)
-    ]
+    n, m, p = real.n, real.m, real.p
+    count = dims.num_nodes
+    # Pads index an appended zero row or column.
+    rows = np.hstack([_padded_index(dims.states, n + p), n + _padded_index(dims.outputs, p)])
+    state_cols = _padded_index(dims.states, n)
+    input_cols = _padded_index(dims.inputs, m)
+    width, n_max = rows.shape[1], state_cols.shape[1]
+
+    def stack(top, bottom, cols, plan):
+        dst, src = plan
+        padded = np.pad(np.vstack([top, bottom]), ((0, 1), (0, 1)))
+        at = (dst[:, None] * width + np.arange(width)).ravel()
+        return padded[rows[dst][:, :, None], cols[src][:, None, :]], at
+
+    read_blocks, read_at = stack(real.A, real.C, state_cols, reads)
+    drive_blocks, drive_at = stack(real.B, real.D, input_cols, drives)
+    read_src, drive_src = reads[1], drives[1]
+    inputs = np.pad(u.values, ((0, 0), (0, 1)))[:, input_cols]
     steps = u.length
-    ys = np.zeros((steps, real.p))
-    xs = np.zeros((steps, real.n))
-    x_seg = [x[s] for s in dims.state_slices]
+    # Row t + 1 holds every node's padded state x[t + 1] and output y[t];
+    # row 0 holds the initial state.
+    history = np.zeros((steps + 1, count, width))
+    history[0, :, :n_max] = np.append(x, 0.0)[state_cols]
+    flat = history.reshape(steps + 1, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            u_seg = [u.values[t, s] for s in dims.input_slices]
-            nxt = []
-            for i, (read, drive) in enumerate(plan):
-                xs[t, dims.state_slices[i]] = x_seg[i]
-                y_acc = np.zeros(dims.outputs[i])
-                x_acc = np.zeros(dims.states[i])
-                for j, a_ij, c_ij in read:
-                    y_acc += c_ij @ x_seg[j]
-                    x_acc += a_ij @ x_seg[j]
-                for j, b_ij, d_ij in drive:
-                    y_acc += d_ij @ u_seg[j]
-                    x_acc += b_ij @ u_seg[j]
-                ys[t, dims.output_slices[i]] = y_acc
-                nxt.append(x_acc)
-            x_seg = nxt
+            state = history[t, :, :n_max]
+            np.add.at(flat[t + 1], read_at,
+                      np.matmul(read_blocks, state[read_src, :, None]).ravel())
+            np.add.at(flat[t + 1], drive_at,
+                      np.matmul(drive_blocks, inputs[t, drive_src, :, None]).ravel())
+    xs = history[:steps, :, :n_max][:, state_cols != n]
+    ys = history[1:, :, n_max:][:, rows[:, n_max:] != n + p]
     _check_finite(xs, ys)
     return (
         SignalTrajectory(ys, dims.outputs, "y"),
@@ -168,11 +201,9 @@ def simulate_lti(
     """
     u = _coerce_input(real, u)
     x = _coerce_state(real, x0)
-    nodes = range(real.num_nodes)
-    reads = [[j for j in nodes if np.any(real.a_block(i, j)) or np.any(real.c_block(i, j))]
-             for i in nodes]
-    drives = [[j for j in nodes if np.any(real.b_block(i, j)) or np.any(real.d_block(i, j))]
-              for i in nodes]
+    occ = real.occupancy
+    reads = np.nonzero((occ.A > 0) | (occ.C > 0))
+    drives = np.nonzero((occ.B > 0) | (occ.D > 0))
     return _run(real, u, x, reads, drives)
 
 
@@ -201,14 +232,12 @@ def simulate_distributed(
             f"realization is not strictly compatible with the graph ({worst})")
     u = _coerce_input(real, u)
     x = _coerce_state(real, x0)
-    count = real.num_nodes
-    reads = [[] for _ in range(count)]
-    for i, j in graph.sorted_edges():
-        reads[i].append(j)
-    y, xs = _run(real, u, x, reads, [[i] for i in range(count)])
+    reads = np.nonzero(graph.adjacency)
+    nodes = np.arange(real.num_nodes)
+    y, xs = _run(real, u, x, reads, (nodes, nodes))
     if access_log is not None:
-        access_log.extend(
-            (t, i, j) for t, i in product(range(u.length), range(count)) for j in reads[i])
+        edges = graph.sorted_edges()
+        access_log.extend((t, i, j) for t in range(u.length) for i, j in edges)
     return y, xs, u.length * graph.num_non_self_edges
 
 

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own code paths:
 stabilizability and detectability are decided from the controllability
 matrix and an invariant-subspace restriction, transfer values from
-direct numpy solves on dense matrices.
+direct numpy solves on dense matrices, and block structure from a
+per-block scan of the dense matrices.
 """
 
 from __future__ import annotations
@@ -125,6 +126,65 @@ def random_loop_pair(rng, max_nodes=4, max_states=3):
     controller = random_system(
         rng, graph, ctrl_dims, rho=float(rng.uniform(0.3, 0.9)), scale=0.4)
     return plant, controller, graph
+
+
+def with_forbidden_entries(rng, real, count=3):
+    """Copy of ``real`` with ``count`` random entries of each matrix overwritten.
+
+    Magnitudes span 1e-12 to 10, so a positive ``zero_tol`` masks some of
+    them; entries may land on allowed and forbidden blocks alike.
+    """
+    mats = []
+    for mat in (real.A, real.B, real.C, real.D):
+        mat = mat.copy()
+        if mat.size:
+            spots = rng.integers(0, mat.size, count)
+            mat.flat[spots] = rng.normal(size=count) * 10.0 ** rng.integers(-12, 2, count)
+        mats.append(mat)
+    return BlockRealization(real.dims, *mats)
+
+
+def _node_ranges(counts):
+    stops = np.cumsum(counts, dtype=int)
+    return [range(int(stop) - int(width), int(stop)) for width, stop in zip(counts, stops)]
+
+
+def oracle_blocks(real):
+    """``{name: {(i, j): block}}`` for A, B, C and D, sliced by node."""
+    dims = real.dims
+    states, inputs, outputs = (
+        _node_ranges(dims.states), _node_ranges(dims.inputs), _node_ranges(dims.outputs))
+    out = {}
+    for name, mat, rows, cols in (("A", real.A, states, states), ("B", real.B, states, inputs),
+                                  ("C", real.C, outputs, states), ("D", real.D, outputs, inputs)):
+        out[name] = {
+            (i, j): mat[np.ix_(list(r), list(c))]
+            for i, r in enumerate(rows) for j, c in enumerate(cols)}
+    return out
+
+
+def oracle_violations(real, graph, mode, zero_tol=0.0):
+    """``(matrix, (i, j), max_abs)`` of every forbidden block above ``zero_tol``.
+
+    Ordered A, B, C, D, each row-major; empty blocks never count.
+    """
+    found = []
+    for name, blocks in oracle_blocks(real).items():
+        for (i, j), blk in blocks.items():
+            if name in ("A", "C"):
+                allowed = (i, j) in graph.edges
+            elif name == "D" and mode is DMode.EDGE_SPARSE:
+                allowed = i == j or (i, j) in graph.edges
+            else:
+                allowed = i == j
+            if not allowed and blk.size and float(np.max(np.abs(blk))) > zero_tol:
+                found.append((name, (i, j), float(np.max(np.abs(blk)))))
+    return found
+
+
+def oracle_block_diagonal_d(real):
+    """True iff every off-diagonal block of D is exactly zero."""
+    return not any(np.any(blk) for (i, j), blk in oracle_blocks(real)["D"].items() if i != j)
 
 
 def ctrb(a, b):

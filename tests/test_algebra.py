@@ -17,7 +17,16 @@ from netreal import (
     node_major_indices,
     scaled_deviation,
 )
-from _support import random_add_pair, random_mul_pair, random_system
+from netreal.algebra import _block_diagonal
+from _support import (
+    oracle_block_diagonal_d,
+    random_add_pair,
+    random_dims,
+    random_graph,
+    random_mul_pair,
+    random_system,
+    with_forbidden_entries,
+)
 
 SAMPLE_Z = (2.3, -1.9, 1.1 + 2.2j, 0.4 - 3.0j)
 
@@ -141,6 +150,21 @@ def test_invert_block_diagonal_d_keeps_exact_zeros():
     assert inv.D[0, 1] == 0.0 and inv.D[1, 0] == 0.0
     assert inv.D[0, 0] == 0.5 and inv.D[1, 1] == 0.25
     assert inv.B[0, 1] == 0.0 and inv.B[1, 0] == 0.0
+
+
+def test_block_diagonal_matches_block_scan_oracle(rng):
+    seen = set()
+    for k in range(80):
+        graph = random_graph(rng, int(rng.integers(1, 6)), self_loops=k % 2 == 0)
+        dims = random_dims(rng, graph.num_nodes)
+        mode = DMode.EDGE_SPARSE if k % 2 else DMode.STRICT
+        real = random_system(rng, graph, dims, mode=mode)
+        if k % 3 == 0:
+            real = with_forbidden_entries(rng, real, count=1)
+        expected = oracle_block_diagonal_d(real)
+        assert _block_diagonal(real) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_invert_rejects_nonsquare_channels():

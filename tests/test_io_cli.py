@@ -12,6 +12,7 @@ from netreal import (
     NodeDims,
     SignalTrajectory,
     build_graph,
+    close_loop,
     packaged_system,
     read_system,
     read_trajectory,
@@ -266,6 +267,31 @@ def test_cli_closeloop_and_imc(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "parameter-roundtrip" in out
     assert "pointwise-inverse" in out
+
+
+def test_cli_closeloop_computes_each_spectrum_once(tmp_path, capsys, monkeypatch):
+    paths = _write_river(tmp_path)
+    controller = str(tmp_path / "controller.json")
+    assert main(["imc", paths["plant"], paths["q"], "--save", controller]) == 0
+    capsys.readouterr()
+    plant, _, _ = read_system(paths["wide"])
+    ctrl, _, _ = read_system(controller)
+    loop = close_loop(plant, ctrl).realization
+    expected = float(np.max(np.abs(np.linalg.eigvals(loop.A))))
+
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    assert main(["closeloop", paths["wide"], controller, "--json"]) == 0
+    stages = {s["name"]: s for s in json.loads(capsys.readouterr().out)["stages"]}
+    # One eigenvalue computation per realization: plant, controller, loop.
+    assert sorted(calls) == sorted([plant.A.shape, ctrl.A.shape, loop.A.shape])
+    assert stages["stability"]["detail"]["spectral_radius"] == expected
 
 
 def test_cli_simulate_matches_library(tmp_path, capsys, rng, river_wide):

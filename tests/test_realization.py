@@ -17,7 +17,15 @@ from netreal import (
     spectral_radius,
     transfer_equal,
 )
-from _support import oracle_detectable, oracle_stabilizable, random_system
+from _support import (
+    oracle_detectable,
+    oracle_stabilizable,
+    oracle_violations,
+    random_dims,
+    random_graph,
+    random_system,
+    with_forbidden_entries,
+)
 
 DIMS1 = NodeDims((1,), (1,), (1,))
 
@@ -92,6 +100,44 @@ def test_edge_sparse_mode_relaxes_only_d():
     assert not check_compatibility(off_b, graph, DMode.EDGE_SPARSE).ok
 
 
+def test_check_compatibility_matches_block_scan_oracle(rng):
+    zero_width = no_self_loops = violating = 0
+    for k in range(120):
+        graph = random_graph(rng, int(rng.integers(1, 7)), self_loops=k % 2 == 0)
+        dims = random_dims(rng, graph.num_nodes, max_states=int(rng.integers(0, 5)))
+        mode = DMode.EDGE_SPARSE if k % 3 == 0 else DMode.STRICT
+        real = random_system(rng, graph, dims, mode=mode, rho=0.8)
+        if k % 4:
+            real = with_forbidden_entries(rng, real)
+        zero_width += 0 in dims.states + dims.inputs + dims.outputs
+        no_self_loops += k % 2
+        for check_mode in DMode:
+            for zero_tol in (0.0, 1e-6):
+                found = check_compatibility(real, graph, check_mode, zero_tol)
+                expected = oracle_violations(real, graph, check_mode, zero_tol)
+                got = [(v.matrix, v.block, v.max_abs) for v in found.violations]
+                assert got == expected
+                assert [np.float64(v[2]).tobytes() for v in got] == [
+                    np.float64(v[2]).tobytes() for v in expected]
+                assert found.ok == (not expected)
+                violating += bool(expected)
+    assert zero_width and no_self_loops and violating
+
+
+def test_block_occupancy_of_zero_width_and_empty_blocks():
+    dims = NodeDims((2, 0, 1), (1, 1, 0), (0, 1, 1))
+    a = np.zeros((3, 3))
+    a[0, 2] = -4.0
+    a[1, 0] = 0.5
+    real = BlockRealization(dims, A=a, B=[[0.0, 0.0], [0.0, -3.0], [0.0, 0.0]])
+    assert np.array_equal(real.occupancy.A, [[0.5, 0.0, 4.0], [0.0] * 3, [0.0] * 3])
+    assert np.array_equal(real.occupancy.B, [[0.0, 3.0, 0.0], [0.0] * 3, [0.0] * 3])
+    assert real.occupancy.C.shape == (3, 3) and not real.occupancy.C.any()
+    assert real.occupancy is real.occupancy
+    with pytest.raises(ValueError):
+        real.occupancy.A[0, 0] = 1.0
+
+
 def test_node_count_mismatch_rejected(river):
     real, _ = river
     with pytest.raises(InputError):
@@ -107,6 +153,24 @@ def test_pbh_flags_uncontrollable_unstable_mode():
     assert result.offending[0].eigenvalue == pytest.approx(2.0)
     assert result.offending[0].deficiency == 1
     assert pbh_detectable(real).passed
+
+
+def test_pbh_reports_a_repeated_eigenvalue_once():
+    dims = NodeDims((4,), (1,), (1,))
+    real = BlockRealization(dims, A=np.diag([1.5, 1.5, 1.5, 2.0]))
+    for result in (pbh_stabilizable(real), pbh_detectable(real)):
+        assert not result.passed
+        assert [(m.eigenvalue, m.deficiency) for m in result.offending] == [
+            (1.5, 3), (2.0, 1)]
+    triple = BlockRealization(NodeDims((3,), (1,), (1,)), A=np.diag([1.5, 1.5, 1.5]))
+    for result in (pbh_stabilizable(triple), pbh_detectable(triple)):
+        assert [(m.eigenvalue, m.deficiency) for m in result.offending] == [(1.5, 3)]
+    # Reachable through B and seen through C along one direction only.
+    partly = BlockRealization(
+        NodeDims((3,), (1,), (1,)), A=np.diag([1.5, 1.5, 1.5]),
+        B=[[1.0], [0.0], [0.0]], C=[[0.0, 1.0, 0.0]])
+    assert [m.deficiency for m in pbh_stabilizable(partly).offending] == [2]
+    assert [m.deficiency for m in pbh_detectable(partly).offending] == [2]
 
 
 def test_pbh_ignores_stable_hidden_mode():
@@ -160,6 +224,20 @@ def test_certify_witness_fails_on_violation(river):
     cert = certify_witness(real, graph)
     assert not cert.ok
     assert cert.pbh.stabilizable and cert.pbh.detectable
+
+
+def test_spectral_radius_is_cached_and_bitwise_unchanged(rng, monkeypatch):
+    a = rng.normal(size=(7, 7))
+    expected = float(np.max(np.abs(np.linalg.eigvals(a))))
+    real = BlockRealization(NodeDims((7,), (1,), (1,)), A=a)
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(1) or eigvals(m))
+    assert spectral_radius(real) == expected
+    assert spectral_radius(real) == expected
+    pbh_stabilizable(real)
+    pbh_detectable(real)
+    assert len(calls) == 1
 
 
 def test_spectral_radius(river):

@@ -122,6 +122,68 @@ def test_distributed_access_log_respects_edges(river_wide, rng):
         if graph.has_edge(i, j)]
 
 
+MIXED_DIMS = NodeDims((16, 0, 1, 1, 0), (2, 1, 0, 1, 3), (3, 1, 1, 0, 2))
+
+
+def _check_plan_run(real, graph, u, x0):
+    log = []
+    y_c, x_c = simulate_lti(real, u, x0)
+    y_d, x_d, messages = simulate_distributed(real, graph, u, x0, access_log=log)
+    assert np.array_equal(y_c.values, y_d.values)
+    assert np.array_equal(x_c.values, x_d.values)
+    y_ref = _dense_recursion(real, u.values, x0)
+    scale = max(1.0, float(np.max(np.abs(y_ref), initial=0.0)))
+    assert np.max(np.abs(y_c.values - y_ref), initial=0.0) <= 1e-12 * scale
+    assert x_c.values.shape == (u.length, real.n)
+    assert messages == u.length * graph.num_non_self_edges
+    assert log == [(t, i, j) for t in range(u.length) for i, j in graph.sorted_edges()]
+    return y_c, x_c
+
+
+def test_kernel_pads_mixed_node_sizes(rng):
+    count = MIXED_DIMS.num_nodes
+    for k in range(8):
+        graph = random_graph(rng, count, self_loops=k % 2 == 0)
+        real = random_system(rng, graph, MIXED_DIMS, rho=0.9)
+        u = SignalTrajectory(
+            rng.normal(size=(30, MIXED_DIMS.m_total)), MIXED_DIMS.inputs, "u")
+        _check_plan_run(real, graph, u, rng.normal(size=MIXED_DIMS.n_total))
+
+
+def test_kernel_runs_an_empty_plan(rng):
+    # No nonzero block and no edge: neither simulator plans a state read.
+    real = BlockRealization(MIXED_DIMS)
+    graph = build_graph(MIXED_DIMS.num_nodes, [])
+    u = SignalTrajectory(rng.normal(size=(6, MIXED_DIMS.m_total)), MIXED_DIMS.inputs, "u")
+    x0 = rng.normal(size=MIXED_DIMS.n_total)
+    y, x = _check_plan_run(real, graph, u, x0)
+    assert not y.values.any()
+    assert np.array_equal(x.values[0], x0) and not x.values[1:].any()
+
+
+def test_kernel_reports_first_diverging_step_on_mixed_sizes():
+    dims = MIXED_DIMS
+    a = np.zeros((dims.n_total, dims.n_total))
+    a[:16, :16] = 10.0 * np.eye(16)
+    b = np.zeros((dims.n_total, dims.m_total))
+    b[:16, :2] = 1.0
+    c = np.zeros((dims.p_total, dims.n_total))
+    c[:3, :16] = 1.0
+    real = BlockRealization(dims, a, b, c)
+    graph = build_graph(dims.num_nodes, [(0, 0), (2, 0), (3, 2)])
+    u = np.ones((400, dims.m_total))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_ref = _dense_recursion(real, u, np.zeros(dims.n_total))
+    first_bad = int(np.argmax(~np.isfinite(y_ref).all(axis=1)))
+    assert first_bad > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"step {first_bad}$"):
+            simulate_lti(real, u)
+        with pytest.raises(NumericalError, match=f"step {first_bad}$"):
+            simulate_distributed(real, graph, u)
+
+
 def test_diverging_run_raises_numerical_error():
     real = BlockRealization(
         NodeDims((1,), (1,), (1,)), A=[[10.0]], B=[[1.0]], C=[[1.0]])
