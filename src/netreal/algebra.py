@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, InversionError, StabilityWarning
 from .graphs import NodeDims, partition_slices
-from .realization import BlockRealization, spectral_radius
+from .realization import BlockRealization, _certified_solve, spectral_radius
 
 _DEFAULT_COND_LIMIT = 1e8
 
@@ -128,12 +128,12 @@ def _invert_direct(real: BlockRealization, cond_limit: float) -> np.ndarray:
                     f"direct term of node {k} is singular or ill-conditioned")
             out[rows, cols] = np.linalg.inv(blk)
         return out
-    cond = np.linalg.cond(d) if d.size else 1.0
-    if not np.isfinite(cond) or cond >= cond_limit:
-        raise InversionError(
-            f"direct term is singular or ill-conditioned (cond {cond:.3e})")
     try:
-        return np.linalg.inv(d)
+        _, inverse = _certified_solve(
+            d, None, cond_limit,
+            lambda cond: InversionError(
+                f"direct term is singular or ill-conditioned (cond {cond:.3e})"))
+        return inverse
     except np.linalg.LinAlgError as exc:
         raise InversionError(f"direct term inversion failed: {exc}") from exc
 

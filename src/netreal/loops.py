@@ -23,6 +23,7 @@ from .errors import InputError, PoleError
 from .graphs import NodeDims
 from .realization import (
     BlockRealization,
+    _certified_solve,
     circle_samples,
     eval_transfer,
     scaled_deviation,
@@ -192,10 +193,9 @@ def verify_identities(
         p_z = eval_transfer(plant, z)
         c_z = eval_transfer(controller, z)
         loop = eye_p + p_z @ c_z
-        cond = np.linalg.cond(loop) if loop.size else 1.0
-        if not np.isfinite(cond) or cond >= _IDENTITY_COND_LIMIT:
-            raise PoleError(f"I + PC ill-conditioned at z = {z}")
-        loop_inv = np.linalg.inv(loop)
+        _, loop_inv = _certified_solve(
+            loop, None, _IDENTITY_COND_LIMIT,
+            lambda cond: PoleError(f"I + PC ill-conditioned at z = {z}"))
         rhs = eye_p - p_z @ c_z @ loop_inv
 
         tri = np.zeros((p + m, p + m), dtype=complex)

@@ -29,6 +29,8 @@ from .errors import InputError, NumericalError, PoleError
 from .graphs import NetworkGraph, NodeDims
 
 #: Evaluation of C (zI - A)^{-1} B refuses condition numbers at or above this.
+#: The solve certifies the refusal with a Frobenius bound on the 2-norm
+#: condition number; an SVD runs only when the bound reaches half of this.
 POLE_COND_LIMIT = 1e12
 
 _EPS = float(np.finfo(float).eps)
@@ -164,7 +166,10 @@ class BlockRealization:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of A, read-only."""
+        """Eigenvalues of A, read-only.
+
+        Raises :class:`~netreal.errors.NumericalError` when one is not finite.
+        """
         if self.n == 0:
             eigs = np.zeros(0, dtype=complex)
         else:
@@ -172,6 +177,8 @@ class BlockRealization:
                 eigs = np.linalg.eigvals(self.A)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+            if not np.isfinite(eigs).all():
+                raise NumericalError("eigenvalue computation failed: non-finite eigenvalues")
         eigs.setflags(write=False)
         return eigs
 
@@ -257,6 +264,67 @@ class PbhReport:
     offending_modes: tuple[OffendingMode, ...]
 
 
+def _shifted(a: np.ndarray, z: complex, negate: bool = False) -> np.ndarray:
+    """``z I - a`` if ``negate``, else ``a + z I``, as one new array.
+
+    Real when ``a`` and ``z`` are: a real eigenvalue keeps the PBH pencil
+    real, and a real SVD is faster than a complex one.
+    """
+    dtype = np.result_type(a, z)
+    out = np.negative(a, dtype=dtype) if negate else np.array(a, dtype=dtype)
+    out.flat[:: len(a) + 1] += z
+    return out
+
+
+def _frobenius_cond_bound(matrix: np.ndarray, inverse: np.ndarray) -> float:
+    """``||matrix||_F ||inverse||_F``, never below the 2-norm condition number.
+
+    Overflow reads as ``inf``, which certifies nothing.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(matrix)) * float(np.linalg.norm(inverse))
+
+
+def _certified_solve(
+    matrix: np.ndarray,
+    rhs: Optional[np.ndarray],
+    limit: float,
+    refuse: Callable[[float], Exception],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``matrix^{-1} rhs`` and ``matrix^{-1}`` from one solve, refusing ``cond >= limit``.
+
+    One LU solve with the right-hand side ``[rhs | I]`` yields both.  The
+    inverse certifies the guard: ``cond_2(matrix)`` is at most
+    :func:`_frobenius_cond_bound`, so a bound that is finite and below
+    ``limit / 2`` passes without an SVD (the half absorbs the rounding of
+    the computed inverse, whose relative error is about ``cond * eps``).
+    Otherwise, and when the solve finds ``matrix`` exactly singular, the
+    exact ``np.linalg.cond`` decides: ``refuse(cond)`` is raised at or
+    above ``limit`` or when it is not finite; below it the solve's result,
+    or its ``LinAlgError``, stands.  ``rhs`` takes the dtype of ``matrix``;
+    ``rhs=None`` solves for the inverse alone.
+    """
+    n = len(matrix)
+    width = 0 if rhs is None else rhs.shape[1]
+    augmented = np.zeros((n, width + n), dtype=matrix.dtype)
+    if width:
+        augmented[:, :width] = rhs
+    augmented.flat[width :: width + n + 1] = 1.0
+    try:
+        solution = np.linalg.solve(matrix, augmented)
+    except np.linalg.LinAlgError as exc:
+        solution, failure = None, exc
+    else:
+        if _frobenius_cond_bound(matrix, solution[:, width:]) < 0.5 * limit:
+            return solution[:, :width], solution[:, width:]
+    cond = float(np.linalg.cond(matrix))
+    if not np.isfinite(cond) or cond >= limit:
+        raise refuse(cond)
+    if solution is None:
+        raise failure
+    return solution[:, :width], solution[:, width:]
+
+
 def _rank(pencil: np.ndarray, tol: float) -> int:
     try:
         sv = np.linalg.svd(pencil, compute_uv=False)
@@ -280,11 +348,11 @@ def _group_heads(eigs, tol: float) -> list[complex]:
 def _pbh_scan(real: BlockRealization, other: np.ndarray, stack_rows: bool,
               test: str, tol: float) -> PbhTestResult:
     """One rank test per group of repeated eigenvalues on or outside ``1 - tol``."""
-    a, n = real.A, real.n
+    n = real.n
     outer = [lam for lam in real.eigenvalues if abs(lam) >= 1.0 - tol]
     offending = []
     for lam in _group_heads(outer, tol):
-        shifted = a - lam * np.eye(n)
+        shifted = _shifted(real.A, -lam)
         pencil = np.vstack([shifted, other]) if stack_rows else np.hstack([shifted, other])
         rank = _rank(pencil, tol)
         if rank < n:
@@ -346,23 +414,23 @@ def spectral_radius(real: BlockRealization) -> float:
 def eval_transfer(real: BlockRealization, z: complex) -> np.ndarray:
     """Evaluate ``C (zI - A)^{-1} B + D`` at one complex frequency.
 
-    Uses a linear solve, never an explicit inverse.  Raises
+    One LU solve of ``zI - A`` against ``[B | I]`` yields the states
+    ``(zI - A)^{-1} B``, from which the transfer is formed, and
+    ``(zI - A)^{-1}``, which only certifies the pole guard.  Raises
     :class:`~netreal.errors.PoleError` when ``zI - A`` has condition
     number at or above ``POLE_COND_LIMIT``.
     """
-    d = real.D.astype(complex)
     if real.n == 0:
-        return d
-    shifted = z * np.eye(real.n, dtype=complex) - real.A
+        return real.D.astype(complex)
     try:
-        cond = np.linalg.cond(shifted)
-        if not np.isfinite(cond) or cond >= POLE_COND_LIMIT:
-            raise PoleError(
-                f"z = {z} is too close to a pole: cond(zI - A) = {cond:.3e}")
-        states = np.linalg.solve(shifted, real.B.astype(complex))
+        states, _ = _certified_solve(
+            _shifted(real.A, complex(z), negate=True), real.B, POLE_COND_LIMIT,
+            lambda cond: PoleError(
+                f"z = {z} is too close to a pole: cond(zI - A) = {cond:.3e}"))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"transfer evaluation failed at z = {z}: {exc}") from exc
-    return real.C @ states + d
+    # Contiguous, as numpy picks a different product kernel for a strided column.
+    return real.C @ np.ascontiguousarray(states) + real.D
 
 
 def scaled_deviation(left: np.ndarray, right: np.ndarray) -> float:

@@ -3,15 +3,16 @@
 The oracles here deliberately avoid the library's own code paths:
 stabilizability and detectability are decided from the controllability
 matrix and an invariant-subspace restriction, transfer values from
-direct numpy solves on dense matrices, and block structure from a
-per-block scan of the dense matrices.
+direct numpy solves on dense matrices behind an exact SVD condition
+number, and block structure from a per-block scan of the dense matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from netreal import BlockRealization, DMode, NodeDims, build_graph
+from netreal import BlockRealization, DMode, NodeDims, NumericalError, PoleError, build_graph
+from netreal.realization import POLE_COND_LIMIT
 
 
 def random_graph(rng, num_nodes, edge_prob=0.45, self_loops=True):
@@ -142,6 +143,46 @@ def with_forbidden_entries(rng, real, count=3):
             mat.flat[spots] = rng.normal(size=count) * 10.0 ** rng.integers(-12, 2, count)
         mats.append(mat)
     return BlockRealization(real.dims, *mats)
+
+
+def oracle_transfer(real, z):
+    """``C (zI - A)^{-1} B + D`` by one dense solve, guarded by the exact condition number.
+
+    Raises :class:`PoleError` when ``np.linalg.cond(zI - A)`` is not
+    finite or at least ``POLE_COND_LIMIT``, and :class:`NumericalError`
+    when numpy fails.
+    """
+    d = real.D.astype(complex)
+    if real.n == 0:
+        return d
+    shifted = z * np.eye(real.n) - real.A
+    try:
+        cond = np.linalg.cond(shifted)
+        if not np.isfinite(cond) or cond >= POLE_COND_LIMIT:
+            raise PoleError(f"cond(zI - A) = {cond:.3e} at z = {z}")
+        states = np.linalg.solve(shifted, real.B.astype(complex))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"solve failed at z = {z}: {exc}") from exc
+    return real.C @ states + d
+
+
+def probe_points(rng, real, num_random=3):
+    """Frequencies that probe the pole guard of ``real``.
+
+    ``num_random`` points at random, then every eigenvalue of A moved by
+    a random offset of magnitude 1e-14 to 1e-2 in a random direction.
+    When A is diagonal, its diagonal entries too: there ``zI - A`` is
+    exactly singular.
+    """
+    points = [complex(*rng.normal(scale=2.0, size=2)) for _ in range(num_random)]
+    if real.n == 0:
+        return points
+    for lam in np.linalg.eigvals(real.A):
+        offset = 10.0 ** rng.uniform(-14, -2) * np.exp(2j * np.pi * rng.random())
+        points.append(complex(lam + offset))
+    if not np.any(real.A - np.diag(np.diag(real.A))):
+        points.extend(complex(v) for v in np.diag(real.A))
+    return points
 
 
 def _node_ranges(counts):

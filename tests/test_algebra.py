@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,20 @@ def test_invert_cond_limit_is_enforced():
         invert(real)
     loose = invert(real, cond_limit=1e15)
     assert loose.D[1, 1] == pytest.approx(1e12)
+
+
+def test_invert_full_direct_term_keeps_bits_and_cond_message(rng):
+    dims = NodeDims((1, 1), (2, 1), (2, 1))
+    d = rng.normal(size=(3, 3))
+    real = BlockRealization(dims, rng.normal(size=(2, 2)) * 0.3, rng.normal(size=(2, 3)),
+                            rng.normal(size=(3, 2)), d)
+    assert not _block_diagonal(real)
+    assert np.array_equal(invert(real).D, np.linalg.inv(d))
+    for last in (d[:, 1] * 3.0 + 1e-10, d[:, 1] * 3.0):
+        bad = np.column_stack([d[:, :2], last])
+        message = f"(cond {np.linalg.cond(bad):.3e})"
+        with pytest.raises(InversionError, match=re.escape(message)):
+            invert(BlockRealization(dims, D=bad))
 
 
 def test_compositions_preserve_structural_zeros_bitwise(rng):

@@ -241,7 +241,9 @@ def test_cli_numerical_failures_exit_1(tmp_path, capsys):
     write_system(huge, BlockRealization(
         NodeDims((1, 1), (1, 1), (1, 1)), A=np.full((2, 2), 1.7e308),
         B=np.eye(2), C=np.eye(2)), graph, "huge")
-    assert main(["check", huge]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", huge]) == 1
     assert "error:" in capsys.readouterr().err
 
     scalar = str(tmp_path / "scalar.json")

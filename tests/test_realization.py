@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from netreal import (
     DMode,
     InputError,
     NodeDims,
+    NumericalError,
     PoleError,
     build_graph,
     certify_witness,
@@ -17,10 +20,18 @@ from netreal import (
     spectral_radius,
     transfer_equal,
 )
+from netreal.realization import (
+    POLE_COND_LIMIT,
+    _certified_solve,
+    _frobenius_cond_bound,
+    _shifted,
+)
 from _support import (
     oracle_detectable,
     oracle_stabilizable,
+    oracle_transfer,
     oracle_violations,
+    probe_points,
     random_dims,
     random_graph,
     random_system,
@@ -269,6 +280,109 @@ def test_eval_transfer_near_pole_raises(river):
     real, _ = river
     with pytest.raises(PoleError):
         eval_transfer(real, 0.9)
+
+
+def _guard_probe_systems(rng, count=90):
+    """Systems with zero-width nodes, half without self-loops, every third with diagonal A."""
+    for k in range(count):
+        graph = random_graph(rng, int(rng.integers(1, 6)), self_loops=k % 2 == 0)
+        dims = random_dims(rng, graph.num_nodes)
+        real = random_system(rng, graph, dims, scale=float(rng.choice([0.3, 1.0, 3.0])))
+        if k % 3 == 0:
+            real = BlockRealization(dims, np.diag(rng.normal(size=real.n)), real.B, real.C, real.D)
+        yield real
+
+
+def _outcome(evaluate, real, z):
+    try:
+        return evaluate(real, z)
+    except (PoleError, NumericalError) as exc:
+        return type(exc)
+
+
+def test_eval_transfer_matches_exact_cond_oracle(rng):
+    seen = Counter()
+    for real in _guard_probe_systems(rng):
+        for z in probe_points(rng, real):
+            got, want = _outcome(eval_transfer, real, z), _outcome(oracle_transfer, real, z)
+            if isinstance(want, type):
+                assert got is want, (z, got, want)
+                seen[want] += 1
+                seen["singular"] += bool(real.n and np.any(np.diag(real.A) == z))
+            else:
+                assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+                assert np.array_equal(got, want), z
+                seen["value"] += 1
+    assert seen["value"] > 300 and seen[PoleError] > 100 and seen["singular"] > 20
+
+
+def test_eval_transfer_single_input_above_100_states_agrees_to_rounding(rng):
+    # OpenBLAS solves a lone right-hand side with level-2 kernels above
+    # about 100 states, which round differently from the blocked solve of
+    # [B | I]; the values then agree to rounding rather than bitwise.
+    a = rng.normal(size=(120, 120)) * 0.05
+    real = BlockRealization(
+        NodeDims((120,), (1,), (2,)), a, rng.normal(size=(120, 1)), rng.normal(size=(2, 120)))
+    for z in (1.5, 0.3 + 2.0j, -2.5 - 0.1j):
+        assert scaled_deviation(eval_transfer(real, z), oracle_transfer(real, z)) <= 1e-13
+
+
+def test_shift_matches_the_textbook_shift_and_keeps_a_real_pencil_real(rng):
+    a = rng.normal(size=(5, 5))
+    for lam in (np.float64(1.5), np.complex128(0.3 - 1.2j)):
+        expected = a - lam * np.eye(5)
+        shifted = _shifted(a, -lam)
+        assert shifted.dtype == expected.dtype and np.array_equal(shifted, expected)
+    z = 0.7 + 0.2j
+    shifted = _shifted(a, z, negate=True)
+    assert shifted.dtype == complex and np.array_equal(shifted, z * np.eye(5) - a)
+
+
+def test_certified_bound_is_never_below_half_the_exact_cond(rng):
+    certified = refused = 0
+    for real in _guard_probe_systems(rng):
+        for z in probe_points(rng, real):
+            if real.n == 0:
+                continue
+            shifted = _shifted(real.A, z, negate=True)
+            try:
+                _, inverse = _certified_solve(shifted, real.B, np.inf, PoleError)
+            except PoleError:
+                continue  # exactly singular: the solve raised and cond is inf
+            bound = _frobenius_cond_bound(shifted, inverse)
+            cond = np.linalg.cond(shifted)
+            # The guard passes without an SVD only below half the limit,
+            # so it never passes a point the exact cond would refuse.
+            assert bound >= 0.5 * min(cond, POLE_COND_LIMIT), (z, bound, cond)
+            certified += bound < 0.5 * POLE_COND_LIMIT
+            refused += cond >= POLE_COND_LIMIT
+    assert certified > 300 and refused > 50
+
+
+def test_eval_transfer_exactly_singular_shift_raises_pole_error():
+    a = np.diag([0.5, -0.25])
+    real = BlockRealization(NodeDims((1, 1), (1, 1), (1, 1)), a, np.eye(2), np.eye(2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(0.5 * np.eye(2) - a, np.eye(2))
+    with pytest.raises(PoleError, match=r"cond\(zI - A\) = inf"):
+        eval_transfer(real, 0.5)
+
+
+def test_transfer_equal_runs_no_svd_condition_number(river, river_wide, monkeypatch):
+    original, _ = river
+    widened, _ = river_wide
+    expected = transfer_equal(original, widened)
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda m, *args: calls.append(1) or cond(m, *args))
+    assert transfer_equal(original, widened, num_points=16) == expected
+    assert calls == []
+
+
+def test_nonfinite_eigenvalues_raise_numerical_error():
+    real = BlockRealization(NodeDims((2,), (1,), (1,)), A=np.full((2, 2), 1.7e308))
+    with pytest.raises(NumericalError, match="non-finite"):
+        real.eigenvalues
 
 
 def test_eval_transfer_static_returns_d():
