@@ -1,10 +1,14 @@
 """Structure-preserving arithmetic on block realizations.
 
 Each construction assembles the stacked textbook composite and then
-reorders states so every node keeps one contiguous state block.  The
-reorder is pure indexing, so structural zeros of the inputs survive as
-exact zeros in the output: when both operands are compatible with a
-graph (strict direct terms where required), so is the result.
+reorders it so every node keeps one contiguous block.  The node-major
+layout of every two-part composite lives here: :func:`_node_major`
+reorders the stacked matrices, and :func:`node_major_indices` is its
+index map; :mod:`netreal.loops` and :mod:`netreal.imc` build their
+composites with it too.  The reorder is pure indexing, so structural
+zeros of the inputs survive as exact zeros in the output: when both
+operands are compatible with a graph (strict direct terms where
+required), so is the result.
 """
 
 from __future__ import annotations
@@ -14,29 +18,35 @@ import warnings
 import numpy as np
 
 from .errors import InputError, InversionError, StabilityWarning
-from .graphs import NodeDims, partition_slices
+from .graphs import NodeDims
 from .realization import BlockRealization, _certified_solve, spectral_radius
 
 _DEFAULT_COND_LIMIT = 1e8
 
 
-def node_major_indices(first: tuple[int, ...], second: tuple[int, ...]) -> np.ndarray:
-    """Index map from ``[all of first, all of second]`` to node-major order.
+def node_major_indices(*parts: tuple[int, ...]) -> np.ndarray:
+    """Index map from ``[all of part 0, all of part 1, ...]`` to node-major order.
 
     Entry ``k`` of each tuple is the count node ``k`` contributes; the
-    result interleaves the two ranges so node ``k`` owns its ``first``
-    entries followed by its ``second`` entries.
+    result interleaves the parts so node ``k`` owns its entries of part
+    0, then its entries of part 1, and so on.
     """
-    base = sum(first)
-    indices: list[int] = []
-    for a, b in zip(partition_slices(first), partition_slices(second)):
-        indices.extend(range(a.start, a.stop))
-        indices.extend(range(base + b.start, base + b.stop))
-    return np.asarray(indices, dtype=int)
+    owners = np.concatenate([np.repeat(np.arange(len(part)), part) for part in parts])
+    return np.argsort(owners, kind="stable")
 
 
-def _merged_states(r1: BlockRealization, r2: BlockRealization) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(r1.dims.states, r2.dims.states))
+def _node_major(a, b, c, d, states, inputs, outputs) -> BlockRealization:
+    """The realization of stacked matrices, reordered node-major.
+
+    ``states``, ``inputs`` and ``outputs`` each hold, for one axis, the
+    per-node counts of the parts stacked along it.  One part keeps the
+    axis in order; several are interleaved by :func:`node_major_indices`,
+    and node ``k`` of the result counts the sum of its parts' entries.
+    """
+    s, i, o = (node_major_indices(*parts) for parts in (states, inputs, outputs))
+    dims = NodeDims(*(tuple(map(sum, zip(*parts))) for parts in (states, inputs, outputs)))
+    return BlockRealization(
+        dims, a[np.ix_(s, s)], b[np.ix_(s, i)], c[np.ix_(o, s)], d[np.ix_(o, i)])
 
 
 def add(r1: BlockRealization, r2: BlockRealization) -> BlockRealization:
@@ -58,9 +68,8 @@ def add(r1: BlockRealization, r2: BlockRealization) -> BlockRealization:
     b = np.vstack([r1.B, r2.B])
     c = np.hstack([r1.C, r2.C])
     d = r1.D + r2.D
-    perm = node_major_indices(r1.dims.states, r2.dims.states)
-    dims = NodeDims(_merged_states(r1, r2), r1.dims.inputs, r1.dims.outputs)
-    return BlockRealization(dims, a[np.ix_(perm, perm)], b[perm, :], c[:, perm], d)
+    return _node_major(a, b, c, d, (r1.dims.states, r2.dims.states),
+                       (r1.dims.inputs,), (r1.dims.outputs,))
 
 
 def multiply(outer: BlockRealization, inner: BlockRealization) -> BlockRealization:
@@ -101,9 +110,8 @@ def multiply(outer: BlockRealization, inner: BlockRealization) -> BlockRealizati
     b = np.vstack([inner.B, outer.B @ inner.D])
     c = np.hstack([outer.D @ inner.C, outer.C])
     d = outer.D @ inner.D
-    perm = node_major_indices(inner.dims.states, outer.dims.states)
-    dims = NodeDims(_merged_states(inner, outer), inner.dims.inputs, outer.dims.outputs)
-    return BlockRealization(dims, a[np.ix_(perm, perm)], b[perm, :], c[:, perm], d)
+    return _node_major(a, b, c, d, (inner.dims.states, outer.dims.states),
+                       (inner.dims.inputs,), (outer.dims.outputs,))
 
 
 def _block_diagonal(real: BlockRealization) -> bool:
@@ -114,26 +122,22 @@ def _block_diagonal(real: BlockRealization) -> bool:
 def _invert_direct(real: BlockRealization, cond_limit: float) -> np.ndarray:
     """Invert D, blockwise when it is exactly block-diagonal."""
     d = real.D
-    if _block_diagonal(real):
-        out = np.zeros_like(d)
-        for k in range(real.num_nodes):
-            rows = real.dims.output_slice(k)
-            cols = real.dims.input_slice(k)
-            blk = d[rows, cols]
-            if blk.size == 0:
-                continue
-            sv = np.linalg.svd(blk, compute_uv=False)
-            if sv[-1] == 0.0 or sv[0] / sv[-1] >= cond_limit:
-                raise InversionError(
-                    f"direct term of node {k} is singular or ill-conditioned")
-            out[rows, cols] = np.linalg.inv(blk)
-        return out
     try:
-        _, inverse = _certified_solve(
-            d, None, cond_limit,
-            lambda cond: InversionError(
-                f"direct term is singular or ill-conditioned (cond {cond:.3e})"))
-        return inverse
+        if not _block_diagonal(real):
+            _, inverse = _certified_solve(
+                d, None, cond_limit,
+                lambda cond: InversionError(
+                    f"direct term is singular or ill-conditioned (cond {cond:.3e})"))
+            return inverse
+        out = np.zeros_like(d)
+        for k, (rows, cols) in enumerate(zip(real.dims.output_slices, real.dims.input_slices)):
+            blk = d[rows, cols]
+            if blk.size:
+                _, out[rows, cols] = _certified_solve(
+                    blk, None, cond_limit,
+                    lambda cond: InversionError(
+                        f"direct term of node {k} is singular or ill-conditioned"))
+        return out
     except np.linalg.LinAlgError as exc:
         raise InversionError(f"direct term inversion failed: {exc}") from exc
 

@@ -90,7 +90,7 @@ def _cmd_check(args) -> int:
         "compatibility",
         cert.compatibility.ok,
         mode=args.d_mode,
-        violations=[f"{v.matrix}{v.block}" for v in cert.compatibility.violations],
+        violations=cert.compatibility.violation_labels,
     )
     report.add(
         "pbh-stabilizable",
@@ -111,11 +111,20 @@ def _cmd_check(args) -> int:
     return _emit(report, args)
 
 
+def _read_pair(first_path, second_path, what: str):
+    """Two systems on one graph, with the graph and each one's name (or path)."""
+    first, graph, name1 = read_system(first_path)
+    second, graph2, name2 = read_system(second_path)
+    if graph2 != graph:
+        raise InputError(f"{what} must share one graph")
+    return first, second, graph, name1 or first_path, name2 or second_path
+
+
 def _cmd_compose(args) -> int:
-    first, graph, name1 = read_system(args.first)
     if args.op == "inv":
         if args.second is not None:
             raise InputError("--op inv takes a single system")
+        first, graph, name1 = read_system(args.first)
         result = invert(first)
         factors = [first]
         combine = lambda vals: np.linalg.inv(vals[0])
@@ -123,9 +132,8 @@ def _cmd_compose(args) -> int:
     else:
         if args.second is None:
             raise InputError(f"--op {args.op} needs two systems")
-        second, graph2, name2 = read_system(args.second)
-        if graph2 != graph:
-            raise InputError("composed systems must share one graph")
+        first, second, graph, label1, label2 = _read_pair(
+            args.first, args.second, "composed systems")
         factors = [first, second]
         if args.op == "add":
             result = add(first, second)
@@ -133,7 +141,7 @@ def _cmd_compose(args) -> int:
         else:
             result = multiply(first, second)
             combine = lambda vals: vals[0] @ vals[1]
-        label = f"{args.op}({name1 or args.first}, {name2 or args.second})"
+        label = f"{args.op}({label1}, {label2})"
 
     report = Report(name=label)
     compat = check_compatibility(result, graph, _d_mode(args))
@@ -142,7 +150,7 @@ def _cmd_compose(args) -> int:
         compat.ok,
         mode=args.d_mode,
         states=result.n,
-        violations=[f"{v.matrix}{v.block}" for v in compat.violations],
+        violations=compat.violation_labels,
     )
     worst = _pointwise(result, factors, combine, args.points)
     report.add(
@@ -155,21 +163,18 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_closeloop(args) -> int:
-    plant, graph, name1 = read_system(args.plant)
-    controller, graph2, name2 = read_system(args.controller)
-    if graph2 != graph:
-        raise InputError("plant and controller must share one graph")
+    plant, controller, graph, label1, label2 = _read_pair(
+        args.plant, args.controller, "plant and controller")
     loop = close_loop(plant, controller)
 
-    report = Report(
-        name=f"loop({name1 or args.plant}, {name2 or args.controller})")
+    report = Report(name=f"loop({label1}, {label2})")
     compat = check_compatibility(loop.realization, graph, _d_mode(args))
     report.add(
         "compatibility",
         compat.ok,
         mode=args.d_mode,
         states=loop.realization.n,
-        violations=[f"{v.matrix}{v.block}" for v in compat.violations],
+        violations=compat.violation_labels,
     )
 
     chan_perm = node_major_indices(plant.dims.outputs, plant.dims.inputs)
@@ -205,20 +210,18 @@ def _cmd_closeloop(args) -> int:
 
 
 def _cmd_imc(args) -> int:
-    plant, graph, name1 = read_system(args.plant)
-    q, graph2, name2 = read_system(args.q)
-    if graph2 != graph:
-        raise InputError("plant and design parameter must share one graph")
+    plant, q, graph, label1, label2 = _read_pair(
+        args.plant, args.q, "plant and design parameter")
     controller = imc_controller(plant, q)
 
-    report = Report(name=f"imc({name1 or args.plant}, {name2 or args.q})")
+    report = Report(name=f"imc({label1}, {label2})")
     compat = check_compatibility(controller, graph, _d_mode(args))
     report.add(
         "controller-compatibility",
         compat.ok,
         mode=args.d_mode,
         states=controller.n,
-        violations=[f"{v.matrix}{v.block}" for v in compat.violations],
+        violations=compat.violation_labels,
     )
     recovered = q_param(plant, controller)
     roundtrip = transfer_equal(

@@ -91,7 +91,7 @@ def run_demo_river(
         "imc-compatibility",
         compat.ok,
         controller_states=controller.n,
-        violations=[f"{v.matrix}{v.block}" for v in compat.violations],
+        violations=compat.violation_labels,
     )
     if compat.ok:
         identities = verify_identities(
@@ -154,19 +154,19 @@ def run_demo_remark1(tol: float = 1e-10) -> Report:
         (not strict_first.ok)
         and found == [(2, 1), (3, 1)]
         and all(v.matrix == "D" for v in strict_first.violations),
-        violations=[f"{v.matrix}{v.block}" for v in strict_first.violations],
+        violations=strict_first.violation_labels,
     )
     relaxed_first = check_compatibility(first, graph, DMode.EDGE_SPARSE)
     report.add(
         "first-factor-edge-sparse",
         relaxed_first.ok,
-        violations=[f"{v.matrix}{v.block}" for v in relaxed_first.violations],
+        violations=relaxed_first.violation_labels,
     )
     strict_second = check_compatibility(second, graph, DMode.STRICT)
     report.add(
         "second-factor-strict",
         strict_second.ok,
-        violations=[f"{v.matrix}{v.block}" for v in strict_second.violations],
+        violations=strict_second.violation_labels,
     )
 
     with warnings.catch_warnings(record=True) as caught:
@@ -179,7 +179,7 @@ def run_demo_remark1(tol: float = 1e-10) -> Report:
         strict_product.ok,
         states=product.n,
         stability_warning=warned,
-        violations=[f"{v.matrix}{v.block}" for v in strict_product.violations],
+        violations=strict_product.violation_labels,
     )
 
     worst = 0.0

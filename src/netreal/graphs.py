@@ -18,13 +18,25 @@ import numpy as np
 
 from .errors import InputError
 
+#: Largest number of rows or columns a float64 array can have.
+_MAX_TOTAL = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as a Python int; bools, floats, strings and other types raise InputError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    raise InputError(f"{what} must be an integer, got {value!r}")
+
 
 def _as_edge(item) -> tuple[int, int]:
     try:
         i, j = item
     except (TypeError, ValueError) as exc:
         raise InputError(f"edge {item!r} is not an (i, j) pair") from exc
-    return int(i), int(j)
+    return _as_int(i, "edge node"), _as_int(j, "edge node")
 
 
 @dataclass(frozen=True)
@@ -38,7 +50,7 @@ class NetworkGraph:
     edges: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
-        count = int(self.num_nodes)
+        count = _as_int(self.num_nodes, "num_nodes")
         if count < 1:
             raise InputError(f"num_nodes must be a positive integer, got {self.num_nodes!r}")
         object.__setattr__(self, "num_nodes", count)
@@ -78,16 +90,18 @@ class NetworkGraph:
 
 def build_graph(num_nodes: int, edges: Iterable) -> NetworkGraph:
     """Validate an edge list (duplicates allowed, deduplicated) into a graph."""
-    return NetworkGraph(num_nodes, frozenset(_as_edge(e) for e in edges))
+    return NetworkGraph(num_nodes, edges)
 
 
 def _as_counts(values, label: str) -> tuple[int, ...]:
-    try:
-        counts = tuple(int(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{label} must be a sequence of integers") from exc
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise InputError(f"{label} must be a sequence of integers, got {values!r}")
+    what = f"{label} entry"
+    counts = tuple(_as_int(v, what) for v in values)
     if any(v < 0 for v in counts):
         raise InputError(f"{label} must be nonnegative, got {counts}")
+    if sum(counts) > _MAX_TOTAL:
+        raise InputError(f"{label} total {sum(counts)} exceeds the array limit {_MAX_TOTAL}")
     return counts
 
 

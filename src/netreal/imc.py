@@ -14,15 +14,15 @@ When B, F and H are block-diagonal and A, C, E, G carry the graph's
 sparsity, every nonzero product lands on an edge block, so the
 controller passes the strict compatibility check; in all cases the
 checker decides.  Blocks with no contributing term come out exactly
-zero.
+zero.  The stacked controller is reordered node-major by
+:func:`netreal.algebra._node_major`, the one home of that layout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import multiply, node_major_indices
-from .graphs import NodeDims
+from .algebra import _node_major, multiply
 from .loops import _check_pair
 from .realization import BlockRealization
 
@@ -48,16 +48,8 @@ def imc_controller(plant: BlockRealization, q: BlockRealization) -> BlockRealiza
     a_new[n1:, n1:] = e
     b_new = np.vstack([bh, f])
     c_new = np.hstack([h @ c, g])
-    d_new = h
-
-    perm = node_major_indices(plant.dims.states, q.dims.states)
-    dims = NodeDims(
-        tuple(x + y for x, y in zip(plant.dims.states, q.dims.states)),
-        plant.dims.outputs,
-        plant.dims.inputs,
-    )
-    return BlockRealization(
-        dims, a_new[np.ix_(perm, perm)], b_new[perm, :], c_new[:, perm], d_new)
+    return _node_major(a_new, b_new, c_new, h, (plant.dims.states, q.dims.states),
+                       (plant.dims.outputs,), (plant.dims.inputs,))
 
 
 def ideal_maps(

@@ -10,6 +10,10 @@ form.  The four blocks of the inverse are the classical closed-loop maps
     (2,1)  -C (I + PC)^{-1}       (2,2)  (I + CP)^{-1}
 
 and the negated (2,1) block is the controller's feedback parameter.
+States and channels are interleaved node-major by
+:func:`netreal.algebra._node_major`, the one home of that layout;
+:class:`ClosedLoop` reads its channel groups back through
+:func:`netreal.algebra.node_major_indices`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import invert, node_major_indices
+from .algebra import _node_major, invert, node_major_indices
 from .errors import InputError, PoleError
 from .graphs import NodeDims
 from .realization import (
@@ -123,21 +127,8 @@ def close_loop(
     d[p:, p:] = np.eye(m)
     d[p:, :p] = controller.D
 
-    state_perm = node_major_indices(plant.dims.states, controller.dims.states)
-    chan_perm = node_major_indices(plant.dims.outputs, plant.dims.inputs)
-    chan = tuple(pk + mk for pk, mk in zip(plant.dims.outputs, plant.dims.inputs))
-    dims = NodeDims(
-        tuple(x + y for x, y in zip(plant.dims.states, controller.dims.states)),
-        chan,
-        chan,
-    )
-    stacked = BlockRealization(
-        dims,
-        a[np.ix_(state_perm, state_perm)],
-        b[np.ix_(state_perm, chan_perm)],
-        c[np.ix_(chan_perm, state_perm)],
-        d[np.ix_(chan_perm, chan_perm)],
-    )
+    chan = (plant.dims.outputs, plant.dims.inputs)
+    stacked = _node_major(a, b, c, d, (plant.dims.states, controller.dims.states), chan, chan)
     closed = invert(stacked, cond_limit)
     return ClosedLoop(closed, plant.dims.outputs, plant.dims.inputs)
 

@@ -197,6 +197,11 @@ class CompatibilityReport:
     ok: bool
     violations: tuple[Violation, ...]
 
+    @property
+    def violation_labels(self) -> list[str]:
+        """Each violation as matrix name and block, e.g. ``"A(0, 2)"``, in report order."""
+        return [f"{v.matrix}{v.block}" for v in self.violations]
+
 
 def check_compatibility(
     real: BlockRealization,

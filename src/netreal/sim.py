@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import NetworkGraph, partition_slices
+from .graphs import NetworkGraph, _as_counts, partition_slices
 from .loops import _check_pair
 from .realization import BlockRealization, DMode, check_compatibility
 
@@ -43,9 +43,7 @@ class SignalTrajectory:
     name: str = "signal"
 
     def __post_init__(self):
-        partition = tuple(int(w) for w in self.partition)
-        if any(w < 0 for w in partition):
-            raise InputError(f"partition must be nonnegative, got {partition}")
+        partition = _as_counts(self.partition, "partition")
         try:
             values = np.array(self.values, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -66,7 +64,7 @@ class SignalTrajectory:
 
     @classmethod
     def zeros(cls, partition, length: int, name: str = "signal") -> "SignalTrajectory":
-        partition = tuple(int(w) for w in partition)
+        partition = _as_counts(partition, "partition")
         return cls(np.zeros((int(length), sum(partition))), partition, name)
 
     @property
@@ -83,20 +81,26 @@ class SignalTrajectory:
         return partition_slices(self.partition)[i]
 
 
-def _coerce_input(real: BlockRealization, u) -> SignalTrajectory:
-    if isinstance(u, SignalTrajectory):
-        if u.partition != real.dims.inputs:
-            raise InputError(
-                f"input partition {u.partition} does not match system inputs "
-                f"{real.dims.inputs}")
-        return u
-    return SignalTrajectory(u, real.dims.inputs, "u")
+def _coerce_signal(signal, partition: tuple[int, ...], name: str,
+                   length: int | None = None) -> SignalTrajectory:
+    """``signal`` as a trajectory on ``partition``, ``length`` steps long when given."""
+    if not isinstance(signal, SignalTrajectory):
+        signal = SignalTrajectory(signal, partition, name)
+    if signal.partition != partition:
+        raise InputError(
+            f"{name} partition {signal.partition} does not match the system's {partition}")
+    if length is not None and signal.length != length:
+        raise InputError(f"{name} length {signal.length} does not match {length} steps")
+    return signal
 
 
 def _coerce_state(real: BlockRealization, x0) -> np.ndarray:
     if x0 is None:
         return np.zeros(real.n)
-    x = np.array(x0, dtype=float).reshape(-1)
+    try:
+        x = np.array(x0, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise InputError("initial state is not numeric") from exc
     if x.size != real.n:
         raise InputError(f"initial state must have {real.n} entries, got {x.size}")
     if x.size and not np.isfinite(x).all():
@@ -199,7 +203,7 @@ def simulate_lti(
     node order, matching :func:`simulate_distributed` exactly.  Raises
     :class:`~netreal.errors.NumericalError` if the run diverges.
     """
-    u = _coerce_input(real, u)
+    u = _coerce_signal(u, real.dims.inputs, "input")
     x = _coerce_state(real, x0)
     occ = real.occupancy
     reads = np.nonzero((occ.A > 0) | (occ.C > 0))
@@ -226,11 +230,10 @@ def simulate_distributed(
     """
     report = check_compatibility(real, graph, DMode.STRICT)
     if not report.ok:
-        worst = ", ".join(
-            f"{v.matrix}{v.block}" for v in report.violations[:4])
+        worst = ", ".join(report.violation_labels[:4])
         raise InputError(
             f"realization is not strictly compatible with the graph ({worst})")
-    u = _coerce_input(real, u)
+    u = _coerce_signal(u, real.dims.inputs, "input")
     x = _coerce_state(real, x0)
     reads = np.nonzero(graph.adjacency)
     nodes = np.arange(real.num_nodes)
@@ -262,24 +265,12 @@ def simulate_imc_loop(
     """
     _check_pair(plant, q, "design parameter")
     _check_pair(model, q, "design parameter")
-    if not isinstance(reference, SignalTrajectory):
-        reference = SignalTrajectory(reference, model.dims.outputs, "r")
-    if reference.partition != model.dims.outputs:
-        raise InputError(
-            f"reference partition {reference.partition} does not match outputs "
-            f"{model.dims.outputs}")
+    outputs = model.dims.outputs
+    reference = _coerce_signal(reference, outputs, "reference")
     steps = reference.length
     if output_disturbance is None:
-        output_disturbance = SignalTrajectory.zeros(model.dims.outputs, steps, "d")
-    elif not isinstance(output_disturbance, SignalTrajectory):
-        output_disturbance = SignalTrajectory(
-            output_disturbance, model.dims.outputs, "d")
-    if output_disturbance.partition != model.dims.outputs:
-        raise InputError("disturbance partition does not match outputs")
-    if output_disturbance.length != steps:
-        raise InputError(
-            f"disturbance length {output_disturbance.length} does not match "
-            f"reference length {steps}")
+        output_disturbance = SignalTrajectory.zeros(outputs, steps, "disturbance")
+    output_disturbance = _coerce_signal(output_disturbance, outputs, "disturbance", steps)
 
     x = np.zeros(plant.n)
     x_hat = np.zeros(model.n)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .graphs import NetworkGraph, NodeDims, build_graph
+from .graphs import NetworkGraph, NodeDims, _as_int, build_graph
 from .realization import BlockRealization
 from .sim import SignalTrajectory
 
@@ -40,12 +40,6 @@ def _require(obj: dict, key: str, context: str = "system"):
     return obj[key]
 
 
-def _as_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def system_from_obj(obj) -> tuple[BlockRealization, NetworkGraph, str | None]:
     """Build a realization and its graph from a parsed JSON object."""
     if not isinstance(obj, dict):
@@ -56,16 +50,16 @@ def system_from_obj(obj) -> tuple[BlockRealization, NetworkGraph, str | None]:
     graph_obj = _require(obj, "graph")
     if not isinstance(graph_obj, dict):
         raise InputError("field 'graph' must be an object")
-    num_nodes = _as_int(_require(graph_obj, "num_nodes", "graph"), "graph.num_nodes")
+    num_nodes = _require(graph_obj, "num_nodes", "graph")
     edges = _require(graph_obj, "edges", "graph")
     if not isinstance(edges, list):
         raise InputError("graph.edges must be a list of [i, j] pairs")
-    graph = build_graph(num_nodes, [tuple(e) for e in edges])
+    graph = build_graph(num_nodes, edges)
 
     dims_obj = _require(obj, "dims")
-    if not isinstance(dims_obj, list) or len(dims_obj) != num_nodes:
+    if not isinstance(dims_obj, list) or len(dims_obj) != graph.num_nodes:
         raise InputError(
-            f"field 'dims' must list one entry per node ({num_nodes}), "
+            f"field 'dims' must list one entry per node ({graph.num_nodes}), "
             f"got {len(dims_obj) if isinstance(dims_obj, list) else type(dims_obj).__name__}")
     triples = []
     for k, entry in enumerate(dims_obj):
@@ -158,7 +152,7 @@ def trajectory_from_obj(obj) -> SignalTrajectory:
     name = obj.get("name", "signal")
     if not isinstance(name, str):
         raise InputError("trajectory field 'name' must be a string")
-    return SignalTrajectory(values, tuple(partition), name)
+    return SignalTrajectory(values, partition, name)
 
 
 def trajectory_to_csv(traj: SignalTrajectory) -> str:

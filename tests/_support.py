@@ -190,6 +190,21 @@ def _node_ranges(counts):
     return [range(int(stop) - int(width), int(stop)) for width, stop in zip(counts, stops)]
 
 
+def oracle_node_major(*parts):
+    """Node-major order of stacked parts, by a loop over nodes and parts.
+
+    Part ``q`` starts after all entries of the parts before it; node
+    ``k`` takes its next ``parts[q][k]`` entries of each part in turn.
+    """
+    starts = [sum(sum(part) for part in parts[:q]) for q in range(len(parts))]
+    order = []
+    for k in range(len(parts[0])):
+        for q, part in enumerate(parts):
+            order.extend(range(starts[q], starts[q] + part[k]))
+            starts[q] += part[k]
+    return order
+
+
 def oracle_blocks(real):
     """``{name: {(i, j): block}}`` for A, B, C and D, sliced by node."""
     dims = real.dims

@@ -22,6 +22,7 @@ from netreal import (
 from netreal.algebra import _block_diagonal
 from _support import (
     oracle_block_diagonal_d,
+    oracle_node_major,
     random_add_pair,
     random_dims,
     random_graph,
@@ -38,6 +39,17 @@ def test_node_major_indices_interleave():
     assert perm.tolist() == [0, 1, 3, 2, 4, 5]
     assert node_major_indices((1, 1), (1, 1)).tolist() == [0, 2, 1, 3]
     assert node_major_indices((0, 0), (1, 1)).tolist() == [0, 1]
+
+
+def test_node_major_indices_match_loop_oracle(rng):
+    parts = ((2, 0, 1, 0), (0, 0, 3, 1), (1, 0, 0, 2))
+    assert node_major_indices(*parts).tolist() == oracle_node_major(*parts)
+    assert oracle_node_major(*parts) == [0, 1, 7, 2, 3, 4, 5, 6, 8, 9]
+    for _ in range(50):
+        count = int(rng.integers(1, 6))
+        parts = [tuple(int(v) for v in rng.integers(0, 3, count))
+                 for _ in range(int(rng.integers(1, 4)))]
+        assert node_major_indices(*parts).tolist() == oracle_node_major(*parts)
 
 
 def test_add_matches_pointwise_sum(rng):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from netreal import InputError, NetworkGraph, NodeDims, build_graph
@@ -90,6 +91,9 @@ def test_node_dims_rejects_negative_and_mismatched():
         NodeDims((1,), (1, 1), (1,))
     with pytest.raises(InputError):
         NodeDims((), (), ())
+    for bad in ((1.0,), (True,), ("1",), "1", 1, None, (2**62,)):
+        with pytest.raises(InputError):
+            NodeDims(bad, (1,), (1,))
 
 
 def test_node_dims_slice_range_checked():
@@ -110,8 +114,15 @@ def test_graph_rejects_malformed_edges():
         build_graph(2, [(0, 1, 2)])
     with pytest.raises(InputError):
         build_graph(2, [7])
+    for edge in ([0.5, 0], [True, 0], ["1", 0], [float("inf"), 0], {"a": 1}, "01"):
+        with pytest.raises(InputError):
+            build_graph(2, [edge])
 
 
 def test_graph_num_nodes_must_be_positive_int():
     with pytest.raises(InputError):
         NetworkGraph(-1, frozenset())
+    for bad in (2.0, True, "2", None):
+        with pytest.raises(InputError, match="num_nodes must be an integer"):
+            NetworkGraph(bad, frozenset())
+    assert NetworkGraph(np.int64(2)).num_nodes == 2

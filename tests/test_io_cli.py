@@ -28,7 +28,9 @@ from netreal.cli import main
 from netreal.sysio import (
     Report,
     trajectory_from_csv,
+    trajectory_from_obj,
     trajectory_to_csv,
+    trajectory_to_obj,
 )
 from _support import random_dims, random_graph, random_system
 
@@ -204,6 +206,96 @@ def test_cli_missing_file_and_usage(tmp_path, capsys):
     bad.write_text("{")
     assert main(["check", str(bad)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_cli_refuses_non_integer_counts(tmp_path, capsys):
+    paths = _write_river(tmp_path)
+    plant = json.loads(open(paths["plant"], encoding="utf-8").read())
+    bad = tmp_path / "bad.json"
+    # 1e400 parses as an infinite float.
+    for edge in ("[0.5, 0]", "[true, 0]", '["1", 0]', '{"a": 1}', "[1e400, 0]"):
+        doc = json.dumps(plant).replace("[1, 0]", edge, 1)
+        assert edge in doc
+        bad.write_text(doc)
+        assert main(["check", str(bad)]) == 2, edge
+        assert "error:" in capsys.readouterr().err
+    for partition in ('["a"]', "5", "null", '"11"'):
+        bad.write_text(f'{{"partition": {partition}, "values": [[0.0, 0.0, 0.0]]}}')
+        assert main(["simulate", paths["plant"], "--input", str(bad)]) == 2, partition
+        assert "error:" in capsys.readouterr().err
+
+
+_JUNK = (None, True, 0, -1, 3, 0.5, 2**70, float("inf"), float("nan"), "1", "", "ab",
+         [], [0], [[1.0, "x"]], {}, {"a": 1})
+
+
+def _slots(doc, found):
+    """Every ``(container, key)`` below ``doc``, parents before children."""
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))
+    else:
+        items = []
+    for key, value in items:
+        found.append((doc, key))
+        _slots(value, found)
+    return found
+
+
+def _mutated(rng, doc):
+    """A copy of a JSON document with one to three random edits."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(int(rng.integers(1, 4))):
+        slots = _slots(doc, [])
+        if not slots:
+            return _JUNK[int(rng.integers(len(_JUNK)))]
+        container, key = slots[int(rng.integers(len(slots)))]
+        action = int(rng.integers(3))
+        if action == 0:
+            container[key] = _JUNK[int(rng.integers(len(_JUNK)))]
+        elif action == 1:
+            del container[key]
+        else:
+            container[key] = [container[key]]
+    return doc
+
+
+def _mutated_text(rng, text):
+    """``text`` with one to three characters replaced, inserted or deleted."""
+    alphabet = "0123456789_,.-e u\n"
+    for _ in range(int(rng.integers(1, 4))):
+        at = int(rng.integers(len(text) + 1))
+        char = alphabet[int(rng.integers(len(alphabet)))]
+        action = int(rng.integers(3))
+        if action == 0:
+            text = text[:at] + char + text[at + 1:]
+        elif action == 1:
+            text = text[:at] + char + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+def test_parsers_return_a_result_or_input_error(rng):
+    graph = random_graph(rng, 3)
+    system = system_to_obj(random_system(rng, graph, NodeDims((2, 0, 1), (1, 0, 2), (1, 1, 0))),
+                           graph, "s")
+    river, river_graph, _ = packaged_system("river")
+    systems = (system, system_to_obj(river, river_graph))
+    traj = SignalTrajectory(rng.normal(size=(3, 3)), (2, 0, 1), "u")
+    traj_obj = trajectory_to_obj(traj)
+    csv_text = trajectory_to_csv(traj)
+    for k in range(400):
+        for parse, doc in (
+            (system_from_obj, _mutated(rng, systems[k % 2])),
+            (trajectory_from_obj, _mutated(rng, traj_obj)),
+            (trajectory_from_csv, _mutated_text(rng, csv_text)),
+        ):
+            try:
+                parse(doc)
+            except InputError:
+                pass
 
 
 def test_cli_compose_and_save(tmp_path, capsys):

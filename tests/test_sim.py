@@ -25,6 +25,9 @@ def test_trajectory_validation():
         SignalTrajectory([[np.nan, 0.0]], (1, 1))
     with pytest.raises(InputError):
         SignalTrajectory(np.zeros((2, 2)), (1, -1))
+    for bad in ("11", 2, None, ("a",), (1.0, 1), (True, 1), (2**62,)):
+        with pytest.raises(InputError, match="partition"):
+            SignalTrajectory(np.zeros((2, 2)), bad)
     traj = SignalTrajectory.zeros((2, 0, 1), 5, "u")
     assert traj.length == 5 and traj.width == 3
     assert traj.node_slice(0) == slice(0, 2)
@@ -57,6 +60,8 @@ def test_simulate_initial_state_and_errors(river):
     assert y.values[1, 0] == 0.9
     with pytest.raises(InputError):
         simulate_lti(real, u, x0=[1.0])
+    with pytest.raises(InputError, match="not numeric"):
+        simulate_lti(real, u, x0="abc")
     with pytest.raises(InputError):
         simulate_lti(real, np.zeros((3, 2)))
     with pytest.raises(InputError):
