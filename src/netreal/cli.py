@@ -35,6 +35,7 @@ from .sysio import (
     read_trajectory,
     trajectory_to_csv,
     trajectory_to_obj,
+    write_json,
     write_system,
     write_trajectory,
 )
@@ -59,9 +60,7 @@ def _emit(report: Report, args) -> int:
         print(f"overall: {'PASS' if report.passed else 'FAIL'}")
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_obj(), fh, indent=2)
-            fh.write("\n")
+        write_json(out, report.to_obj())
     return 0 if report.passed else 1
 
 
@@ -238,7 +237,7 @@ def _cmd_imc(args) -> int:
 
 def _cmd_simulate(args) -> int:
     real, graph, _ = read_system(args.system)
-    u = read_trajectory(args.input)
+    u = read_trajectory(args.input, real.dims.inputs)
     x0 = None
     if args.x0:
         try:
@@ -356,10 +355,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NetRealError as exc:

@@ -13,7 +13,6 @@ what the certificates actually say.
 
 from __future__ import annotations
 
-import json
 import warnings
 from importlib import resources
 
@@ -34,7 +33,7 @@ from .realization import (
     transfer_equal,
 )
 from .sim import SignalTrajectory, simulate_imc_loop, simulate_lti
-from .sysio import Report, system_from_obj
+from .sysio import Report, read_system
 
 _PACKAGED = ("river", "river_bar", "river_q", "remark1_g1", "remark1_g2")
 
@@ -44,12 +43,8 @@ def packaged_system(name: str):
     if name not in _PACKAGED:
         raise InputError(
             f"unknown packaged system '{name}'; available: {', '.join(_PACKAGED)}")
-    text = (
-        resources.files("netreal")
-        .joinpath("data", f"{name}.json")
-        .read_text(encoding="utf-8")
-    )
-    return system_from_obj(json.loads(text))
+    with resources.as_file(resources.files("netreal").joinpath("data", f"{name}.json")) as path:
+        return read_system(path)
 
 
 def run_demo_river(

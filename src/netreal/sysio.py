@@ -10,10 +10,15 @@ four dense matrices row-major::
       "A": [[0.9, 0, 0], ...], "B": ..., "C": ..., "D": ...
     }
 
-A matrix key may be omitted only when one of its dimensions is zero.
+A matrix key may be omitted only when one of its dimensions is zero.  A
+system without states needs inputs and outputs both or neither: otherwise
+no stored matrix would hold its channels.
 
 Trajectories travel as JSON ({"name", "partition", "values"}) or CSV
-with one column per channel, headed ``<name><node>_<channel>``.
+with one column per channel, headed ``<name><node>_<channel>``.  A
+trajectory is always read against the partition of the system it
+drives: a JSON file must declare that partition, and a CSV header must
+be exactly the one it gives, so zero-width nodes leave no column.
 """
 
 from __future__ import annotations
@@ -21,17 +26,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
-from .graphs import NetworkGraph, NodeDims, _as_int, build_graph
+from .graphs import NetworkGraph, NodeDims, _as_counts, _as_int, build_graph
 from .realization import BlockRealization
 from .sim import SignalTrajectory
-
-_HEADER_RE = re.compile(r"^(.+?)(\d+)_(\d+)$")
 
 
 def _require(obj: dict, key: str, context: str = "system"):
@@ -85,6 +87,13 @@ def system_from_obj(obj) -> tuple[BlockRealization, NetworkGraph, str | None]:
         return value
 
     n, m, p = dims.n_total, dims.m_total, dims.p_total
+    if n == 0 and (m == 0) != (p == 0):
+        # Every matrix may then be omitted, yet later code sizes arrays by channel.
+        key, counts = ("m", dims.inputs) if m else ("p", dims.outputs)
+        k = next(k for k, c in enumerate(counts) if c)
+        raise InputError(
+            f"field 'dims[{k}].{key}' is {counts[k]} but no matrix holds those channels: "
+            f"the system has no states and no {'outputs' if m else 'inputs'}")
     real = BlockRealization(
         dims,
         A=matrix("A", n, n),
@@ -114,26 +123,40 @@ def system_to_obj(
     return obj
 
 
-def read_system(path) -> tuple[BlockRealization, NetworkGraph, str | None]:
-    """Load a system file; raises InputError with position info on bad JSON."""
+def _read(path, parse):
+    """``parse`` applied to the text of a UTF-8 file; its InputError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            return parse(fh.read())
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
+
+
+def _json(text: str):
+    """The JSON document in ``text``; bad JSON raises InputError with its line and column."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    try:
-        return system_from_obj(obj)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON indented by 2, with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def read_system(path) -> tuple[BlockRealization, NetworkGraph, str | None]:
+    """Load a system file; raises InputError naming the file, and the position of bad JSON."""
+    return _read(path, lambda text: system_from_obj(_json(text)))
 
 
 def write_system(path, real, graph, name=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_obj(real, graph, name), fh, indent=2)
-        fh.write("\n")
+    write_json(path, system_to_obj(real, graph, name))
 
 
 def trajectory_to_obj(traj: SignalTrajectory) -> dict:
@@ -155,55 +178,44 @@ def trajectory_from_obj(obj) -> SignalTrajectory:
     return SignalTrajectory(values, partition, name)
 
 
+def _csv_header(name: str, partition: tuple[int, ...]) -> list[str]:
+    """One ``<name><node>_<channel>`` label per channel, node-major."""
+    return [f"{name}{i}_{c}" for i, width in enumerate(partition) for c in range(width)]
+
+
 def trajectory_to_csv(traj: SignalTrajectory) -> str:
     """CSV with one header per channel; zero-width nodes leave no column."""
-    header = []
-    for i, width in enumerate(traj.partition):
-        header.extend(f"{traj.name}{i}_{c}" for c in range(width))
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in traj.values:
-        writer.writerow([repr(float(v)) for v in row])
+    csv.writer(out, lineterminator="\n").writerow(_csv_header(traj.name, traj.partition))
+    out.writelines(",".join(map(repr, row)) + "\n" for row in traj.values.tolist())
     return out.getvalue()
 
 
-def trajectory_from_csv(text: str) -> SignalTrajectory:
+def trajectory_from_csv(text: str, partition) -> SignalTrajectory:
+    """The trajectory of a signal split by ``partition``, from CSV text.
+
+    The header must be the one ``trajectory_to_csv`` writes for that
+    partition; the signal's name is the first label less its node and
+    channel suffix.
+    """
+    partition = _as_counts(partition, "partition")
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError("trajectory CSV is empty") from None
+    header = next(reader, None)
     if not header:
         raise InputError("trajectory CSV has no columns")
-    name = None
-    seen: list[tuple[int, int]] = []
-    for col in header:
-        match = _HEADER_RE.match(col.strip())
-        if match is None:
+    if len(header) != sum(partition):
+        raise InputError(
+            f"trajectory CSV has {len(header)} columns, partition {partition} "
+            f"has {sum(partition)} channels")
+    suffix = f"{next(i for i, width in enumerate(partition) if width)}_0"
+    if not header[0].endswith(suffix):
+        raise InputError(
+            f"column 1 is '{header[0]}', expected '<name>{suffix}' for partition {partition}")
+    name = header[0][:-len(suffix)]
+    for k, (label, want) in enumerate(zip(header, _csv_header(name, partition))):
+        if label != want:
             raise InputError(
-                f"column '{col}' does not follow the <name><node>_<channel> pattern")
-        base, node, channel = match.group(1), int(match.group(2)), int(match.group(3))
-        if name is None:
-            name = base
-        elif base != name:
-            raise InputError(
-                f"column '{col}' names signal '{base}' but earlier columns use '{name}'")
-        seen.append((node, channel))
-    widths: dict[int, int] = {}
-    expected_node, expected_channel = 0, 0
-    for node, channel in seen:
-        if node != expected_node or channel != expected_channel:
-            if channel == 0 and node > expected_node:
-                expected_node, expected_channel = node, 0
-            if node != expected_node or channel != expected_channel:
-                raise InputError(
-                    f"columns out of order near {name}{node}_{channel}; expected "
-                    f"{name}{expected_node}_{expected_channel}")
-        widths[node] = channel + 1
-        expected_channel = channel + 1
-    num_nodes = max(widths) + 1
-    partition = tuple(widths.get(i, 0) for i in range(num_nodes))
+                f"column {k + 1} is '{label}', expected '{want}' for partition {partition}")
     rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -219,34 +231,29 @@ def trajectory_from_csv(text: str) -> SignalTrajectory:
     return SignalTrajectory(values, partition, name)
 
 
-def read_trajectory(path) -> SignalTrajectory:
+def _declared(obj, partition) -> SignalTrajectory:
+    """The trajectory document ``obj``, refused unless it declares ``partition``."""
+    traj = trajectory_from_obj(obj)
+    if traj.partition != _as_counts(partition, "partition"):
+        raise InputError(
+            f"trajectory partition {traj.partition} does not match the system's {partition}")
+    return traj
+
+
+def read_trajectory(path, partition) -> SignalTrajectory:
+    """Load a trajectory (.json, else CSV) of a signal split by ``partition``."""
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     if path.endswith(".json"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-        try:
-            return trajectory_from_obj(obj)
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-    try:
-        return trajectory_from_csv(text)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        return _read(path, lambda text: _declared(_json(text), partition))
+    return _read(path, lambda text: trajectory_from_csv(text, partition))
 
 
 def write_trajectory(path, traj: SignalTrajectory) -> None:
     path = str(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        if path.endswith(".json"):
-            json.dump(trajectory_to_obj(traj), fh, indent=2)
-            fh.write("\n")
-        else:
+    if path.endswith(".json"):
+        write_json(path, trajectory_to_obj(traj))
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(trajectory_to_csv(traj))
 
 

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -120,35 +124,76 @@ def test_zero_width_matrices_may_be_omitted():
     assert "D" in out
 
 
+def test_system_refuses_channels_no_matrix_holds():
+    graph = {"num_nodes": 2, "edges": [[0, 0], [1, 1]]}
+    for dims, field in [
+        ([{"n": 0, "m": 0, "p": 0}, {"n": 0, "m": 3, "p": 0}], r"'dims\[1\]\.m' is 3"),
+        ([{"n": 0, "m": 0, "p": 2}, {"n": 0, "m": 0, "p": 0}], r"'dims\[0\]\.p' is 2"),
+    ]:
+        with pytest.raises(InputError, match=field):
+            system_from_obj({"graph": graph, "dims": dims})
+    # with neither inputs nor outputs there is nothing to store
+    real, _, _ = system_from_obj({"graph": graph, "dims": [{"n": 0, "m": 0, "p": 0}] * 2})
+    assert real.D.shape == (0, 0)
+
+
 def test_trajectory_csv_roundtrip(rng):
     traj = SignalTrajectory(rng.normal(size=(6, 4)), (2, 0, 1, 1), "y")
     text = trajectory_to_csv(traj)
     header = text.splitlines()[0]
     assert header == "y0_0,y0_1,y2_0,y3_0"
-    back = trajectory_from_csv(text)
+    back = trajectory_from_csv(text, (2, 0, 1, 1))
     assert back.name == "y"
     assert back.partition == (2, 0, 1, 1)
     assert np.array_equal(back.values, traj.values)
 
 
 def test_trajectory_csv_header_diagnostics():
-    with pytest.raises(InputError, match="pattern"):
-        trajectory_from_csv("alpha,beta\n1,2\n")
-    with pytest.raises(InputError, match="out of order"):
-        trajectory_from_csv("u0_0,u0_2\n1,2\n")
-    with pytest.raises(InputError, match="names signal"):
-        trajectory_from_csv("u0_0,y1_0\n1,2\n")
-    with pytest.raises(InputError, match="row 3"):
-        trajectory_from_csv("u0_0\n1.0\nnope\n")
+    for text, partition, message in [
+        ("alpha,beta\n1,2\n", (1, 1), "column 1 is 'alpha', expected '<name>0_0'"),
+        ("u0_0,u0_2\n1,2\n", (2,), "column 2 is 'u0_2', expected 'u0_1'"),
+        ("u0_0,y1_0\n1,2\n", (1, 1), "column 2 is 'y1_0', expected 'u1_0'"),
+        ("u0_0\n1.0\nnope\n", (1,), "row 3"),
+        # column count: a header for another partition
+        ("u0_0,u1_0\n1,2\n", (1, 1, 1), "2 columns, partition \\(1, 1, 1\\) has 3"),
+        ("u0_0\n1\n", (0, 0), "1 columns, partition \\(0, 0\\) has 0"),
+        # wrong name: node 0 has no channel, so the first label must name node 1
+        ("u0_0,u1_0\n1,2\n", (0, 2), "column 1 is 'u0_0', expected '<name>1_0'"),
+        ("u99999999999_0\n1\n", (1,), "expected '<name>0_0'"),
+        ("", (1,), "no columns"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            trajectory_from_csv(text, partition)
 
 
 def test_trajectory_json_roundtrip(tmp_path, rng):
     traj = SignalTrajectory(rng.normal(size=(5, 2)), (1, 1), "meas")
     path = tmp_path / "t.json"
     write_trajectory(path, traj)
-    back = read_trajectory(path)
+    back = read_trajectory(path, (1, 1))
     assert back.name == "meas"
     assert np.array_equal(back.values, traj.values)
+    with pytest.raises(InputError, match=r"partition \(1, 1\) does not match the system's"):
+        read_trajectory(path, (2,))
+
+
+@pytest.mark.parametrize("inputs", [(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+def test_zero_width_nodes_through_csv(tmp_path, capsys, rng, inputs):
+    graph = random_graph(rng, 3)
+    real = random_system(rng, graph, NodeDims((1, 2, 1), inputs, inputs), rho=0.8)
+    u = SignalTrajectory(rng.normal(size=(7, 3)), inputs, "u")
+    back = trajectory_from_csv(trajectory_to_csv(u), inputs)
+    assert back.partition == inputs and back.name == "u"
+    assert np.array_equal(back.values, u.values)
+
+    system, u_path, y_path = (str(tmp_path / f) for f in ("sys.json", "u.csv", "y.csv"))
+    write_system(system, real, graph)
+    write_trajectory(u_path, u)
+    assert main(["simulate", system, "--input", u_path, "-o", y_path]) == 0, \
+        capsys.readouterr().err
+    y_cli = read_trajectory(y_path, real.dims.outputs)
+    y_lib, _ = simulate_lti(real, u)
+    assert np.array_equal(y_cli.values, y_lib.values)
 
 
 def test_report_objects_validate_against_schema(report_schema):
@@ -206,6 +251,9 @@ def test_cli_missing_file_and_usage(tmp_path, capsys):
     bad.write_text("{")
     assert main(["check", str(bad)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+    bad.write_bytes(b'{"name": "\xff"}')
+    assert main(["check", str(bad)]) == 2
+    assert "not UTF-8 text (invalid start byte at byte 10)" in capsys.readouterr().err
 
 
 def test_cli_refuses_non_integer_counts(tmp_path, capsys):
@@ -223,6 +271,42 @@ def test_cli_refuses_non_integer_counts(tmp_path, capsys):
         bad.write_text(f'{{"partition": {partition}, "values": [[0.0, 0.0, 0.0]]}}')
         assert main(["simulate", paths["plant"], "--input", str(bad)]) == 2, partition
         assert "error:" in capsys.readouterr().err
+
+
+_UNDER_2_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from netreal.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_cli_inputs_sized_beyond_memory_exit_2(tmp_path):
+    huge = str(tmp_path / "huge.json")
+    Path(huge).write_text(json.dumps({
+        "graph": {"num_nodes": 1, "edges": [[0, 0]]},
+        "dims": [{"n": 0, "m": 1099511627776, "p": 0}]}))
+    u_json = str(tmp_path / "u.json")
+    Path(u_json).write_text('{"partition": [1099511627776], "values": []}')
+    scalar = str(tmp_path / "scalar.json")
+    write_system(scalar, BlockRealization(
+        NodeDims((1,), (1,), (1,)), A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]]),
+        build_graph(1, [(0, 0)]))
+    u_csv = str(tmp_path / "u.csv")
+    Path(u_csv).write_text("u99999999999_0\n1.0\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    # One BLAS thread keeps the interpreter itself well inside the cap.
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    for argv in (
+        ["check", huge],
+        ["compose", "--op", "add", huge, huge],
+        ["simulate", huge, "--input", u_json],
+        ["simulate", scalar, "--input", u_csv],
+    ):
+        done = subprocess.run([sys.executable, "-c", _UNDER_2_GIB, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, (argv, done.stderr)
+        assert "error:" in done.stderr and "Traceback" not in done.stderr, done.stderr
 
 
 _JUNK = (None, True, 0, -1, 3, 0.5, 2**70, float("inf"), float("nan"), "1", "", "ab",
@@ -290,7 +374,8 @@ def test_parsers_return_a_result_or_input_error(rng):
         for parse, doc in (
             (system_from_obj, _mutated(rng, systems[k % 2])),
             (trajectory_from_obj, _mutated(rng, traj_obj)),
-            (trajectory_from_csv, _mutated_text(rng, csv_text)),
+            (lambda text: trajectory_from_csv(text, traj.partition),
+             _mutated_text(rng, csv_text)),
         ):
             try:
                 parse(doc)
@@ -398,7 +483,7 @@ def test_cli_simulate_matches_library(tmp_path, capsys, rng, river_wide):
     assert main([
         "simulate", paths["wide"], "--input", u_path, "-o", y_path,
     ]) == 0
-    y_cli = read_trajectory(y_path)
+    y_cli = read_trajectory(y_path, real.dims.outputs)
     y_lib, _ = simulate_lti(real, u)
     assert np.array_equal(y_cli.values, y_lib.values)
     assert main([
@@ -406,7 +491,7 @@ def test_cli_simulate_matches_library(tmp_path, capsys, rng, river_wide):
     ]) == 0
     captured = capsys.readouterr()
     assert "messages: 24" in captured.err
-    y_stream = trajectory_from_csv(captured.out)
+    y_stream = trajectory_from_csv(captured.out, real.dims.outputs)
     assert np.array_equal(y_stream.values, y_lib.values)
 
 
