@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Every checking subcommand prints a staged report (human-readable by
-default, ``--json`` for the machine format described by
-``schemas/report.schema.json``) and exits 0 when all stages pass, 1 when
-a mathematical check fails, 2 on unusable input.
+Every checking subcommand (``check``, ``compose``, ``closeloop``,
+``imc``) opens its report with the compatibility stage of the system it
+checks (:func:`_opened`) and ends in :func:`_emit`.  That prints the
+report (human-readable by default, ``--json`` for the machine format
+described by ``schemas/report.schema.json``) and exits 0 when all
+stages pass, 1 when a mathematical check fails, 2 on unusable input.
+``--save`` is written before the report is printed, also when a stage
+fails, so a save that fails leaves stdout empty; ``-o`` is written after.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from .imc import imc_controller
 from .loops import close_loop, q_param, verify_identities
 from .realization import (
     DMode,
-    certify_witness,
     check_compatibility,
     circle_samples,
     eval_transfer,
+    pbh_detectable,
+    pbh_stabilizable,
     scaled_deviation,
     transfer_equal,
 )
@@ -41,11 +46,20 @@ from .sysio import (
 )
 
 
-def _d_mode(args) -> DMode:
-    return DMode.EDGE_SPARSE if args.d_mode == "edge" else DMode.STRICT
+def _opened(args, name, real, graph, stage="compatibility", **detail) -> Report:
+    """A report named ``name`` whose first stage checks ``real`` against ``graph``."""
+    compat = check_compatibility(
+        real, graph, DMode.EDGE_SPARSE if args.d_mode == "edge" else DMode.STRICT)
+    report = Report(name=name)
+    report.add(stage, compat.ok, mode=args.d_mode, **detail,
+               violations=compat.violation_labels)
+    return report
 
 
-def _emit(report: Report, args) -> int:
+def _emit(report: Report, args, saved=None) -> int:
+    """Write ``saved`` (a realization and its graph) to ``--save``, print, write ``-o``."""
+    if getattr(args, "save", None):
+        write_system(args.save, *saved, name=report.name)
     if args.json:
         print(json.dumps(report.to_obj(), indent=2))
     else:
@@ -58,9 +72,8 @@ def _emit(report: Report, args) -> int:
         if report.note:
             print(f"note: {report.note}")
         print(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    out = getattr(args, "out", None)
-    if out:
-        write_json(out, report.to_obj())
+    if args.out:
+        write_json(args.out, report.to_obj())
     return 0 if report.passed else 1
 
 
@@ -83,30 +96,10 @@ def _pointwise(result, factors, combine, num_points):
 
 def _cmd_check(args) -> int:
     real, graph, name = read_system(args.system)
-    cert = certify_witness(real, graph, _d_mode(args), tol=args.pbh_tol)
-    report = Report(name=name or str(args.system))
-    report.add(
-        "compatibility",
-        cert.compatibility.ok,
-        mode=args.d_mode,
-        violations=cert.compatibility.violation_labels,
-    )
-    report.add(
-        "pbh-stabilizable",
-        cert.pbh.stabilizable,
-        offending=[
-            str(m.eigenvalue) for m in cert.pbh.offending_modes
-            if m.test == "stabilizable"
-        ],
-    )
-    report.add(
-        "pbh-detectable",
-        cert.pbh.detectable,
-        offending=[
-            str(m.eigenvalue) for m in cert.pbh.offending_modes
-            if m.test == "detectable"
-        ],
-    )
+    report = _opened(args, name or str(args.system), real, graph)
+    for result in (pbh_stabilizable(real, args.pbh_tol), pbh_detectable(real, args.pbh_tol)):
+        report.add(f"pbh-{result.test}", result.passed,
+                   offending=[str(m.eigenvalue) for m in result.offending])
     return _emit(report, args)
 
 
@@ -142,23 +135,13 @@ def _cmd_compose(args) -> int:
             combine = lambda vals: vals[0] @ vals[1]
         label = f"{args.op}({label1}, {label2})"
 
-    report = Report(name=label)
-    compat = check_compatibility(result, graph, _d_mode(args))
-    report.add(
-        "compatibility",
-        compat.ok,
-        mode=args.d_mode,
-        states=result.n,
-        violations=compat.violation_labels,
-    )
+    report = _opened(args, label, result, graph, states=result.n)
     worst = _pointwise(result, factors, combine, args.points)
     report.add(
         "pointwise-transfer", worst <= args.rtol,
         max_deviation=worst, rel_tol=args.rtol, num_points=args.points,
     )
-    if args.save:
-        write_system(args.save, result, graph, name=label)
-    return _emit(report, args)
+    return _emit(report, args, (result, graph))
 
 
 def _cmd_closeloop(args) -> int:
@@ -166,16 +149,8 @@ def _cmd_closeloop(args) -> int:
         args.plant, args.controller, "plant and controller")
     loop = close_loop(plant, controller)
 
-    report = Report(name=f"loop({label1}, {label2})")
-    compat = check_compatibility(loop.realization, graph, _d_mode(args))
-    report.add(
-        "compatibility",
-        compat.ok,
-        mode=args.d_mode,
-        states=loop.realization.n,
-        violations=compat.violation_labels,
-    )
-
+    report = _opened(args, f"loop({label1}, {label2})", loop.realization, graph,
+                     states=loop.realization.n)
     chan_perm = node_major_indices(plant.dims.outputs, plant.dims.inputs)
     p = plant.p
 
@@ -203,9 +178,7 @@ def _cmd_closeloop(args) -> int:
     report.add(
         "stability", loop.stable, spectral_radius=loop.spectral_radius,
     )
-    if args.save:
-        write_system(args.save, loop.realization, graph, name=report.name)
-    return _emit(report, args)
+    return _emit(report, args, (loop.realization, graph))
 
 
 def _cmd_imc(args) -> int:
@@ -213,15 +186,8 @@ def _cmd_imc(args) -> int:
         args.plant, args.q, "plant and design parameter")
     controller = imc_controller(plant, q)
 
-    report = Report(name=f"imc({label1}, {label2})")
-    compat = check_compatibility(controller, graph, _d_mode(args))
-    report.add(
-        "controller-compatibility",
-        compat.ok,
-        mode=args.d_mode,
-        states=controller.n,
-        violations=compat.violation_labels,
-    )
+    report = _opened(args, f"imc({label1}, {label2})", controller, graph,
+                     "controller-compatibility", states=controller.n)
     recovered = q_param(plant, controller)
     roundtrip = transfer_equal(
         recovered, q, num_points=args.points, rel_tol=args.rtol)
@@ -230,9 +196,7 @@ def _cmd_imc(args) -> int:
         max_deviation=roundtrip.max_deviation, rel_tol=args.rtol,
         num_points=roundtrip.num_points,
     )
-    if args.save:
-        write_system(args.save, controller, graph, name=report.name)
-    return _emit(report, args)
+    return _emit(report, args, (controller, graph))
 
 
 def _cmd_simulate(args) -> int:
@@ -278,12 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_help="also write the JSON report to this path"):
-        p.add_argument("--d-mode", choices=["strict", "edge"], default="strict",
-                       help="direct-term rule: block-diagonal only, or edges too")
+    def common(p, d_mode=True):
+        if d_mode:
+            p.add_argument("--d-mode", choices=["strict", "edge"], default="strict",
+                           help="direct-term rule: block-diagonal only, or edges too")
         p.add_argument("--json", action="store_true",
                        help="print the machine-readable report")
-        p.add_argument("-o", "--out", help=out_help)
+        p.add_argument("-o", "--out", help="also write the JSON report to this path")
 
     def tolerances(p):
         p.add_argument("--points", type=int, default=16,
@@ -340,16 +305,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", choices=["river", "remark1"])
     p.add_argument("--q-file", help="river only: design parameter override")
     tolerances(p)
-    common(p)
+    common(p, d_mode=False)
     p.set_defaults(handler=_cmd_demo)
 
     return parser
 
 
+#: Built by the first ``main`` call, not at import, and kept: each build
+#: leaves a few hundred objects in reference cycles.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -18,7 +18,9 @@ Trajectories travel as JSON ({"name", "partition", "values"}) or CSV
 with one column per channel, headed ``<name><node>_<channel>``.  A
 trajectory is always read against the partition of the system it
 drives: a JSON file must declare that partition, and a CSV header must
-be exactly the one it gives, so zero-width nodes leave no column.
+be exactly the one it gives, so zero-width nodes leave no column.  A
+signal of total width 0 is written as an empty header line and one
+empty line per step, and read back the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import InputError
 from .graphs import NetworkGraph, NodeDims, _as_counts, _as_int, build_graph
 from .realization import BlockRealization
-from .sim import SignalTrajectory
+from .sim import SignalTrajectory, _coerce_signal
 
 
 def _require(obj: dict, key: str, context: str = "system"):
@@ -196,55 +198,52 @@ def trajectory_from_csv(text: str, partition) -> SignalTrajectory:
 
     The header must be the one ``trajectory_to_csv`` writes for that
     partition; the signal's name is the first label less its node and
-    channel suffix.
+    channel suffix.  A partition of total width 0 has no column: its
+    header line is empty, every line after it is one step, and the
+    trajectory is named ``"signal"``, since no label carries the name.
     """
     partition = _as_counts(partition, "partition")
+    width = sum(partition)
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
-    if not header:
+    if header is None or (width and not header):
         raise InputError("trajectory CSV has no columns")
-    if len(header) != sum(partition):
+    if len(header) != width:
         raise InputError(
             f"trajectory CSV has {len(header)} columns, partition {partition} "
-            f"has {sum(partition)} channels")
-    suffix = f"{next(i for i, width in enumerate(partition) if width)}_0"
-    if not header[0].endswith(suffix):
-        raise InputError(
-            f"column 1 is '{header[0]}', expected '<name>{suffix}' for partition {partition}")
-    name = header[0][:-len(suffix)]
-    for k, (label, want) in enumerate(zip(header, _csv_header(name, partition))):
-        if label != want:
+            f"has {width} channels")
+    name = "signal"
+    if width:
+        suffix = f"{next(i for i, w in enumerate(partition) if w)}_0"
+        if not header[0].endswith(suffix):
             raise InputError(
-                f"column {k + 1} is '{label}', expected '{want}' for partition {partition}")
+                f"column 1 is '{header[0]}', expected '<name>{suffix}' for partition {partition}")
+        name = header[0][:-len(suffix)]
+        for k, (label, want) in enumerate(zip(header, _csv_header(name, partition))):
+            if label != want:
+                raise InputError(
+                    f"column {k + 1} is '{label}', expected '{want}' for partition {partition}")
     rows = []
     for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
+        if width and (not row or (len(row) == 1 and not row[0].strip())):
             continue
-        if len(row) != len(header):
+        if len(row) != width:
             raise InputError(
-                f"row {lineno} has {len(row)} values, header has {len(header)}")
+                f"row {lineno} has {len(row)} values, header has {width}")
         try:
             rows.append([float(v) for v in row])
         except ValueError as exc:
             raise InputError(f"row {lineno} contains a non-numeric value") from exc
-    values = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    values = np.array(rows, dtype=float).reshape(len(rows), width)
     return SignalTrajectory(values, partition, name)
-
-
-def _declared(obj, partition) -> SignalTrajectory:
-    """The trajectory document ``obj``, refused unless it declares ``partition``."""
-    traj = trajectory_from_obj(obj)
-    if traj.partition != _as_counts(partition, "partition"):
-        raise InputError(
-            f"trajectory partition {traj.partition} does not match the system's {partition}")
-    return traj
 
 
 def read_trajectory(path, partition) -> SignalTrajectory:
     """Load a trajectory (.json, else CSV) of a signal split by ``partition``."""
     path = str(path)
     if path.endswith(".json"):
-        return _read(path, lambda text: _declared(_json(text), partition))
+        return _read(path, lambda text: _coerce_signal(
+            trajectory_from_obj(_json(text)), _as_counts(partition, "partition"), "trajectory"))
     return _read(path, lambda text: trajectory_from_csv(text, partition))
 
 

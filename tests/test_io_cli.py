@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from netreal import (
     InputError,
     NodeDims,
     SignalTrajectory,
+    StabilityWarning,
     build_graph,
     close_loop,
     packaged_system,
@@ -196,6 +198,35 @@ def test_zero_width_nodes_through_csv(tmp_path, capsys, rng, inputs):
     assert np.array_equal(y_cli.values, y_lib.values)
 
 
+@pytest.mark.parametrize("partition", [(0,), (0, 0)])
+@pytest.mark.parametrize("steps", [0, 4])
+def test_zero_width_signal_through_csv(tmp_path, capsys, rng, partition, steps):
+    nodes = len(partition)
+    graph = random_graph(rng, nodes)
+    ones = (1,) * nodes
+    u = SignalTrajectory(np.zeros((steps, 0)), partition, "u")
+    text = trajectory_to_csv(u)
+    assert text == "\n" * (steps + 1)
+    back = trajectory_from_csv(text, partition)
+    assert back.partition == partition and back.name == "signal"
+    assert back.values.shape == (steps, 0)
+
+    # A system without inputs reads u from CSV; one without outputs writes y to CSV.
+    wide = SignalTrajectory(rng.normal(size=(steps, nodes)), ones, "u")
+    for dims, signal in ((NodeDims(ones, partition, ones), u),
+                         (NodeDims(ones, ones, partition), wide)):
+        real = random_system(rng, graph, dims, rho=0.8)
+        system, u_path, y_path = (str(tmp_path / f) for f in ("sys.json", "u.csv", "y.csv"))
+        write_system(system, real, graph)
+        write_trajectory(u_path, signal)
+        assert main(["simulate", system, "--input", u_path, "-o", y_path]) == 0, \
+            capsys.readouterr().err
+        y_cli = read_trajectory(y_path, real.dims.outputs)
+        y_lib, _ = simulate_lti(real, signal)
+        assert y_cli.length == steps
+        assert np.array_equal(y_cli.values, y_lib.values)
+
+
 def test_report_objects_validate_against_schema(report_schema):
     report = Report(name="example")
     report.add("first", True, value=1.5, eigen=complex(1, 2))
@@ -254,6 +285,8 @@ def test_cli_missing_file_and_usage(tmp_path, capsys):
     bad.write_bytes(b'{"name": "\xff"}')
     assert main(["check", str(bad)]) == 2
     assert "not UTF-8 text (invalid start byte at byte 10)" in capsys.readouterr().err
+    assert main(["demo", "river", "--d-mode", "edge"]) == 2
+    assert "unrecognized arguments: --d-mode edge" in capsys.readouterr().err
 
 
 def test_cli_refuses_non_integer_counts(tmp_path, capsys):
@@ -519,3 +552,80 @@ def test_cli_report_out_file(tmp_path, report_schema):
     assert main(["check", paths["wide"], "-o", str(out)]) == 0
     obj = json.loads(out.read_text())
     jsonschema.validate(obj, report_schema)
+
+
+def test_cli_report_shapes(tmp_path, capsys):
+    """Stage names, detail keys in order and exit codes on the packaged files."""
+    data = Path(str(resources.files("netreal").joinpath("data")))
+    river, river_bar, river_q, g1, g2 = (
+        str(data / f"{name}.json")
+        for name in ("river", "river_bar", "river_q", "remark1_g1", "remark1_g2"))
+    # river_q with D = I: invertible, so --op inv gets past the algebra.
+    q, graph, _ = read_system(river_q)
+    q_inv = str(tmp_path / "q_inv.json")
+    write_system(q_inv, BlockRealization(q.dims, q.A, q.B, q.C, np.eye(q.p)), graph, "q-inv")
+    controller = str(tmp_path / "controller.json")
+    compat = ["mode", "states", "violations"]
+    pointwise = ["max_deviation", "rel_tol", "num_points"]
+    check = [("compatibility", ["mode", "violations"]),
+             ("pbh-stabilizable", ["offending"]), ("pbh-detectable", ["offending"])]
+    compose = [("compatibility", compat), ("pointwise-transfer", pointwise)]
+    for argv, code, shape in [
+        (["check", river_bar], 0, check),
+        (["check", river], 1, check),
+        (["check", g1], 1, check),
+        (["compose", "--op", "add", river, river_q], 1, compose),
+        (["compose", "--op", "mul", river, river_q], 0, compose),
+        (["compose", "--op", "mul", g1, g2], 0, compose),
+        (["compose", "--op", "inv", q_inv], 0, compose),
+        (["imc", river, river_q, "--save", controller], 0,
+         [("controller-compatibility", compat), ("parameter-roundtrip", pointwise)]),
+        (["closeloop", river_bar, controller], 0,
+         [("compatibility", compat), ("pointwise-inverse", pointwise),
+          ("identities", ["deviations", "rel_tol"]), ("stability", ["spectral_radius"])]),
+    ]:
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StabilityWarning)  # the remark1 product
+            assert main([*argv, "--json", "-o", str(out)]) == code, argv
+        obj = json.loads(capsys.readouterr().out)
+        assert [(s["name"], list(s["detail"])) for s in obj["stages"]] == shape, argv
+        assert json.loads(out.read_text()) == obj, argv
+    # A packaged river_q has D = 0, so its inverse is refused before any report.
+    assert main(["compose", "--op", "inv", river_q]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+    # --save is written when a stage fails, and before anything is printed.
+    saved = tmp_path / "sum.json"
+    assert main(["compose", "--op", "add", river, river_q, "--save", str(saved)]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+    real, _, name = read_system(saved)
+    assert real.n == 6 and name == "add(river, river-q)"
+    for argv in (["imc", river, river_q], ["compose", "--op", "add", river, river_q]):
+        assert main([*argv, "--save", str(tmp_path / "missing" / "c.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), argv
+
+
+def test_cli_main_leaves_no_reference_cycles(tmp_path, capsys):
+    """The parser is built once per process, so a warmed call leaves no cyclic garbage."""
+    paths = _write_river(tmp_path)
+    for argv in (
+        ["check", paths["wide"]],
+        ["compose", "--op", "mul", paths["plant"], paths["q"]],
+        ["imc", paths["plant"], paths["q"]],
+        ["closeloop", paths["wide"], paths["q"]],
+    ):
+        main(argv)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            main(argv)
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == 0, argv
+    capsys.readouterr()
