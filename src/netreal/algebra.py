@@ -1,14 +1,15 @@
 """Structure-preserving arithmetic on block realizations.
 
-Each construction assembles the stacked textbook composite and then
-reorders it so every node keeps one contiguous block.  The node-major
-layout of every two-part composite lives here: :func:`_node_major`
-reorders the stacked matrices, and :func:`node_major_indices` is its
-index map; :mod:`netreal.loops` and :mod:`netreal.imc` build their
-composites with it too.  The reorder is pure indexing, so structural
-zeros of the inputs survive as exact zeros in the output: when both
-operands are compatible with a graph (strict direct terms where
-required), so is the result.
+Each two-part construction states its textbook block formula: every
+matrix is a grid of blocks, one row of blocks per part stacked along its
+rows and one block per part along its columns.  :func:`_node_major`
+assembles the grids and reorders them so every node keeps one
+contiguous block, and :func:`node_major_indices` is its index map;
+:mod:`netreal.loops` and :mod:`netreal.imc` build their composites with
+it too.  A zero block is written ``None``, so it comes out exactly zero,
+and the reorder is pure indexing, so structural zeros of the inputs
+survive as exact zeros in the output: when both operands are compatible
+with a graph (strict direct terms where required), so is the result.
 """
 
 from __future__ import annotations
@@ -35,16 +36,32 @@ def node_major_indices(*parts: tuple[int, ...]) -> np.ndarray:
     return np.argsort(owners, kind="stable")
 
 
+def _assemble(grid, rows, cols) -> np.ndarray:
+    """The stacked matrix of a block grid, ``None`` blocks sized by the part counts."""
+    heights, widths = ([sum(part) for part in parts] for parts in (rows, cols))
+    return np.block([
+        [np.zeros((h, w)) if blk is None else blk for blk, w in zip(row, widths)]
+        for row, h in zip(grid, heights)])
+
+
 def _node_major(a, b, c, d, states, inputs, outputs) -> BlockRealization:
-    """The realization of stacked matrices, reordered node-major.
+    """The realization of four block grids, reordered node-major.
 
     ``states``, ``inputs`` and ``outputs`` each hold, for one axis, the
-    per-node counts of the parts stacked along it.  One part keeps the
-    axis in order; several are interleaved by :func:`node_major_indices`,
-    and node ``k`` of the result counts the sum of its parts' entries.
+    per-node counts of the parts stacked along it.  ``a``, ``b``, ``c``
+    and ``d`` are grids of blocks: one row of blocks per part along the
+    matrix's rows (states for A and B, outputs for C and D), and in each
+    row one block per part along its columns (states for A and C, inputs
+    for B and D).  ``None`` stands for a zero block, whose shape the
+    part counts give.  Each grid is assembled into its stacked matrix,
+    then reordered: one part keeps an axis in order; several are
+    interleaved by :func:`node_major_indices`, and node ``k`` of the
+    result counts the sum of its parts' entries.
     """
     s, i, o = (node_major_indices(*parts) for parts in (states, inputs, outputs))
     dims = NodeDims(*(tuple(map(sum, zip(*parts))) for parts in (states, inputs, outputs)))
+    a, b, c, d = (_assemble(grid, rows, cols) for grid, rows, cols in (
+        (a, states, states), (b, states, inputs), (c, outputs, states), (d, outputs, inputs)))
     return BlockRealization(
         dims, a[np.ix_(s, s)], b[np.ix_(s, i)], c[np.ix_(o, s)], d[np.ix_(o, i)])
 
@@ -61,15 +78,9 @@ def add(r1: BlockRealization, r2: BlockRealization) -> BlockRealization:
             f"cannot add systems on {r1.num_nodes} and {r2.num_nodes} nodes")
     if r1.dims.inputs != r2.dims.inputs or r1.dims.outputs != r2.dims.outputs:
         raise InputError("summands need identical per-node input and output counts")
-    n1, n2 = r1.n, r2.n
-    a = np.zeros((n1 + n2, n1 + n2))
-    a[:n1, :n1] = r1.A
-    a[n1:, n1:] = r2.A
-    b = np.vstack([r1.B, r2.B])
-    c = np.hstack([r1.C, r2.C])
-    d = r1.D + r2.D
-    return _node_major(a, b, c, d, (r1.dims.states, r2.dims.states),
-                       (r1.dims.inputs,), (r1.dims.outputs,))
+    return _node_major(
+        [[r1.A, None], [None, r2.A]], [[r1.B], [r2.B]], [[r1.C, r2.C]], [[r1.D + r2.D]],
+        (r1.dims.states, r2.dims.states), (r1.dims.inputs,), (r1.dims.outputs,))
 
 
 def multiply(outer: BlockRealization, inner: BlockRealization) -> BlockRealization:
@@ -102,16 +113,12 @@ def multiply(outer: BlockRealization, inner: BlockRealization) -> BlockRealizati
             StabilityWarning,
             stacklevel=2,
         )
-    n1, n2 = inner.n, outer.n
-    a = np.zeros((n1 + n2, n1 + n2))
-    a[:n1, :n1] = inner.A
-    a[n1:, :n1] = outer.B @ inner.C
-    a[n1:, n1:] = outer.A
-    b = np.vstack([inner.B, outer.B @ inner.D])
-    c = np.hstack([outer.D @ inner.C, outer.C])
-    d = outer.D @ inner.D
-    return _node_major(a, b, c, d, (inner.dims.states, outer.dims.states),
-                       (inner.dims.inputs,), (outer.dims.outputs,))
+    return _node_major(
+        [[inner.A, None], [outer.B @ inner.C, outer.A]],
+        [[inner.B], [outer.B @ inner.D]],
+        [[outer.D @ inner.C, outer.C]],
+        [[outer.D @ inner.D]],
+        (inner.dims.states, outer.dims.states), (inner.dims.inputs,), (outer.dims.outputs,))
 
 
 def _block_diagonal(real: BlockRealization) -> bool:

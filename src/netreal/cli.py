@@ -6,8 +6,8 @@ checks (:func:`_opened`) and ends in :func:`_emit`.  That prints the
 report (human-readable by default, ``--json`` for the machine format
 described by ``schemas/report.schema.json``) and exits 0 when all
 stages pass, 1 when a mathematical check fails, 2 on unusable input.
-``--save`` is written before the report is printed, also when a stage
-fails, so a save that fails leaves stdout empty; ``-o`` is written after.
+``--save`` and then ``-o`` are written before the report is printed,
+also when a stage fails, so a write that fails leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .imc import imc_controller
 from .loops import close_loop, q_param, verify_identities
 from .realization import (
     DMode,
+    _require_tolerance,
     check_compatibility,
     circle_samples,
     eval_transfer,
@@ -57,9 +58,11 @@ def _opened(args, name, real, graph, stage="compatibility", **detail) -> Report:
 
 
 def _emit(report: Report, args, saved=None) -> int:
-    """Write ``saved`` (a realization and its graph) to ``--save``, print, write ``-o``."""
+    """Write ``saved`` (a realization and its graph) to ``--save``, write ``-o``, print."""
     if getattr(args, "save", None):
         write_system(args.save, *saved, name=report.name)
+    if args.out:
+        write_json(args.out, report.to_obj())
     if args.json:
         print(json.dumps(report.to_obj(), indent=2))
     else:
@@ -72,8 +75,6 @@ def _emit(report: Report, args, saved=None) -> int:
         if report.note:
             print(f"note: {report.note}")
         print(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    if args.out:
-        write_json(args.out, report.to_obj())
     return 0 if report.passed else 1
 
 
@@ -250,15 +251,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the machine-readable report")
         p.add_argument("-o", "--out", help="also write the JSON report to this path")
 
+    def tolerance(text: str) -> float:
+        """A tolerance option as a float; NaN, negative and infinite ones are refused."""
+        value = float(text)
+        try:
+            _require_tolerance(value, "tolerance")
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
     def tolerances(p):
         p.add_argument("--points", type=int, default=16,
                        help="sample frequencies per pointwise check")
-        p.add_argument("--rtol", type=float, default=1e-8,
+        p.add_argument("--rtol", type=tolerance, default=1e-8,
                        help="scaled-deviation tolerance for pointwise checks")
 
     p = sub.add_parser("check", help="certify one system against its graph")
     p.add_argument("system", help="system JSON file")
-    p.add_argument("--pbh-tol", type=float, default=1e-9,
+    p.add_argument("--pbh-tol", type=tolerance, default=1e-9,
                    help="rank-test tolerance for the PBH certificates")
     common(p)
     p.set_defaults(handler=_cmd_check)

@@ -25,6 +25,7 @@ from .loops import verify_identities
 from .realization import (
     BlockRealization,
     DMode,
+    _require_tolerance,
     check_compatibility,
     certify_witness,
     eval_transfer,
@@ -130,6 +131,7 @@ def run_demo_remark1(tol: float = 1e-10) -> Report:
     both facts without taking a position on whether a different,
     certified realization of the same transfer exists.
     """
+    _require_tolerance(tol, "tol")
     first, graph, _ = packaged_system("remark1_g1")
     second, _, _ = packaged_system("remark1_g2")
 

@@ -31,6 +31,17 @@ def _as_int(value, what: str) -> int:
     raise InputError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_floats(value, message: str) -> np.ndarray:
+    """``value`` as a new float array; InputError(``message``) when numpy cannot convert it.
+
+    That includes integers beyond float range, which numpy refuses with OverflowError.
+    """
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(message) from exc
+
+
 def _as_edge(item) -> tuple[int, int]:
     try:
         i, j = item

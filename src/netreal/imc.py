@@ -14,13 +14,12 @@ When B, F and H are block-diagonal and A, C, E, G carry the graph's
 sparsity, every nonzero product lands on an edge block, so the
 controller passes the strict compatibility check; in all cases the
 checker decides.  Blocks with no contributing term come out exactly
-zero.  The stacked controller is reordered node-major by
-:func:`netreal.algebra._node_major`, the one home of that layout.
+zero.  :func:`imc_controller` passes these equations to
+:func:`netreal.algebra._node_major` as block grids, which assembles
+them and reorders the result node-major, the one home of that layout.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .algebra import _node_major, multiply
 from .loops import _check_pair
@@ -39,17 +38,9 @@ def imc_controller(plant: BlockRealization, q: BlockRealization) -> BlockRealiza
     a, b, c = plant.A, plant.B, plant.C
     e, f, g, h = q.A, q.B, q.C, q.D
     bh = b @ h
-    n1, n2 = plant.n, q.n
-
-    a_new = np.zeros((n1 + n2, n1 + n2))
-    a_new[:n1, :n1] = a + bh @ c
-    a_new[:n1, n1:] = b @ g
-    a_new[n1:, :n1] = f @ c
-    a_new[n1:, n1:] = e
-    b_new = np.vstack([bh, f])
-    c_new = np.hstack([h @ c, g])
-    return _node_major(a_new, b_new, c_new, h, (plant.dims.states, q.dims.states),
-                       (plant.dims.outputs,), (plant.dims.inputs,))
+    return _node_major(
+        [[a + bh @ c, b @ g], [f @ c, e]], [[bh], [f]], [[h @ c, g]], [[h]],
+        (plant.dims.states, q.dims.states), (plant.dims.outputs,), (plant.dims.inputs,))
 
 
 def ideal_maps(

@@ -10,9 +10,10 @@ form.  The four blocks of the inverse are the classical closed-loop maps
     (2,1)  -C (I + PC)^{-1}       (2,2)  (I + CP)^{-1}
 
 and the negated (2,1) block is the controller's feedback parameter.
-States and channels are interleaved node-major by
-:func:`netreal.algebra._node_major`, the one home of that layout;
-:class:`ClosedLoop` reads its channel groups back through
+:func:`close_loop` passes the packed system to
+:func:`netreal.algebra._node_major` as block grids, which assembles them
+and interleaves states and channels node-major, the one home of that
+layout; :class:`ClosedLoop` reads its channel groups back through
 :func:`netreal.algebra.node_major_indices`.
 """
 
@@ -28,6 +29,7 @@ from .graphs import NodeDims
 from .realization import (
     BlockRealization,
     _certified_solve,
+    _require_tolerance,
     circle_samples,
     eval_transfer,
     scaled_deviation,
@@ -110,25 +112,13 @@ def close_loop(
     still guards against a pathological controller direct term.
     """
     _check_pair(plant, controller, "controller")
-    n_p, n_c = plant.n, controller.n
-    p, m = plant.p, plant.m
-
-    a = np.zeros((n_p + n_c, n_p + n_c))
-    a[:n_p, :n_p] = plant.A
-    a[n_p:, n_p:] = controller.A
-    b = np.zeros((n_p + n_c, p + m))
-    b[:n_p, p:] = plant.B
-    b[n_p:, :p] = controller.B
-    c = np.zeros((p + m, n_p + n_c))
-    c[:p, :n_p] = -plant.C
-    c[p:, n_p:] = controller.C
-    d = np.zeros((p + m, p + m))
-    d[:p, :p] = np.eye(p)
-    d[p:, p:] = np.eye(m)
-    d[p:, :p] = controller.D
-
     chan = (plant.dims.outputs, plant.dims.inputs)
-    stacked = _node_major(a, b, c, d, (plant.dims.states, controller.dims.states), chan, chan)
+    stacked = _node_major(
+        [[plant.A, None], [None, controller.A]],
+        [[None, plant.B], [controller.B, None]],
+        [[-plant.C, None], [None, controller.C]],
+        [[np.eye(plant.p), None], [controller.D, np.eye(plant.m)]],
+        (plant.dims.states, controller.dims.states), chan, chan)
     closed = invert(stacked, cond_limit)
     return ClosedLoop(closed, plant.dims.outputs, plant.dims.inputs)
 
@@ -176,6 +166,7 @@ def verify_identities(
     deviation is at most ``rel_tol``.
     """
     _check_pair(plant, controller, "controller")
+    _require_tolerance(rel_tol, "rel_tol")
     p, m = plant.p, plant.m
     eye_p = np.eye(p)
     eye_m = np.eye(m)

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError, PoleError
-from .graphs import NetworkGraph, NodeDims
+from .graphs import NetworkGraph, NodeDims, _as_floats
 
 #: Evaluation of C (zI - A)^{-1} B refuses condition numbers at or above this.
 #: The solve certifies the refusal with a Frobenius bound on the 2-norm
@@ -45,14 +45,17 @@ class DMode(enum.Enum):
     EDGE_SPARSE = "edge"
 
 
+def _require_tolerance(value: float, name: str) -> None:
+    """Refuse a negative, infinite or NaN tolerance, which can turn a check into a wrong pass."""
+    if not 0.0 <= value < np.inf:
+        raise InputError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def _as_matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
     if value is None:
         arr = np.zeros(shape)
     else:
-        try:
-            arr = np.array(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{name} is not a numeric matrix") from exc
+        arr = _as_floats(value, f"{name} is not a numeric matrix")
         if arr.size == shape[0] * shape[1] and arr.ndim != 2:
             arr = arr.reshape(shape)
         if arr.shape != shape:
@@ -223,8 +226,7 @@ def check_compatibility(
     if dims.num_nodes != graph.num_nodes:
         raise InputError(
             f"realization has {dims.num_nodes} nodes, graph has {graph.num_nodes}")
-    if zero_tol < 0:
-        raise InputError(f"zero_tol must be nonnegative, got {zero_tol}")
+    _require_tolerance(zero_tol, "zero_tol")
 
     edges = graph.adjacency
     diagonal = np.eye(dims.num_nodes, dtype=bool)
@@ -353,6 +355,7 @@ def _group_heads(eigs, tol: float) -> list[complex]:
 def _pbh_scan(real: BlockRealization, other: np.ndarray, stack_rows: bool,
               test: str, tol: float) -> PbhTestResult:
     """One rank test per group of repeated eigenvalues on or outside ``1 - tol``."""
+    _require_tolerance(tol, "tol")
     n = real.n
     outer = [lam for lam in real.eigenvalues if abs(lam) >= 1.0 - tol]
     offending = []
@@ -508,6 +511,7 @@ def transfer_equal(
     if (r1.p, r1.m) != (r2.p, r2.m):
         raise InputError(
             f"cannot compare a {r1.p}x{r1.m} transfer with a {r2.p}x{r2.m} one")
+    _require_tolerance(rel_tol, "rel_tol")
     gaps, radius = circle_samples(
         (r1, r2), num_points,
         lambda z: scaled_deviation(eval_transfer(r1, z), eval_transfer(r2, z)))

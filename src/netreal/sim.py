@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import NetworkGraph, _as_counts, partition_slices
+from .graphs import NetworkGraph, _as_counts, _as_floats, partition_slices
 from .loops import _check_pair
 from .realization import BlockRealization, DMode, check_compatibility
 
@@ -44,10 +44,7 @@ class SignalTrajectory:
 
     def __post_init__(self):
         partition = _as_counts(self.partition, "partition")
-        try:
-            values = np.array(self.values, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError("trajectory values are not numeric") from exc
+        values = _as_floats(self.values, "trajectory values are not numeric")
         width = sum(partition)
         if values.ndim == 1 and values.size == 0:
             values = values.reshape(0, width)
@@ -97,10 +94,7 @@ def _coerce_signal(signal, partition: tuple[int, ...], name: str,
 def _coerce_state(real: BlockRealization, x0) -> np.ndarray:
     if x0 is None:
         return np.zeros(real.n)
-    try:
-        x = np.array(x0, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise InputError("initial state is not numeric") from exc
+    x = _as_floats(x0, "initial state is not numeric").reshape(-1)
     if x.size != real.n:
         raise InputError(f"initial state must have {real.n} entries, got {x.size}")
     if x.size and not np.isfinite(x).all():

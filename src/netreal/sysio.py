@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .graphs import NetworkGraph, NodeDims, _as_counts, _as_int, build_graph
+from .graphs import NetworkGraph, NodeDims, _as_counts, _as_floats, _as_int, build_graph
 from .realization import BlockRealization
 from .sim import SignalTrajectory, _coerce_signal
 
@@ -79,10 +79,7 @@ def system_from_obj(obj) -> tuple[BlockRealization, NetworkGraph, str | None]:
             if rows == 0 or cols == 0:
                 return np.zeros((rows, cols))
             raise InputError(f"missing required field '{key}' in system")
-        try:
-            value = np.array(obj[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"field '{key}' is not a numeric matrix") from exc
+        value = _as_floats(obj[key], f"field '{key}' is not a numeric matrix")
         if value.shape != (rows, cols):
             raise InputError(
                 f"field '{key}' has shape {value.shape}, expected ({rows}, {cols})")
@@ -137,12 +134,17 @@ def _read(path, parse):
 
 
 def _json(text: str):
-    """The JSON document in ``text``; bad JSON raises InputError with its line and column."""
+    """The JSON document in ``text``; bad JSON raises InputError with its line and column.
+
+    An integer literal too long for Python to convert raises InputError too.
+    """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise InputError(f"invalid JSON: {exc}") from exc
 
 
 def write_json(path, obj) -> None:

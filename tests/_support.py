@@ -205,6 +205,32 @@ def oracle_node_major(*parts):
     return order
 
 
+def oracle_grid_node_major(grid, row_parts, col_parts):
+    """A grid of blocks written straight into node-major order, entry by entry.
+
+    ``grid[q][s]`` is the block of row part ``q`` and column part ``s``;
+    ``None`` is a zero block.  Node ``k`` owns its rows of part 0, then
+    its rows of part 1, and so on, and likewise for columns.  The entry
+    at row ``i`` of part ``q`` and column ``j`` of part ``s`` is read
+    from the block at those offsets within the parts.
+    """
+    def positions(parts):
+        found = []
+        for k in range(len(parts[0])):
+            for q, part in enumerate(parts):
+                start = sum(part[:k])
+                found.extend((q, start + t) for t in range(part[k]))
+        return found
+
+    rows, cols = positions(row_parts), positions(col_parts)
+    out = np.empty((len(rows), len(cols)))
+    for r, (q, i) in enumerate(rows):
+        for c, (s, j) in enumerate(cols):
+            blk = grid[q][s]
+            out[r, c] = 0.0 if blk is None else blk[i, j]
+    return out
+
+
 def oracle_blocks(real):
     """``{name: {(i, j): block}}`` for A, B, C and D, sliced by node."""
     dims = real.dims

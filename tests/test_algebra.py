@@ -19,9 +19,10 @@ from netreal import (
     node_major_indices,
     scaled_deviation,
 )
-from netreal.algebra import _block_diagonal
+from netreal.algebra import _block_diagonal, _node_major
 from _support import (
     oracle_block_diagonal_d,
+    oracle_grid_node_major,
     oracle_node_major,
     random_add_pair,
     random_dims,
@@ -50,6 +51,37 @@ def test_node_major_indices_match_loop_oracle(rng):
         parts = [tuple(int(v) for v in rng.integers(0, 3, count))
                  for _ in range(int(rng.integers(1, 4)))]
         assert node_major_indices(*parts).tolist() == oracle_node_major(*parts)
+
+
+def test_node_major_places_grid_blocks_like_per_node_oracle(rng):
+    seen = {"none": 0, "zero-width part": 0, "one part": 0, "two parts": 0}
+    for _ in range(80):
+        count = int(rng.integers(1, 5))
+        axes = []
+        for _ in range(3):
+            parts = [tuple(int(v) for v in rng.integers(0, 3, count))
+                     for _ in range(int(rng.integers(1, 3)))]
+            if rng.random() < 0.25:
+                parts[int(rng.integers(len(parts)))] = (0,) * count
+            seen["one part" if len(parts) == 1 else "two parts"] += 1
+            seen["zero-width part"] += any(not sum(part) for part in parts)
+            axes.append(tuple(parts))
+        states, inputs, outputs = axes
+
+        def grid(rows, cols):
+            return [[None if rng.random() < 0.4 else rng.normal(size=(sum(r), sum(c)))
+                     for c in cols] for r in rows]
+
+        layout = ((states, states), (states, inputs), (outputs, states), (outputs, inputs))
+        grids = [grid(rows, cols) for rows, cols in layout]
+        seen["none"] += sum(blk is None for g in grids for row in g for blk in row)
+        real = _node_major(*grids, states, inputs, outputs)
+        assert real.dims == NodeDims(*(
+            tuple(sum(part[k] for part in parts) for k in range(count)) for parts in axes))
+        for matrix, g, (rows, cols) in zip((real.A, real.B, real.C, real.D), grids, layout):
+            # Bytewise: every block at its node-major place, every None block +0.0.
+            assert matrix.tobytes() == oracle_grid_node_major(g, rows, cols).tobytes()
+    assert all(seen.values()), seen
 
 
 def test_add_matches_pointwise_sum(rng):

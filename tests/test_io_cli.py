@@ -33,6 +33,7 @@ from netreal import (
 from netreal.cli import main
 from netreal.sysio import (
     Report,
+    _json,
     trajectory_from_csv,
     trajectory_from_obj,
     trajectory_to_csv,
@@ -79,6 +80,9 @@ def test_system_parse_diagnostics(tmp_path):
     bad.write_text('{"graph": [,]}')
     with pytest.raises(InputError, match=r"line 1 column 12"):
         read_system(bad)
+    bad.write_text('{"graph": %s}' % ("1" * 4301))
+    with pytest.raises(InputError, match="invalid JSON: Exceeds the limit"):
+        read_system(bad)
     for missing, message in [
         ({}, "missing required field 'graph'"),
         ({"graph": {"num_nodes": 1}}, "missing required field 'edges'"),
@@ -106,9 +110,10 @@ def test_system_matrix_shape_diagnostics():
     }
     with pytest.raises(InputError, match=r"'A' has shape \(1, 2\)"):
         system_from_obj(obj)
-    obj["A"] = "not numbers"
-    with pytest.raises(InputError, match="'A' is not a numeric matrix"):
-        system_from_obj(obj)
+    for bad in ("not numbers", [[10**400 - 1]]):
+        obj["A"] = bad
+        with pytest.raises(InputError, match="'A' is not a numeric matrix"):
+            system_from_obj(obj)
 
 
 def test_zero_width_matrices_may_be_omitted():
@@ -246,6 +251,13 @@ def test_demo_reports_validate_against_schema(report_schema):
         json.dumps(obj)
 
 
+def test_demo_remark1_refuses_unusable_tolerances():
+    # An infinite tolerance would pass its pointwise transfer stage at any deviation.
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="tol must be finite and nonnegative"):
+            run_demo_remark1(bad)
+
+
 def _write_river(tmp_path):
     plant, graph, _ = packaged_system("river")
     wide, _, _ = packaged_system("river_bar")
@@ -306,6 +318,54 @@ def test_cli_refuses_non_integer_counts(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_cli_numbers_beyond_float_range_exit_2(tmp_path, capsys):
+    scalar = {"graph": {"num_nodes": 1, "edges": [[0, 0]]},
+              "dims": [{"n": 1, "m": 1, "p": 1}], "A": [[0.5]], "B": [[1.0]],
+              "C": [[1.0]], "D": [[0.0]]}
+    beyond_float, beyond_digits = "9" * 400, "1" * 4301
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps(scalar))
+    cases = [
+        ("sys", json.dumps(scalar).replace("0.5", beyond_float), ["check"]),
+        ("sys", json.dumps(scalar).replace('"n": 1', f'"n": {beyond_digits}'), ["check"]),
+        ("u", f'{{"partition": [1], "values": [[{beyond_float}]]}}',
+         ["simulate", str(system), "--input"]),
+        ("u", f'{{"partition": [1], "values": [[{beyond_digits}]]}}',
+         ["simulate", str(system), "--input"]),
+    ]
+    for kind, text, argv in cases:
+        path = tmp_path / f"{kind}-bad.json"
+        path.write_text(text)
+        assert main([*argv, str(path)]) == 2, text[:40]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), captured.err
+
+
+def test_cli_refuses_unusable_tolerances(tmp_path, capsys):
+    """NaN, negative and infinite tolerances exit 2 before any report is printed."""
+    data = Path(str(resources.files("netreal").joinpath("data")))
+    river, river_bar, river_q = (str(data / f"{n}.json") for n in ("river", "river_bar", "river_q"))
+    # An unstable mode that neither B nor C touches: both PBH stages fail at the default.
+    scalar = str(tmp_path / "scalar.json")
+    write_system(scalar, BlockRealization(NodeDims((1,), (1,), (1,)), A=[[1.5]]),
+                 build_graph(1, [(0, 0)]))
+    assert main(["check", scalar]) == 1
+    capsys.readouterr()
+    for bad in ("nan", "-1", "inf"):
+        for argv in (
+            ["check", scalar, "--pbh-tol", bad],
+            ["compose", "--op", "add", river_bar, river_bar, "--rtol", bad],
+            ["compose", "--op", "mul", river, river_q, "--rtol", bad],
+            ["closeloop", river_bar, river_q, "--rtol", bad],
+            ["imc", river, river_q, "--rtol", bad],
+            ["demo", "river", "--rtol", bad],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert "tolerance must be finite and nonnegative" in captured.err, argv
+
+
 _UNDER_2_GIB = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -342,8 +402,12 @@ def test_cli_inputs_sized_beyond_memory_exit_2(tmp_path):
         assert "error:" in done.stderr and "Traceback" not in done.stderr, done.stderr
 
 
+#: Integer literals that :func:`_as_text` splices in for their placeholders:
+#: one beyond float range, one beyond the digits Python converts to an int.
+_LITERALS = {"@beyond-float": "9" * 400, "@beyond-digits": "1" * 4301}
+
 _JUNK = (None, True, 0, -1, 3, 0.5, 2**70, float("inf"), float("nan"), "1", "", "ab",
-         [], [0], [[1.0, "x"]], {}, {"a": 1})
+         [], [0], [[1.0, "x"]], {}, {"a": 1}, *_LITERALS)
 
 
 def _slots(doc, found):
@@ -378,6 +442,14 @@ def _mutated(rng, doc):
     return doc
 
 
+def _as_text(doc):
+    """``doc`` as JSON text, with each placeholder of ``_LITERALS`` spliced in as its literal."""
+    text = json.dumps(doc)
+    for placeholder, literal in _LITERALS.items():
+        text = text.replace(json.dumps(placeholder), literal)
+    return text
+
+
 def _mutated_text(rng, text):
     """``text`` with one to three characters replaced, inserted or deleted."""
     alphabet = "0123456789_,.-e u\n"
@@ -403,17 +475,21 @@ def test_parsers_return_a_result_or_input_error(rng):
     traj = SignalTrajectory(rng.normal(size=(3, 3)), (2, 0, 1), "u")
     traj_obj = trajectory_to_obj(traj)
     csv_text = trajectory_to_csv(traj)
+    spliced = dict.fromkeys(_LITERALS.values(), 0)
     for k in range(400):
         for parse, doc in (
-            (system_from_obj, _mutated(rng, systems[k % 2])),
-            (trajectory_from_obj, _mutated(rng, traj_obj)),
+            (lambda text: system_from_obj(_json(text)), _as_text(_mutated(rng, systems[k % 2]))),
+            (lambda text: trajectory_from_obj(_json(text)), _as_text(_mutated(rng, traj_obj))),
             (lambda text: trajectory_from_csv(text, traj.partition),
              _mutated_text(rng, csv_text)),
         ):
+            for literal in spliced:
+                spliced[literal] += literal in doc
             try:
                 parse(doc)
             except InputError:
                 pass
+    assert all(spliced.values()), spliced
 
 
 def test_cli_compose_and_save(tmp_path, capsys):
@@ -606,6 +682,10 @@ def test_cli_report_shapes(tmp_path, capsys):
         assert main([*argv, "--save", str(tmp_path / "missing" / "c.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:"), argv
+    # -o is written before the report too, so a failed write prints no PASS.
+    assert main(["check", river_bar, "-o", str(tmp_path / "missing" / "r.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_cli_main_leaves_no_reference_cycles(tmp_path, capsys):

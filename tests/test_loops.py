@@ -128,5 +128,9 @@ def test_verify_identities_random_pairs(rng):
 
 def test_verify_identities_validates_points(river_wide, river_q):
     plant, _ = river_wide
+    controller = imc_controller(plant, river_q)
     with pytest.raises(InputError):
-        verify_identities(plant, imc_controller(plant, river_q), num_points=0)
+        verify_identities(plant, controller, num_points=0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="rel_tol must be finite and nonnegative"):
+            verify_identities(plant, controller, rel_tol=bad)

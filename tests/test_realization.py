@@ -56,6 +56,9 @@ def test_matrix_shape_and_content_validation():
         BlockRealization(DIMS1, A=[[np.inf]])
     with pytest.raises(InputError):
         BlockRealization(DIMS1, B="text")
+    # An integer beyond float range: numpy raises OverflowError converting it.
+    with pytest.raises(InputError, match="C is not a numeric matrix"):
+        BlockRealization(DIMS1, C=[[10**400 - 1]])
     with pytest.raises(InputError):
         BlockRealization("dims")
 
@@ -96,8 +99,10 @@ def test_zero_tol_masks_small_entries(river_wide):
         real.dims, real.A, real.B + 1e-12, real.C, real.D)
     assert not check_compatibility(bumped, graph).ok
     assert check_compatibility(bumped, graph, zero_tol=1e-10).ok
-    with pytest.raises(InputError):
-        check_compatibility(real, graph, zero_tol=-1.0)
+    # NaN and infinity would mask every block, forbidden ones included.
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="zero_tol must be finite and nonnegative"):
+            check_compatibility(bumped, graph, zero_tol=bad)
 
 
 def test_edge_sparse_mode_relaxes_only_d():
@@ -197,6 +202,17 @@ def test_pbh_boundary_eigenvalue_is_tested():
     real = BlockRealization(dims, A=[[1.0]], B=[[0.0]], C=[[1.0]])
     assert not pbh_stabilizable(real).passed
     assert pbh_detectable(real).passed
+
+
+def test_pbh_refuses_unusable_tolerances():
+    # An unstable mode that neither B nor C touches fails both tests at the default.
+    real = BlockRealization(DIMS1, A=[[1.5]])
+    assert not pbh_stabilizable(real).passed and not pbh_detectable(real).passed
+    for bad in (-1.0, np.nan, np.inf):
+        for test in (pbh_stabilizable, pbh_detectable):
+            with pytest.raises(InputError, match="tol must be finite and nonnegative"):
+                test(real, bad)
+    assert pbh_stabilizable(real, 0.0).offending[0].eigenvalue == 1.5
 
 
 def test_pbh_static_system_passes():
@@ -422,6 +438,11 @@ def test_transfer_equal_rejects_shape_mismatch(river):
         transfer_equal(real, other)
     with pytest.raises(InputError):
         transfer_equal(real, real, num_points=0)
+    # An infinite tolerance would call any two transfers equal.
+    bumped = BlockRealization(real.dims, real.A, real.B, real.C, real.D + 1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="rel_tol must be finite and nonnegative"):
+            transfer_equal(real, bumped, rel_tol=bad)
 
 
 def test_random_compatible_generator_is_bitwise_clean(rng):

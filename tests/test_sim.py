@@ -23,6 +23,8 @@ def test_trajectory_validation():
         SignalTrajectory(np.zeros((4, 3)), (1, 1))
     with pytest.raises(InputError):
         SignalTrajectory([[np.nan, 0.0]], (1, 1))
+    with pytest.raises(InputError, match="trajectory values are not numeric"):
+        SignalTrajectory([[10**400 - 1, 0.0]], (1, 1))
     with pytest.raises(InputError):
         SignalTrajectory(np.zeros((2, 2)), (1, -1))
     for bad in ("11", 2, None, ("a",), (1.0, 1), (True, 1), (2**62,)):
@@ -60,8 +62,9 @@ def test_simulate_initial_state_and_errors(river):
     assert y.values[1, 0] == 0.9
     with pytest.raises(InputError):
         simulate_lti(real, u, x0=[1.0])
-    with pytest.raises(InputError, match="not numeric"):
-        simulate_lti(real, u, x0="abc")
+    for bad in ("abc", [10**400 - 1, 0.0, 0.0]):
+        with pytest.raises(InputError, match="initial state is not numeric"):
+            simulate_lti(real, u, x0=bad)
     with pytest.raises(InputError):
         simulate_lti(real, np.zeros((3, 2)))
     with pytest.raises(InputError):
