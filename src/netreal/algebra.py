@@ -143,7 +143,8 @@ def _invert_direct(real: BlockRealization, cond_limit: float) -> np.ndarray:
                 _, out[rows, cols] = _certified_solve(
                     blk, None, cond_limit,
                     lambda cond: InversionError(
-                        f"direct term of node {k} is singular or ill-conditioned"))
+                        f"direct term of node {k} is singular or ill-conditioned "
+                        f"(cond {cond:.3e})"))
         return out
     except np.linalg.LinAlgError as exc:
         raise InversionError(f"direct term inversion failed: {exc}") from exc

@@ -8,6 +8,14 @@ described by ``schemas/report.schema.json``) and exits 0 when all
 stages pass, 1 when a mathematical check fails, 2 on unusable input.
 ``--save`` and then ``-o`` are written before the report is printed,
 also when a stage fails, so a write that fails leaves stdout empty.
+
+The sampled stages evaluate each system once per sample point and build
+no realization only to evaluate it: ``compose`` compares the result
+with its factors combined pointwise (:func:`_pointwise`), ``closeloop``
+samples the loop, plant and controller in one pass for both its
+``pointwise-inverse`` and ``identities`` stages, and ``imc``'s
+``parameter-roundtrip`` compares ``q`` with ``C (I + P C)^-1`` formed
+from the plant's and the controller's values.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .algebra import add, invert, multiply, node_major_indices
 from .demos import run_demo_remark1, run_demo_river
 from .errors import InputError, NetRealError
 from .imc import imc_controller
-from .loops import close_loop, q_param, verify_identities
+from .loops import _IDENTITIES, _identity_deviations, _loop_inverse, close_loop
 from .realization import (
     DMode,
     _require_tolerance,
@@ -32,7 +40,6 @@ from .realization import (
     pbh_detectable,
     pbh_stabilizable,
     scaled_deviation,
-    transfer_equal,
 )
 from .sim import simulate_distributed, simulate_lti
 from .sysio import (
@@ -87,12 +94,22 @@ def _fmt(value) -> str:
 
 
 def _pointwise(result, factors, combine, num_points):
-    """Worst scaled gap between the result's transfer and a pointwise oracle."""
+    """Worst scaled gap between the result's transfer and a pointwise oracle.
+
+    Each system is evaluated once per sample point; ``combine`` forms the
+    oracle from the factors' values.
+    """
     gaps, _ = circle_samples(
         [result, *factors], num_points,
         lambda z: scaled_deviation(
             eval_transfer(result, z), combine([eval_transfer(f, z) for f in factors])))
     return max(gaps)
+
+
+def _add_pointwise(report: Report, stage: str, worst: float, args) -> None:
+    """A stage that passes when the worst scaled gap is at most ``--rtol``."""
+    report.add(stage, worst <= args.rtol,
+               max_deviation=worst, rel_tol=args.rtol, num_points=args.points)
 
 
 def _cmd_check(args) -> int:
@@ -137,11 +154,8 @@ def _cmd_compose(args) -> int:
         label = f"{args.op}({label1}, {label2})"
 
     report = _opened(args, label, result, graph, states=result.n)
-    worst = _pointwise(result, factors, combine, args.points)
-    report.add(
-        "pointwise-transfer", worst <= args.rtol,
-        max_deviation=worst, rel_tol=args.rtol, num_points=args.points,
-    )
+    _add_pointwise(report, "pointwise-transfer",
+                   _pointwise(result, factors, combine, args.points), args)
     return _emit(report, args, (result, graph))
 
 
@@ -155,8 +169,7 @@ def _cmd_closeloop(args) -> int:
     chan_perm = node_major_indices(plant.dims.outputs, plant.dims.inputs)
     p = plant.p
 
-    def oracle(vals):
-        p_z, c_z = vals
+    def oracle(p_z, c_z):
         m = p_z.shape[1]
         big = np.zeros((p + m, p + m), dtype=complex)
         big[:p, :p] = np.eye(p)
@@ -165,16 +178,18 @@ def _cmd_closeloop(args) -> int:
         big[p:, p:] = np.eye(m)
         return np.linalg.inv(big[np.ix_(chan_perm, chan_perm)])
 
-    worst = _pointwise(loop.realization, [plant, controller], oracle, args.points)
+    def sample(z):
+        p_z, c_z = eval_transfer(plant, z), eval_transfer(controller, z)
+        gap = scaled_deviation(eval_transfer(loop.realization, z), oracle(p_z, c_z))
+        return (gap, *_identity_deviations(p_z, c_z))
+
+    # One circle for both sampled stages: each system is evaluated once per point.
+    gaps, _ = circle_samples((loop.realization, plant, controller), args.points, sample)
+    worst, *identities = map(max, zip(*gaps))
+    _add_pointwise(report, "pointwise-inverse", worst, args)
     report.add(
-        "pointwise-inverse", worst <= args.rtol,
-        max_deviation=worst, rel_tol=args.rtol, num_points=args.points,
-    )
-    identities = verify_identities(
-        plant, controller, num_points=args.points, rel_tol=args.rtol)
-    report.add(
-        "identities", identities.passed,
-        deviations=identities.deviations, rel_tol=args.rtol,
+        "identities", all(v <= args.rtol for v in identities),
+        deviations=dict(zip(_IDENTITIES, identities)), rel_tol=args.rtol,
     )
     report.add(
         "stability", loop.stable, spectral_radius=loop.spectral_radius,
@@ -189,14 +204,10 @@ def _cmd_imc(args) -> int:
 
     report = _opened(args, f"imc({label1}, {label2})", controller, graph,
                      "controller-compatibility", states=controller.n)
-    recovered = q_param(plant, controller)
-    roundtrip = transfer_equal(
-        recovered, q, num_points=args.points, rel_tol=args.rtol)
-    report.add(
-        "parameter-roundtrip", roundtrip.equal,
-        max_deviation=roundtrip.max_deviation, rel_tol=args.rtol,
-        num_points=roundtrip.num_points,
-    )
+    # Closing the loop must give q back: q = C (I + P C)^-1, pointwise.
+    worst = _pointwise(
+        q, [plant, controller], lambda vals: vals[1] @ _loop_inverse(*vals)[1], args.points)
+    _add_pointwise(report, "parameter-roundtrip", worst, args)
     return _emit(report, args, (controller, graph))
 
 

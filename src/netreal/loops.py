@@ -139,6 +139,50 @@ def q_param(
     return BlockRealization(sub.dims, sub.A, sub.B, -sub.C, -sub.D)
 
 
+def _loop_inverse(p_z: np.ndarray, c_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``L = I + P(z) C(z)`` and ``L^{-1}`` at one sample point.
+
+    The one guard of that inverse: :func:`_certified_solve` raises
+    :class:`~netreal.errors.PoleError` when ``cond(L)`` reaches
+    ``_IDENTITY_COND_LIMIT``, so :func:`circle_samples` pushes the point
+    outward.
+    """
+    loop = np.eye(len(p_z)) + p_z @ c_z
+    _, loop_inv = _certified_solve(
+        loop, None, _IDENTITY_COND_LIMIT,
+        lambda cond: PoleError(f"I + PC is ill-conditioned: cond {cond:.3e}"))
+    return loop, loop_inv
+
+
+#: The identities :func:`_identity_deviations` checks, in its order.
+_IDENTITIES = ("inverse-complement", "triangular-inverse")
+
+
+def _identity_deviations(p_z: np.ndarray, c_z: np.ndarray) -> tuple[float, float]:
+    """Deviations of the two closed-loop identities at one sample point.
+
+    With ``L = I + P(z) C(z)`` from :func:`_loop_inverse`:
+
+    * ``L^{-1} = I - P(z) C(z) L^{-1}``
+    * ``[[L, 0], [C(z), I]]^{-1} = [[L^{-1}, 0], [-C(z) L^{-1}, I]]``
+    """
+    p, m = p_z.shape
+    eye_m = np.eye(m)
+    loop, loop_inv = _loop_inverse(p_z, c_z)
+    rhs = np.eye(p) - p_z @ c_z @ loop_inv
+
+    tri = np.zeros((p + m, p + m), dtype=complex)
+    tri[:p, :p] = loop
+    tri[p:, :p] = c_z
+    tri[p:, p:] = eye_m
+    expected = np.zeros_like(tri)
+    expected[:p, :p] = loop_inv
+    expected[p:, :p] = -c_z @ loop_inv
+    expected[p:, p:] = eye_m
+    return (scaled_deviation(loop_inv, rhs),
+            scaled_deviation(np.linalg.inv(tri), expected))
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     passed: bool
@@ -155,46 +199,17 @@ def verify_identities(
 ) -> IdentityReport:
     """Check the two closed-loop matrix identities pointwise.
 
-    At sample frequencies z on a circle enclosing all poles, with
-    ``L = I + P(z) C(z)``:
-
-    * ``L^{-1} = I - P(z) C(z) L^{-1}``
-    * ``[[L, 0], [C(z), I]]^{-1} = [[L^{-1}, 0], [-C(z) L^{-1}, I]]``
-
-    Ill-conditioned sample points are pushed outward and retried.
-    Returns the worst deviation per identity; passes when every
-    deviation is at most ``rel_tol``.
+    At sample frequencies z on a circle enclosing all poles, evaluates
+    :func:`_identity_deviations`; points where ``I + P(z) C(z)`` is
+    ill-conditioned are pushed outward and retried.  Returns the worst
+    deviation per identity; passes when every deviation is at most
+    ``rel_tol``.
     """
     _check_pair(plant, controller, "controller")
     _require_tolerance(rel_tol, "rel_tol")
-    p, m = plant.p, plant.m
-    eye_p = np.eye(p)
-    eye_m = np.eye(m)
-
-    def deviations(z):
-        p_z = eval_transfer(plant, z)
-        c_z = eval_transfer(controller, z)
-        loop = eye_p + p_z @ c_z
-        _, loop_inv = _certified_solve(
-            loop, None, _IDENTITY_COND_LIMIT,
-            lambda cond: PoleError(f"I + PC ill-conditioned at z = {z}"))
-        rhs = eye_p - p_z @ c_z @ loop_inv
-
-        tri = np.zeros((p + m, p + m), dtype=complex)
-        tri[:p, :p] = loop
-        tri[p:, :p] = c_z
-        tri[p:, p:] = eye_m
-        expected = np.zeros_like(tri)
-        expected[:p, :p] = loop_inv
-        expected[p:, :p] = -c_z @ loop_inv
-        expected[p:, p:] = eye_m
-        return (scaled_deviation(loop_inv, rhs),
-                scaled_deviation(np.linalg.inv(tri), expected))
-
-    gaps, _ = circle_samples((plant, controller), num_points, deviations)
-    worst = {
-        "inverse-complement": max(g[0] for g in gaps),
-        "triangular-inverse": max(g[1] for g in gaps),
-    }
+    gaps, _ = circle_samples(
+        (plant, controller), num_points,
+        lambda z: _identity_deviations(eval_transfer(plant, z), eval_transfer(controller, z)))
+    worst = dict(zip(_IDENTITIES, map(max, zip(*gaps))))
     passed = all(v <= rel_tol for v in worst.values())
     return IdentityReport(passed, worst, num_points, rel_tol)

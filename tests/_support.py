@@ -166,6 +166,46 @@ def oracle_transfer(real, z):
     return real.C @ states + d
 
 
+def oracle_identities(plant, controller, num_points):
+    """Worst deviation of each closed-loop identity, written out with dense numpy.
+
+    With ``L = I + P(z) C(z)``, the deviations of ``L^{-1} = I - P C L^{-1}``
+    and of the block-triangular inverse ``[[L, 0], [C, I]]^{-1}``, at the
+    points :func:`netreal.circle_samples` picks on a circle of radius
+    ``2 (1 + max spectral radius)``.  The operations are the textbook
+    ones in a fixed order, so the library's values must match them
+    bitwise; a point the library would push outward fails here instead.
+    """
+    p, m = plant.p, plant.m
+    rhos = [np.max(np.abs(np.linalg.eigvals(s.A))) if s.n else 0.0
+            for s in (plant, controller)]
+    radius = 2.0 * (1.0 + max(float(r) for r in rhos))
+    worst = [0.0, 0.0]
+    for k in range(num_points):
+        z = radius * np.exp(2j * np.pi * k / num_points)
+        p_z, c_z = oracle_transfer(plant, z), oracle_transfer(controller, z)
+        loop = np.eye(p) + p_z @ c_z
+        cond = np.linalg.cond(loop) if p else 1.0
+        if not cond < 1e12:
+            raise PoleError(f"cond(I + PC) = {cond:.3e} at z = {z}")
+        loop_inv = np.linalg.solve(loop, np.eye(p, dtype=complex))
+        tri = np.zeros((p + m, p + m), dtype=complex)
+        tri[:p, :p] = loop
+        tri[p:, :p] = c_z
+        tri[p:, p:] = np.eye(m)
+        expected = np.zeros_like(tri)
+        expected[:p, :p] = loop_inv
+        expected[p:, :p] = -c_z @ loop_inv
+        expected[p:, p:] = np.eye(m)
+        pairs = ((loop_inv, np.eye(p) - p_z @ c_z @ loop_inv),
+                 (np.linalg.inv(tri), expected))
+        for i, (left, right) in enumerate(pairs):
+            if left.size:
+                scale = np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
+                worst[i] = max(worst[i], float(np.max(np.abs(left - right) / scale)))
+    return {"inverse-complement": worst[0], "triangular-inverse": worst[1]}
+
+
 def probe_points(rng, real, num_random=3):
     """Frequencies that probe the pole guard of ``real``.
 

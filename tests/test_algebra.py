@@ -249,6 +249,22 @@ def test_invert_full_direct_term_keeps_bits_and_cond_message(rng):
             invert(BlockRealization(dims, D=bad))
 
 
+def test_invert_per_node_direct_term_cond_message(rng):
+    dims = NodeDims((1, 1), (1, 2), (1, 2))
+    good = rng.normal(size=(2, 2))
+    for last in (good[:, 0] * 3.0 + 1e-10, good[:, 0] * 3.0):
+        bad = np.column_stack([good[:, 0], last])
+        d = np.zeros((3, 3))
+        d[0, 0] = 2.0
+        d[1:, 1:] = bad
+        real = BlockRealization(dims, D=d)
+        assert _block_diagonal(real)
+        message = ("direct term of node 1 is singular or ill-conditioned "
+                   f"(cond {np.linalg.cond(bad):.3e})")
+        with pytest.raises(InversionError, match=re.escape(message)):
+            invert(real)
+
+
 def test_compositions_preserve_structural_zeros_bitwise(rng):
     for _ in range(10):
         outer, inner, graph = random_mul_pair(rng, max_nodes=5)

@@ -56,6 +56,18 @@ def test_controller_transfer_is_q_times_inverse_model(river, river_q):
         assert scaled_deviation(eval_transfer(controller, z), want) < 1e-10
 
 
+@pytest.mark.parametrize("gain", [1e3, 1e5])
+def test_high_gain_controller_is_q_times_inverse_model(river_wide, river_q, gain):
+    plant, _ = river_wide
+    q = BlockRealization(river_q.dims, river_q.A, river_q.B, river_q.C, gain * np.eye(3))
+    controller = imc_controller(plant, q)
+    for z in (2.2, -1.7, 1.4 + 1.1j):
+        p_z = eval_transfer(plant, z)
+        q_z = eval_transfer(q, z)
+        want = q_z @ np.linalg.inv(np.eye(3) - p_z @ q_z)
+        assert scaled_deviation(eval_transfer(controller, z), want) < 1e-9
+
+
 def test_roundtrip_recovers_design_parameter(river, river_q):
     plant, _ = river
     controller = imc_controller(plant, river_q)

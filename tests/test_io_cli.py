@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from netreal import (
     StabilityWarning,
     build_graph,
     close_loop,
+    eval_transfer,
     packaged_system,
     read_system,
     read_trajectory,
@@ -580,6 +582,62 @@ def test_cli_closeloop_computes_each_spectrum_once(tmp_path, capsys, monkeypatch
     # One eigenvalue computation per realization: plant, controller, loop.
     assert sorted(calls) == sorted([plant.A.shape, ctrl.A.shape, loop.A.shape])
     assert stages["stability"]["detail"]["spectral_radius"] == expected
+
+
+def test_cli_evaluates_each_system_once_per_point(tmp_path, capsys, monkeypatch):
+    """Sampled stages: one transfer evaluation per system and point, one spectrum each."""
+    paths = _write_river(tmp_path)
+    controller = str(tmp_path / "controller.json")
+    assert main(["imc", paths["wide"], paths["q"], "--save", controller]) == 0
+    capsys.readouterr()
+    plant, q, ctrl = (read_system(path)[0] for path in (paths["wide"], paths["q"], controller))
+    loop = close_loop(plant, ctrl).realization
+
+    def key(real):
+        return real.A.shape, real.A.tobytes()
+
+    calls, spectra = Counter(), []
+    original, eigvals = eval_transfer, np.linalg.eigvals
+
+    def counting(real, z):
+        calls[key(real)] += 1
+        return original(real, z)
+
+    def counting_eigvals(a):
+        spectra.append(a.shape)
+        return eigvals(a)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("netreal") and vars(module).get("eval_transfer") is original:
+            monkeypatch.setattr(module, "eval_transfer", counting)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    points = 5
+    for argv, systems in (
+        (["imc", paths["wide"], paths["q"]], (plant, q, ctrl)),
+        (["closeloop", paths["wide"], controller], (plant, ctrl, loop)),
+    ):
+        calls.clear()
+        spectra.clear()
+        assert main([*argv, "--points", str(points), "--json"]) == 0, argv
+        capsys.readouterr()
+        assert calls == Counter(key(s) for s in systems for _ in range(points)), argv
+        assert sorted(spectra) == sorted(s.A.shape for s in systems), argv
+    # imc evaluates no realization larger than the controller it checks.
+    assert ctrl.n == plant.n + q.n < loop.n
+
+
+@pytest.mark.parametrize("gain", [1e3, 1e5])
+def test_cli_imc_high_gain_roundtrip_passes(tmp_path, capsys, gain):
+    """The controller of a design parameter with direct term ``gain * I`` gives it back."""
+    data = Path(str(resources.files("netreal").joinpath("data")))
+    q, graph, _ = read_system(str(data / "river_q.json"))
+    high = str(tmp_path / "q_high.json")
+    write_system(high, BlockRealization(q.dims, q.A, q.B, q.C, gain * np.eye(q.p)), graph, "q")
+    assert main(["imc", str(data / "river_bar.json"), high, "--json"]) == 0
+    stages = {s["name"]: s for s in json.loads(capsys.readouterr().out)["stages"]}
+    roundtrip = stages["parameter-roundtrip"]
+    assert roundtrip["pass"]
+    assert roundtrip["detail"]["max_deviation"] <= roundtrip["detail"]["rel_tol"] == 1e-8
 
 
 def test_cli_simulate_matches_library(tmp_path, capsys, rng, river_wide):

@@ -13,7 +13,7 @@ from netreal import (
     scaled_deviation,
     verify_identities,
 )
-from _support import random_loop_pair
+from _support import oracle_identities, oracle_node_major, random_loop_pair
 
 SAMPLE_Z = (2.1, -2.6, 1.3 + 1.8j)
 
@@ -134,3 +134,21 @@ def test_verify_identities_validates_points(river_wide, river_q):
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(InputError, match="rel_tol must be finite and nonnegative"):
             verify_identities(plant, controller, rel_tol=bad)
+
+
+def test_verify_identities_and_q_param_keep_their_bits(rng):
+    for _ in range(12):
+        plant, controller, _ = random_loop_pair(rng)
+        report = verify_identities(plant, controller, num_points=6)
+        assert report.deviations == oracle_identities(plant, controller, 6)
+
+        # q_param is the negated (2,1) channel block of the closed loop.
+        q = q_param(plant, controller)
+        loop = close_loop(plant, controller).realization
+        order = oracle_node_major(plant.dims.outputs, plant.dims.inputs)
+        rows = [k for k, i in enumerate(order) if i >= plant.p]
+        cols = [k for k, i in enumerate(order) if i < plant.p]
+        assert q.dims == NodeDims(loop.dims.states, plant.dims.outputs, plant.dims.inputs)
+        for got, want in ((q.A, loop.A), (q.B, loop.B[:, cols]), (q.C, -loop.C[rows]),
+                          (q.D, -loop.D[np.ix_(rows, cols)])):
+            assert np.array_equal(got, want)
