@@ -9,11 +9,14 @@ stages pass, 1 when a mathematical check fails, 2 on unusable input.
 ``--save`` and then ``-o`` are written before the report is printed,
 also when a stage fails, so a write that fails leaves stdout empty.
 
-The sampled stages evaluate each system once per sample point and build
-no realization only to evaluate it: ``compose`` compares the result
-with its factors combined pointwise (:func:`_pointwise`), ``closeloop``
-samples the loop, plant and controller in one pass for both its
-``pointwise-inverse`` and ``identities`` stages, and ``imc``'s
+The sampled stages evaluate each system once per evaluated sample point
+and build no realization only to evaluate it.  The ``--points`` points
+come in exact conjugate pairs, at which every stage's deviation is the
+same, so :func:`~netreal.realization.circle_samples` evaluates only the
+``points // 2 + 1`` of the closed upper half.  ``compose`` compares the
+result with its factors combined pointwise (:func:`_pointwise`),
+``closeloop`` samples the loop, plant and controller in one pass for
+both its ``pointwise-inverse`` and ``identities`` stages, and ``imc``'s
 ``parameter-roundtrip`` compares ``q`` with ``C (I + P C)^-1`` formed
 from the plant's and the controller's values.
 """
@@ -33,6 +36,7 @@ from .imc import imc_controller
 from .loops import _IDENTITIES, _identity_deviations, _loop_inverse, close_loop
 from .realization import (
     DMode,
+    _require_count,
     _require_tolerance,
     check_compatibility,
     circle_samples,
@@ -96,8 +100,9 @@ def _fmt(value) -> str:
 def _pointwise(result, factors, combine, num_points):
     """Worst scaled gap between the result's transfer and a pointwise oracle.
 
-    Each system is evaluated once per sample point; ``combine`` forms the
-    oracle from the factors' values.
+    Each system is evaluated once per evaluated sample point; ``combine``
+    forms the oracle from the factors' values, and must commute with
+    conjugation, as sums, products and inverses do.
     """
     gaps, _ = circle_samples(
         [result, *factors], num_points,
@@ -262,17 +267,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the machine-readable report")
         p.add_argument("-o", "--out", help="also write the JSON report to this path")
 
-    def tolerance(text: str) -> float:
-        """A tolerance option as a float; NaN, negative and infinite ones are refused."""
-        value = float(text)
-        try:
-            _require_tolerance(value, "tolerance")
-        except InputError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
+    def refusing(name, convert, require):
+        """An option type: ``convert`` the text, then refuse what ``require`` refuses."""
+        def parse(text: str):
+            value = convert(text)
+            try:
+                require(value)
+            except InputError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+            return value
+        parse.__name__ = name  # argparse's "invalid <name> value" message
+        return parse
+
+    # NaN, negative and infinite tolerances are refused, as are sample counts below one.
+    tolerance = refusing("tolerance", float, lambda v: _require_tolerance(v, "tolerance"))
+    count = refusing("count", int, _require_count)
 
     def tolerances(p):
-        p.add_argument("--points", type=int, default=16,
+        p.add_argument("--points", type=count, default=16,
                        help="sample frequencies per pointwise check")
         p.add_argument("--rtol", type=tolerance, default=1e-8,
                        help="scaled-deviation tolerance for pointwise checks")

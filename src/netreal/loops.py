@@ -199,11 +199,13 @@ def verify_identities(
 ) -> IdentityReport:
     """Check the two closed-loop matrix identities pointwise.
 
-    At sample frequencies z on a circle enclosing all poles, evaluates
-    :func:`_identity_deviations`; points where ``I + P(z) C(z)`` is
-    ill-conditioned are pushed outward and retried.  Returns the worst
-    deviation per identity; passes when every deviation is at most
-    ``rel_tol``.
+    At ``num_points`` sample frequencies z on a circle enclosing all
+    poles, evaluates :func:`_identity_deviations`; points where
+    ``I + P(z) C(z)`` is ill-conditioned are pushed outward and retried.
+    The points come in conjugate pairs, where the deviations are equal,
+    so :func:`circle_samples` evaluates only the ``num_points // 2 + 1``
+    of the upper half.  Returns the worst deviation per identity; passes
+    when every deviation is at most ``rel_tol``.
     """
     _check_pair(plant, controller, "controller")
     _require_tolerance(rel_tol, "rel_tol")

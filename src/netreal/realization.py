@@ -51,6 +51,12 @@ def _require_tolerance(value: float, name: str) -> None:
         raise InputError(f"{name} must be finite and nonnegative, got {value}")
 
 
+def _require_count(num_points: int) -> None:
+    """Refuse a sample count below one, which samples nothing."""
+    if num_points < 1:
+        raise InputError(f"num_points must be positive, got {num_points}")
+
+
 def _as_matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
     if value is None:
         arr = np.zeros(shape)
@@ -468,21 +474,28 @@ _MAX_RESAMPLES = 8
 def circle_samples(
     systems: Sequence[BlockRealization], num_points: int, evaluate: Callable[[complex], object]
 ) -> tuple[list, float]:
-    """Apply ``evaluate`` at ``num_points`` frequencies around every pole.
+    """Apply ``evaluate`` on the closed upper half of a circle around every pole.
 
-    The points lie evenly on the circle of radius
-    ``2 (1 + max spectral radius)`` over ``systems``, which encloses
-    every pole.  A point where ``evaluate`` raises
-    :class:`~netreal.errors.PoleError` or ``LinAlgError`` is pushed
-    outward by a factor 1.37 and retried a bounded number of times
-    before :class:`~netreal.errors.NumericalError` is raised.  Returns
-    the values in point order and the radius.
+    The circle has radius ``2 (1 + max spectral radius)`` over
+    ``systems``, which encloses every pole, and carries ``num_points``
+    points in exact conjugate pairs: point ``k <= num_points // 2`` is
+    ``radius * exp(2 pi i k / num_points)``, and point ``num_points - k``
+    is defined as its conjugate.  Only the ``num_points // 2 + 1`` points
+    of the closed upper half are evaluated.  So ``evaluate`` must return
+    a value that does not change when ``z`` is conjugated, for real
+    systems; a scaled deviation between real transfers, or a tuple of
+    them, does, since ``G(conj z) = conj G(z)``.
+
+    A point where ``evaluate`` raises :class:`~netreal.errors.PoleError`
+    or ``LinAlgError`` is pushed outward by a factor 1.37, which keeps
+    its pair conjugate, and retried a bounded number of times before
+    :class:`~netreal.errors.NumericalError` is raised.  Returns the
+    ``num_points // 2 + 1`` values in order of ``k`` and the radius.
     """
-    if num_points < 1:
-        raise InputError(f"num_points must be positive, got {num_points}")
+    _require_count(num_points)
     radius = 2.0 * (1.0 + max(spectral_radius(s) for s in systems))
     values = []
-    for k in range(num_points):
+    for k in range(num_points // 2 + 1):
         z = radius * np.exp(2j * np.pi * k / num_points)
         for _ in range(_MAX_RESAMPLES):
             try:
@@ -504,9 +517,11 @@ def transfer_equal(
 ) -> TransferComparison:
     """Compare two transfer matrices on a circle of sample frequencies.
 
-    Samples ``num_points`` points with :func:`circle_samples`.  Equality
-    holds when the worst :func:`scaled_deviation` over all points is at
-    most ``rel_tol``.
+    Samples ``num_points`` points with :func:`circle_samples`, which
+    evaluates both transfers at the ``num_points // 2 + 1`` points of the
+    upper half; the deviation at each conjugate point is the same.
+    Equality holds when the worst :func:`scaled_deviation` over all points
+    is at most ``rel_tol``.
     """
     if (r1.p, r1.m) != (r2.p, r2.m):
         raise InputError(

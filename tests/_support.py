@@ -170,19 +170,24 @@ def oracle_identities(plant, controller, num_points):
     """Worst deviation of each closed-loop identity, written out with dense numpy.
 
     With ``L = I + P(z) C(z)``, the deviations of ``L^{-1} = I - P C L^{-1}``
-    and of the block-triangular inverse ``[[L, 0], [C, I]]^{-1}``, at the
-    points :func:`netreal.circle_samples` picks on a circle of radius
-    ``2 (1 + max spectral radius)``.  The operations are the textbook
-    ones in a fixed order, so the library's values must match them
-    bitwise; a point the library would push outward fails here instead.
+    and of the block-triangular inverse ``[[L, 0], [C, I]]^{-1}``, at all
+    ``num_points`` points of the circle :func:`netreal.circle_samples`
+    defines, of radius ``2 (1 + max spectral radius)``: ``z_k = radius
+    exp(2 pi i k / num_points)`` for ``k <= num_points // 2`` and
+    ``z_k = conj(z_{num_points - k})`` above.  The operations are the
+    textbook ones in a fixed order, so the library's values, taken on the
+    upper half alone, must match them bitwise; a point the library would
+    push outward fails here instead.
     """
     p, m = plant.p, plant.m
     rhos = [np.max(np.abs(np.linalg.eigvals(s.A))) if s.n else 0.0
             for s in (plant, controller)]
     radius = 2.0 * (1.0 + max(float(r) for r in rhos))
+    upper = [radius * np.exp(2j * np.pi * k / num_points) for k in range(num_points // 2 + 1)]
+    points = upper + [np.conj(upper[num_points - k])
+                      for k in range(num_points // 2 + 1, num_points)]
     worst = [0.0, 0.0]
-    for k in range(num_points):
-        z = radius * np.exp(2j * np.pi * k / num_points)
+    for z in points:
         p_z, c_z = oracle_transfer(plant, z), oracle_transfer(controller, z)
         loop = np.eye(p) + p_z @ c_z
         cond = np.linalg.cond(loop) if p else 1.0

@@ -18,9 +18,12 @@ from netreal import (
     NodeDims,
     SignalTrajectory,
     StabilityWarning,
+    add,
     build_graph,
     close_loop,
     eval_transfer,
+    invert,
+    multiply,
     packaged_system,
     read_system,
     read_trajectory,
@@ -368,6 +371,34 @@ def test_cli_refuses_unusable_tolerances(tmp_path, capsys):
             assert "tolerance must be finite and nonnegative" in captured.err, argv
 
 
+def test_cli_refuses_nonpositive_points_before_reading(monkeypatch, capsys):
+    """A sample count below one exits 2 at parse time: no file is read, nothing is built."""
+    import netreal.cli as cli
+
+    data = Path(str(resources.files("netreal").joinpath("data")))
+    river, river_bar, river_q = (str(data / f"{n}.json") for n in ("river", "river_bar", "river_q"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input was read or a composite built")
+
+    for name in ("read_system", "run_demo_river", "add", "multiply", "invert", "close_loop",
+                 "imc_controller"):
+        monkeypatch.setattr(cli, name, refuse)
+    for bad in ("0", "-3"):
+        for argv in (
+            ["compose", "--op", "add", river_bar, river_bar, "--points", bad],
+            ["compose", "--op", "mul", river, river_q, "--points", bad],
+            ["compose", "--op", "inv", river_q, "--points", bad],
+            ["closeloop", river_bar, river_q, "--points", bad],
+            ["imc", river, river_q, "--points", bad],
+            ["demo", "river", "--points", bad],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert "argument --points: num_points must be positive" in captured.err, argv
+
+
 _UNDER_2_GIB = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -585,13 +616,17 @@ def test_cli_closeloop_computes_each_spectrum_once(tmp_path, capsys, monkeypatch
 
 
 def test_cli_evaluates_each_system_once_per_point(tmp_path, capsys, monkeypatch):
-    """Sampled stages: one transfer evaluation per system and point, one spectrum each."""
+    """Sampled stages: one evaluation per system and upper-half point, one spectrum each."""
     paths = _write_river(tmp_path)
     controller = str(tmp_path / "controller.json")
     assert main(["imc", paths["wide"], paths["q"], "--save", controller]) == 0
     capsys.readouterr()
     plant, q, ctrl = (read_system(path)[0] for path in (paths["wide"], paths["q"], controller))
     loop = close_loop(plant, ctrl).realization
+    q_inv = str(tmp_path / "q_inv.json")
+    write_system(q_inv, BlockRealization(q.dims, q.A, q.B, q.C, np.eye(q.p)),
+                 read_system(paths["q"])[1], "q-inv")
+    unit_q = read_system(q_inv)[0]
 
     def key(real):
         return real.A.shape, real.A.tobytes()
@@ -611,17 +646,25 @@ def test_cli_evaluates_each_system_once_per_point(tmp_path, capsys, monkeypatch)
         if module.__name__.startswith("netreal") and vars(module).get("eval_transfer") is original:
             monkeypatch.setattr(module, "eval_transfer", counting)
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-    points = 5
-    for argv, systems in (
+    cases = (
         (["imc", paths["wide"], paths["q"]], (plant, q, ctrl)),
         (["closeloop", paths["wide"], controller], (plant, ctrl, loop)),
-    ):
-        calls.clear()
-        spectra.clear()
-        assert main([*argv, "--points", str(points), "--json"]) == 0, argv
-        capsys.readouterr()
-        assert calls == Counter(key(s) for s in systems for _ in range(points)), argv
-        assert sorted(spectra) == sorted(s.A.shape for s in systems), argv
+        (["compose", "--op", "add", paths["wide"], paths["wide"]],
+         (add(plant, plant), plant, plant)),
+        (["compose", "--op", "mul", paths["q"], paths["wide"]],
+         (multiply(q, plant), q, plant)),
+        (["compose", "--op", "inv", q_inv], (invert(unit_q), unit_q)),
+    )
+    # Points k and N - k are conjugate, so k = 0 .. N // 2 are evaluated.
+    for points, evaluated in ((5, 3), (4, 3)):
+        for argv, systems in cases:
+            calls.clear()
+            spectra.clear()
+            assert main([*argv, "--points", str(points), "--json"]) == 0, argv
+            assert json.loads(capsys.readouterr().out)["stages"][1]["detail"]["num_points"] \
+                == points, argv
+            assert calls == Counter(key(s) for s in systems for _ in range(evaluated)), argv
+            assert sorted(spectra) == sorted(s.A.shape for s in systems), argv
     # imc evaluates no realization larger than the controller it checks.
     assert ctrl.n == plant.n + q.n < loop.n
 

@@ -10,21 +10,26 @@ from netreal import (
     NodeDims,
     NumericalError,
     PoleError,
+    add,
     build_graph,
     certify_witness,
     check_compatibility,
     eval_transfer,
+    invert,
+    multiply,
     pbh_detectable,
     pbh_stabilizable,
     scaled_deviation,
     spectral_radius,
     transfer_equal,
 )
+from netreal.loops import _identity_deviations, _loop_inverse
 from netreal.realization import (
     POLE_COND_LIMIT,
     _certified_solve,
     _frobenius_cond_bound,
     _shifted,
+    circle_samples,
 )
 from _support import (
     oracle_detectable,
@@ -32,8 +37,11 @@ from _support import (
     oracle_transfer,
     oracle_violations,
     probe_points,
+    random_add_pair,
     random_dims,
     random_graph,
+    random_loop_pair,
+    random_mul_pair,
     random_system,
     with_forbidden_entries,
 )
@@ -341,6 +349,128 @@ def test_eval_transfer_single_input_above_100_states_agrees_to_rounding(rng):
         NodeDims((120,), (1,), (2,)), a, rng.normal(size=(120, 1)), rng.normal(size=(2, 120)))
     for z in (1.5, 0.3 + 2.0j, -2.5 - 0.1j):
         assert scaled_deviation(eval_transfer(real, z), oracle_transfer(real, z)) <= 1e-13
+
+
+def _mirror_probes(rng, systems):
+    """Upper-half circle points of 16 around the systems' poles, then :func:`probe_points`."""
+    radius = 2.0 * (1.0 + max(spectral_radius(s) for s in systems))
+    points = [radius * np.exp(2j * np.pi * k / 16) for k in range(9)]
+    for real in systems:
+        points.extend(probe_points(rng, real))
+    return points
+
+
+def _mirrored(evaluate, *args, z):
+    """``evaluate(*args, z)`` and ``evaluate(*args, conj z)``, an error as its type."""
+    def outcome(point):
+        try:
+            return evaluate(*args, point)
+        except (PoleError, NumericalError) as exc:
+            return type(exc)
+    return outcome(z), outcome(np.conj(z))
+
+
+def test_eval_transfer_is_conjugate_symmetric_bitwise(rng):
+    """Real systems: ``G(conj z)`` is ``conj G(z)`` bit for bit, and a refusal is mirrored too."""
+    # One input and more than 100 states, as in the rounding-only oracle test above.
+    a = rng.normal(size=(120, 120)) * 0.05
+    level2 = BlockRealization(
+        NodeDims((120,), (1,), (2,)), a, rng.normal(size=(120, 1)), rng.normal(size=(2, 120)))
+    seen = Counter()
+    for real in [*_guard_probe_systems(rng), level2]:
+        for z in _mirror_probes(rng, [real]):
+            got, mirrored = _mirrored(eval_transfer, real, z=z)
+            if isinstance(got, type):
+                assert mirrored is got, (z, got, mirrored)
+                seen[got] += 1
+            else:
+                assert isinstance(mirrored, np.ndarray), z
+                assert np.array_equal(mirrored, np.conj(got)), z
+                seen["value"] += 1
+    assert seen["value"] > 1200 and seen[PoleError] > 200
+
+
+def test_pointwise_checks_are_conjugate_symmetric_bitwise(rng):
+    """The loop identities, the guarded loop inverse and the compose oracles mirror exactly."""
+    seen = Counter()
+    for _ in range(12):
+        plant, controller, _ = random_loop_pair(rng)
+        for z in _mirror_probes(rng, [plant, controller]):
+            values = [_mirrored(eval_transfer, s, z=z) for s in (plant, controller)]
+            if any(isinstance(v, type) for pair in values for v in pair):
+                continue
+            (p_z, p_bar), (c_z, c_bar) = values
+            try:
+                loop, loop_inv = _loop_inverse(p_z, c_z)
+            except PoleError:
+                for refused in (_loop_inverse, _identity_deviations):
+                    with pytest.raises(PoleError):
+                        refused(p_bar, c_bar)
+                seen[PoleError] += 1
+                continue
+            loop_bar, inv_bar = _loop_inverse(p_bar, c_bar)
+            assert np.array_equal(loop_bar, np.conj(loop))
+            assert np.array_equal(inv_bar, np.conj(loop_inv))
+            assert _identity_deviations(p_z, c_z) == _identity_deviations(p_bar, c_bar)
+            seen["loop"] += 1
+
+    def square(rng):
+        graph = random_graph(rng, int(rng.integers(2, 5)))
+        chan = tuple(int(v) for v in rng.integers(0, 3, graph.num_nodes))
+        real = random_system(rng, graph, NodeDims(
+            tuple(int(v) for v in rng.integers(0, 4, graph.num_nodes)), chan, chan), rho=0.8)
+        return BlockRealization(real.dims, real.A, real.B, real.C, real.D + 2.0 * np.eye(real.p))
+
+    for _ in range(8):
+        left, right, _ = random_add_pair(rng)
+        outer, inner, _ = random_mul_pair(rng)
+        unit = square(rng)
+        for op, result, factors, combine in (
+            ("add", add(left, right), (left, right), lambda vals: vals[0] + vals[1]),
+            ("mul", multiply(outer, inner), (outer, inner), lambda vals: vals[0] @ vals[1]),
+            ("inv", invert(unit), (unit,), lambda vals: np.linalg.inv(vals[0])),
+        ):
+            def gap(z):
+                return scaled_deviation(
+                    eval_transfer(result, z), combine([eval_transfer(f, z) for f in factors]))
+
+            for z in _mirror_probes(rng, [result, *factors]):
+                got, mirrored = _mirrored(gap, z=z)
+                assert got == mirrored, (op, z, got, mirrored)
+                seen[op] += not isinstance(got, type)
+    assert seen["loop"] > 150 and min(seen["add"], seen["mul"], seen["inv"]) > 100
+
+
+def test_circle_samples_evaluates_the_closed_upper_half(river):
+    """Points 0 .. N // 2 are evaluated once each, in order; a pushed point is reported once."""
+    real, _ = river
+    radius = 2.0 * (1.0 + spectral_radius(real))
+    for num_points in (1, 2, 3, 16):
+        upper = [radius * np.exp(2j * np.pi * k / num_points)
+                 for k in range(num_points // 2 + 1)]
+        seen = []
+        values, got_radius = circle_samples(
+            [real], num_points, lambda z: seen.append(z) or len(seen))
+        assert got_radius == radius
+        assert seen == upper, num_points
+        assert values == list(range(1, num_points // 2 + 2))
+        # The evaluated points lie on the closed upper half; the rest are their conjugates.
+        assert all(z.imag >= 0.0 for z in seen)
+
+    upper = [radius * np.exp(2j * np.pi * k / 16) for k in range(9)]
+    seen = []
+
+    def refuse_once(z):
+        seen.append(z)
+        if z == upper[3]:
+            raise PoleError("pushed")
+        return z
+
+    values, _ = circle_samples([real], 16, refuse_once)
+    pushed = upper[3] * 1.37
+    assert seen == [*upper[:4], pushed, *upper[4:]]
+    assert values == [*upper[:3], pushed, *upper[4:]]
+    assert values.count(pushed) == 1 and np.conj(pushed) not in values
 
 
 def test_shift_matches_the_textbook_shift_and_keeps_a_real_pencil_real(rng):
