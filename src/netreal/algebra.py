@@ -10,6 +10,9 @@ it too.  A zero block is written ``None``, so it comes out exactly zero,
 and the reorder is pure indexing, so structural zeros of the inputs
 survive as exact zeros in the output: when both operands are compatible
 with a graph (strict direct terms where required), so is the result.
+The builders form their products with overflow warnings silenced and
+raise :class:`~netreal.errors.NumericalError` when a matrix of the
+result is not finite.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .errors import InputError, InversionError, StabilityWarning
+from .errors import InputError, InversionError, NumericalError, StabilityWarning
 from .graphs import NodeDims
 from .realization import BlockRealization, _certified_solve, spectral_radius
 
@@ -44,6 +47,14 @@ def _assemble(grid, rows, cols) -> np.ndarray:
         for row, h in zip(grid, heights)])
 
 
+def _finite(*matrices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``matrices`` (A, B, C, D of a result), or :class:`NumericalError` if one overflowed."""
+    for name, matrix in zip("ABCD", matrices):
+        if not np.isfinite(matrix).all():
+            raise NumericalError(f"{name} of the result is not finite: a product overflowed")
+    return matrices
+
+
 def _node_major(a, b, c, d, states, inputs, outputs) -> BlockRealization:
     """The realization of four block grids, reordered node-major.
 
@@ -56,12 +67,14 @@ def _node_major(a, b, c, d, states, inputs, outputs) -> BlockRealization:
     part counts give.  Each grid is assembled into its stacked matrix,
     then reordered: one part keeps an axis in order; several are
     interleaved by :func:`node_major_indices`, and node ``k`` of the
-    result counts the sum of its parts' entries.
+    result counts the sum of its parts' entries.  Raises
+    :class:`~netreal.errors.NumericalError` when an assembled matrix is
+    not finite.
     """
     s, i, o = (node_major_indices(*parts) for parts in (states, inputs, outputs))
     dims = NodeDims(*(tuple(map(sum, zip(*parts))) for parts in (states, inputs, outputs)))
-    a, b, c, d = (_assemble(grid, rows, cols) for grid, rows, cols in (
-        (a, states, states), (b, states, inputs), (c, outputs, states), (d, outputs, inputs)))
+    a, b, c, d = _finite(*(_assemble(grid, rows, cols) for grid, rows, cols in (
+        (a, states, states), (b, states, inputs), (c, outputs, states), (d, outputs, inputs))))
     return BlockRealization(
         dims, a[np.ix_(s, s)], b[np.ix_(s, i)], c[np.ix_(o, s)], d[np.ix_(o, i)])
 
@@ -78,9 +91,10 @@ def add(r1: BlockRealization, r2: BlockRealization) -> BlockRealization:
             f"cannot add systems on {r1.num_nodes} and {r2.num_nodes} nodes")
     if r1.dims.inputs != r2.dims.inputs or r1.dims.outputs != r2.dims.outputs:
         raise InputError("summands need identical per-node input and output counts")
-    return _node_major(
-        [[r1.A, None], [None, r2.A]], [[r1.B], [r2.B]], [[r1.C, r2.C]], [[r1.D + r2.D]],
-        (r1.dims.states, r2.dims.states), (r1.dims.inputs,), (r1.dims.outputs,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _node_major(
+            [[r1.A, None], [None, r2.A]], [[r1.B], [r2.B]], [[r1.C, r2.C]], [[r1.D + r2.D]],
+            (r1.dims.states, r2.dims.states), (r1.dims.inputs,), (r1.dims.outputs,))
 
 
 def multiply(outer: BlockRealization, inner: BlockRealization) -> BlockRealization:
@@ -113,12 +127,13 @@ def multiply(outer: BlockRealization, inner: BlockRealization) -> BlockRealizati
             StabilityWarning,
             stacklevel=2,
         )
-    return _node_major(
-        [[inner.A, None], [outer.B @ inner.C, outer.A]],
-        [[inner.B], [outer.B @ inner.D]],
-        [[outer.D @ inner.C, outer.C]],
-        [[outer.D @ inner.D]],
-        (inner.dims.states, outer.dims.states), (inner.dims.inputs,), (outer.dims.outputs,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _node_major(
+            [[inner.A, None], [outer.B @ inner.C, outer.A]],
+            [[inner.B], [outer.B @ inner.D]],
+            [[outer.D @ inner.C, outer.C]],
+            [[outer.D @ inner.D]],
+            (inner.dims.states, outer.dims.states), (inner.dims.inputs,), (outer.dims.outputs,))
 
 
 def _block_diagonal(real: BlockRealization) -> bool:
@@ -162,8 +177,9 @@ def invert(real: BlockRealization, cond_limit: float = _DEFAULT_COND_LIMIT) -> B
             "inversion needs per-node square channel counts, got inputs "
             f"{real.dims.inputs} vs outputs {real.dims.outputs}")
     d_inv = _invert_direct(real, cond_limit)
-    b_new = real.B @ d_inv
-    a_new = real.A - b_new @ real.C
-    c_new = -(d_inv @ real.C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_new = real.B @ d_inv
+        a_new = real.A - b_new @ real.C
+        c_new = -(d_inv @ real.C)
     dims = NodeDims(real.dims.states, real.dims.outputs, real.dims.inputs)
-    return BlockRealization(dims, a_new, b_new, c_new, d_inv)
+    return BlockRealization(dims, *_finite(a_new, b_new, c_new, d_inv))

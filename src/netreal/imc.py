@@ -21,6 +21,8 @@ them and reorders the result node-major, the one home of that layout.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .algebra import _node_major, multiply
 from .loops import _check_pair
 from .realization import BlockRealization
@@ -37,10 +39,11 @@ def imc_controller(plant: BlockRealization, q: BlockRealization) -> BlockRealiza
     _check_pair(plant, q, "design parameter")
     a, b, c = plant.A, plant.B, plant.C
     e, f, g, h = q.A, q.B, q.C, q.D
-    bh = b @ h
-    return _node_major(
-        [[a + bh @ c, b @ g], [f @ c, e]], [[bh], [f]], [[h @ c, g]], [[h]],
-        (plant.dims.states, q.dims.states), (plant.dims.outputs,), (plant.dims.inputs,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bh = b @ h
+        return _node_major(
+            [[a + bh @ c, b @ g], [f @ c, e]], [[bh], [f]], [[h @ c, g]], [[h]],
+            (plant.dims.states, q.dims.states), (plant.dims.outputs,), (plant.dims.inputs,))
 
 
 def ideal_maps(

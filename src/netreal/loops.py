@@ -1,18 +1,18 @@
 """Closed-loop assembly for a plant/controller feedback pair.
 
 For a strictly proper plant P (m inputs, p outputs per the node
-partition) and a controller C mapping p-channels to m-channels, the loop
-equations are packed into the block system ``[[I, -P], [C, I]]`` as one
-realization with per-node stacked channels and inverted in realization
-form.  The four blocks of the inverse are the classical closed-loop maps
+partition) and a controller C mapping p-channels to m-channels, the
+closed loop is the inverse of the loop system ``[[I, -P], [C, I]]``.
+Its four channel blocks are the classical closed-loop maps
 
     (1,1)  (I + PC)^{-1}          (1,2)  P (I + CP)^{-1}
     (2,1)  -C (I + PC)^{-1}       (2,2)  (I + CP)^{-1}
 
 and the negated (2,1) block is the controller's feedback parameter.
-:func:`close_loop` passes the packed system to
-:func:`netreal.algebra._node_major` as block grids, which assembles them
-and interleaves states and channels node-major, the one home of that
+The loop system's direct term ``[[I, 0], [D_C, I]]`` has the exact
+inverse ``[[I, 0], [-D_C, I]]``, so :func:`close_loop` writes the
+inverse as its block formula, solving nothing, and passes it to
+:func:`netreal.algebra._node_major`, the one home of the node-major
 layout; :class:`ClosedLoop` reads its channel groups back through
 :func:`netreal.algebra.node_major_indices`.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _node_major, invert, node_major_indices
+from .algebra import _node_major, node_major_indices
 from .errors import InputError, PoleError
 from .graphs import NodeDims
 from .realization import (
@@ -98,43 +98,40 @@ class ClosedLoop:
         return self.spectral_radius < 1.0
 
 
-def close_loop(
-    plant: BlockRealization,
-    controller: BlockRealization,
-    cond_limit: float = 1e8,
-) -> ClosedLoop:
+def close_loop(plant: BlockRealization, controller: BlockRealization) -> ClosedLoop:
     """Solve the feedback loop of a strictly proper plant and a controller.
 
-    Assembles ``[[I, -P], [C, I]]`` as a single realization (states and
-    channels interleaved node-major) and inverts it.  Because the plant
-    is strictly proper the pre-inversion direct term is unit
-    block-triangular per node, hence always invertible; ``cond_limit``
-    still guards against a pathological controller direct term.
+    Per node the states are (plant, controller) and the channels
+    (p-group, m-group); the inverse of ``[[I, -P], [C, I]]`` is
+
+        A = [[A_P - B_P D_C C_P, -B_P C_C], [B_C C_P, A_C]]
+        B = [[-B_P D_C, B_P], [B_C, 0]]
+        C = [[C_P, 0], [-D_C C_P, -C_C]]
+        D = [[I, 0], [-D_C, I]]
     """
     _check_pair(plant, controller, "controller")
     chan = (plant.dims.outputs, plant.dims.inputs)
-    stacked = _node_major(
-        [[plant.A, None], [None, controller.A]],
-        [[None, plant.B], [controller.B, None]],
-        [[-plant.C, None], [None, controller.C]],
-        [[np.eye(plant.p), None], [controller.D, np.eye(plant.m)]],
-        (plant.dims.states, controller.dims.states), chan, chan)
-    closed = invert(stacked, cond_limit)
+    a_p, b_p, c_p = plant.A, plant.B, plant.C
+    a_c, b_c, c_c, d_c = controller.A, controller.B, controller.C, controller.D
+    with np.errstate(over="ignore", invalid="ignore"):
+        bd = b_p @ d_c
+        closed = _node_major(
+            [[a_p - bd @ c_p, -(b_p @ c_c)], [b_c @ c_p, a_c]],
+            [[-bd, b_p], [b_c, None]],
+            [[c_p, None], [-(d_c @ c_p), -c_c]],
+            [[np.eye(plant.p), None], [-d_c, np.eye(plant.m)]],
+            (plant.dims.states, controller.dims.states), chan, chan)
     return ClosedLoop(closed, plant.dims.outputs, plant.dims.inputs)
 
 
-def q_param(
-    plant: BlockRealization,
-    controller: BlockRealization,
-    cond_limit: float = 1e8,
-) -> BlockRealization:
+def q_param(plant: BlockRealization, controller: BlockRealization) -> BlockRealization:
     """Feedback parameter ``C (I + PC)^{-1}`` of the closed loop.
 
     Extracted as the negated (2,1) channel block; channel selection
     restricts B/D columns and C/D rows per node, so block-diagonal
     input structure is preserved.
     """
-    loop = close_loop(plant, controller, cond_limit)
+    loop = close_loop(plant, controller)
     sub = loop.block(2, 1)
     return BlockRealization(sub.dims, sub.A, sub.B, -sub.C, -sub.D)
 

@@ -489,8 +489,11 @@ def circle_samples(
     A point where ``evaluate`` raises :class:`~netreal.errors.PoleError`
     or ``LinAlgError`` is pushed outward by a factor 1.37, which keeps
     its pair conjugate, and retried a bounded number of times before
-    :class:`~netreal.errors.NumericalError` is raised.  Returns the
-    ``num_points // 2 + 1`` values in order of ``k`` and the radius.
+    :class:`~netreal.errors.NumericalError` is raised.  ``evaluate``
+    runs with overflow warnings silenced; a value that is not finite
+    raises :class:`~netreal.errors.NumericalError`, so no verdict rests
+    on an overflow.  Returns the ``num_points // 2 + 1`` values in order
+    of ``k`` and the radius.
     """
     _require_count(num_points)
     radius = 2.0 * (1.0 + max(spectral_radius(s) for s in systems))
@@ -499,13 +502,17 @@ def circle_samples(
         z = radius * np.exp(2j * np.pi * k / num_points)
         for _ in range(_MAX_RESAMPLES):
             try:
-                values.append(evaluate(z))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    value = evaluate(z)
                 break
             except (PoleError, np.linalg.LinAlgError):
                 z *= 1.37
         else:
             raise NumericalError(
                 f"no usable sample point found near radius {radius:.3e}")
+        if not np.isfinite(value).all():
+            raise NumericalError(f"sampled value at z = {z:.3e} is not finite: it overflowed")
+        values.append(value)
     return values, radius
 
 

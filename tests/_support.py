@@ -111,10 +111,14 @@ def random_mul_pair(rng, max_nodes=6, max_states=3, stable=True):
     return outer, inner, graph
 
 
-def random_loop_pair(rng, max_nodes=4, max_states=3):
-    """(plant, controller, graph): strictly proper plant, matching controller."""
+def random_loop_pair(rng, max_nodes=4, max_states=3, self_loops=True):
+    """(plant, controller, graph): strictly proper plant, matching controller.
+
+    Without ``self_loops`` the graph has no edge ``(i, i)``, so the
+    diagonal blocks of A and C must stay zero through every composite.
+    """
     count = int(rng.integers(2, max_nodes + 1))
-    graph = random_graph(rng, count)
+    graph = random_graph(rng, count, self_loops=self_loops)
     p_chan = tuple(int(v) for v in rng.integers(0, 3, count))
     m_chan = tuple(int(v) for v in rng.integers(0, 3, count))
     plant_dims = NodeDims(

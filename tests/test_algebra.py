@@ -182,6 +182,20 @@ def test_invert_roundtrip(rng):
     for z in SAMPLE_Z:
         assert scaled_deviation(eval_transfer(back, z), eval_transfer(real, z)) < 1e-10
 
+    # Multi-node systems with per-node square channels, zero-width nodes included.
+    zero_width = 0
+    for _ in range(30):
+        count = int(rng.integers(2, 6))
+        shape = random_dims(rng, count)
+        dims = NodeDims(shape.states, shape.inputs, shape.inputs)
+        real = random_system(rng, random_graph(rng, count), dims, rho=0.5)
+        real = BlockRealization(dims, real.A, real.B, real.C, real.D + np.eye(real.p) * 2.0)
+        back = invert(invert(real))
+        for z in SAMPLE_Z:
+            assert scaled_deviation(eval_transfer(back, z), eval_transfer(real, z)) < 1e-10
+        zero_width += 0 in (*dims.states, *dims.inputs)
+    assert zero_width > 10
+
 
 def test_invert_block_diagonal_d_keeps_exact_zeros():
     dims = NodeDims((1, 1), (1, 1), (1, 1))

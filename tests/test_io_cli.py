@@ -22,9 +22,11 @@ from netreal import (
     build_graph,
     close_loop,
     eval_transfer,
+    imc_controller,
     invert,
     multiply,
     packaged_system,
+    q_param,
     read_system,
     read_trajectory,
     run_demo_remark1,
@@ -577,6 +579,20 @@ def test_cli_numerical_failures_exit_1(tmp_path, capsys):
             assert main(["simulate", scalar, "--input", u_path, *extra]) == 1
             assert "error: simulation diverged" in capsys.readouterr().err
 
+    # Every number is finite, so the file parses; the products overflow.
+    wide, wide_graph, _ = packaged_system("river_bar")
+    big = str(tmp_path / "big.json")
+    write_system(big, BlockRealization(
+        wide.dims, wide.A, wide.B * 1e200, wide.C * 1e200, wide.D), wide_graph, "big")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["compose", "--op", "add", big, big], ["compose", "--op", "mul", big, big],
+                     ["closeloop", big, big]):
+            assert main([*argv, "--json"]) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1, argv
+
 
 def test_cli_closeloop_and_imc(tmp_path, capsys):
     paths = _write_river(tmp_path)
@@ -681,6 +697,24 @@ def test_cli_imc_high_gain_roundtrip_passes(tmp_path, capsys, gain):
     roundtrip = stages["parameter-roundtrip"]
     assert roundtrip["pass"]
     assert roundtrip["detail"]["max_deviation"] <= roundtrip["detail"]["rel_tol"] == 1e-8
+
+
+@pytest.mark.parametrize("gain", [1e4, 1e5])
+def test_cli_closeloop_high_gain_passes(tmp_path, capsys, gain, river_wide, river_q):
+    """The loop of an IMC controller with direct term ``gain * I`` closes exactly."""
+    plant, graph = river_wide
+    q = BlockRealization(river_q.dims, river_q.A, river_q.B, river_q.C, gain * np.eye(river_q.p))
+    controller = imc_controller(plant, q)
+    q_param(plant, controller)  # closes the loop, refusing nothing
+    paths = {}
+    for key, real in (("plant", plant), ("controller", controller)):
+        paths[key] = str(tmp_path / f"{key}.json")
+        write_system(paths[key], real, graph, key)
+    assert main(["closeloop", paths["plant"], paths["controller"], "--json"]) == 0
+    stages = json.loads(capsys.readouterr().out)["stages"]
+    assert [s["name"] for s in stages] == [
+        "compatibility", "pointwise-inverse", "identities", "stability"]
+    assert all(s["pass"] for s in stages)
 
 
 def test_cli_simulate_matches_library(tmp_path, capsys, rng, river_wide):

@@ -3,17 +3,25 @@ import pytest
 
 from netreal import (
     BlockRealization,
+    DMode,
     InputError,
     NodeDims,
+    add,
     check_compatibility,
     close_loop,
     eval_transfer,
     imc_controller,
+    invert,
     q_param,
     scaled_deviation,
     verify_identities,
 )
-from _support import oracle_identities, oracle_node_major, random_loop_pair
+from _support import (
+    oracle_grid_node_major,
+    oracle_identities,
+    oracle_node_major,
+    random_loop_pair,
+)
 
 SAMPLE_Z = (2.1, -2.6, 1.3 + 1.8j)
 
@@ -48,6 +56,33 @@ def test_close_loop_blocks_match_dense_oracle(rng):
                 got = eval_transfer(loop.block(*key), z)
                 assert scaled_deviation(got, want) < 1e-9, key
         checked += 1
+
+
+@pytest.mark.parametrize("self_loops", [True, False])
+def test_close_loop_is_its_block_formula_and_composites_stay_strict(rng, self_loops):
+    """The closed loop is the inverse of ``[[I, -P], [C, I]]`` written out, laid out node-major."""
+    zero_width = 0
+    for _ in range(40):
+        plant, controller, graph = random_loop_pair(rng, self_loops=self_loops)
+        a_p, b_p, c_p = plant.A, plant.B, plant.C
+        a_c, b_c, c_c, d_c = controller.A, controller.B, controller.C, controller.D
+        bd = b_p @ d_c
+        states = (plant.dims.states, controller.dims.states)
+        chan = (plant.dims.outputs, plant.dims.inputs)
+        loop = close_loop(plant, controller).realization
+        for got, grid, rows, cols in (
+            (loop.A, [[a_p - bd @ c_p, -(b_p @ c_c)], [b_c @ c_p, a_c]], states, states),
+            (loop.B, [[-bd, b_p], [b_c, None]], states, chan),
+            (loop.C, [[c_p, None], [-(d_c @ c_p), -c_c]], chan, states),
+            (loop.D, [[np.eye(plant.p), None], [-d_c, np.eye(plant.m)]], chan, chan),
+        ):
+            assert np.array_equal(got, oracle_grid_node_major(grid, rows, cols))
+
+        imc = imc_controller(plant, controller)
+        for real in (loop, imc, add(controller, imc), invert(loop)):
+            assert check_compatibility(real, graph, DMode.STRICT, zero_tol=0.0).ok
+        zero_width += 0 in (*controller.dims.states, *chan[0], *chan[1])
+    assert zero_width > 10
 
 
 def test_close_loop_channel_layout(river_wide, river_q):
