@@ -1,4 +1,4 @@
-"""Internal-model controller construction.
+"""Internal-model control: the controller and the loop it closes.
 
 The controller wraps a copy of the plant model: for a strictly proper
 plant ``(A, B, C)`` and a design parameter ``(E, F, G, H)`` mapping the
@@ -17,6 +17,28 @@ checker decides.  Blocks with no contributing term come out exactly
 zero.  :func:`imc_controller` passes these equations to
 :func:`netreal.algebra._node_major` as block grids, which assembles
 them and reorders the result node-major, the one home of that layout.
+
+The loop that controller closes around the plant, with a model
+``(A_m, B_m, C_m)`` that may differ from it, is one more such
+composite, which :func:`netreal.sim.simulate_imc_loop` runs.  Write
+``dA = A_m - A``, ``dB = B_m - B`` and ``dC = C_m - C``.  Per node its
+states are the plant state ``x``, the model error ``e = x_m - x`` and
+the parameter state ``xi``; its inputs are the reference ``r`` and the
+output disturbance ``d``; its outputs are the actuation ``u``, the
+measured output ``y`` and the prediction error ``eps = C_m x_m - y``:
+
+    u       = H dC x + H C_m e + G xi + H r - H d
+    y       = C x + d
+    eps     = dC x + C_m e - d
+    x[t+1]  = A x + B u
+    e[t+1]  = dA x + A_m e + dB u
+    xi[t+1] = E xi + F (r + eps)
+
+When the model's matrices equal the plant's, every difference is
+exactly zero, so ``e`` stays exactly zero and ``eps`` is exactly
+``-d``, with no rounding.  A model whose per-node state counts differ
+from the plant's is compared after both are padded with zero states to
+the larger count per node.
 """
 
 from __future__ import annotations
@@ -44,6 +66,43 @@ def imc_controller(plant: BlockRealization, q: BlockRealization) -> BlockRealiza
         return _node_major(
             [[a + bh @ c, b @ g], [f @ c, e]], [[bh], [f]], [[h @ c, g]], [[h]],
             (plant.dims.states, q.dims.states), (plant.dims.outputs,), (plant.dims.inputs,))
+
+
+def _imc_loop(
+    plant: BlockRealization, model: BlockRealization, q: BlockRealization
+) -> BlockRealization:
+    """The internal-model loop from ``(r, d)`` to ``(u, y, eps)``, as above.
+
+    Node ``k`` of the result holds ``(x, e, xi)``, its inputs
+    ``(r, d)`` and its outputs ``(u, y, eps)``.  The callers check
+    ``plant`` and ``model`` against ``q`` with ``_check_pair``.
+    """
+    states = tuple(map(max, plant.dims.states, model.dims.states))
+    plant, model = (
+        _node_major(
+            [[real.A, None], [None, None]], [[real.B], [None]], [[real.C, None]], [[real.D]],
+            (real.dims.states, tuple(k - n for k, n in zip(states, real.dims.states))),
+            (real.dims.inputs,), (real.dims.outputs,))
+        for real in (plant, model))
+    a, b, c = plant.A, plant.B, plant.C
+    a_m, c_m = model.A, model.C
+    e, f, g, h = q.A, q.B, q.C, q.D
+    outputs = plant.dims.outputs
+    eye = np.eye(plant.p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        da, db, dc = a_m - a, model.B - b, c_m - c
+        # u = h_x x + h_e e + G xi + H r - H d
+        h_x, h_e = h @ dc, h @ c_m
+        bh, dbh = b @ h, db @ h
+        return _node_major(
+            [[a + b @ h_x, b @ h_e, b @ g],
+             [da + db @ h_x, a_m + db @ h_e, db @ g],
+             [f @ dc, f @ c_m, e]],
+            [[bh, -bh], [dbh, -dbh], [f, -f]],
+            [[h_x, h_e, g], [c, None, None], [dc, c_m, None]],
+            [[h, -h], [None, eye], [None, -eye]],
+            (states, states, q.dims.states), (outputs, outputs),
+            (plant.dims.inputs, outputs, outputs))
 
 
 def ideal_maps(

@@ -489,10 +489,11 @@ def circle_samples(
     A point where ``evaluate`` raises :class:`~netreal.errors.PoleError`
     or ``LinAlgError`` is pushed outward by a factor 1.37, which keeps
     its pair conjugate, and retried a bounded number of times before
-    :class:`~netreal.errors.NumericalError` is raised.  ``evaluate``
-    runs with overflow warnings silenced; a value that is not finite
-    raises :class:`~netreal.errors.NumericalError`, so no verdict rests
-    on an overflow.  Returns the ``num_points // 2 + 1`` values in order
+    :class:`~netreal.errors.NumericalError` is raised with the last
+    refusal's message.  ``evaluate`` runs with overflow warnings
+    silenced; a value that is not finite raises
+    :class:`~netreal.errors.NumericalError`, so no verdict rests on an
+    overflow.  Returns the ``num_points // 2 + 1`` values in order
     of ``k`` and the radius.
     """
     _require_count(num_points)
@@ -505,11 +506,13 @@ def circle_samples(
                 with np.errstate(over="ignore", invalid="ignore"):
                     value = evaluate(z)
                 break
-            except (PoleError, np.linalg.LinAlgError):
+            except (PoleError, np.linalg.LinAlgError) as exc:
+                refusal = exc
                 z *= 1.37
         else:
             raise NumericalError(
-                f"no usable sample point found near radius {radius:.3e}")
+                f"no usable sample point found near radius {radius:.3e}; "
+                f"the last was refused: {refusal}")
         if not np.isfinite(value).all():
             raise NumericalError(f"sampled value at z = {z:.3e} is not finite: it overflowed")
         values.append(value)

@@ -1,11 +1,13 @@
 """Discrete-time simulation with a fixed block evaluation order.
 
-Both simulators run one step loop over a plan that lists, per node,
-the state blocks it reads (A and C) and the input blocks that drive it
-(B and D), each in ascending node order.  :func:`simulate_lti` plans the
-blocks that hold a nonzero entry; :func:`simulate_distributed` plans the
-node's in-neighbors and its own input, so no block off an edge is ever
-read.
+All three simulators run one step loop.  :func:`simulate_imc_loop`
+builds the internal-model loop as one realization and hands it to
+:func:`simulate_lti`; the other two run the loop over a plan that
+lists, per node, the state blocks it reads (A and C) and the input
+blocks that drive it (B and D), each in ascending node order.
+:func:`simulate_lti` plans the blocks that hold a nonzero entry;
+:func:`simulate_distributed` plans the node's in-neighbors and its own
+input, so no block off an edge is ever read.
 
 The step loop stacks the planned blocks once, zero-padded to the
 largest node, so a step costs one gather, two batched products (the
@@ -23,8 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from .algebra import node_major_indices
 from .errors import InputError, NumericalError
 from .graphs import NetworkGraph, _as_counts, _as_floats, partition_slices
+from .imc import _imc_loop
 from .loops import _check_pair
 from .realization import BlockRealization, DMode, check_compatibility
 
@@ -252,9 +256,13 @@ def simulate_imc_loop(
     ``y`` is the (possibly disturbed) plant output.  Both plant and
     model must be strictly proper, which breaks the algebraic loop.
 
+    The loop is built as one realization from ``(reference,
+    disturbance)`` to ``(u, y, prediction_error)``, whose equations the
+    :mod:`netreal.imc` docstring gives, and run by :func:`simulate_lti`.
     Returns ``(u, y, prediction_error)`` where the prediction error is
-    the model output minus the measured output.  With ``model`` equal to
-    ``plant`` and no disturbance it is identically zero.  Raises
+    the model output minus the measured output.  When the model's
+    matrices equal the plant's it is exactly minus the disturbance, so
+    exactly zero without one.  Raises
     :class:`~netreal.errors.NumericalError` if the run diverges.
     """
     _check_pair(plant, q, "design parameter")
@@ -266,26 +274,12 @@ def simulate_imc_loop(
         output_disturbance = SignalTrajectory.zeros(outputs, steps, "disturbance")
     output_disturbance = _coerce_signal(output_disturbance, outputs, "disturbance", steps)
 
-    x = np.zeros(plant.n)
-    x_hat = np.zeros(model.n)
-    xi = np.zeros(q.n)
-    us = np.zeros((steps, plant.m))
-    ys = np.zeros((steps, plant.p))
-    errs = np.zeros((steps, plant.p))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            y = plant.C @ x + output_disturbance.values[t]
-            y_hat = model.C @ x_hat
-            prediction = y_hat - y
-            v = reference.values[t] + prediction
-            u = q.C @ xi + q.D @ v
-            us[t] = u
-            ys[t] = y
-            errs[t] = prediction
-            x = plant.A @ x + plant.B @ u
-            x_hat = model.A @ x_hat + model.B @ u
-            xi = q.A @ xi + q.B @ v
-    _check_finite(us, ys, errs)
+    loop = _imc_loop(plant, model, q)
+    inputs = np.hstack([reference.values, output_disturbance.values])
+    out, _ = simulate_lti(loop, inputs[:, node_major_indices(outputs, outputs)])
+    order = node_major_indices(plant.dims.inputs, outputs, outputs)
+    us, ys, errs = np.split(
+        out.values[:, np.argsort(order)], [plant.m, plant.m + plant.p], axis=1)
     return (
         SignalTrajectory(us, plant.dims.inputs, "u"),
         SignalTrajectory(ys, plant.dims.outputs, "y"),

@@ -133,6 +133,52 @@ def random_loop_pair(rng, max_nodes=4, max_states=3, self_loops=True):
     return plant, controller, graph
 
 
+def random_imc_case(rng, max_nodes=4, max_states=3, self_loops=True, zero_width=False):
+    """(plant, q, graph) for the internal-model loop.
+
+    The plant is strictly proper; ``q`` maps its outputs to its inputs.
+    With ``zero_width`` one node has no states and no channels in both.
+    """
+    count = int(rng.integers(2, max_nodes + 1))
+    graph = random_graph(rng, count, self_loops=self_loops)
+    draw = [[int(v) for v in rng.integers(0, top + 1, count)]
+            for top in (max_states, max_states, 2, 2)]
+    if zero_width:
+        for counts in draw:
+            counts[int(rng.integers(count))] = 0
+    plant_states, q_states, p_chan, m_chan = (tuple(counts) for counts in draw)
+    plant = random_system(
+        rng, graph, NodeDims(plant_states, m_chan, p_chan), rho=float(rng.uniform(0.3, 0.9)),
+        strictly_proper=True, scale=0.4)
+    q = random_system(
+        rng, graph, NodeDims(q_states, p_chan, m_chan), rho=float(rng.uniform(0.3, 0.9)),
+        scale=0.4)
+    return plant, q, graph
+
+
+def oracle_imc_loop(plant, model, q, reference, disturbance):
+    """``(u, y, prediction error)`` of the internal-model loop, by dense recursion.
+
+    Each step measures ``y = C x + d``, takes the model's prediction
+    error ``C_m x_m - y``, drives ``q`` with the reference plus that
+    error, and advances the plant, the model and ``q`` with dense
+    products over whole matrices.
+    """
+    steps = len(reference)
+    x, x_hat, xi = np.zeros(plant.n), np.zeros(model.n), np.zeros(q.n)
+    us, ys, errs = np.zeros((steps, plant.m)), np.zeros((steps, plant.p)), np.zeros((steps, plant.p))
+    for t in range(steps):
+        y = plant.C @ x + disturbance[t]
+        prediction = model.C @ x_hat - y
+        v = reference[t] + prediction
+        u = q.C @ xi + q.D @ v
+        us[t], ys[t], errs[t] = u, y, prediction
+        x = plant.A @ x + plant.B @ u
+        x_hat = model.A @ x_hat + model.B @ u
+        xi = q.A @ xi + q.B @ v
+    return us, ys, errs
+
+
 def with_forbidden_entries(rng, real, count=3):
     """Copy of ``real`` with ``count`` random entries of each matrix overwritten.
 

@@ -15,7 +15,8 @@ from netreal import (
     scaled_deviation,
     transfer_equal,
 )
-from _support import random_loop_pair, random_system
+from netreal.imc import _imc_loop
+from _support import random_imc_case, random_loop_pair, random_system
 
 # hand-assembled controller for the cascade plant with the packaged
 # design parameter: per node the states interleave (plant copy, parameter)
@@ -96,6 +97,18 @@ def test_controller_inherits_strict_compatibility(rng):
         controller = imc_controller(plant, q)
         assert check_compatibility(controller, graph, zero_tol=0.0).ok
         done += 1
+
+
+@pytest.mark.parametrize("self_loops", [True, False])
+def test_imc_loop_inherits_strict_compatibility(rng, self_loops):
+    for k in range(12):
+        plant, q, graph = random_imc_case(rng, self_loops=self_loops, zero_width=k % 2 == 1)
+        states = tuple(int(v) for v in rng.integers(0, 4, plant.num_nodes))
+        model = random_system(
+            rng, graph, NodeDims(states, plant.dims.inputs, plant.dims.outputs),
+            strictly_proper=True)
+        loop = _imc_loop(plant, model, q)
+        assert check_compatibility(loop, graph, DMode.STRICT, zero_tol=0.0).ok
 
 
 def test_ideal_maps_returns_parameter_and_cascade(river, river_q):

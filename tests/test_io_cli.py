@@ -594,6 +594,22 @@ def test_cli_numerical_failures_exit_1(tmp_path, capsys):
             assert captured.err.startswith("error:") and captured.err.count("\n") == 1, argv
 
 
+def test_cli_sampling_failure_names_the_refusal(tmp_path, capsys):
+    # Every point of the circle is refused with cond(zI - A) = inf, not for
+    # nearness to a pole; the error must say which check refused it.
+    wide, wide_graph, _ = packaged_system("river_bar")
+    big = str(tmp_path / "big.json")
+    write_system(big, BlockRealization(
+        wide.dims, wide.A, wide.B * 1e200, wide.C * 1e200, wide.D), wide_graph, "big")
+    river_bar = str(tmp_path / "river_bar.json")
+    write_system(river_bar, wide, wide_graph, "river_bar")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compose", "--op", "mul", big, river_bar]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no usable sample point") and "cond" in err
+
+
 def test_cli_closeloop_and_imc(tmp_path, capsys):
     paths = _write_river(tmp_path)
     controller = str(tmp_path / "controller.json")

@@ -15,7 +15,14 @@ from netreal import (
     simulate_imc_loop,
     simulate_lti,
 )
-from _support import random_dims, random_graph, random_system
+from _support import (
+    oracle_grid_node_major,
+    oracle_imc_loop,
+    random_dims,
+    random_graph,
+    random_imc_case,
+    random_system,
+)
 
 
 def test_trajectory_validation():
@@ -210,7 +217,7 @@ def test_diverging_run_raises_numerical_error():
             simulate_lti(real, u)
         with pytest.raises(NumericalError, match=f"step {first_bad}$"):
             simulate_distributed(real, graph, u)
-        with pytest.raises(NumericalError, match="diverged"):
+        with pytest.raises(NumericalError, match=f"step {first_bad}$"):
             simulate_imc_loop(real, real, static_q, u)
 
 
@@ -256,3 +263,65 @@ def test_imc_loop_validates_inputs(river, river_q):
     short = SignalTrajectory.zeros((1, 1, 1), 3, "d")
     with pytest.raises(InputError):
         simulate_imc_loop(plant, plant, river_q, r, short)
+
+
+def _check_imc_run(rng, plant, model, q, disturbed, steps=40):
+    """Run the loop against the dense oracle; returns the prediction error and ``d``."""
+    r = rng.normal(size=(steps, plant.p))
+    d = rng.normal(size=(steps, plant.p)) if disturbed else np.zeros((steps, plant.p))
+    got = simulate_imc_loop(plant, model, q, r, d if disturbed else None)
+    for traj, ref in zip(got, oracle_imc_loop(plant, model, q, r, d)):
+        scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+        assert np.max(np.abs(traj.values - ref), initial=0.0) <= 1e-12 * scale, traj.name
+    return got[2].values, d
+
+
+def _perturbed(rng, real, spread):
+    """``real`` with every entry of A, B and C scaled by its own ``1 + spread * N(0, 1)``."""
+    return BlockRealization(real.dims, *(
+        mat * (1.0 + spread * rng.normal(size=mat.shape)) for mat in (real.A, real.B, real.C)))
+
+
+@pytest.mark.parametrize("self_loops", [True, False])
+@pytest.mark.parametrize("zero_width", [False, True])
+def test_imc_loop_exact_model_error_is_minus_disturbance(rng, self_loops, zero_width):
+    for k in range(12):
+        plant, q, _ = random_imc_case(rng, self_loops=self_loops, zero_width=zero_width)
+        # An equal copy, not the same object.
+        model = BlockRealization(plant.dims, plant.A.copy(), plant.B.copy(), plant.C.copy())
+        err, d = _check_imc_run(rng, plant, model, q, disturbed=k % 2 == 1)
+        assert np.array_equal(err, -d)
+
+
+@pytest.mark.parametrize("self_loops", [True, False])
+def test_imc_loop_mismatched_model_matches_oracle(rng, self_loops):
+    for k in range(12):
+        plant, q, _ = random_imc_case(rng, self_loops=self_loops, zero_width=k % 2 == 1)
+        _check_imc_run(rng, plant, _perturbed(rng, plant, 0.1), q, disturbed=k % 3 == 0)
+
+
+def test_imc_loop_hidden_model_states_keep_error_zero(rng):
+    # The model adds, per node, states that the input cannot reach and the
+    # output cannot see: the prediction error stays exactly zero.
+    for k in range(12):
+        plant, q, _ = random_imc_case(rng, self_loops=k % 2 == 0, zero_width=k % 3 == 0)
+        extra = tuple(int(v) for v in rng.integers(1, 3, plant.num_nodes))
+        hidden = rng.normal(scale=0.4, size=(sum(extra), sum(extra)))
+        states = (plant.dims.states, extra)
+        model = BlockRealization(
+            NodeDims(tuple(map(sum, zip(*states))), plant.dims.inputs, plant.dims.outputs),
+            oracle_grid_node_major([[plant.A, None], [None, hidden]], states, states),
+            oracle_grid_node_major([[plant.B], [None]], states, (plant.dims.inputs,)),
+            oracle_grid_node_major([[plant.C, None]], (plant.dims.outputs,), states))
+        err, _ = _check_imc_run(rng, plant, model, q, disturbed=False)
+        assert not err.any()
+
+
+def test_imc_loop_smaller_model_matches_oracle(rng):
+    for k in range(12):
+        plant, q, graph = random_imc_case(rng, self_loops=k % 2 == 0, zero_width=k % 3 == 0)
+        states = tuple(max(0, v - 1) for v in plant.dims.states)
+        model = random_system(
+            rng, graph, NodeDims(states, plant.dims.inputs, plant.dims.outputs),
+            rho=float(rng.uniform(0.3, 0.9)), strictly_proper=True, scale=0.4)
+        _check_imc_run(rng, plant, model, q, disturbed=k % 2 == 1)
