@@ -3,13 +3,14 @@
 Each two-part construction states its textbook block formula: every
 matrix is a grid of blocks, one row of blocks per part stacked along its
 rows and one block per part along its columns.  :func:`_node_major`
-assembles the grids and reorders them so every node keeps one
-contiguous block, and :func:`node_major_indices` is its index map;
-:mod:`netreal.loops` and :mod:`netreal.imc` build their composites with
-it too.  A zero block is written ``None``, so it comes out exactly zero,
-and the reorder is pure indexing, so structural zeros of the inputs
-survive as exact zeros in the output: when both operands are compatible
-with a graph (strict direct terms where required), so is the result.
+writes each block of the grids to its place in node-major order, so
+every node keeps one contiguous block, and :func:`node_major_indices`
+is its index map; :mod:`netreal.loops` and :mod:`netreal.imc` build
+their composites with it too.  A zero block is written ``None``, so it
+comes out exactly zero, and the placement is pure indexing, so
+structural zeros of the inputs survive as exact zeros in the output:
+when both operands are compatible with a graph (strict direct terms
+where required), so is the result.
 The builders form their products with overflow warnings silenced and
 raise :class:`~netreal.errors.NumericalError` when a matrix of the
 result is not finite.
@@ -39,12 +40,27 @@ def node_major_indices(*parts: tuple[int, ...]) -> np.ndarray:
     return np.argsort(owners, kind="stable")
 
 
-def _assemble(grid, rows, cols) -> np.ndarray:
-    """The stacked matrix of a block grid, ``None`` blocks sized by the part counts."""
-    heights, widths = ([sum(part) for part in parts] for parts in (rows, cols))
-    return np.block([
-        [np.zeros((h, w)) if blk is None else blk for blk, w in zip(row, widths)]
-        for row, h in zip(grid, heights)])
+def _assemble(grid, row_at, col_at) -> np.ndarray:
+    """The matrix of a block grid, written straight into node-major order.
+
+    ``row_at`` and ``col_at`` hold each part's :func:`_part_positions`.
+    Each block is copied to the rows and columns of its parts; ``None``
+    blocks stay zero.
+    """
+    out = np.zeros((sum(map(len, row_at)), sum(map(len, col_at))))
+    for blocks, r in zip(grid, row_at):
+        for blk, c in zip(blocks, col_at):
+            if blk is not None:
+                out[np.ix_(r, c)] = blk
+    return out
+
+
+def _part_positions(parts) -> list[np.ndarray]:
+    """For each part, the node-major positions of its entries, in order."""
+    order = node_major_indices(*parts)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    return np.split(position, np.cumsum([sum(part) for part in parts])[:-1])
 
 
 def _finite(*matrices: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -56,7 +72,7 @@ def _finite(*matrices: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _node_major(a, b, c, d, states, inputs, outputs) -> BlockRealization:
-    """The realization of four block grids, reordered node-major.
+    """The realization of four block grids, in node-major order.
 
     ``states``, ``inputs`` and ``outputs`` each hold, for one axis, the
     per-node counts of the parts stacked along it.  ``a``, ``b``, ``c``
@@ -64,19 +80,19 @@ def _node_major(a, b, c, d, states, inputs, outputs) -> BlockRealization:
     matrix's rows (states for A and B, outputs for C and D), and in each
     row one block per part along its columns (states for A and C, inputs
     for B and D).  ``None`` stands for a zero block, whose shape the
-    part counts give.  Each grid is assembled into its stacked matrix,
-    then reordered: one part keeps an axis in order; several are
-    interleaved by :func:`node_major_indices`, and node ``k`` of the
-    result counts the sum of its parts' entries.  Raises
-    :class:`~netreal.errors.NumericalError` when an assembled matrix is
-    not finite.
+    part counts give.  Each matrix is the grid's stacked matrix reordered
+    by :func:`node_major_indices` along both axes (one part keeps an axis
+    in order), so node ``k`` of the result counts the sum of its parts'
+    entries; :func:`_assemble` writes each block straight to its place,
+    one matrix at a time, so no stacked copy is ever held.  Raises
+    :class:`~netreal.errors.NumericalError` when a matrix is not finite.
     """
-    s, i, o = (node_major_indices(*parts) for parts in (states, inputs, outputs))
     dims = NodeDims(*(tuple(map(sum, zip(*parts))) for parts in (states, inputs, outputs)))
-    a, b, c, d = _finite(*(_assemble(grid, rows, cols) for grid, rows, cols in (
-        (a, states, states), (b, states, inputs), (c, outputs, states), (d, outputs, inputs))))
-    return BlockRealization(
-        dims, a[np.ix_(s, s)], b[np.ix_(s, i)], c[np.ix_(o, s)], d[np.ix_(o, i)])
+    s, i, o = (_part_positions(parts) for parts in (states, inputs, outputs))
+    grids = [(a, s, s), (b, s, i), (c, o, s), (d, o, i)]
+    # Each grid's blocks are released as soon as its matrix is written.
+    del a, b, c, d
+    return BlockRealization(dims, *_finite(*(_assemble(*grids.pop(0)) for _ in range(4))))
 
 
 def add(r1: BlockRealization, r2: BlockRealization) -> BlockRealization:

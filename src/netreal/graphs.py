@@ -104,6 +104,61 @@ def build_graph(num_nodes: int, edges: Iterable) -> NetworkGraph:
     return NetworkGraph(num_nodes, edges)
 
 
+def strongly_connected_components(pattern: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of the square boolean node grid ``pattern``.
+
+    ``pattern[i, j]`` is an edge ``(i, j)``: node ``i`` reads node ``j``.
+    An iterative Tarjan pass, O(nodes + edges).  Each component comes
+    after every component it reads, so ordering the nodes component by
+    component makes a matrix with this block pattern block
+    lower-triangular.  Nodes within a component ascend.
+    """
+    successors = [[] for _ in range(len(pattern))]
+    rows, cols = np.nonzero(pattern)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        successors[i].append(j)
+    index = [-1] * len(pattern)
+    low = [0] * len(pattern)
+    on_stack = [False] * len(pattern)
+    stack: list[int] = []
+    components: list[list[int]] = []
+    visited = 0
+
+    def visit(v: int) -> None:
+        nonlocal visited
+        index[v] = low[v] = visited
+        visited += 1
+        stack.append(v)
+        on_stack[v] = True
+
+    for root in range(len(pattern)):
+        if index[root] >= 0:
+            continue
+        visit(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            v, pending = work[-1]
+            for w in pending:
+                if index[w] < 0:
+                    visit(w)
+                    work.append((w, iter(successors[w])))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                        on_stack[component[-1]] = False
+                    components.append(sorted(component))
+    return components
+
+
 def _as_counts(values, label: str) -> tuple[int, ...]:
     if isinstance(values, str) or not isinstance(values, Iterable):
         raise InputError(f"{label} must be a sequence of integers, got {values!r}")

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError, PoleError
-from .graphs import NetworkGraph, NodeDims, _as_floats
+from .graphs import NetworkGraph, NodeDims, _as_floats, strongly_connected_components
 
 #: Evaluation of C (zI - A)^{-1} B refuses condition numbers at or above this.
 #: The solve certifies the refusal with a Frobenius bound on the 2-norm
@@ -175,21 +175,56 @@ class BlockRealization:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of A, read-only.
+        """Eigenvalues of A, one strongly connected component at a time, read-only.
+
+        The nonzero blocks of A (:attr:`occupancy`) form a directed graph
+        on the nodes.  Listing its strongly connected components so that
+        each follows those it reads is a permutation that makes A block
+        lower-triangular, so the spectrum of A is the union of the
+        spectra of the components' diagonal blocks.  Those are
+        concatenated in component order; components without states are
+        skipped, and blocks with the same state count share one stacked
+        ``np.linalg.eigvals`` call, which is bitwise the same as one call
+        per block.  When a single component holds every state, the
+        eigenvalues are those of ``np.linalg.eigvals(A)`` itself, bit for
+        bit.  As there, the array is real when every eigenvalue is.
 
         Raises :class:`~netreal.errors.NumericalError` when one is not finite.
         """
         if self.n == 0:
             eigs = np.zeros(0, dtype=complex)
         else:
+            slices = self.dims.state_slices
+            blocks = [np.concatenate([np.arange(slices[k].start, slices[k].stop) for k in nodes])
+                      for nodes in strongly_connected_components(self.occupancy.A > 0)]
+            blocks = [states for states in blocks if states.size]
             try:
-                eigs = np.linalg.eigvals(self.A)
+                eigs = (np.linalg.eigvals(self.A) if len(blocks) == 1
+                        else _blockwise_eigvals(self.A, blocks))
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
             if not np.isfinite(eigs).all():
                 raise NumericalError("eigenvalue computation failed: non-finite eigenvalues")
         eigs.setflags(write=False)
         return eigs
+
+
+def _blockwise_eigvals(a: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """Eigenvalues of the diagonal blocks ``a[states, states]``, concatenated in order.
+
+    Blocks of one size are stacked into one ``np.linalg.eigvals`` call.
+    """
+    sizes = np.array([len(states) for states in blocks])
+    starts = np.cumsum(sizes) - sizes
+    spectra = []
+    for size in np.unique(sizes):
+        members = np.flatnonzero(sizes == size)
+        states = np.stack([blocks[k] for k in members])
+        spectra.append((members, np.linalg.eigvals(a[states[:, :, None], states[:, None, :]])))
+    eigs = np.empty(int(sizes.sum()), np.result_type(*(vals for _, vals in spectra)))
+    for members, vals in spectra:
+        eigs[starts[members, None] + np.arange(vals.shape[1])] = vals
+    return eigs
 
 
 @dataclass(frozen=True)
@@ -418,8 +453,9 @@ def certify_witness(
 def spectral_radius(real: BlockRealization) -> float:
     """Largest eigenvalue magnitude of A; zero for a static system.
 
-    Reads the eigenvalues cached on the realization, so A is decomposed
-    once however often this is asked.
+    Reads :attr:`BlockRealization.eigenvalues`, cached on the
+    realization, so the spectrum (taken one strongly connected component
+    at a time) is computed once however often this is asked.
     """
     eigs = real.eigenvalues
     return float(np.max(np.abs(eigs))) if eigs.size else 0.0

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's own code paths:
 stabilizability and detectability are decided from the controllability
 matrix and an invariant-subspace restriction, transfer values from
 direct numpy solves on dense matrices behind an exact SVD condition
-number, and block structure from a per-block scan of the dense matrices.
+number, block structure from a per-block scan of the dense matrices, and
+spectra from the dense eigenvalues of the diagonal blocks of the strongly
+connected components a boolean transitive closure finds.
 """
 
 from __future__ import annotations
@@ -23,6 +25,15 @@ def random_graph(rng, num_nodes, edge_prob=0.45, self_loops=True):
         for j in range(num_nodes):
             if i != j and rng.random() < edge_prob:
                 edges.add((i, j))
+    return build_graph(num_nodes, edges)
+
+
+def random_dag(rng, num_nodes, edge_prob=0.45, self_loops=True):
+    """A graph without cycles through two or more nodes, in a random node labelling."""
+    label = rng.permutation(num_nodes)
+    edges = {(int(label[i]), int(label[i])) for i in range(num_nodes) if self_loops}
+    edges |= {(int(label[i]), int(label[j]))
+              for i in range(num_nodes) for j in range(i) if rng.random() < edge_prob}
     return build_graph(num_nodes, edges)
 
 
@@ -156,6 +167,49 @@ def random_imc_case(rng, max_nodes=4, max_states=3, self_loops=True, zero_width=
     return plant, q, graph
 
 
+def stabilized_chain(rng, count, num_unstable, poles=(0.1, 0.2, 0.25, 0.3)):
+    """(plant, controller, graph): a cascade and a node-local observer-based controller.
+
+    Node ``i`` reads itself and node ``i - 1``.  Each plant node has two
+    states, one input and one output; its own block is a companion
+    matrix in a random orthonormal basis, with poles in [-0.7, 0.7], and
+    ``num_unstable`` random nodes carry one pole in [1.2, 1.6] instead.
+    The couplings to the node upstream are random in A and C.  The
+    controller is block-diagonal: per node, state feedback places
+    ``poles[:2]`` and an observer places ``poles[2:]``, both written in
+    the companion basis, so the loop's spectrum is ``poles`` at every
+    node up to rounding.
+    """
+    n = 2 * count
+    a, b, c = np.zeros((n, n)), np.zeros((n, count)), np.zeros((count, n))
+    ctrl_a, ctrl_b, ctrl_c = np.zeros((n, n)), np.zeros((n, count)), np.zeros((count, n))
+    unstable = set(rng.choice(count, size=num_unstable, replace=False).tolist())
+    k1, k2, o1, o2 = poles
+    for i in range(count):
+        own = slice(2 * i, 2 * i + 2)
+        lam = rng.uniform(-0.7, 0.7, size=2)
+        if i in unstable:
+            lam[0] = rng.uniform(1.2, 1.6)
+        # Companion form of z^2 + a1 z + a0, read through C = [1, 0] and driven by B = [0, 1]^T.
+        a0, a1 = lam[0] * lam[1], -(lam[0] + lam[1])
+        basis = random_orthogonal(rng, 2)
+        inverse = basis.T
+        a[own, own] = basis @ np.array([[0.0, 1.0], [-a0, -a1]]) @ inverse
+        b[own, i], c[i, own] = basis[:, 1], inverse[0]
+        if i:
+            a[own, 2 * i - 2:2 * i] = rng.normal(size=(2, 2))
+            c[i, 2 * i - 2:2 * i] = rng.normal(size=2)
+        gain = np.array([k1 * k2 - a0, -(k1 + k2) - a1]) @ inverse
+        g0 = -(o1 + o2) - a1
+        observer = basis @ np.array([g0, o1 * o2 - a0 - a1 * g0])
+        ctrl_a[own, own] = a[own, own] - np.outer(b[own, i], gain) - np.outer(observer, c[i, own])
+        ctrl_b[own, i], ctrl_c[i, own] = observer, gain
+    dims = NodeDims((2,) * count, (1,) * count, (1,) * count)
+    graph = build_graph(count, [(i, i) for i in range(count)] + [(i, i - 1) for i in range(1, count)])
+    return (BlockRealization(dims, a, b, c), BlockRealization(dims, ctrl_a, ctrl_b, ctrl_c),
+            graph)
+
+
 def oracle_imc_loop(plant, model, q, reference, disturbance):
     """``(u, y, prediction error)`` of the internal-model loop, by dense recursion.
 
@@ -216,13 +270,54 @@ def oracle_transfer(real, z):
     return real.C @ states + d
 
 
+def oracle_components(real):
+    """Strongly connected components of the block pattern of A, by boolean transitive closure.
+
+    Node ``i`` reads node ``j`` when block ``(i, j)`` of A has a nonzero
+    entry.  Reachability is squared until it stops growing; two nodes
+    share a component when each reaches the other.  Components are
+    listed by their smallest node, nodes ascending.
+    """
+    count = real.num_nodes
+    reach = np.eye(count, dtype=int)
+    for (i, j), blk in oracle_blocks(real)["A"].items():
+        reach[i, j] |= int(np.any(blk))
+    while True:
+        grown = ((reach + reach @ reach) > 0).astype(int)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    mutual = (reach & reach.T).astype(bool)
+    components = []
+    for i in range(count):
+        if not any(i in comp for comp in components):
+            components.append([j for j in range(count) if mutual[i, j]])
+    return components
+
+
+def oracle_spectrum(real):
+    """Eigenvalues of A as dense ``np.linalg.eigvals`` of each component's diagonal block.
+
+    Components come from :func:`oracle_components` in its order; those
+    without states are skipped.  The order differs from the library's,
+    so compare sorted arrays.
+    """
+    ranges = _node_ranges(real.dims.states)
+    spectra = [np.linalg.eigvals(real.A[np.ix_(states, states)])
+               for states in ([k for node in comp for k in ranges[node]]
+                              for comp in oracle_components(real))
+               if states]
+    return np.concatenate(spectra) if spectra else np.zeros(0, dtype=complex)
+
+
 def oracle_identities(plant, controller, num_points):
     """Worst deviation of each closed-loop identity, written out with dense numpy.
 
     With ``L = I + P(z) C(z)``, the deviations of ``L^{-1} = I - P C L^{-1}``
     and of the block-triangular inverse ``[[L, 0], [C, I]]^{-1}``, at all
     ``num_points`` points of the circle :func:`netreal.circle_samples`
-    defines, of radius ``2 (1 + max spectral radius)``: ``z_k = radius
+    defines, of radius ``2 (1 + max spectral radius)`` over
+    :func:`oracle_spectrum`: ``z_k = radius
     exp(2 pi i k / num_points)`` for ``k <= num_points // 2`` and
     ``z_k = conj(z_{num_points - k})`` above.  The operations are the
     textbook ones in a fixed order, so the library's values, taken on the
@@ -230,9 +325,8 @@ def oracle_identities(plant, controller, num_points):
     push outward fails here instead.
     """
     p, m = plant.p, plant.m
-    rhos = [np.max(np.abs(np.linalg.eigvals(s.A))) if s.n else 0.0
-            for s in (plant, controller)]
-    radius = 2.0 * (1.0 + max(float(r) for r in rhos))
+    spectra = [oracle_spectrum(s) for s in (plant, controller)]
+    radius = 2.0 * (1.0 + max(float(np.max(np.abs(e))) if e.size else 0.0 for e in spectra))
     upper = [radius * np.exp(2j * np.pi * k / num_points) for k in range(num_points // 2 + 1)]
     points = upper + [np.conj(upper[num_points - k])
                       for k in range(num_points // 2 + 1, num_points)]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 
 from netreal import (
     BlockRealization,
+    DMode,
     InputError,
     NodeDims,
     SignalTrajectory,
@@ -46,7 +48,7 @@ from netreal.sysio import (
     trajectory_to_csv,
     trajectory_to_obj,
 )
-from _support import random_dims, random_graph, random_system
+from _support import oracle_spectrum, random_dims, random_graph, random_system, stabilized_chain
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,50 @@ def test_system_roundtrip_through_file(tmp_path, river):
     assert name == "river"
     assert graph2 == graph
     assert np.array_equal(back.A, real.A)
+
+
+def test_system_file_roundtrip_is_bit_exact_over_seeds(tmp_path):
+    """``write_system`` then ``read_system`` gives every matrix back bit for bit.
+
+    Entries span 1e-300 to 1e300, with signed zeros, a subnormal and the
+    largest float spliced in; every third system has a node without
+    states or channels.  A system without states whose channels sit on
+    one side only is written, but the reader refuses it by design.
+    """
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+               1.0 / 3.0, float(np.nextafter(1.0, 2.0))]
+    read_back = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 6))
+        graph = random_graph(rng, count, self_loops=seed % 2 == 0)
+        dims = random_dims(rng, count)
+        if seed % 3 == 0:
+            empty = int(rng.integers(count))
+            dims = NodeDims(*(tuple(0 if k == empty else v for k, v in enumerate(counts))
+                              for counts in (dims.states, dims.inputs, dims.outputs)))
+        mode = DMode.EDGE_SPARSE if seed % 2 else DMode.STRICT
+        real = random_system(rng, graph, dims, mode)
+        matrices = []
+        for matrix in (real.A, real.B, real.C, real.D):
+            matrix = matrix * 10.0 ** rng.integers(-300, 300, size=matrix.shape)
+            if matrix.size:
+                matrix.flat[rng.integers(0, matrix.size, 2)] = rng.choice(special, 2)
+            matrices.append(matrix)
+        real = BlockRealization(dims, *matrices)
+        path = tmp_path / f"case-{seed}.json"
+        write_system(path, real, graph, f"case-{seed}")
+        if dims.n_total == 0 and (dims.m_total == 0) != (dims.p_total == 0):
+            with pytest.raises(InputError, match="no matrix holds those channels"):
+                read_system(path)
+            continue
+        read_back += 1
+        back, graph2, name = read_system(path)
+        assert (graph2, name, back.dims) == (graph, f"case-{seed}", dims)
+        for got, want in zip((back.A, back.B, back.C, back.D), matrices):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    assert read_back >= 55
 
 
 def test_system_parse_diagnostics(tmp_path):
@@ -622,6 +668,21 @@ def test_cli_closeloop_and_imc(tmp_path, capsys):
     assert "pointwise-inverse" in out
 
 
+def _counting_spectra(monkeypatch):
+    """Record the shape of A each time a realization computes its spectrum; returns the list."""
+    calls = []
+    compute = BlockRealization.eigenvalues.func
+
+    def counting(real):
+        calls.append(real.A.shape)
+        return compute(real)
+
+    prop = cached_property(counting)
+    prop.__set_name__(BlockRealization, "eigenvalues")
+    monkeypatch.setattr(BlockRealization, "eigenvalues", prop)
+    return calls
+
+
 def test_cli_closeloop_computes_each_spectrum_once(tmp_path, capsys, monkeypatch):
     paths = _write_river(tmp_path)
     controller = str(tmp_path / "controller.json")
@@ -630,21 +691,35 @@ def test_cli_closeloop_computes_each_spectrum_once(tmp_path, capsys, monkeypatch
     plant, _, _ = read_system(paths["wide"])
     ctrl, _, _ = read_system(controller)
     loop = close_loop(plant, ctrl).realization
-    expected = float(np.max(np.abs(np.linalg.eigvals(loop.A))))
+    expected = float(np.max(np.abs(oracle_spectrum(loop))))
 
-    calls = []
-    eigvals = np.linalg.eigvals
-
-    def counting(a):
-        calls.append(a.shape)
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    calls = _counting_spectra(monkeypatch)
     assert main(["closeloop", paths["wide"], controller, "--json"]) == 0
     stages = {s["name"]: s for s in json.loads(capsys.readouterr().out)["stages"]}
-    # One eigenvalue computation per realization: plant, controller, loop.
+    # One spectrum per realization: plant, controller, loop.
     assert sorted(calls) == sorted([plant.A.shape, ctrl.A.shape, loop.A.shape])
     assert stages["stability"]["detail"]["spectral_radius"] == expected
+
+
+def test_cli_closeloop_passes_a_stabilized_chain(tmp_path, capsys, rng):
+    """A stable cascade loop whose node poles repeat 40 times reads radius 0.3.
+
+    Every node block of the loop has the poles 0.1, 0.2, 0.25 and 0.3.
+    Dense eigenvalues of the whole loop spread each 40-fold pole by about
+    eps^(1/40) and read a radius above 1; per component they do not.
+    """
+    plant, controller, graph = stabilized_chain(rng, 40, 10)
+    paths = [str(tmp_path / f"{name}.json") for name in ("plant", "controller")]
+    for path, real in zip(paths, (plant, controller)):
+        write_system(path, real, graph, Path(path).stem)
+        assert main(["check", path]) == 0
+    capsys.readouterr()
+    assert main(["closeloop", *paths, "--json"]) == 0
+    stages = {s["name"]: s for s in json.loads(capsys.readouterr().out)["stages"]}
+    assert stages["stability"]["pass"]
+    radius = stages["stability"]["detail"]["spectral_radius"]
+    assert abs(radius - 0.3) < 1e-10
+    assert radius == float(np.max(np.abs(oracle_spectrum(close_loop(plant, controller).realization))))
 
 
 def test_cli_evaluates_each_system_once_per_point(tmp_path, capsys, monkeypatch):
@@ -663,21 +738,16 @@ def test_cli_evaluates_each_system_once_per_point(tmp_path, capsys, monkeypatch)
     def key(real):
         return real.A.shape, real.A.tobytes()
 
-    calls, spectra = Counter(), []
-    original, eigvals = eval_transfer, np.linalg.eigvals
+    calls, original = Counter(), eval_transfer
 
     def counting(real, z):
         calls[key(real)] += 1
         return original(real, z)
 
-    def counting_eigvals(a):
-        spectra.append(a.shape)
-        return eigvals(a)
-
     for module in list(sys.modules.values()):
         if module.__name__.startswith("netreal") and vars(module).get("eval_transfer") is original:
             monkeypatch.setattr(module, "eval_transfer", counting)
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    spectra = _counting_spectra(monkeypatch)
     cases = (
         (["imc", paths["wide"], paths["q"]], (plant, q, ctrl)),
         (["closeloop", paths["wide"], controller], (plant, ctrl, loop)),

@@ -24,6 +24,7 @@ from netreal import (
     transfer_equal,
 )
 from netreal.loops import _identity_deviations, _loop_inverse
+from netreal.graphs import strongly_connected_components
 from netreal.realization import (
     POLE_COND_LIMIT,
     _certified_solve,
@@ -32,12 +33,15 @@ from netreal.realization import (
     circle_samples,
 )
 from _support import (
+    oracle_components,
     oracle_detectable,
+    oracle_spectrum,
     oracle_stabilizable,
     oracle_transfer,
     oracle_violations,
     probe_points,
     random_add_pair,
+    random_dag,
     random_dims,
     random_graph,
     random_loop_pair,
@@ -273,6 +277,48 @@ def test_spectral_radius_is_cached_and_bitwise_unchanged(rng, monkeypatch):
     pbh_stabilizable(real)
     pbh_detectable(real)
     assert len(calls) == 1
+
+
+def _spectrum_cases(rng):
+    """Realizations on DAGs and on graphs with cycles, with and without self-loops.
+
+    Nodes carry 0 to 3 states, so zero-width nodes and components of
+    several sizes occur; some A blocks have complex eigenvalues.  The
+    last case is a 4x4 grid, which is one component.
+    """
+    for k in range(48):
+        count = int(rng.integers(1, 11))
+        make, top = (random_dag, 0.5) if k % 2 else (random_graph, 0.3)
+        graph = make(rng, count, edge_prob=float(rng.uniform(0.05, top)), self_loops=k % 4 < 2)
+        yield random_system(rng, graph, random_dims(rng, count))
+    graph = build_graph(16, [(i, j) for i in range(16) for j in range(16)
+                             if abs(i // 4 - j // 4) + abs(i % 4 - j % 4) <= 1])
+    yield random_system(rng, graph, NodeDims((2,) * 16, (1,) * 16, (1,) * 16))
+
+
+def test_components_match_transitive_closure_oracle(rng):
+    for real in _spectrum_cases(rng):
+        components = strongly_connected_components(real.occupancy.A > 0)
+        assert sorted(components) == sorted(oracle_components(real))
+        # Each component reads only itself and components listed before it.
+        position = {node: k for k, comp in enumerate(components) for node in comp}
+        for i, j in zip(*np.nonzero(real.occupancy.A)):
+            assert position[int(j)] <= position[int(i)]
+
+
+def test_eigenvalues_match_per_component_oracle(rng):
+    """The spectrum is the oracle's, bitwise; one component gives ``eigvals(A)`` itself."""
+    one_component = 0
+    for real in _spectrum_cases(rng):
+        expected = oracle_spectrum(real)
+        assert real.eigenvalues.dtype == expected.dtype
+        assert np.array_equal(np.sort(real.eigenvalues), np.sort(expected))
+        occupied = [comp for comp in oracle_components(real)
+                    if sum(real.dims.states[k] for k in comp)]
+        if len(occupied) == 1:
+            one_component += 1
+            assert np.array_equal(real.eigenvalues, np.linalg.eigvals(real.A))
+    assert one_component >= 5
 
 
 def test_spectral_radius(river):
