@@ -45,13 +45,14 @@ def _assemble(grid, row_at, col_at) -> np.ndarray:
 
     ``row_at`` and ``col_at`` hold each part's :func:`_part_positions`.
     Each block is copied to the rows and columns of its parts; ``None``
-    blocks stay zero.
+    blocks stay zero.  The result is frozen, so a realization keeps it.
     """
     out = np.zeros((sum(map(len, row_at)), sum(map(len, col_at))))
     for blocks, r in zip(grid, row_at):
         for blk, c in zip(blocks, col_at):
             if blk is not None:
                 out[np.ix_(r, c)] = blk
+    out.setflags(write=False)
     return out
 
 

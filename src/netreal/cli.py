@@ -9,12 +9,12 @@ stages pass, 1 when a mathematical check fails, 2 on unusable input.
 ``--save`` and then ``-o`` are written before the report is printed,
 also when a stage fails, so a write that fails leaves stdout empty.
 
-The sampled stages evaluate each system once per evaluated sample point
-and build no realization only to evaluate it.  The ``--points`` points
-come in exact conjugate pairs, at which every stage's deviation is the
-same, so :func:`~netreal.realization.circle_samples` evaluates only the
-``points // 2 + 1`` of the closed upper half.  ``compose`` compares the
-result with its factors combined pointwise (:func:`_pointwise`),
+Each sampled check is one :func:`~netreal.realization.circle_samples`
+call, which evaluates each of its systems once per evaluated point and
+keeps the worst deviation; no realization is built only to be evaluated.
+The ``--points`` points come in conjugate pairs, so only the
+``points // 2 + 1`` of the closed upper half are evaluated.  ``compose``
+compares the result with its factors combined pointwise (:func:`_pointwise`),
 ``closeloop`` samples the loop, plant and controller in one pass for
 both its ``pointwise-inverse`` and ``identities`` stages, and ``imc``'s
 ``parameter-roundtrip`` compares ``q`` with ``C (I + P C)^-1`` formed
@@ -40,7 +40,6 @@ from .realization import (
     _require_tolerance,
     check_compatibility,
     circle_samples,
-    eval_transfer,
     pbh_detectable,
     pbh_stabilizable,
     scaled_deviation,
@@ -100,15 +99,15 @@ def _fmt(value) -> str:
 def _pointwise(result, factors, combine, num_points):
     """Worst scaled gap between the result's transfer and a pointwise oracle.
 
-    Each system is evaluated once per evaluated sample point; ``combine``
-    forms the oracle from the factors' values, and must commute with
+    :func:`~netreal.realization.circle_samples` evaluates the result and
+    each factor once per evaluated sample point; ``combine`` forms the
+    oracle from the factors' values, in order, and must commute with
     conjugation, as sums, products and inverses do.
     """
-    gaps, _ = circle_samples(
+    (worst,), _ = circle_samples(
         [result, *factors], num_points,
-        lambda z: scaled_deviation(
-            eval_transfer(result, z), combine([eval_transfer(f, z) for f in factors])))
-    return max(gaps)
+        lambda value, *values: (scaled_deviation(value, combine(values)),))
+    return worst
 
 
 def _add_pointwise(report: Report, stage: str, worst: float, args) -> None:
@@ -172,25 +171,15 @@ def _cmd_closeloop(args) -> int:
     report = _opened(args, f"loop({label1}, {label2})", loop.realization, graph,
                      states=loop.realization.n)
     chan_perm = node_major_indices(plant.dims.outputs, plant.dims.inputs)
-    p = plant.p
 
-    def oracle(p_z, c_z):
-        m = p_z.shape[1]
-        big = np.zeros((p + m, p + m), dtype=complex)
-        big[:p, :p] = np.eye(p)
-        big[:p, p:] = -p_z
-        big[p:, :p] = c_z
-        big[p:, p:] = np.eye(m)
-        return np.linalg.inv(big[np.ix_(chan_perm, chan_perm)])
-
-    def sample(z):
-        p_z, c_z = eval_transfer(plant, z), eval_transfer(controller, z)
-        gap = scaled_deviation(eval_transfer(loop.realization, z), oracle(p_z, c_z))
+    def deviations(loop_z, p_z, c_z):
+        big = np.block([[np.eye(plant.p), -p_z], [c_z, np.eye(plant.m)]])
+        gap = scaled_deviation(loop_z, np.linalg.inv(big[np.ix_(chan_perm, chan_perm)]))
         return (gap, *_identity_deviations(p_z, c_z))
 
     # One circle for both sampled stages: each system is evaluated once per point.
-    gaps, _ = circle_samples((loop.realization, plant, controller), args.points, sample)
-    worst, *identities = map(max, zip(*gaps))
+    (worst, *identities), _ = circle_samples(
+        (loop.realization, plant, controller), args.points, deviations)
     _add_pointwise(report, "pointwise-inverse", worst, args)
     report.add(
         "identities", all(v <= args.rtol for v in identities),

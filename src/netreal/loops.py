@@ -14,7 +14,7 @@ inverse ``[[I, 0], [-D_C, I]]``, so :func:`close_loop` writes the
 inverse as its block formula, solving nothing, and passes it to
 :func:`netreal.algebra._node_major`, the one home of the node-major
 layout; :class:`ClosedLoop` reads its channel groups back through
-:func:`netreal.algebra.node_major_indices`.
+:func:`netreal.algebra._part_positions`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _node_major, node_major_indices
+from .algebra import _node_major, _part_positions
 from .errors import InputError, PoleError
 from .graphs import NodeDims
 from .realization import (
@@ -31,7 +31,6 @@ from .realization import (
     _certified_solve,
     _require_tolerance,
     circle_samples,
-    eval_transfer,
     scaled_deviation,
     spectral_radius,
 )
@@ -70,9 +69,7 @@ class ClosedLoop:
     m_dims: tuple[int, ...]
 
     def _channel_indices(self, group: int) -> np.ndarray:
-        positions = np.argsort(node_major_indices(self.p_dims, self.m_dims))
-        split = sum(self.p_dims)
-        return positions[:split] if group == 1 else positions[split:]
+        return _part_positions((self.p_dims, self.m_dims))[group - 1]
 
     def block(self, row: int, col: int) -> BlockRealization:
         """Sub-realization for one channel-group pair, 1-based as displayed above."""
@@ -164,18 +161,11 @@ def _identity_deviations(p_z: np.ndarray, c_z: np.ndarray) -> tuple[float, float
     * ``[[L, 0], [C(z), I]]^{-1} = [[L^{-1}, 0], [-C(z) L^{-1}, I]]``
     """
     p, m = p_z.shape
-    eye_m = np.eye(m)
+    zero, eye_m = np.zeros((p, m)), np.eye(m)
     loop, loop_inv = _loop_inverse(p_z, c_z)
     rhs = np.eye(p) - p_z @ c_z @ loop_inv
-
-    tri = np.zeros((p + m, p + m), dtype=complex)
-    tri[:p, :p] = loop
-    tri[p:, :p] = c_z
-    tri[p:, p:] = eye_m
-    expected = np.zeros_like(tri)
-    expected[:p, :p] = loop_inv
-    expected[p:, :p] = -c_z @ loop_inv
-    expected[p:, p:] = eye_m
+    tri = np.block([[loop, zero], [c_z, eye_m]])
+    expected = np.block([[loop_inv, zero], [-c_z @ loop_inv, eye_m]])
     return (scaled_deviation(loop_inv, rhs),
             scaled_deviation(np.linalg.inv(tri), expected))
 
@@ -197,18 +187,16 @@ def verify_identities(
     """Check the two closed-loop matrix identities pointwise.
 
     At ``num_points`` sample frequencies z on a circle enclosing all
-    poles, evaluates :func:`_identity_deviations`; points where
+    poles, :func:`circle_samples` evaluates the plant and the controller
+    and passes their values to :func:`_identity_deviations`; points where
     ``I + P(z) C(z)`` is ill-conditioned are pushed outward and retried.
     The points come in conjugate pairs, where the deviations are equal,
-    so :func:`circle_samples` evaluates only the ``num_points // 2 + 1``
-    of the upper half.  Returns the worst deviation per identity; passes
-    when every deviation is at most ``rel_tol``.
+    so only the ``num_points // 2 + 1`` of the upper half are evaluated.
+    Returns the worst deviation per identity, as :func:`circle_samples`
+    keeps it; passes when every deviation is at most ``rel_tol``.
     """
     _check_pair(plant, controller, "controller")
     _require_tolerance(rel_tol, "rel_tol")
-    gaps, _ = circle_samples(
-        (plant, controller), num_points,
-        lambda z: _identity_deviations(eval_transfer(plant, z), eval_transfer(controller, z)))
-    worst = dict(zip(_IDENTITIES, map(max, zip(*gaps))))
-    passed = all(v <= rel_tol for v in worst.values())
-    return IdentityReport(passed, worst, num_points, rel_tol)
+    worst, _ = circle_samples((plant, controller), num_points, _identity_deviations)
+    passed = all(v <= rel_tol for v in worst)
+    return IdentityReport(passed, dict(zip(_IDENTITIES, worst)), num_points, rel_tol)

@@ -60,6 +60,9 @@ def _require_count(num_points: int) -> None:
 def _as_matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
     if value is None:
         arr = np.zeros(shape)
+    elif (type(value) is np.ndarray and value.dtype == np.float64 and value.base is None
+          and not value.flags.writeable):
+        arr = value
     else:
         arr = _as_floats(value, f"{name} is not a numeric matrix")
         if arr.size == shape[0] * shape[1] and arr.ndim != 2:
@@ -105,7 +108,9 @@ class BlockRealization:
     """State-space matrices with a node partition.
 
     Matrices may be passed as ``None`` (filled with zeros), nested lists,
-    or arrays.  They are copied and frozen; instances are safe to share.
+    or arrays.  They are copied and frozen, except a float64 array that is
+    read-only and owns its data (``base is None``): it is kept and shared,
+    and its owner must not make it writable again.  Instances are safe to share.
 
     Parameters
     ----------
@@ -185,9 +190,9 @@ class BlockRealization:
         concatenated in component order; components without states are
         skipped, and blocks with the same state count share one stacked
         ``np.linalg.eigvals`` call, which is bitwise the same as one call
-        per block.  When a single component holds every state, the
-        eigenvalues are those of ``np.linalg.eigvals(A)`` itself, bit for
-        bit.  As there, the array is real when every eigenvalue is.
+        per block, so a single component gives the bits of
+        ``np.linalg.eigvals(A)`` itself.  As there, the array is real
+        when every eigenvalue is.
 
         Raises :class:`~netreal.errors.NumericalError` when one is not finite.
         """
@@ -199,8 +204,7 @@ class BlockRealization:
                       for nodes in strongly_connected_components(self.occupancy.A > 0)]
             blocks = [states for states in blocks if states.size]
             try:
-                eigs = (np.linalg.eigvals(self.A) if len(blocks) == 1
-                        else _blockwise_eigvals(self.A, blocks))
+                eigs = _blockwise_eigvals(self.A, blocks)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
             if not np.isfinite(eigs).all():
@@ -508,29 +512,30 @@ _MAX_RESAMPLES = 8
 
 
 def circle_samples(
-    systems: Sequence[BlockRealization], num_points: int, evaluate: Callable[[complex], object]
-) -> tuple[list, float]:
-    """Apply ``evaluate`` on the closed upper half of a circle around every pole.
+    systems: Sequence[BlockRealization], num_points: int, deviations: Callable[..., tuple]
+) -> tuple[tuple, float]:
+    """Worst deviations among the transfers of ``systems`` on a circle around every pole.
 
     The circle has radius ``2 (1 + max spectral radius)`` over
     ``systems``, which encloses every pole, and carries ``num_points``
     points in exact conjugate pairs: point ``k <= num_points // 2`` is
     ``radius * exp(2 pi i k / num_points)``, and point ``num_points - k``
     is defined as its conjugate.  Only the ``num_points // 2 + 1`` points
-    of the closed upper half are evaluated.  So ``evaluate`` must return
-    a value that does not change when ``z`` is conjugated, for real
-    systems; a scaled deviation between real transfers, or a tuple of
-    them, does, since ``G(conj z) = conj G(z)``.
+    of the closed upper half are evaluated: at each, :func:`eval_transfer`
+    runs once per system, and ``deviations`` takes the transfers in the
+    order of ``systems`` and returns a tuple of deviations.  Those must
+    not change when ``z`` is conjugated; scaled deviations between sums,
+    products and inverses of real transfers do, as ``G(conj z) = conj G(z)``.
 
-    A point where ``evaluate`` raises :class:`~netreal.errors.PoleError`
-    or ``LinAlgError`` is pushed outward by a factor 1.37, which keeps
-    its pair conjugate, and retried a bounded number of times before
+    A point where an evaluation or ``deviations`` raises
+    :class:`~netreal.errors.PoleError` or ``LinAlgError`` is pushed
+    outward by a factor 1.37, which keeps its pair conjugate, and every
+    system is evaluated there again, a bounded number of times before
     :class:`~netreal.errors.NumericalError` is raised with the last
-    refusal's message.  ``evaluate`` runs with overflow warnings
-    silenced; a value that is not finite raises
+    refusal's message.  Evaluation runs with overflow warnings silenced;
+    a deviation that is not finite raises
     :class:`~netreal.errors.NumericalError`, so no verdict rests on an
-    overflow.  Returns the ``num_points // 2 + 1`` values in order
-    of ``k`` and the radius.
+    overflow.  Returns the worst of each deviation and the radius.
     """
     _require_count(num_points)
     radius = 2.0 * (1.0 + max(spectral_radius(s) for s in systems))
@@ -540,7 +545,7 @@ def circle_samples(
         for _ in range(_MAX_RESAMPLES):
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    value = evaluate(z)
+                    value = deviations(*(eval_transfer(s, z) for s in systems))
                 break
             except (PoleError, np.linalg.LinAlgError) as exc:
                 refusal = exc
@@ -552,7 +557,7 @@ def circle_samples(
         if not np.isfinite(value).all():
             raise NumericalError(f"sampled value at z = {z:.3e} is not finite: it overflowed")
         values.append(value)
-    return values, radius
+    return tuple(map(max, zip(*values))), radius
 
 
 def transfer_equal(
@@ -565,16 +570,14 @@ def transfer_equal(
 
     Samples ``num_points`` points with :func:`circle_samples`, which
     evaluates both transfers at the ``num_points // 2 + 1`` points of the
-    upper half; the deviation at each conjugate point is the same.
-    Equality holds when the worst :func:`scaled_deviation` over all points
-    is at most ``rel_tol``.
+    upper half and keeps the worst :func:`scaled_deviation`; the
+    deviation at each conjugate point is the same.  Equality holds when
+    that worst deviation is at most ``rel_tol``.
     """
     if (r1.p, r1.m) != (r2.p, r2.m):
         raise InputError(
             f"cannot compare a {r1.p}x{r1.m} transfer with a {r2.p}x{r2.m} one")
     _require_tolerance(rel_tol, "rel_tol")
-    gaps, radius = circle_samples(
-        (r1, r2), num_points,
-        lambda z: scaled_deviation(eval_transfer(r1, z), eval_transfer(r2, z)))
-    worst = max(gaps)
+    (worst,), radius = circle_samples(
+        (r1, r2), num_points, lambda g1, g2: (scaled_deviation(g1, g2),))
     return TransferComparison(worst <= rel_tol, worst, num_points, radius)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import node_major_indices
+from .algebra import _part_positions, node_major_indices
 from .errors import InputError, NumericalError
 from .graphs import NetworkGraph, _as_counts, _as_floats, partition_slices
 from .imc import _imc_loop
@@ -277,9 +277,8 @@ def simulate_imc_loop(
     loop = _imc_loop(plant, model, q)
     inputs = np.hstack([reference.values, output_disturbance.values])
     out, _ = simulate_lti(loop, inputs[:, node_major_indices(outputs, outputs)])
-    order = node_major_indices(plant.dims.inputs, outputs, outputs)
-    us, ys, errs = np.split(
-        out.values[:, np.argsort(order)], [plant.m, plant.m + plant.p], axis=1)
+    us, ys, errs = (out.values[:, at]
+                    for at in _part_positions((plant.dims.inputs, outputs, outputs)))
     return (
         SignalTrajectory(us, plant.dims.inputs, "u"),
         SignalTrajectory(ys, plant.dims.outputs, "y"),

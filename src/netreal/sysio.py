@@ -44,6 +44,21 @@ def _require(obj: dict, key: str, context: str = "system"):
     return obj[key]
 
 
+def _require_stored_channels(dims: NodeDims) -> None:
+    """Refuse a system without states whose channels sit on one side only.
+
+    Its matrices are all empty, so no stored matrix holds those channels,
+    yet later code sizes arrays by channel.  Reader and writer both refuse it.
+    """
+    m = dims.m_total
+    if dims.n_total == 0 and (m == 0) != (dims.p_total == 0):
+        key, counts = ("m", dims.inputs) if m else ("p", dims.outputs)
+        k = next(k for k, c in enumerate(counts) if c)
+        raise InputError(
+            f"field 'dims[{k}].{key}' is {counts[k]} but no matrix holds those channels: "
+            f"the system has no states and no {'outputs' if m else 'inputs'}")
+
+
 def system_from_obj(obj) -> tuple[BlockRealization, NetworkGraph, str | None]:
     """Build a realization and its graph from a parsed JSON object."""
     if not isinstance(obj, dict):
@@ -85,14 +100,8 @@ def system_from_obj(obj) -> tuple[BlockRealization, NetworkGraph, str | None]:
                 f"field '{key}' has shape {value.shape}, expected ({rows}, {cols})")
         return value
 
+    _require_stored_channels(dims)
     n, m, p = dims.n_total, dims.m_total, dims.p_total
-    if n == 0 and (m == 0) != (p == 0):
-        # Every matrix may then be omitted, yet later code sizes arrays by channel.
-        key, counts = ("m", dims.inputs) if m else ("p", dims.outputs)
-        k = next(k for k, c in enumerate(counts) if c)
-        raise InputError(
-            f"field 'dims[{k}].{key}' is {counts[k]} but no matrix holds those channels: "
-            f"the system has no states and no {'outputs' if m else 'inputs'}")
     real = BlockRealization(
         dims,
         A=matrix("A", n, n),
@@ -106,6 +115,7 @@ def system_from_obj(obj) -> tuple[BlockRealization, NetworkGraph, str | None]:
 def system_to_obj(
     real: BlockRealization, graph: NetworkGraph, name: str | None = None
 ) -> dict:
+    _require_stored_channels(real.dims)
     obj: dict = {}
     if name is not None:
         obj["name"] = name

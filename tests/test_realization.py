@@ -3,6 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import netreal.realization
+
 from netreal import (
     BlockRealization,
     DMode,
@@ -59,6 +61,29 @@ def test_matrices_default_to_zero_and_freeze():
     assert not real.A.any()
     with pytest.raises(ValueError):
         real.A[0, 0] = 1.0
+
+
+def test_frozen_owned_matrices_are_kept_and_others_copied():
+    dims = NodeDims((2,), (2,), (2,))
+    frozen = np.arange(4.0).reshape(2, 2).copy()
+    frozen.setflags(write=False)
+    writable = np.arange(4.0).reshape(2, 2)
+    owner = np.arange(4.0).reshape(2, 2).copy()
+    view = owner[:, :]
+    view.setflags(write=False)
+    real = BlockRealization(dims, frozen, writable, view, frozen.astype(np.float32))
+    assert real.A is frozen and real.C is not view and real.D.dtype == np.float64
+    writable[0, 0] = owner[0, 0] = 7.0
+    assert real.B[0, 0] == real.C[0, 0] == 0.0
+    assert not (real.B.flags.writeable or real.C.flags.writeable or real.D.flags.writeable)
+    # A composite's matrices are frozen and owned, so a realization built from them shares them.
+    total = add(real, real)
+    assert BlockRealization(total.dims, total.A, total.B, total.C, total.D).A is total.A
+    # A kept matrix is checked like a copied one.
+    infinite = np.array([[np.inf]])
+    infinite.setflags(write=False)
+    with pytest.raises(InputError, match="non-finite"):
+        BlockRealization(DIMS1, A=infinite)
 
 
 def test_matrix_shape_and_content_validation():
@@ -487,36 +512,72 @@ def test_pointwise_checks_are_conjugate_symmetric_bitwise(rng):
     assert seen["loop"] > 150 and min(seen["add"], seen["mul"], seen["inv"]) > 100
 
 
-def test_circle_samples_evaluates_the_closed_upper_half(river):
-    """Points 0 .. N // 2 are evaluated once each, in order; a pushed point is reported once."""
+def test_circle_samples_evaluates_the_closed_upper_half(river, monkeypatch):
+    """Points 0 .. N // 2 are evaluated once per system, in order; each deviation's worst is kept.
+
+    A point refused by an evaluation or by ``deviations`` is pushed once
+    by 1.37 and evaluated again for every system; no conjugate point is
+    evaluated.
+    """
     real, _ = river
+    slower = BlockRealization(real.dims, 0.5 * real.A, real.B, real.C, real.D)
+    systems = [real, slower]
     radius = 2.0 * (1.0 + spectral_radius(real))
-    for num_points in (1, 2, 3, 16):
-        upper = [radius * np.exp(2j * np.pi * k / num_points)
-                 for k in range(num_points // 2 + 1)]
-        seen = []
-        values, got_radius = circle_samples(
-            [real], num_points, lambda z: seen.append(z) or len(seen))
-        assert got_radius == radius
-        assert seen == upper, num_points
-        assert values == list(range(1, num_points // 2 + 2))
-        # The evaluated points lie on the closed upper half; the rest are their conjugates.
-        assert all(z.imag >= 0.0 for z in seen)
-
-    upper = [radius * np.exp(2j * np.pi * k / 16) for k in range(9)]
     seen = []
+    refused = set()
 
-    def refuse_once(z):
-        seen.append(z)
-        if z == upper[3]:
+    def recording(system, z):
+        seen.append((systems.index(system), z))
+        if seen[-1] in refused:
             raise PoleError("pushed")
         return z
 
-    values, _ = circle_samples([real], 16, refuse_once)
-    pushed = upper[3] * 1.37
-    assert seen == [*upper[:4], pushed, *upper[4:]]
-    assert values == [*upper[:3], pushed, *upper[4:]]
-    assert values.count(pushed) == 1 and np.conj(pushed) not in values
+    monkeypatch.setattr(netreal.realization, "eval_transfer", recording)
+
+    def deviations(g1, g2):
+        assert g1 == g2
+        if ("deviations", g1) in refused:
+            raise PoleError("refused by the deviations")
+        return (g1.imag, g1.real, -g1.real)
+
+    def worst(points):
+        return tuple(max(values) for values in zip(*(deviations(z, z) for z in points)))
+
+    def visits(points):
+        return [(k, z) for z in points for k in range(len(systems))]
+
+    for num_points in (1, 2, 3, 16):
+        upper = [radius * np.exp(2j * np.pi * k / num_points)
+                 for k in range(num_points // 2 + 1)]
+        seen.clear()
+        got, got_radius = circle_samples(systems, num_points, deviations)
+        assert got_radius == radius
+        assert seen == visits(upper), num_points
+        assert got == worst(upper), num_points
+        # The evaluated points lie on the closed upper half; the rest are their conjugates.
+        assert all(z.imag >= 0.0 for _, z in seen)
+
+    upper = [radius * np.exp(2j * np.pi * k / 16) for k in range(9)]
+    for refuser, k in ((0, 3), ("deviations", 8)):
+        refused = {(refuser, upper[k])}
+        seen.clear()
+        got, _ = circle_samples(systems, 16, deviations)
+        pushed = upper[k] * 1.37
+        # An evaluation refusal stops at the refusing system; the deviations see every value.
+        tried = [(0, upper[k])] if refuser == 0 else visits([upper[k]])
+        assert seen == [*visits(upper[:k]), *tried, *visits([pushed]), *visits(upper[k + 1:])]
+        assert got == worst([*upper[:k], pushed, *upper[k + 1:]])
+        assert np.conj(pushed) not in [z for _, z in seen]
+
+    # A deviation that refuses every push ends the sampling with the last refusal.
+    pushes = [upper[0]]
+    while len(pushes) < 8:
+        pushes.append(pushes[-1] * 1.37)
+    refused = {("deviations", z) for z in pushes}
+    seen.clear()
+    with pytest.raises(NumericalError, match="refused: refused by the deviations"):
+        circle_samples(systems, 16, deviations)
+    assert seen == visits(pushes)
 
 
 def test_shift_matches_the_textbook_shift_and_keeps_a_real_pencil_real(rng):
