@@ -60,8 +60,8 @@ def _require_count(num_points: int) -> None:
 def _as_matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
     if value is None:
         arr = np.zeros(shape)
-    elif (type(value) is np.ndarray and value.dtype == np.float64 and value.base is None
-          and not value.flags.writeable):
+    elif (type(value) is np.ndarray and value.dtype == np.float64 and value.shape == shape
+          and value.base is None and not value.flags.writeable):
         arr = value
     else:
         arr = _as_floats(value, f"{name} is not a numeric matrix")
@@ -108,9 +108,10 @@ class BlockRealization:
     """State-space matrices with a node partition.
 
     Matrices may be passed as ``None`` (filled with zeros), nested lists,
-    or arrays.  They are copied and frozen, except a float64 array that is
-    read-only and owns its data (``base is None``): it is kept and shared,
-    and its owner must not make it writable again.  Instances are safe to share.
+    or arrays.  They are copied and frozen, except a float64 array of the
+    right shape that is read-only and owns its data (``base is None``): it
+    is kept and shared, and its owner must not make it writable again.
+    Instances are safe to share.
 
     Parameters
     ----------

@@ -84,6 +84,19 @@ def test_frozen_owned_matrices_are_kept_and_others_copied():
     infinite.setflags(write=False)
     with pytest.raises(InputError, match="non-finite"):
         BlockRealization(DIMS1, A=infinite)
+    # ... and so is its shape: a wrong-shaped one is refused, a flat one reshaped into a copy.
+    square = np.eye(3)
+    square.setflags(write=False)
+    with pytest.raises(InputError, match=r"A must have shape \(2, 2\)"):
+        BlockRealization(NodeDims((2,), (1,), (1,)), A=square)
+    wide = np.zeros((1, 4))
+    wide.setflags(write=False)
+    with pytest.raises(InputError, match=r"D must have shape \(2, 2\)"):
+        BlockRealization(dims, D=wide)
+    flat = np.arange(4.0)
+    flat.setflags(write=False)
+    real = BlockRealization(dims, A=flat)
+    assert real.A.shape == (2, 2) and real.A[1, 0] == 2.0 and real.A.base is not flat
 
 
 def test_matrix_shape_and_content_validation():
