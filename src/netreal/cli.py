@@ -47,6 +47,7 @@ from .realization import (
 from .sim import simulate_distributed, simulate_lti
 from .sysio import (
     Report,
+    json_text,
     read_system,
     read_trajectory,
     trajectory_to_csv,
@@ -74,7 +75,7 @@ def _emit(report: Report, args, saved=None) -> int:
     if args.out:
         write_json(args.out, report.to_obj())
     if args.json:
-        print(json.dumps(report.to_obj(), indent=2))
+        print(json_text(report.to_obj()))
     else:
         if report.name:
             print(f"report: {report.name}")

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,11 +158,43 @@ def _json(text: str):
         raise InputError(f"invalid JSON: {exc}") from exc
 
 
+def json_text(obj, prefix: str = "") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, with less of the pure-Python encoder.
+
+    Given an indent, json takes its pure-Python encoder, which is slow on
+    the long float rows of a system file and leaves its nested closures
+    in reference cycles.  Here lists and dicts with string keys are laid
+    out the same way by recursion, ``prefix`` being the current line's
+    leading spaces; a list of finite floats is joined with
+    ``float.__repr__``, which is what json writes for each; every other
+    value is one ``json.dumps`` call without indent, which json's C
+    encoder serves.  Only a dict with a key that is not a ``str`` is left
+    to ``json.dumps(..., indent=2)`` itself, its lines moved in by
+    ``prefix`` (a JSON string holds no raw newline).
+    """
+    inner = prefix + "  "
+    if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            items = map(float.__repr__, obj)
+        else:
+            items = [json_text(item, inner) for item in obj]
+        brackets = "[]"
+    elif isinstance(obj, dict) and all(type(key) is str for key in obj):
+        items = [f"{json.dumps(key)}: {json_text(item, inner)}" for key, item in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, dict):
+        return json.dumps(obj, indent=2).replace("\n", "\n" + prefix)
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{prefix}{brackets[1]}"
+
+
 def write_json(path, obj) -> None:
-    """``obj`` as JSON indented by 2, with a trailing newline."""
+    """``obj`` as JSON indented by 2 (:func:`json_text`), with a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json_text(obj) + "\n")
 
 
 def read_system(path) -> tuple[BlockRealization, NetworkGraph, str | None]:

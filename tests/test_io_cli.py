@@ -43,6 +43,7 @@ from netreal.cli import main
 from netreal.sysio import (
     Report,
     _json,
+    json_text,
     trajectory_from_csv,
     trajectory_from_obj,
     trajectory_to_csv,
@@ -919,6 +920,56 @@ def test_cli_main_leaves_no_reference_cycles(tmp_path, capsys):
         ["compose", "--op", "mul", paths["plant"], paths["q"]],
         ["imc", paths["plant"], paths["q"]],
         ["closeloop", paths["wide"], paths["q"]],
+    ):
+        main(argv)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            main(argv)
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == 0, argv
+    capsys.readouterr()
+
+
+def test_json_text_is_json_dumps_byte_for_byte(rng, tmp_path):
+    """Float rows, odd floats, mixed lists, non-str keys, empty and nested containers alike."""
+    odd = [0.1, -0.0, 5e-324, 1.7976931348623157e308, 1e16, -2.5e-7, 3.0]
+    cases = [
+        [], {}, [[]], {"a": {}}, (), 2.0, "s", None, True, float("nan"),
+        odd, [1.0, float("nan")], [1.0, float("inf"), -1.0], [1.0, 2, True, None],
+        [np.float64(0.5), 1.5], {"k\u00e9\u2603\n": ("t", [1.0, 2.0], {"x": [[]]})},
+        {1: [1.0], 2.5: {"a": [0.5]}, None: "n", True: []}, {"outer": {0: [1.0, 2.0]}},
+        Report("r", "note").to_obj(),
+    ]
+    for _ in range(6):
+        graph = random_graph(rng, int(rng.integers(1, 5)))
+        real = random_system(rng, graph, random_dims(rng, graph.num_nodes, min_channels=1),
+                             scale=float(10.0 ** rng.integers(-300, 300)))
+        cases.append(system_to_obj(real, graph, "sys"))
+    report = Report("rep")
+    report.add("stage", True, values=[0.25, -1e-300], label="\u00fc", empty=[], nested={"v": []})
+    cases.append(report.to_obj())
+    for obj in cases:
+        assert json_text(obj) == json.dumps(obj, indent=2), obj
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json_text({"a": [object()]})
+    real, graph, _ = packaged_system("river")
+    write_system(tmp_path / "r.json", real, graph, "river")
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == (
+        json.dumps(system_to_obj(real, graph, "river"), indent=2) + "\n")
+
+
+def test_cli_json_and_saved_files_leave_no_reference_cycles(tmp_path, capsys):
+    """``--json``, ``-o`` and ``--save`` write without json's pure-Python encoder."""
+    paths = _write_river(tmp_path)
+    for argv in (
+        ["check", paths["wide"], "--json"],
+        ["imc", paths["plant"], paths["q"], "--json", "--save", str(tmp_path / "c.json")],
+        ["compose", "--op", "mul", paths["plant"], paths["q"], "-o", str(tmp_path / "r.json")],
     ):
         main(argv)
         gc.collect()

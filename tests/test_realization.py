@@ -25,16 +25,18 @@ from netreal import (
     spectral_radius,
     transfer_equal,
 )
-from netreal.loops import _identity_deviations, _loop_inverse
+from netreal.loops import _identity_deviations, _loop_inverse, close_loop
 from netreal.graphs import strongly_connected_components
 from netreal.realization import (
     POLE_COND_LIMIT,
     _certified_solve,
+    _component_cond_bound,
     _frobenius_cond_bound,
     _shifted,
     circle_samples,
 )
 from _support import (
+    oracle_component_bound,
     oracle_components,
     oracle_detectable,
     oracle_spectrum,
@@ -49,6 +51,7 @@ from _support import (
     random_loop_pair,
     random_mul_pair,
     random_system,
+    stabilized_chain,
     with_forbidden_entries,
 )
 
@@ -623,6 +626,121 @@ def test_certified_bound_is_never_below_half_the_exact_cond(rng):
             certified += bound < 0.5 * POLE_COND_LIMIT
             refused += cond >= POLE_COND_LIMIT
     assert certified > 300 and refused > 50
+
+
+def test_component_bound_is_never_below_the_exact_cond(rng):
+    """The comparison-matrix bound tops cond_2(zI - A); with one component it is the Frobenius bound.
+
+    Up to the rounding of the exact cond itself, about ``cond * eps``
+    relative, so within 1e-3 below the limit.  The library's bound, from
+    stacked inverses and two substitutions, is the oracle's rounded up by
+    its error estimate for the small inverses: never below it, and within
+    1e-6 above it while it is below 1e8.
+    """
+    seen = Counter()
+    for real in _spectrum_cases(rng):
+        if real.n == 0:
+            continue
+        for z in probe_points(rng, real):
+            shifted = _shifted(real.A, z, negate=True)
+            bound, cond = oracle_component_bound(real, z), np.linalg.cond(shifted)
+            assert bound >= (1.0 - 1e-3) * min(cond, POLE_COND_LIMIT), (z, bound, cond)
+            seen["certified"] += bound < 0.5 * POLE_COND_LIMIT
+            seen["refused"] += cond >= POLE_COND_LIMIT
+            if real._bound_terms is not None:
+                got = _component_cond_bound(real, shifted)
+                if bound < 1e300:
+                    assert bound * (1.0 - 1e-12) <= got, z
+                    assert bound >= 1e8 or got <= bound * (1.0 + 1e-6), z
+                else:
+                    assert not got < 0.5 * POLE_COND_LIMIT, z
+                seen["several"] += 1
+            elif np.isfinite(bound):
+                assert bound == _frobenius_cond_bound(shifted, np.linalg.inv(shifted)), z
+                seen["one"] += 1
+    assert seen["certified"] > 300 and seen["refused"] > 100
+    assert seen["several"] > 300 and seen["one"] > 40
+
+
+def _several_component_cases(rng):
+    """Systems whose A has two or more strongly connected components with states.
+
+    DAGs and graphs with cycles, with and without self-loops, with
+    zero-width nodes; closed loops of stabilized chains; and a cascade
+    of 120 states driven by one input at its head.
+    """
+    k = 0
+    while k < 60:
+        count = int(rng.integers(2, 9))
+        make = random_dag if k % 2 else random_graph
+        graph = make(rng, count, edge_prob=float(rng.uniform(0.05, 0.4)), self_loops=k % 4 < 2)
+        real = random_system(rng, graph, random_dims(rng, count),
+                             scale=float(rng.choice([0.3, 1.0, 3.0])))
+        if len(real.components) > 1:
+            k += 1
+            yield real
+    for count in (3, 12):
+        plant, controller, _ = stabilized_chain(rng, count, 1)
+        yield close_loop(plant, controller).realization
+    chain = build_graph(60, [(i, i) for i in range(60)] + [(i, i - 1) for i in range(1, 60)])
+    yield random_system(rng, chain, NodeDims((2,) * 60, (1,) + (0,) * 59, (1,) * 60), rho=0.8)
+
+
+def test_eval_transfer_matches_oracle_bitwise_with_several_components(rng):
+    """Each value is the oracle's, bit for bit, or both refuse; a refusal names the exact cond.
+
+    The single-input cascade above 100 states is bitwise too: only the
+    one-component path solves against ``[B | I]``.
+    """
+    seen = Counter()
+    for real in _several_component_cases(rng):
+        assert real._bound_terms is not None
+        radius = 2.0 * (1.0 + spectral_radius(real))
+        for z in [radius * np.exp(2j * np.pi * k / 16) for k in range(9)] + probe_points(rng, real):
+            got, want = _outcome(eval_transfer, real, z), _outcome(oracle_transfer, real, z)
+            if isinstance(want, type):
+                assert got is want, (z, got, want)
+                seen[want] += 1
+                if want is PoleError:
+                    cond = np.linalg.cond(_shifted(real.A, z, negate=True))
+                    with pytest.raises(PoleError) as refusal:
+                        eval_transfer(real, z)
+                    assert str(refusal.value).endswith(f"cond(zI - A) = {cond:.3e}"), z
+            else:
+                assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+                assert np.array_equal(got, want), z
+                seen["value"] += 1
+                seen["single input"] += real.n > 100 and real.m == 1
+    assert seen["value"] > 500 and seen[PoleError] > 150 and seen["single input"] > 40
+
+
+def _counting_linalg(monkeypatch):
+    """Record the right-hand-side width of every ``np.linalg.solve`` and each ``cond``/``svd`` call."""
+    calls = []
+    for name in ("solve", "cond", "svd"):
+        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, args[1].shape[1]) if _name == "solve" else (_name,))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_eval_transfer_solves_a_chain_against_b_alone(rng, monkeypatch):
+    """A 40-node chain runs one solve of width m per point; a grid keeps ``[B | I]``.
+
+    Neither runs an exact cond or an SVD on the sampling circle.
+    """
+    plant, controller, _ = stabilized_chain(rng, 40, 10)
+    chain = close_loop(plant, controller).realization
+    *_, grid = _spectrum_cases(rng)
+    assert len(chain.components) == 40 and len(grid.components) == 1
+    calls = _counting_linalg(monkeypatch)
+    for real, width in ((chain, chain.m), (grid, grid.m + grid.n)):
+        radius = 2.0 * (1.0 + spectral_radius(real))
+        for k in range(9):
+            calls.clear()
+            eval_transfer(real, radius * np.exp(2j * np.pi * k / 16))
+            assert calls == [("solve", width)], (k, calls)
 
 
 def test_eval_transfer_exactly_singular_shift_raises_pole_error():
