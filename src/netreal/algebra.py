@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError, InversionError, NumericalError, StabilityWarning
 from .graphs import NodeDims
-from .realization import BlockRealization, _certified_solve, spectral_radius
+from .realization import BlockRealization, _certified_inverse, spectral_radius
 
 _DEFAULT_COND_LIMIT = 1e8
 
@@ -163,17 +163,16 @@ def _invert_direct(real: BlockRealization, cond_limit: float) -> np.ndarray:
     d = real.D
     try:
         if not _block_diagonal(real):
-            _, inverse = _certified_solve(
-                d, None, cond_limit,
+            return _certified_inverse(
+                d, cond_limit,
                 lambda cond: InversionError(
                     f"direct term is singular or ill-conditioned (cond {cond:.3e})"))
-            return inverse
         out = np.zeros_like(d)
         for k, (rows, cols) in enumerate(zip(real.dims.output_slices, real.dims.input_slices)):
             blk = d[rows, cols]
             if blk.size:
-                _, out[rows, cols] = _certified_solve(
-                    blk, None, cond_limit,
+                out[rows, cols] = _certified_inverse(
+                    blk, cond_limit,
                     lambda cond: InversionError(
                         f"direct term of node {k} is singular or ill-conditioned "
                         f"(cond {cond:.3e})"))

@@ -28,7 +28,7 @@ from .errors import InputError, PoleError
 from .graphs import NodeDims
 from .realization import (
     BlockRealization,
-    _certified_solve,
+    _certified_inverse,
     _require_tolerance,
     circle_samples,
     scaled_deviation,
@@ -136,14 +136,14 @@ def q_param(plant: BlockRealization, controller: BlockRealization) -> BlockReali
 def _loop_inverse(p_z: np.ndarray, c_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``L = I + P(z) C(z)`` and ``L^{-1}`` at one sample point.
 
-    The one guard of that inverse: :func:`_certified_solve` raises
+    The one guard of that inverse: :func:`_certified_inverse` raises
     :class:`~netreal.errors.PoleError` when ``cond(L)`` reaches
     ``_IDENTITY_COND_LIMIT``, so :func:`circle_samples` pushes the point
     outward.
     """
     loop = np.eye(len(p_z)) + p_z @ c_z
-    _, loop_inv = _certified_solve(
-        loop, None, _IDENTITY_COND_LIMIT,
+    loop_inv = _certified_inverse(
+        loop, _IDENTITY_COND_LIMIT,
         lambda cond: PoleError(f"I + PC is ill-conditioned: cond {cond:.3e}"))
     return loop, loop_inv
 

@@ -29,11 +29,10 @@ from .errors import InputError, NumericalError, PoleError
 from .graphs import NetworkGraph, NodeDims, _as_floats, strongly_connected_components
 
 #: Evaluation of C (zI - A)^{-1} B refuses condition numbers at or above this.
-#: A cheap upper bound on the 2-norm condition number certifies a pass:
-#: one built from the strongly connected components of A when it has
-#: several, else the Frobenius bound of the solve against [B | I].  An SVD
-#: runs only when the bound reaches half of this; the half absorbs the
-#: rounding of the bound itself (see :func:`eval_transfer`).
+#: An upper bound on the 2-norm condition number, built from the strongly
+#: connected components of A, certifies a pass.  An SVD runs only when the
+#: bound reaches half of this; the half absorbs the rounding of the bound
+#: itself (see :func:`eval_transfer`).
 POLE_COND_LIMIT = 1e12
 
 _EPS = float(np.finfo(float).eps)
@@ -230,16 +229,13 @@ class BlockRealization:
         return eigs
 
     @cached_property
-    def _bound_terms(self) -> Optional[_BoundTerms]:
+    def _bound_terms(self) -> _BoundTerms:
         """The parts of :func:`_component_cond_bound` that do not depend on ``z``.
 
-        ``None`` with one component, whose bound would be
-        :func:`_frobenius_cond_bound` of all of ``zI - A``.
+        With one component there are no coupled pairs.
         """
         components = self.components
         count = len(components)
-        if count < 2:
-            return None
         owner = np.empty(self.n, dtype=int)
         for k, states in enumerate(components):
             owner[states] = k
@@ -433,55 +429,38 @@ def _refuse_unless_cond_below(
         raise refuse(cond)
 
 
-def _certified_solve(
-    matrix: np.ndarray,
-    rhs: Optional[np.ndarray],
-    limit: float,
-    refuse: Callable[[float], Exception],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``matrix^{-1} rhs`` and ``matrix^{-1}`` from one solve, refusing ``cond >= limit``.
+def _certified_inverse(
+    matrix: np.ndarray, limit: float, refuse: Callable[[float], Exception]
+) -> np.ndarray:
+    """``np.linalg.inv(matrix)``, refusing ``cond(matrix) >= limit``.
 
-    One LU solve with the right-hand side ``[rhs | I]`` yields both.  The
-    inverse certifies the guard: ``cond_2(matrix)`` is at most
+    The inverse certifies the guard: ``cond_2(matrix)`` is at most
     :func:`_frobenius_cond_bound`, so a bound that is finite and below
     ``limit / 2`` passes without an SVD (the half absorbs the rounding of
     the computed inverse, whose relative error is about ``cond * eps``).
-    Otherwise, and when the solve finds ``matrix`` exactly singular, the
-    exact ``np.linalg.cond`` decides: ``refuse(cond)`` is raised at or
-    above ``limit`` or when it is not finite; below it the solve's result,
-    or its ``LinAlgError``, stands.  ``rhs`` takes the dtype of ``matrix``;
-    ``rhs=None`` solves for the inverse alone.  :func:`eval_transfer` takes
-    this path for a state matrix with one strongly connected component;
-    with several it certifies from :func:`_component_cond_bound` instead
-    and solves against ``rhs`` alone.
+    Otherwise, and when ``matrix`` is exactly singular, the exact
+    ``np.linalg.cond`` decides: ``refuse(cond)`` is raised at or above
+    ``limit`` or when it is not finite; below it the inverse, or the
+    ``LinAlgError`` of an exactly singular ``matrix``, stands.
     """
-    n = len(matrix)
-    width = 0 if rhs is None else rhs.shape[1]
-    augmented = np.zeros((n, width + n), dtype=matrix.dtype)
-    if width:
-        augmented[:, :width] = rhs
-    augmented.flat[width :: width + n + 1] = 1.0
     try:
-        solution = np.linalg.solve(matrix, augmented)
-    except np.linalg.LinAlgError as exc:
-        solution, failure = None, exc
-    else:
-        if _frobenius_cond_bound(matrix, solution[:, width:]) < 0.5 * limit:
-            return solution[:, :width], solution[:, width:]
-    _refuse_unless_cond_below(matrix, limit, refuse)
-    if solution is None:
-        raise failure
-    return solution[:, :width], solution[:, width:]
+        inverse = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        _refuse_unless_cond_below(matrix, limit, refuse)
+        raise
+    if not _frobenius_cond_bound(matrix, inverse) < 0.5 * limit:
+        _refuse_unless_cond_below(matrix, limit, refuse)
+    return inverse
 
 
 def _component_cond_bound(real: BlockRealization, shifted: np.ndarray) -> float:
-    """An upper bound on ``cond_2(shifted)`` that never forms ``shifted^{-1}``.
+    """An upper bound on ``cond_2(shifted)`` from the inverses of its components' diagonal blocks.
 
-    ``shifted`` is ``zI - A`` for a realization with several strongly
-    connected components (``real._bound_terms`` is not ``None``); see
-    :func:`eval_transfer` for the bound and its rounding.  Only the
-    components' diagonal blocks are inverted, stacked by size, and the
-    coupling blocks multiplied by them, stacked by shape.  An exactly
+    ``shifted`` is ``zI - A``; see :func:`eval_transfer` for the bound
+    and its rounding.  Only the diagonal blocks of the strongly connected
+    components are inverted, stacked by size, and the coupling blocks
+    multiplied by them, stacked by shape.  With one component this is
+    ``||shifted||_F ||shifted^{-1}||_F``, rounded up.  An exactly
     singular block reads ``inf``, and an overflow ``inf`` or NaN: neither
     certifies anything.
     """
@@ -615,10 +594,11 @@ def eval_transfer(real: BlockRealization, z: complex) -> np.ndarray:
     upper bound on ``cond_2(M)`` that is finite and below half the limit
     passes the point; otherwise the exact ``np.linalg.cond`` decides.
 
-    With several strongly connected components (:attr:`BlockRealization.components`),
-    ``M`` is block lower-triangular in their order, with diagonal blocks
-    ``M_ii = zI - A_ii`` and coupling blocks ``-A_il``.  Block row ``i``
-    of ``M X = I`` gives ``X_ij = M_ii^{-1} (delta_ij I + sum_l A_il X_lj)``.
+    In the order of the strongly connected components of A
+    (:attr:`BlockRealization.components`), ``M`` is block lower-triangular,
+    with diagonal blocks ``M_ii = zI - A_ii`` and coupling blocks
+    ``-A_il``.  Block row ``i`` of ``M X = I`` gives
+    ``X_ij = M_ii^{-1} (delta_ij I + sum_l A_il X_lj)``.
     With ``w_i = ||M_ii^{-1}||_F`` and ``H_il = ||M_ii^{-1} A_il||_F``,
     induction down the order gives ``||X_ij||_F <= Y_ij`` for the
     non-negative ``Y = (I - H)^{-1} diag(w)``, so
@@ -631,8 +611,9 @@ def eval_transfer(real: BlockRealization, z: complex) -> np.ndarray:
     The row and column sums of ``Y`` take two substitutions over the
     coupled pairs, and ``||M||_F^2`` is the diagonal blocks' plus the
     couplings', so a point costs the small inverses and products, and
-    O(components + coupled pairs) besides.  A certified point takes the
-    states from ``np.linalg.solve(M, B)`` alone, exactly the dense call.
+    O(components + coupled pairs) besides.  With one component the
+    bound is ``||M||_F ||M^{-1}||_F``.  The states come from
+    ``np.linalg.solve(M, B)`` alone, exactly the dense call.
     Bounding ``H_il`` by ``w_i ||A_il||_F`` would give the classic
     comparison matrix (Feingold and Varga), whose couplings do not
     depend on ``z``; but those products compound along a cascade: on a
@@ -649,11 +630,6 @@ def eval_transfer(real: BlockRealization, z: complex) -> np.ndarray:
     rounding of the Frobenius norms and of the sums, which add
     non-negative terms, is a relative ``(n + components + pairs) * eps``
     at most; the half margin covers it, and the constant in "about".
-
-    With one component its diagonal block is ``M`` itself and the bound
-    would be :func:`_frobenius_cond_bound`: one LU solve against
-    ``[B | I]`` (:func:`_certified_solve`) yields the states and the
-    inverse that certifies them, as before.
     """
     if real.n == 0:
         return real.D.astype(complex)
@@ -663,16 +639,12 @@ def eval_transfer(real: BlockRealization, z: complex) -> np.ndarray:
         return PoleError(f"z = {z} is too close to a pole: cond(zI - A) = {cond:.3e}")
 
     try:
-        if real._bound_terms is None:
-            states, _ = _certified_solve(shifted, real.B, POLE_COND_LIMIT, refuse)
-        else:
-            if not _component_cond_bound(real, shifted) < 0.5 * POLE_COND_LIMIT:
-                _refuse_unless_cond_below(shifted, POLE_COND_LIMIT, refuse)
-            states = np.linalg.solve(shifted, real.B.astype(complex))
+        if not _component_cond_bound(real, shifted) < 0.5 * POLE_COND_LIMIT:
+            _refuse_unless_cond_below(shifted, POLE_COND_LIMIT, refuse)
+        states = np.linalg.solve(shifted, real.B.astype(complex))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"transfer evaluation failed at z = {z}: {exc}") from exc
-    # Contiguous, as numpy picks a different product kernel for a strided column.
-    return real.C @ np.ascontiguousarray(states) + real.D
+    return real.C @ states + real.D
 
 
 def scaled_deviation(left: np.ndarray, right: np.ndarray) -> float:

@@ -147,14 +147,15 @@ def _read(path, parse):
 def _json(text: str):
     """The JSON document in ``text``; bad JSON raises InputError with its line and column.
 
-    An integer literal too long for Python to convert raises InputError too.
+    An integer literal too long for Python to convert, or nesting deeper
+    than the decoder's recursion limit, raises InputError too.
     """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
 
 

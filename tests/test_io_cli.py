@@ -350,6 +350,19 @@ def test_cli_missing_file_and_usage(tmp_path, capsys):
     bad.write_text("{")
     assert main(["check", str(bad)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+    # Nesting past the decoder's recursion limit is bad input, not a traceback.
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({
+        "graph": {"num_nodes": 1, "edges": [[0, 0]]}, "dims": [{"n": 1, "m": 1, "p": 1}],
+        "A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}))
+    deep_system, deep_input = tmp_path / "deep-sys.json", tmp_path / "deep-u.json"
+    deep_system.write_text('{"graph": ' + "[" * 100_000)
+    deep_input.write_text('{"partition": [1], "values": ' + "[" * 100_000)
+    for argv in (["check", str(deep_system)],
+                 ["simulate", str(system), "--input", str(deep_input)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid JSON" in captured.err, argv
     bad.write_bytes(b'{"name": "\xff"}')
     assert main(["check", str(bad)]) == 2
     assert "not UTF-8 text (invalid start byte at byte 10)" in capsys.readouterr().err

@@ -29,7 +29,7 @@ from netreal.loops import _identity_deviations, _loop_inverse, close_loop
 from netreal.graphs import strongly_connected_components
 from netreal.realization import (
     POLE_COND_LIMIT,
-    _certified_solve,
+    _certified_inverse,
     _component_cond_bound,
     _frobenius_cond_bound,
     _shifted,
@@ -427,15 +427,18 @@ def test_eval_transfer_matches_exact_cond_oracle(rng):
     assert seen["value"] > 300 and seen[PoleError] > 100 and seen["singular"] > 20
 
 
-def test_eval_transfer_single_input_above_100_states_agrees_to_rounding(rng):
+def test_eval_transfer_single_input_above_100_states_matches_oracle_bitwise(rng):
     # OpenBLAS solves a lone right-hand side with level-2 kernels above
-    # about 100 states, which round differently from the blocked solve of
-    # [B | I]; the values then agree to rounding rather than bitwise.
+    # about 100 states, which round differently from a blocked solve
+    # against more columns; solving against B alone, as the oracle does,
+    # gives its bits.
     a = rng.normal(size=(120, 120)) * 0.05
     real = BlockRealization(
         NodeDims((120,), (1,), (2,)), a, rng.normal(size=(120, 1)), rng.normal(size=(2, 120)))
+    assert len(real.components) == 1
     for z in (1.5, 0.3 + 2.0j, -2.5 - 0.1j):
-        assert scaled_deviation(eval_transfer(real, z), oracle_transfer(real, z)) <= 1e-13
+        got, want = eval_transfer(real, z), oracle_transfer(real, z)
+        assert got.dtype == want.dtype and np.array_equal(got, want), z
 
 
 def _mirror_probes(rng, systems):
@@ -615,9 +618,9 @@ def test_certified_bound_is_never_below_half_the_exact_cond(rng):
                 continue
             shifted = _shifted(real.A, z, negate=True)
             try:
-                _, inverse = _certified_solve(shifted, real.B, np.inf, PoleError)
+                inverse = _certified_inverse(shifted, np.inf, PoleError)
             except PoleError:
-                continue  # exactly singular: the solve raised and cond is inf
+                continue  # exactly singular: the inverse raised and cond is inf
             bound = _frobenius_cond_bound(shifted, inverse)
             cond = np.linalg.cond(shifted)
             # The guard passes without an SVD only below half the limit,
@@ -647,13 +650,13 @@ def test_component_bound_is_never_below_the_exact_cond(rng):
             assert bound >= (1.0 - 1e-3) * min(cond, POLE_COND_LIMIT), (z, bound, cond)
             seen["certified"] += bound < 0.5 * POLE_COND_LIMIT
             seen["refused"] += cond >= POLE_COND_LIMIT
-            if real._bound_terms is not None:
-                got = _component_cond_bound(real, shifted)
-                if bound < 1e300:
-                    assert bound * (1.0 - 1e-12) <= got, z
-                    assert bound >= 1e8 or got <= bound * (1.0 + 1e-6), z
-                else:
-                    assert not got < 0.5 * POLE_COND_LIMIT, z
+            got = _component_cond_bound(real, shifted)
+            if bound < 1e300:
+                assert bound * (1.0 - 1e-12) <= got, z
+                assert bound >= 1e8 or got <= bound * (1.0 + 1e-6), z
+            else:
+                assert not got < 0.5 * POLE_COND_LIMIT, z
+            if len(real.components) > 1:
                 seen["several"] += 1
             elif np.isfinite(bound):
                 assert bound == _frobenius_cond_bound(shifted, np.linalg.inv(shifted)), z
@@ -689,12 +692,12 @@ def _several_component_cases(rng):
 def test_eval_transfer_matches_oracle_bitwise_with_several_components(rng):
     """Each value is the oracle's, bit for bit, or both refuse; a refusal names the exact cond.
 
-    The single-input cascade above 100 states is bitwise too: only the
-    one-component path solves against ``[B | I]``.
+    The single-input cascade above 100 states is bitwise too, as the
+    states come from a solve against ``B`` alone, the oracle's call.
     """
     seen = Counter()
     for real in _several_component_cases(rng):
-        assert real._bound_terms is not None
+        assert len(real.components) > 1
         radius = 2.0 * (1.0 + spectral_radius(real))
         for z in [radius * np.exp(2j * np.pi * k / 16) for k in range(9)] + probe_points(rng, real):
             got, want = _outcome(eval_transfer, real, z), _outcome(oracle_transfer, real, z)
@@ -715,19 +718,30 @@ def test_eval_transfer_matches_oracle_bitwise_with_several_components(rng):
 
 
 def _counting_linalg(monkeypatch):
-    """Record the right-hand-side width of every ``np.linalg.solve`` and each ``cond``/``svd`` call."""
+    """Record every ``np.linalg`` ``solve``, ``inv``, ``cond`` and ``svd`` call.
+
+    A solve is recorded with its right-hand side's width, an inverse
+    with its stack's shape.
+    """
     calls = []
-    for name in ("solve", "cond", "svd"):
+    for name in ("solve", "inv", "cond", "svd"):
         def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, args[1].shape[1]) if _name == "solve" else (_name,))
+            if _name == "solve":
+                calls.append((_name, args[1].shape[1]))
+            elif _name == "inv":
+                calls.append((_name, args[0].shape))
+            else:
+                calls.append((_name,))
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
 def test_eval_transfer_solves_a_chain_against_b_alone(rng, monkeypatch):
-    """A 40-node chain runs one solve of width m per point; a grid keeps ``[B | I]``.
+    """A 40-node chain and a grid each run one solve of width m per point.
 
+    The chain inverts its components' diagonal blocks, one stack per
+    block size; the grid, one component, inverts its n x n matrix once.
     Neither runs an exact cond or an SVD on the sampling circle.
     """
     plant, controller, _ = stabilized_chain(rng, 40, 10)
@@ -735,12 +749,15 @@ def test_eval_transfer_solves_a_chain_against_b_alone(rng, monkeypatch):
     *_, grid = _spectrum_cases(rng)
     assert len(chain.components) == 40 and len(grid.components) == 1
     calls = _counting_linalg(monkeypatch)
-    for real, width in ((chain, chain.m), (grid, grid.m + grid.n)):
+    for real in (chain, grid):
+        sizes = Counter(len(states) for states in real.components)
+        stacks = [("inv", (sizes[size], size, size)) for size in sorted(sizes)]
         radius = 2.0 * (1.0 + spectral_radius(real))
         for k in range(9):
             calls.clear()
             eval_transfer(real, radius * np.exp(2j * np.pi * k / 16))
-            assert calls == [("solve", width)], (k, calls)
+            assert calls == stacks + [("solve", real.m)], (k, calls)
+    assert stacks == [("inv", (1, grid.n, grid.n))]
 
 
 def test_eval_transfer_exactly_singular_shift_raises_pole_error():
