@@ -21,7 +21,7 @@ from .errors import (
     StabilityWarning,
 )
 from .graphs import NetworkGraph, NodeDims, build_graph
-from .imc import ideal_maps, imc_controller
+from .imc import ideal_maps, imc_controller, simulate_imc_loop
 from .loops import ClosedLoop, IdentityReport, close_loop, q_param, verify_identities
 from .realization import (
     BlockRealization,
@@ -45,7 +45,6 @@ from .realization import (
 from .sim import (
     SignalTrajectory,
     simulate_distributed,
-    simulate_imc_loop,
     simulate_lti,
 )
 from .sysio import (

@@ -26,6 +26,7 @@ from .errors import InputError, InversionError, NumericalError, StabilityWarning
 from .graphs import NodeDims
 from .realization import BlockRealization, _certified_inverse, spectral_radius
 
+#: :func:`invert` refuses a direct term whose condition number reaches this.
 _DEFAULT_COND_LIMIT = 1e8
 
 
@@ -158,13 +159,13 @@ def _block_diagonal(real: BlockRealization) -> bool:
     return not np.any(occupied[~np.eye(real.num_nodes, dtype=bool)])
 
 
-def _invert_direct(real: BlockRealization, cond_limit: float) -> np.ndarray:
+def _invert_direct(real: BlockRealization) -> np.ndarray:
     """Invert D, blockwise when it is exactly block-diagonal."""
     d = real.D
     try:
         if not _block_diagonal(real):
             return _certified_inverse(
-                d, cond_limit,
+                d, _DEFAULT_COND_LIMIT,
                 lambda cond: InversionError(
                     f"direct term is singular or ill-conditioned (cond {cond:.3e})"))
         out = np.zeros_like(d)
@@ -172,7 +173,7 @@ def _invert_direct(real: BlockRealization, cond_limit: float) -> np.ndarray:
             blk = d[rows, cols]
             if blk.size:
                 out[rows, cols] = _certified_inverse(
-                    blk, cond_limit,
+                    blk, _DEFAULT_COND_LIMIT,
                     lambda cond: InversionError(
                         f"direct term of node {k} is singular or ill-conditioned "
                         f"(cond {cond:.3e})"))
@@ -181,18 +182,18 @@ def _invert_direct(real: BlockRealization, cond_limit: float) -> np.ndarray:
         raise InversionError(f"direct term inversion failed: {exc}") from exc
 
 
-def invert(real: BlockRealization, cond_limit: float = _DEFAULT_COND_LIMIT) -> BlockRealization:
+def invert(real: BlockRealization) -> BlockRealization:
     """Realization of the transfer-matrix inverse.
 
     Built as ``(A - B D^{-1} C,  B D^{-1},  -D^{-1} C,  D^{-1})``.
     Requires per-node square channel counts and a direct term whose
-    condition number stays below ``cond_limit``.
+    condition number stays below ``_DEFAULT_COND_LIMIT`` (1e8).
     """
     if real.dims.inputs != real.dims.outputs:
         raise InversionError(
             "inversion needs per-node square channel counts, got inputs "
             f"{real.dims.inputs} vs outputs {real.dims.outputs}")
-    d_inv = _invert_direct(real, cond_limit)
+    d_inv = _invert_direct(real)
     with np.errstate(over="ignore", invalid="ignore"):
         b_new = real.B @ d_inv
         a_new = real.A - b_new @ real.C

@@ -353,6 +353,9 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except NetRealError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Internal-model control: the controller and the loop it closes.
+"""Internal-model control: the controller, the loop it closes, and its run.
 
 The controller wraps a copy of the plant model: for a strictly proper
 plant ``(A, B, C)`` and a design parameter ``(E, F, G, H)`` mapping the
@@ -20,7 +20,7 @@ them and reorders the result node-major, the one home of that layout.
 
 The loop that controller closes around the plant, with a model
 ``(A_m, B_m, C_m)`` that may differ from it, is one more such
-composite, which :func:`netreal.sim.simulate_imc_loop` runs.  Write
+composite, which :func:`simulate_imc_loop` runs.  Write
 ``dA = A_m - A``, ``dB = B_m - B`` and ``dC = C_m - C``.  Per node its
 states are the plant state ``x``, the model error ``e = x_m - x`` and
 the parameter state ``xi``; its inputs are the reference ``r`` and the
@@ -45,9 +45,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _node_major, multiply
+from .algebra import _node_major, _part_positions, multiply, node_major_indices
 from .loops import _check_pair
 from .realization import BlockRealization
+from .sim import SignalTrajectory, _coerce_signal, simulate_lti
 
 
 def imc_controller(plant: BlockRealization, q: BlockRealization) -> BlockRealization:
@@ -103,6 +104,50 @@ def _imc_loop(
             [[h, -h], [None, eye], [None, -eye]],
             (states, states, q.dims.states), (outputs, outputs),
             (plant.dims.inputs, outputs, outputs))
+
+
+def simulate_imc_loop(
+    plant: BlockRealization,
+    model: BlockRealization,
+    q: BlockRealization,
+    reference,
+    output_disturbance=None,
+) -> tuple[SignalTrajectory, SignalTrajectory, SignalTrajectory]:
+    """Closed-loop run of the internal-model structure.
+
+    The controller carries its own copy of ``model`` and the design
+    parameter ``q``; the actuation is ``u = q(r + model(u) - y)`` where
+    ``y`` is the (possibly disturbed) plant output.  Both plant and
+    model must be strictly proper, which breaks the algebraic loop.
+
+    The loop is built as one realization from ``(reference,
+    disturbance)`` to ``(u, y, prediction_error)``, whose equations the
+    module docstring gives, and run by :func:`~netreal.sim.simulate_lti`.
+    Returns ``(u, y, prediction_error)`` where the prediction error is
+    the model output minus the measured output.  When the model's
+    matrices equal the plant's it is exactly minus the disturbance, so
+    exactly zero without one.  Raises
+    :class:`~netreal.errors.NumericalError` if the run diverges.
+    """
+    _check_pair(plant, q, "design parameter")
+    _check_pair(model, q, "design parameter")
+    outputs = model.dims.outputs
+    reference = _coerce_signal(reference, outputs, "reference")
+    steps = reference.length
+    if output_disturbance is None:
+        output_disturbance = SignalTrajectory.zeros(outputs, steps, "disturbance")
+    output_disturbance = _coerce_signal(output_disturbance, outputs, "disturbance", steps)
+
+    loop = _imc_loop(plant, model, q)
+    inputs = np.hstack([reference.values, output_disturbance.values])
+    out, _ = simulate_lti(loop, inputs[:, node_major_indices(outputs, outputs)])
+    us, ys, errs = (out.values[:, at]
+                    for at in _part_positions((plant.dims.inputs, outputs, outputs)))
+    return (
+        SignalTrajectory(us, plant.dims.inputs, "u"),
+        SignalTrajectory(ys, plant.dims.outputs, "y"),
+        SignalTrajectory(errs, plant.dims.outputs, "prediction_error"),
+    )
 
 
 def ideal_maps(

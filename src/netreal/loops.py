@@ -27,6 +27,7 @@ from .algebra import _node_major, _part_positions
 from .errors import InputError, PoleError
 from .graphs import NodeDims
 from .realization import (
+    POLE_COND_LIMIT,
     BlockRealization,
     _certified_inverse,
     _require_tolerance,
@@ -34,8 +35,6 @@ from .realization import (
     scaled_deviation,
     spectral_radius,
 )
-
-_IDENTITY_COND_LIMIT = 1e12
 
 
 def _check_pair(plant: BlockRealization, other: BlockRealization, role: str) -> None:
@@ -138,12 +137,12 @@ def _loop_inverse(p_z: np.ndarray, c_z: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     The one guard of that inverse: :func:`_certified_inverse` raises
     :class:`~netreal.errors.PoleError` when ``cond(L)`` reaches
-    ``_IDENTITY_COND_LIMIT``, so :func:`circle_samples` pushes the point
-    outward.
+    ``POLE_COND_LIMIT``, the limit of every sample point, so
+    :func:`circle_samples` pushes the point outward.
     """
     loop = np.eye(len(p_z)) + p_z @ c_z
     loop_inv = _certified_inverse(
-        loop, _IDENTITY_COND_LIMIT,
+        loop, POLE_COND_LIMIT,
         lambda cond: PoleError(f"I + PC is ill-conditioned: cond {cond:.3e}"))
     return loop, loop_inv
 

@@ -338,14 +338,13 @@ def check_compatibility(
     real: BlockRealization,
     graph: NetworkGraph,
     mode: DMode = DMode.STRICT,
-    zero_tol: float = 0.0,
 ) -> CompatibilityReport:
     """Test the block-sparsity rules of a realization against a graph.
 
     A and C blocks must vanish off the edge set; B must be block-diagonal.
     In strict mode D must be block-diagonal too; in edge-sparse mode D
-    blocks are additionally allowed on edges.  Entries with absolute value
-    at most ``zero_tol`` (default exactly zero) count as zero.
+    blocks are additionally allowed on edges.  The test is exact: a block
+    off its allowed set violates when any of its entries is nonzero.
 
     Returns a report listing every offending block with its largest
     magnitude; ``ok`` is True iff there are none.
@@ -354,7 +353,6 @@ def check_compatibility(
     if dims.num_nodes != graph.num_nodes:
         raise InputError(
             f"realization has {dims.num_nodes} nodes, graph has {graph.num_nodes}")
-    _require_tolerance(zero_tol, "zero_tol")
 
     edges = graph.adjacency
     diagonal = np.eye(dims.num_nodes, dtype=bool)
@@ -371,7 +369,7 @@ def check_compatibility(
         for name, grid, allowed in (
             ("A", occ.A, edges), ("B", occ.B, diagonal),
             ("C", occ.C, edges), ("D", occ.D, d_ok))
-        for i, j in zip(*np.nonzero((grid > zero_tol) & ~allowed))
+        for i, j in zip(*np.nonzero((grid > 0) & ~allowed))
     ]
     return CompatibilityReport(not violations, tuple(violations))
 
@@ -560,17 +558,14 @@ class CertificationResult:
     pbh: PbhReport
 
 
-def certify_witness(
-    real: BlockRealization,
-    graph: NetworkGraph,
-    mode: DMode = DMode.STRICT,
-    tol: float = 1e-9,
-    zero_tol: float = 0.0,
-) -> CertificationResult:
-    """Full witness certificate: compatibility plus both PBH tests."""
-    compat = check_compatibility(real, graph, mode, zero_tol)
-    stab = pbh_stabilizable(real, tol)
-    det = pbh_detectable(real, tol)
+def certify_witness(real: BlockRealization, graph: NetworkGraph) -> CertificationResult:
+    """Full witness certificate: strict compatibility plus both PBH tests.
+
+    The PBH tests run at their default ``tol``.
+    """
+    compat = check_compatibility(real, graph)
+    stab = pbh_stabilizable(real)
+    det = pbh_detectable(real)
     pbh = PbhReport(stab.passed, det.passed, stab.offending + det.offending)
     return CertificationResult(compat.ok and stab.passed and det.passed, compat, pbh)
 

@@ -1,13 +1,12 @@
 """Discrete-time simulation with a fixed block evaluation order.
 
-All three simulators run one step loop.  :func:`simulate_imc_loop`
-builds the internal-model loop as one realization and hands it to
-:func:`simulate_lti`; the other two run the loop over a plan that
-lists, per node, the state blocks it reads (A and C) and the input
-blocks that drive it (B and D), each in ascending node order.
-:func:`simulate_lti` plans the blocks that hold a nonzero entry;
-:func:`simulate_distributed` plans the node's in-neighbors and its own
-input, so no block off an edge is ever read.
+Both simulators run one step loop over a plan that lists, per node,
+the state blocks it reads (A and C) and the input blocks that drive it
+(B and D), each in ascending node order.  :func:`simulate_lti` plans
+the blocks that hold a nonzero entry; :func:`simulate_distributed`
+plans the node's in-neighbors and its own input, so no block off an
+edge is ever read.  :func:`netreal.imc.simulate_imc_loop` runs the
+internal-model loop through :func:`simulate_lti`.
 
 The step loop stacks the planned blocks once, zero-padded to the
 largest node, so a step costs one gather, two batched products (the
@@ -25,11 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import _part_positions, node_major_indices
 from .errors import InputError, NumericalError
 from .graphs import NetworkGraph, _as_counts, _as_floats, partition_slices
-from .imc import _imc_loop
-from .loops import _check_pair
 from .realization import BlockRealization, DMode, check_compatibility
 
 
@@ -214,15 +210,12 @@ def simulate_distributed(
     graph: NetworkGraph,
     u,
     x0=None,
-    access_log: list | None = None,
 ) -> tuple[SignalTrajectory, SignalTrajectory, int]:
     """Per-node simulation that only reads state along declared edges.
 
     The plan gives node ``i`` the states of its in-neighbors and its own
-    input, and nothing else, so a read off an edge cannot happen.  Pass
-    ``access_log`` to receive the ``(step, reader, source)`` state reads
-    of the plan, ordered by step, then reader, then source.  Requires
-    strict compatibility.  Outputs equal :func:`simulate_lti` under
+    input, and nothing else, so a read off an edge cannot happen.
+    Requires strict compatibility.  Outputs equal :func:`simulate_lti` under
     array equality, and the returned message count, one per non-self
     edge per step, is ``steps * number of non-self edges``.
     """
@@ -236,51 +229,4 @@ def simulate_distributed(
     reads = np.nonzero(graph.adjacency)
     nodes = np.arange(real.num_nodes)
     y, xs = _run(real, u, x, reads, (nodes, nodes))
-    if access_log is not None:
-        edges = graph.sorted_edges()
-        access_log.extend((t, i, j) for t in range(u.length) for i, j in edges)
     return y, xs, u.length * graph.num_non_self_edges
-
-
-def simulate_imc_loop(
-    plant: BlockRealization,
-    model: BlockRealization,
-    q: BlockRealization,
-    reference,
-    output_disturbance=None,
-) -> tuple[SignalTrajectory, SignalTrajectory, SignalTrajectory]:
-    """Closed-loop run of the internal-model structure.
-
-    The controller carries its own copy of ``model`` and the design
-    parameter ``q``; the actuation is ``u = q(r + model(u) - y)`` where
-    ``y`` is the (possibly disturbed) plant output.  Both plant and
-    model must be strictly proper, which breaks the algebraic loop.
-
-    The loop is built as one realization from ``(reference,
-    disturbance)`` to ``(u, y, prediction_error)``, whose equations the
-    :mod:`netreal.imc` docstring gives, and run by :func:`simulate_lti`.
-    Returns ``(u, y, prediction_error)`` where the prediction error is
-    the model output minus the measured output.  When the model's
-    matrices equal the plant's it is exactly minus the disturbance, so
-    exactly zero without one.  Raises
-    :class:`~netreal.errors.NumericalError` if the run diverges.
-    """
-    _check_pair(plant, q, "design parameter")
-    _check_pair(model, q, "design parameter")
-    outputs = model.dims.outputs
-    reference = _coerce_signal(reference, outputs, "reference")
-    steps = reference.length
-    if output_disturbance is None:
-        output_disturbance = SignalTrajectory.zeros(outputs, steps, "disturbance")
-    output_disturbance = _coerce_signal(output_disturbance, outputs, "disturbance", steps)
-
-    loop = _imc_loop(plant, model, q)
-    inputs = np.hstack([reference.values, output_disturbance.values])
-    out, _ = simulate_lti(loop, inputs[:, node_major_indices(outputs, outputs)])
-    us, ys, errs = (out.values[:, at]
-                    for at in _part_positions((plant.dims.inputs, outputs, outputs)))
-    return (
-        SignalTrajectory(us, plant.dims.inputs, "u"),
-        SignalTrajectory(ys, plant.dims.outputs, "y"),
-        SignalTrajectory(errs, plant.dims.outputs, "prediction_error"),
-    )

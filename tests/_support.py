@@ -236,8 +236,8 @@ def oracle_imc_loop(plant, model, q, reference, disturbance):
 def with_forbidden_entries(rng, real, count=3):
     """Copy of ``real`` with ``count`` random entries of each matrix overwritten.
 
-    Magnitudes span 1e-12 to 10, so a positive ``zero_tol`` masks some of
-    them; entries may land on allowed and forbidden blocks alike.
+    Magnitudes span 1e-12 to 10, so the exact check must catch tiny
+    entries too; entries may land on allowed and forbidden blocks alike.
     """
     mats = []
     for mat in (real.A, real.B, real.C, real.D):
@@ -473,8 +473,8 @@ def oracle_blocks(real):
     return out
 
 
-def oracle_violations(real, graph, mode, zero_tol=0.0):
-    """``(matrix, (i, j), max_abs)`` of every forbidden block above ``zero_tol``.
+def oracle_violations(real, graph, mode):
+    """``(matrix, (i, j), max_abs)`` of every forbidden block with a nonzero entry.
 
     Ordered A, B, C, D, each row-major; empty blocks never count.
     """
@@ -487,7 +487,7 @@ def oracle_violations(real, graph, mode, zero_tol=0.0):
                 allowed = i == j or (i, j) in graph.edges
             else:
                 allowed = i == j
-            if not allowed and blk.size and float(np.max(np.abs(blk))) > zero_tol:
+            if not allowed and blk.size and float(np.max(np.abs(blk))) > 0.0:
                 found.append((name, (i, j), float(np.max(np.abs(blk)))))
     return found
 

@@ -100,7 +100,7 @@ def test_03_imc_controller_structure_bitwise():
         and np.array_equal(controller.B, expected_b)
         and np.array_equal(controller.C, expected_c)
         and np.array_equal(controller.D, np.zeros((3, 3)))
-        and check_compatibility(controller, graph, DMode.STRICT, zero_tol=0.0).ok
+        and check_compatibility(controller, graph, DMode.STRICT).ok
     )
     assert _verdict(3, "imc-controller-structure", ok), controller.A
 
@@ -121,7 +121,7 @@ def test_04_random_compositions_stay_compatible_and_exact():
             outer, inner, graph = random_mul_pair(rng, max_nodes=6, max_states=3)
             result = multiply(outer, inner)
             oracle = lambda z: eval_transfer(outer, z) @ eval_transfer(inner, z)
-        if not check_compatibility(result, graph, DMode.STRICT, zero_tol=0.0).ok:
+        if not check_compatibility(result, graph, DMode.STRICT).ok:
             ok = False
             break
         worst = max(
@@ -146,7 +146,7 @@ def test_05_closed_loops_and_parameter_roundtrips():
         plant, controller, graph = random_loop_pair(rng, max_nodes=4, max_states=2)
         loop = close_loop(plant, controller)
         if not check_compatibility(
-                loop.realization, graph, DMode.STRICT, zero_tol=0.0).ok:
+                loop.realization, graph, DMode.STRICT).ok:
             ok = False
             break
         report = verify_identities(plant, controller, num_points=8, rel_tol=1e-8)

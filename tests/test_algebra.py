@@ -88,7 +88,7 @@ def test_add_matches_pointwise_sum(rng):
     for _ in range(10):
         r1, r2, graph = random_add_pair(rng, max_nodes=4)
         total = add(r1, r2)
-        assert check_compatibility(total, graph, zero_tol=0.0).ok
+        assert check_compatibility(total, graph).ok
         for z in SAMPLE_Z:
             got = eval_transfer(total, z)
             want = eval_transfer(r1, z) + eval_transfer(r2, z)
@@ -111,7 +111,7 @@ def test_multiply_matches_pointwise_product(rng):
     for _ in range(10):
         outer, inner, graph = random_mul_pair(rng, max_nodes=4)
         prod = multiply(outer, inner)
-        assert check_compatibility(prod, graph, zero_tol=0.0).ok
+        assert check_compatibility(prod, graph).ok
         for z in SAMPLE_Z:
             got = eval_transfer(prod, z)
             want = eval_transfer(outer, z) @ eval_transfer(inner, z)
@@ -136,6 +136,9 @@ def test_multiply_rejects_mismatched_channels(river):
         C=np.zeros((4, 3)))
     with pytest.raises(InputError):
         multiply(plant, skinny)
+    pair = BlockRealization(NodeDims((1, 1), (1, 1), (1, 1)), A=np.eye(2) * 0.5)
+    with pytest.raises(InputError, match="cannot compose systems on 3 and 2 nodes"):
+        multiply(plant, pair)
 
 
 def test_multiply_warns_on_unstable_factor():
@@ -165,7 +168,7 @@ def test_invert_matches_pointwise_inverse(rng):
         d = real.D + np.eye(real.m) * 3.0
         real = BlockRealization(dims, real.A, real.B, real.C, d)
         inv = invert(real)
-        assert check_compatibility(inv, graph, zero_tol=0.0).ok
+        assert check_compatibility(inv, graph).ok
         for z in SAMPLE_Z:
             got = eval_transfer(inv, z)
             want = np.linalg.inv(eval_transfer(real, z))
@@ -245,8 +248,6 @@ def test_invert_cond_limit_is_enforced():
     real = BlockRealization(dims, D=[[1.0, 0.0], [0.0, 1e-12]])
     with pytest.raises(InversionError):
         invert(real)
-    loose = invert(real, cond_limit=1e15)
-    assert loose.D[1, 1] == pytest.approx(1e12)
 
 
 def test_invert_full_direct_term_keeps_bits_and_cond_message(rng):

@@ -91,6 +91,8 @@ def test_node_dims_rejects_negative_and_mismatched():
         NodeDims((1,), (1, 1), (1,))
     with pytest.raises(InputError):
         NodeDims((), (), ())
+    with pytest.raises(InputError, match=r"each dims entry must be an \(n, m, p\) triple"):
+        NodeDims.from_triples([(1, 2)])
     for bad in ((1.0,), (True,), ("1",), "1", 1, None, (2**62,)):
         with pytest.raises(InputError):
             NodeDims(bad, (1,), (1,))

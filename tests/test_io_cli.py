@@ -307,13 +307,6 @@ def test_demo_reports_validate_against_schema(report_schema):
         json.dumps(obj)
 
 
-def test_demo_remark1_refuses_unusable_tolerances():
-    # An infinite tolerance would pass its pointwise transfer stage at any deviation.
-    for bad in (-1.0, np.nan, np.inf):
-        with pytest.raises(InputError, match="tol must be finite and nonnegative"):
-            run_demo_remark1(bad)
-
-
 def _write_river(tmp_path):
     plant, graph, _ = packaged_system("river")
     wide, _, _ = packaged_system("river_bar")
@@ -363,6 +356,15 @@ def test_cli_missing_file_and_usage(tmp_path, capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "invalid JSON" in captured.err, argv
+    # Well-formed JSON whose top level is not an object is bad input too.
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    for argv, message in ((["check", str(listed)], "system document must be an object"),
+                          (["simulate", str(system), "--input", str(listed)],
+                           "trajectory document must be an object")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, argv
     bad.write_bytes(b'{"name": "\xff"}')
     assert main(["check", str(bad)]) == 2
     assert "not UTF-8 text (invalid start byte at byte 10)" in capsys.readouterr().err
@@ -484,6 +486,11 @@ def test_cli_inputs_sized_beyond_memory_exit_2(tmp_path):
         build_graph(1, [(0, 0)]))
     u_csv = str(tmp_path / "u.csv")
     Path(u_csv).write_text("u99999999999_0\n1.0\n")
+    # Small on disk, but its N x N adjacency grid does not fit under the cap.
+    many = str(tmp_path / "many.json")
+    Path(many).write_text(json.dumps({
+        "graph": {"num_nodes": 60000, "edges": [[0, 0]]},
+        "dims": [{"n": 0, "m": 0, "p": 0}] * 60000}))
     src = str(Path(__file__).resolve().parents[1] / "src")
     # One BLAS thread keeps the interpreter itself well inside the cap.
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -492,11 +499,13 @@ def test_cli_inputs_sized_beyond_memory_exit_2(tmp_path):
         ["compose", "--op", "add", huge, huge],
         ["simulate", huge, "--input", u_json],
         ["simulate", scalar, "--input", u_csv],
+        ["check", many],
+        ["compose", "--op", "add", many, many],
     ):
         done = subprocess.run([sys.executable, "-c", _UNDER_2_GIB, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 2, (argv, done.stderr)
-        assert "error:" in done.stderr and "Traceback" not in done.stderr, done.stderr
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
 
 
 #: Integer literals that :func:`_as_text` splices in for their placeholders:
@@ -601,6 +610,14 @@ def test_cli_compose_and_save(tmp_path, capsys):
     assert main(["compose", "--op", "inv", paths["q"]]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["compose", "--op", "add", paths["plant"]]) == 2
+    assert main(["compose", "--op", "inv", paths["q"], paths["q"]]) == 2
+    assert "--op inv takes a single system" in capsys.readouterr().err
+    plant, _, _ = read_system(paths["plant"])
+    elsewhere = str(tmp_path / "elsewhere.json")
+    write_system(elsewhere, plant, build_graph(3, [(0, 0), (1, 1), (2, 2)]))
+    assert main(["compose", "--op", "add", paths["plant"], elsewhere]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "composed systems must share one graph" in captured.err
 
 
 def test_cli_rejects_nonpositive_points(tmp_path, capsys):
@@ -839,12 +856,30 @@ def test_cli_simulate_matches_library(tmp_path, capsys, rng, river_wide):
     assert "messages: 24" in captured.err
     y_stream = trajectory_from_csv(captured.out, real.dims.outputs)
     assert np.array_equal(y_stream.values, y_lib.values)
+    assert main(["simulate", paths["wide"], "--input", u_path, "--json"]) == 0
+    y_json = trajectory_from_obj(json.loads(capsys.readouterr().out))
+    assert (y_json.name, y_json.partition) == (y_lib.name, y_lib.partition)
+    assert np.array_equal(y_json.values, y_lib.values)
+    x0 = [0.1, 0.0, -0.3, 0.0, 0.2]
+    assert main(["simulate", paths["wide"], "--input", u_path,
+                 "--x0", ",".join(map(repr, x0))]) == 0
+    y_x0 = trajectory_from_csv(capsys.readouterr().out, real.dims.outputs)
+    assert np.array_equal(y_x0.values, simulate_lti(real, u, x0)[0].values)
+    assert not np.array_equal(y_x0.values, y_lib.values)
+    for bad, message in (("1,,2", "--x0 must be comma-separated numbers"),
+                         ("nan,0,0,0,0", "initial state contains non-finite entries"),
+                         ("0,0,0", "initial state must have 5 entries, got 3")):
+        assert main(["simulate", paths["wide"], "--input", u_path, "--x0", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, bad
 
 
 def test_cli_demo_reports(tmp_path, capsys):
     assert main(["demo", "river"]) == 0
     assert main(["demo", "remark1"]) == 0
     capsys.readouterr()
+    with pytest.raises(InputError, match="unknown packaged system 'nope'"):
+        packaged_system("nope")
     # a parameter that ignores locality must sink the verdict
     graph = build_graph(3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)])
     from netreal import BlockRealization, NodeDims

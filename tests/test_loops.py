@@ -49,7 +49,7 @@ def test_close_loop_blocks_match_dense_oracle(rng):
         if plant.p == 0 or plant.m == 0:
             continue
         loop = close_loop(plant, controller)
-        assert check_compatibility(loop.realization, graph, zero_tol=0.0).ok
+        assert check_compatibility(loop.realization, graph).ok
         for z in SAMPLE_Z:
             expected = _loop_oracle(plant, controller, z)
             for key, want in expected.items():
@@ -80,7 +80,7 @@ def test_close_loop_is_its_block_formula_and_composites_stay_strict(rng, self_lo
 
         imc = imc_controller(plant, controller)
         for real in (loop, imc, add(controller, imc), invert(loop)):
-            assert check_compatibility(real, graph, DMode.STRICT, zero_tol=0.0).ok
+            assert check_compatibility(real, graph, DMode.STRICT).ok
         zero_width += 0 in (*controller.dims.states, *chan[0], *chan[1])
     assert zero_width > 10
 
@@ -109,7 +109,7 @@ def test_close_loop_rejects_mismatched_shapes(river):
     plant, _ = river
     bad = BlockRealization(
         NodeDims((1, 1), (1, 1), (1, 1)), A=np.eye(2) * 0.5)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="plant has 3 nodes, controller has 2"):
         close_loop(plant, bad)
 
 

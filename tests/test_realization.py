@@ -146,16 +146,11 @@ def test_river_widened_is_strictly_compatible(river_wide):
     assert report.violations == ()
 
 
-def test_zero_tol_masks_small_entries(river_wide):
+def test_compatibility_check_is_exact(river_wide):
     real, graph = river_wide
     bumped = BlockRealization(
         real.dims, real.A, real.B + 1e-12, real.C, real.D)
     assert not check_compatibility(bumped, graph).ok
-    assert check_compatibility(bumped, graph, zero_tol=1e-10).ok
-    # NaN and infinity would mask every block, forbidden ones included.
-    for bad in (-1.0, np.nan, np.inf):
-        with pytest.raises(InputError, match="zero_tol must be finite and nonnegative"):
-            check_compatibility(bumped, graph, zero_tol=bad)
 
 
 def test_edge_sparse_mode_relaxes_only_d():
@@ -181,15 +176,14 @@ def test_check_compatibility_matches_block_scan_oracle(rng):
         zero_width += 0 in dims.states + dims.inputs + dims.outputs
         no_self_loops += k % 2
         for check_mode in DMode:
-            for zero_tol in (0.0, 1e-6):
-                found = check_compatibility(real, graph, check_mode, zero_tol)
-                expected = oracle_violations(real, graph, check_mode, zero_tol)
-                got = [(v.matrix, v.block, v.max_abs) for v in found.violations]
-                assert got == expected
-                assert [np.float64(v[2]).tobytes() for v in got] == [
-                    np.float64(v[2]).tobytes() for v in expected]
-                assert found.ok == (not expected)
-                violating += bool(expected)
+            found = check_compatibility(real, graph, check_mode)
+            expected = oracle_violations(real, graph, check_mode)
+            got = [(v.matrix, v.block, v.max_abs) for v in found.violations]
+            assert got == expected
+            assert [np.float64(v[2]).tobytes() for v in got] == [
+                np.float64(v[2]).tobytes() for v in expected]
+            assert found.ok == (not expected)
+            violating += bool(expected)
     assert zero_width and no_self_loops and violating
 
 
@@ -211,6 +205,8 @@ def test_node_count_mismatch_rejected(river):
     real, _ = river
     with pytest.raises(InputError):
         check_compatibility(real, build_graph(2, [(0, 0)]))
+    with pytest.raises(InputError, match="unknown D mode 'strict'"):
+        check_compatibility(real, build_graph(3, [(0, 0)]), "strict")
 
 
 def test_pbh_flags_uncontrollable_unstable_mode():
@@ -837,4 +833,4 @@ def test_random_compatible_generator_is_bitwise_clean(rng):
         graph = random_graph(rng, int(rng.integers(2, 5)))
         dims = random_dims(rng, graph.num_nodes)
         real = random_system(rng, graph, dims)
-        assert check_compatibility(real, graph, zero_tol=0.0).ok
+        assert check_compatibility(real, graph).ok

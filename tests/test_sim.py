@@ -120,30 +120,12 @@ def test_distributed_matches_centralized_on_random_systems(rng):
         assert np.max(np.abs(y_c.values - y_ref), initial=0.0) <= 1e-12 * scale
 
 
-def test_distributed_access_log_respects_edges(river_wide, rng):
-    real, graph = river_wide
-    u = SignalTrajectory(rng.normal(size=(7, 3)), (1, 1, 1), "u")
-    log = []
-    simulate_distributed(real, graph, u, access_log=log)
-    assert log
-    for t, reader, source in log:
-        assert 0 <= t < 7
-        assert graph.has_edge(reader, source)
-    per_step = sum(
-        1 for i in range(3) for j in range(3) if graph.has_edge(i, j))
-    assert len(log) == 7 * per_step
-    assert log == [
-        (t, i, j) for t in range(7) for i in range(3) for j in range(3)
-        if graph.has_edge(i, j)]
-
-
 MIXED_DIMS = NodeDims((16, 0, 1, 1, 0), (2, 1, 0, 1, 3), (3, 1, 1, 0, 2))
 
 
 def _check_plan_run(real, graph, u, x0):
-    log = []
     y_c, x_c = simulate_lti(real, u, x0)
-    y_d, x_d, messages = simulate_distributed(real, graph, u, x0, access_log=log)
+    y_d, x_d, messages = simulate_distributed(real, graph, u, x0)
     assert np.array_equal(y_c.values, y_d.values)
     assert np.array_equal(x_c.values, x_d.values)
     y_ref = _dense_recursion(real, u.values, x0)
@@ -151,7 +133,6 @@ def _check_plan_run(real, graph, u, x0):
     assert np.max(np.abs(y_c.values - y_ref), initial=0.0) <= 1e-12 * scale
     assert x_c.values.shape == (u.length, real.n)
     assert messages == u.length * graph.num_non_self_edges
-    assert log == [(t, i, j) for t in range(u.length) for i, j in graph.sorted_edges()]
     return y_c, x_c
 
 
