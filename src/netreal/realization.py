@@ -19,6 +19,7 @@ matrix is realizable on the network.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -230,9 +231,11 @@ class BlockRealization:
 
     @cached_property
     def _bound_terms(self) -> _BoundTerms:
-        """The parts of :func:`_component_cond_bound` that do not depend on ``z``.
+        """The parts of :func:`_cond_bounds` that do not depend on ``z``.
 
-        With one component there are no coupled pairs.
+        Each coupling block ``A_il`` of one shape is gathered with one
+        fancy index over the states of its size groups.  With one
+        component there are no coupled pairs.
         """
         components = self.components
         count = len(components)
@@ -242,33 +245,39 @@ class BlockRealization:
         rows, cols = np.nonzero(self.A)
         readers, read = np.divmod(np.unique(owner[rows] * count + owner[cols]), count)
         pairs = [(i, l) for i, l in zip(readers.tolist(), read.tolist()) if i != l]
-        groups = tuple(_by_size(components))
-        # Where each component's inverse lands: its size group and its place in that stack.
-        slot = {k: (g, place) for g, (members, _) in enumerate(groups)
+        by_size = tuple(_by_size(components))
+        # Where each component sits: its size group and its place in that stack.
+        slot = {k: (g, place) for g, (members, _) in enumerate(by_size)
                 for place, k in enumerate(members.tolist())}
         by_shape: dict[tuple[int, int], list[int]] = {}
         for p, (i, l) in enumerate(pairs):
-            by_shape.setdefault((slot[i][0], len(components[l])), []).append(p)
-        pair_groups = tuple(
-            (g, np.array([slot[pairs[p][0]][1] for p in members]),
-             np.stack([self.A[np.ix_(components[pairs[p][0]], components[pairs[p][1]])]
-                       for p in members]),
-             np.array(members))
-            for (g, _), members in by_shape.items())
+            by_shape.setdefault((slot[i][0], slot[l][0]), []).append(p)
+        pair_groups = []
+        for (g, h), members in by_shape.items():
+            places = np.array([slot[pairs[p][0]][1] for p in members])
+            reader_states = by_size[g][1][places]
+            read_states = by_size[h][1][[slot[pairs[p][1]][1] for p in members]]
+            blocks = self.A[reader_states[:, :, None], read_states[:, None, :]]
+            pair_groups.append((g, places, blocks, np.array(members)))
         gammas = np.empty(len(pairs))
         for _, _, blocks, members in pair_groups:
             gammas[members] = np.linalg.norm(blocks, axis=(1, 2))
         # Complex, as the products with the complex inverses are then faster.
         pair_groups = tuple((g, places, blocks.astype(complex), members)
                             for g, places, blocks, members in pair_groups)
+        groups = tuple((members, _diagonal_blocks(self.A, states)) for members, states in by_size)
+        entries = sum(blocks.size for _, blocks in groups)
         return _BoundTerms(groups, tuple(pairs), np.array([i for i, _ in pairs], dtype=int),
-                           gammas, pair_groups, float(np.sum(np.square(gammas))))
+                           gammas, pair_groups, float(np.sum(np.square(gammas))),
+                           self.n * self.n // entries)
 
 
 class _BoundTerms(NamedTuple):
-    """What :func:`_component_cond_bound` reads of A besides the diagonal blocks."""
+    """What :func:`_cond_bounds` reads of A."""
 
-    #: ``(members, states)`` of the components per state count, as :func:`_by_size` gives.
+    #: ``(members, blocks)`` per component state count: the positions of
+    #: the components of that count, as :func:`_by_size` gives, and their
+    #: diagonal blocks ``A_ii``, stacked.
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     #: ``(i, l)`` for every component ``i`` and earlier component ``l``
     #: whose coupling block ``A_il`` (rows of ``i``, columns of ``l``) is
@@ -284,6 +293,9 @@ class _BoundTerms(NamedTuple):
     pair_groups: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
     #: The sum of the squared entries of A outside the diagonal blocks.
     coupling_sq: float
+    #: Points per stacked chunk: the most whose diagonal blocks, all
+    #: components together, hold no more entries than one ``n x n`` matrix.
+    chunk: int
 
 
 def _by_size(blocks: Sequence[np.ndarray]):
@@ -451,49 +463,84 @@ def _certified_inverse(
     return inverse
 
 
-def _component_cond_bound(real: BlockRealization, shifted: np.ndarray) -> float:
-    """An upper bound on ``cond_2(shifted)`` from the inverses of its components' diagonal blocks.
+def _cond_bounds(real: BlockRealization, points: np.ndarray) -> np.ndarray:
+    """Upper bounds on ``cond_2(zI - A)`` at each of ``points``, from the components of A.
 
-    ``shifted`` is ``zI - A``; see :func:`eval_transfer` for the bound
-    and its rounding.  Only the diagonal blocks of the strongly connected
-    components are inverted, stacked by size, and the coupling blocks
-    multiplied by them, stacked by shape.  With one component this is
-    ``||shifted||_F ||shifted^{-1}||_F``, rounded up.  An exactly
-    singular block reads ``inf``, and an overflow ``inf`` or NaN: neither
-    certifies anything.
+    See :func:`eval_transfer` for the bound and its rounding.  Only the
+    diagonal blocks ``zI - A_ii`` of the strongly connected components
+    are inverted, and the coupling blocks multiplied by those inverses:
+    one ``np.linalg.inv`` per component size over the blocks of every
+    point of a chunk, and one product per coupling shape.  A chunk holds
+    ``_BoundTerms.chunk`` points, so its diagonal blocks never take more
+    memory than one ``n x n`` ``zI - A``.  Then come two substitutions
+    per point.  With one component a point's bound is
+    ``||zI - A||_F ||(zI - A)^{-1}||_F``, rounded up.  A point where a
+    block is exactly singular reads ``inf``, and one that overflows
+    ``inf`` or NaN; neither certifies anything, and the other points of
+    its chunk keep their bounds.  A system without states reads 0.
     """
-    terms = real._bound_terms
-    weights = np.empty(len(real.components))
-    slack = np.empty(len(real.components))
+    if real.n == 0:
+        return np.zeros(len(points))
+    bounds = np.empty(len(points))
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = real._bound_terms.chunk
+        for start in range(0, len(points), step):
+            bounds[start:start + step] = _chunk_bounds(real, points[start:start + step])
+    return bounds
+
+
+def _chunk_bounds(real: BlockRealization, points: np.ndarray) -> np.ndarray:
+    """:func:`_cond_bounds` of one chunk; an exactly singular stack is split into single points."""
+    try:
+        return _stacked_bounds(real._bound_terms, points)
+    except np.linalg.LinAlgError:
+        if len(points) == 1:
+            return np.array([np.inf])
+        return np.concatenate([_chunk_bounds(real, points[k:k + 1]) for k in range(len(points))])
+
+
+def _stacked_bounds(terms: _BoundTerms, points: np.ndarray) -> np.ndarray:
+    """The bound at each of ``points``; ``LinAlgError`` when a block is exactly singular."""
+    count = len(points)
+    weights = np.empty((count, sum(len(members) for members, _ in terms.groups)))
+    slack = np.empty_like(weights)
     inverses = []
     norm_sq = terms.coupling_sq
-    with np.errstate(over="ignore", invalid="ignore"):
-        for members, states in terms.groups:
-            blocks = _diagonal_blocks(shifted, states)
-            try:
-                inverses.append(np.linalg.inv(blocks))
-            except np.linalg.LinAlgError:
-                return np.inf
-            block_norms = np.linalg.norm(blocks, axis=(1, 2))
-            weights[members] = np.linalg.norm(inverses[-1], axis=(1, 2))
-            slack[members] = states.shape[1] * _EPS * block_norms * weights[members]
-            norm_sq += float(np.sum(np.square(block_norms)))
-        couplings = np.empty(len(terms.pairs))
-        for g, positions, blocks, members in terms.pair_groups:
-            couplings[members] = np.linalg.norm(inverses[g][positions] @ blocks, axis=(1, 2))
-        couplings += (slack * weights)[terms.readers] * terms.gammas
-        weights *= 1.0 + slack
-        w, h = weights.tolist(), couplings.tolist()
+    for members, diagonals in terms.groups:
+        size = diagonals.shape[-1]
+        # zI - A_ii for every point and component, entry for entry as _shifted forms zI - A.
+        blocks = np.empty((count, *diagonals.shape), dtype=complex)
+        np.negative(diagonals, out=blocks, dtype=complex)
+        blocks.reshape(count, len(members), -1)[:, :, ::size + 1] += points[:, None, None]
+        blocks = blocks.reshape(-1, size, size)
+        inverses.append(np.linalg.inv(blocks).reshape(count, -1, size, size))
+        block_norms = np.linalg.norm(blocks, axis=(1, 2)).reshape(count, -1)
+        inverse_norms = np.linalg.norm(inverses[-1], axis=(2, 3))
+        weights[:, members] = inverse_norms
+        slack[:, members] = size * _EPS * block_norms * inverse_norms
+        norm_sq = norm_sq + np.sum(np.square(block_norms), axis=1)
+    couplings = np.empty((count, len(terms.pairs)))
+    for g, positions, blocks, members in terms.pair_groups:
+        couplings[:, members] = np.linalg.norm(inverses[g][:, positions] @ blocks, axis=(2, 3))
+    couplings += (slack * weights)[:, terms.readers] * terms.gammas
+    weights *= 1.0 + slack
+    squares = []
+    for sq, w, h in zip(norm_sq.tolist(), weights.tolist(), couplings.tolist()):
+        # The entries are non-negative, so a sum that is not finite flags
+        # an overflow or a NaN, which max could skip.
+        if not sum(w) + sum(h) < np.inf:
+            squares.append(np.inf)
+            continue
         # Row sums of Y, r = w + H r, down the component order.
-        rows = list(w)
+        r = list(w)
         for (i, l), h_il in zip(terms.pairs, h):
-            rows[i] += h_il * rows[l]
+            r[i] += h_il * r[l]
         # Column sums of Y are u * w with u = 1 + H^T u, up the component order.
         u = [1.0] * len(w)
         for (i, l), h_il in zip(reversed(terms.pairs), reversed(h)):
             u[l] += u[i] * h_il
-        # np.max, unlike max, keeps a NaN.
-        return float(np.sqrt(norm_sq * np.max(rows) * np.max(np.multiply(u, w))))
+        squares.append(sq * max(r) * max(map(operator.mul, u, w)))
+    return np.sqrt(squares)
 
 
 def _rank(pencil: np.ndarray, tol: float) -> int:
@@ -581,13 +628,18 @@ def spectral_radius(real: BlockRealization) -> float:
     return float(np.max(np.abs(eigs))) if eigs.size else 0.0
 
 
-def eval_transfer(real: BlockRealization, z: complex) -> np.ndarray:
+def eval_transfer(
+    real: BlockRealization, z: complex, *, _bound: Optional[float] = None
+) -> np.ndarray:
     """Evaluate ``C (zI - A)^{-1} B + D`` at one complex frequency.
 
     Raises :class:`~netreal.errors.PoleError` when ``M = zI - A`` has
     2-norm condition number at or above ``POLE_COND_LIMIT``.  A cheap
     upper bound on ``cond_2(M)`` that is finite and below half the limit
     passes the point; otherwise the exact ``np.linalg.cond`` decides.
+    The bound is :func:`_cond_bounds` at ``z`` alone, unless
+    :func:`circle_samples` passes it as ``_bound``, from one stacked
+    pass over its circle.
 
     In the order of the strongly connected components of A
     (:attr:`BlockRealization.components`), ``M`` is block lower-triangular,
@@ -608,7 +660,8 @@ def eval_transfer(real: BlockRealization, z: complex) -> np.ndarray:
     couplings', so a point costs the small inverses and products, and
     O(components + coupled pairs) besides.  With one component the
     bound is ``||M||_F ||M^{-1}||_F``.  The states come from
-    ``np.linalg.solve(M, B)`` alone, exactly the dense call.
+    ``np.linalg.solve(M, B)`` alone, exactly the dense call, one point at
+    a time.
     Bounding ``H_il`` by ``w_i ||A_il||_F`` would give the classic
     comparison matrix (Feingold and Varga), whose couplings do not
     depend on ``z``; but those products compound along a cascade: on a
@@ -633,8 +686,10 @@ def eval_transfer(real: BlockRealization, z: complex) -> np.ndarray:
     def refuse(cond: float) -> PoleError:
         return PoleError(f"z = {z} is too close to a pole: cond(zI - A) = {cond:.3e}")
 
+    if _bound is None:
+        _bound = _cond_bounds(real, np.array([z], dtype=complex))[0]
     try:
-        if not _component_cond_bound(real, shifted) < 0.5 * POLE_COND_LIMIT:
+        if not _bound < 0.5 * POLE_COND_LIMIT:
             _refuse_unless_cond_below(shifted, POLE_COND_LIMIT, refuse)
         states = np.linalg.solve(shifted, real.B.astype(complex))
     except np.linalg.LinAlgError as exc:
@@ -681,11 +736,16 @@ def circle_samples(
     order of ``systems`` and returns a tuple of deviations.  Those must
     not change when ``z`` is conjugated; scaled deviations between sums,
     products and inverses of real transfers do, as ``G(conj z) = conj G(z)``.
+    Before the first evaluation, :func:`_cond_bounds` bounds the pole
+    guard of each system at all of those points in one stacked pass, and
+    each evaluation is handed its point's bound; the solves stay one
+    point at a time.
 
     A point where an evaluation or ``deviations`` raises
     :class:`~netreal.errors.PoleError` or ``LinAlgError`` is pushed
     outward by a factor 1.37, which keeps its pair conjugate, and every
-    system is evaluated there again, a bounded number of times before
+    system is evaluated there again, each bounding its guard at the
+    pushed point alone, a bounded number of times before
     :class:`~netreal.errors.NumericalError` is raised with the last
     refusal's message.  Evaluation runs with overflow warnings silenced;
     a deviation that is not finite raises
@@ -694,25 +754,32 @@ def circle_samples(
     """
     _require_count(num_points)
     radius = 2.0 * (1.0 + max(spectral_radius(s) for s in systems))
-    values = []
-    for k in range(num_points // 2 + 1):
-        z = radius * np.exp(2j * np.pi * k / num_points)
+    count = num_points // 2 + 1
+    upper = np.fromiter((radius * np.exp(2j * np.pi * k / num_points) for k in range(count)),
+                        complex, count)
+    bounds = [_cond_bounds(s, upper) for s in systems]
+    worst = None
+    for k, z in enumerate(upper):
+        given = [b[k] for b in bounds]
         for _ in range(_MAX_RESAMPLES):
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    value = deviations(*(eval_transfer(s, z) for s in systems))
+                    value = deviations(*(eval_transfer(s, z, _bound=b)
+                                         for s, b in zip(systems, given)))
                 break
             except (PoleError, np.linalg.LinAlgError) as exc:
                 refusal = exc
                 z *= 1.37
+                given = [None] * len(systems)
         else:
             raise NumericalError(
                 f"no usable sample point found near radius {radius:.3e}; "
                 f"the last was refused: {refusal}")
         if not np.isfinite(value).all():
             raise NumericalError(f"sampled value at z = {z:.3e} is not finite: it overflowed")
-        values.append(value)
-    return tuple(map(max, zip(*values))), radius
+        # max keeps the earlier of equal values, as a max over all points would.
+        worst = value if worst is None else tuple(map(max, worst, value))
+    return tuple(worst), radius
 
 
 def transfer_equal(

@@ -30,7 +30,7 @@ from netreal.graphs import strongly_connected_components
 from netreal.realization import (
     POLE_COND_LIMIT,
     _certified_inverse,
-    _component_cond_bound,
+    _cond_bounds,
     _frobenius_cond_bound,
     _shifted,
     circle_samples,
@@ -532,20 +532,28 @@ def test_circle_samples_evaluates_the_closed_upper_half(river, monkeypatch):
 
     A point refused by an evaluation or by ``deviations`` is pushed once
     by 1.37 and evaluated again for every system; no conjugate point is
-    evaluated.
+    evaluated.  Each evaluation on the circle is handed its point's
+    bound from one stacked pass per system; a pushed point is handed
+    none, so it bounds its guard alone.
     """
     real, _ = river
     slower = BlockRealization(real.dims, 0.5 * real.A, real.B, real.C, real.D)
     systems = [real, slower]
     radius = 2.0 * (1.0 + spectral_radius(real))
     seen = []
+    given = []
     refused = set()
 
-    def recording(system, z):
+    def recording(system, z, *, _bound=None):
         seen.append((systems.index(system), z))
+        given.append(_bound)
         if seen[-1] in refused:
             raise PoleError("pushed")
         return z
+
+    def stacked(points):
+        return [_cond_bounds(s, np.array(points))[k] for k in range(len(points))
+                for s in systems]
 
     monkeypatch.setattr(netreal.realization, "eval_transfer", recording)
 
@@ -565,9 +573,11 @@ def test_circle_samples_evaluates_the_closed_upper_half(river, monkeypatch):
         upper = [radius * np.exp(2j * np.pi * k / num_points)
                  for k in range(num_points // 2 + 1)]
         seen.clear()
+        given.clear()
         got, got_radius = circle_samples(systems, num_points, deviations)
         assert got_radius == radius
         assert seen == visits(upper), num_points
+        assert given == stacked(upper), num_points
         assert got == worst(upper), num_points
         # The evaluated points lie on the closed upper half; the rest are their conjugates.
         assert all(z.imag >= 0.0 for _, z in seen)
@@ -576,11 +586,14 @@ def test_circle_samples_evaluates_the_closed_upper_half(river, monkeypatch):
     for refuser, k in ((0, 3), ("deviations", 8)):
         refused = {(refuser, upper[k])}
         seen.clear()
+        given.clear()
         got, _ = circle_samples(systems, 16, deviations)
         pushed = upper[k] * 1.37
         # An evaluation refusal stops at the refusing system; the deviations see every value.
         tried = [(0, upper[k])] if refuser == 0 else visits([upper[k]])
         assert seen == [*visits(upper[:k]), *tried, *visits([pushed]), *visits(upper[k + 1:])]
+        assert given == [*stacked(upper[:k]), *stacked(upper[k:k + 1])[:len(tried)],
+                         None, None, *stacked(upper[k + 1:])]
         assert got == worst([*upper[:k], pushed, *upper[k + 1:]])
         assert np.conj(pushed) not in [z for _, z in seen]
 
@@ -632,21 +645,30 @@ def test_component_bound_is_never_below_the_exact_cond(rng):
 
     Up to the rounding of the exact cond itself, about ``cond * eps``
     relative, so within 1e-3 below the limit.  The library's bound, from
-    stacked inverses and two substitutions, is the oracle's rounded up by
-    its error estimate for the small inverses: never below it, and within
-    1e-6 above it while it is below 1e8.
+    inverses stacked over points and components and two substitutions
+    per point, is the oracle's rounded up by its error estimate for the
+    small inverses: never below it, and within 1e-6 above it while it is
+    below 1e8.  All points of several circles and the probes go through
+    one stacked call, and each bound is bitwise the one-point call's.
     """
     seen = Counter()
     for real in _spectrum_cases(rng):
         if real.n == 0:
             continue
-        for z in probe_points(rng, real):
+        rho = spectral_radius(real)
+        circles = [(2.0 * (1.0 + rho), 16), (rho, 12), (0.5 * rho + 1e-3, 7)]
+        points = probe_points(rng, real) + [
+            complex(radius * np.exp(2j * np.pi * k / count))
+            for radius, count in circles for k in range(count // 2 + 1)]
+        stacked = _cond_bounds(real, np.array(points))
+        assert stacked.shape == (len(points),)
+        for z, got in zip(points, stacked):
+            assert np.array_equal(_cond_bounds(real, np.array([z])), [got], equal_nan=True), z
             shifted = _shifted(real.A, z, negate=True)
             bound, cond = oracle_component_bound(real, z), np.linalg.cond(shifted)
             assert bound >= (1.0 - 1e-3) * min(cond, POLE_COND_LIMIT), (z, bound, cond)
             seen["certified"] += bound < 0.5 * POLE_COND_LIMIT
             seen["refused"] += cond >= POLE_COND_LIMIT
-            got = _component_cond_bound(real, shifted)
             if bound < 1e300:
                 assert bound * (1.0 - 1e-12) <= got, z
                 assert bound >= 1e8 or got <= bound * (1.0 + 1e-6), z
@@ -657,8 +679,45 @@ def test_component_bound_is_never_below_the_exact_cond(rng):
             elif np.isfinite(bound):
                 assert bound == _frobenius_cond_bound(shifted, np.linalg.inv(shifted)), z
                 seen["one"] += 1
-    assert seen["certified"] > 300 and seen["refused"] > 100
-    assert seen["several"] > 300 and seen["one"] > 40
+    assert seen["certified"] > 1000 and seen["refused"] > 100
+    assert seen["several"] > 1000 and seen["one"] > 100
+
+
+def test_stacked_bound_reads_inf_only_at_a_singular_point(monkeypatch):
+    """An eigenvalue of one diagonal block makes its own point inf, not its whole stack.
+
+    A 6-node cascade with one state per node is six components, so six
+    points fit in one chunk.  The stack that holds the eigenvalue 0.5
+    fails as a whole; each of its points is then bounded alone, and the
+    others come out as they would in a stack without it.
+    """
+    a = np.diag([0.5, -0.25, 0.1, 0.3, -0.6, 0.2]) + np.diag([0.4] * 5, k=-1)
+    real = BlockRealization(NodeDims((1,) * 6, (1,) * 6, (1,) * 6), a, np.eye(6), np.eye(6))
+    assert len(real.components) == 6 and real._bound_terms.chunk == 6
+    circle = [complex(1.5 * np.exp(2j * np.pi * k / 10)) for k in range(5)]
+    for place in range(6):
+        points = np.array(circle[:place] + [0.5] + circle[place:])
+        bounds = _cond_bounds(real, points)
+        assert bounds[place] == np.inf
+        others = np.delete(bounds, place)
+        assert np.isfinite(others).all()
+        assert np.array_equal(others, _cond_bounds(real, np.array(circle)))
+    calls = _counting_linalg(monkeypatch)
+    _cond_bounds(real, np.array(circle + [0.5]))
+    assert calls == [("inv", (36, 1, 1))] + [("inv", (6, 1, 1))] * 6
+
+
+def test_chunk_holds_the_most_points_whose_blocks_fit_one_shift(rng):
+    """A chunk's diagonal blocks, over all its points, hold at most ``n * n`` entries; one more would not fit."""
+    cases = [*_spectrum_cases(rng), *_several_component_cases(rng)]
+    for real in cases:
+        if real.n == 0:
+            continue
+        entries = sum(len(states) ** 2 for states in real.components)
+        chunk = real._bound_terms.chunk
+        assert chunk >= 1 and chunk * entries <= real.n ** 2 < (chunk + 1) * entries
+        if len(real.components) == 1:
+            assert chunk == 1
 
 
 def _several_component_cases(rng):
@@ -756,6 +815,35 @@ def test_eval_transfer_solves_a_chain_against_b_alone(rng, monkeypatch):
     assert stacks == [("inv", (1, grid.n, grid.n))]
 
 
+def test_circle_samples_bounds_each_system_in_one_stacked_pass(rng, monkeypatch):
+    """One inverse stack per component size and chunk for each system, then one solve per point.
+
+    The chain's nine upper-half points fit one chunk; the grid, one
+    component, takes one point per chunk.  A point pushed outward is
+    bounded through the one-point path: one stack of its own per size.
+    """
+    plant, controller, _ = stabilized_chain(rng, 40, 10)
+    chain = close_loop(plant, controller).realization
+    *_, grid = _spectrum_cases(rng)
+    assert chain._bound_terms.chunk >= 9 and grid._bound_terms.chunk == 1
+    (size,) = {len(states) for states in chain.components}
+    one_point = {chain: [("inv", (40, size, size))], grid: [("inv", (1, grid.n, grid.n))]}
+    solves = [("solve", chain.m), ("solve", grid.m)]
+    attempts = []
+
+    def deviations(*values):
+        attempts.append(len(attempts))
+        if len(attempts) == 4:
+            raise PoleError("refused once")
+        return (0.0,)
+
+    calls = _counting_linalg(monkeypatch)
+    circle_samples([chain, grid], 16, deviations)
+    passes = [("inv", (9 * 40, size, size))] + one_point[grid] * 9
+    pushed = one_point[chain] + [solves[0]] + one_point[grid] + [solves[1]]
+    assert calls == passes + solves * 4 + pushed + solves * 5
+
+
 def test_eval_transfer_exactly_singular_shift_raises_pole_error():
     a = np.diag([0.5, -0.25])
     real = BlockRealization(NodeDims((1, 1), (1, 1), (1, 1)), a, np.eye(2), np.eye(2))
@@ -763,6 +851,28 @@ def test_eval_transfer_exactly_singular_shift_raises_pole_error():
         np.linalg.solve(0.5 * np.eye(2) - a, np.eye(2))
     with pytest.raises(PoleError, match=r"cond\(zI - A\) = inf"):
         eval_transfer(real, 0.5)
+
+
+def test_refusal_messages_print_z_as_given():
+    """A pole refusal prints ``z`` as the caller passed it; the sampler's two errors keep their text."""
+    a = np.diag([0.25, -0.5])
+    real = BlockRealization(NodeDims((1, 1), (1, 1), (1, 1)), a, np.eye(2), np.eye(2))
+    for z, shown in ((0.25, "0.25"), (0.25 + 0j, "(0.25+0j)"), (np.complex128(0.25), "(0.25+0j)")):
+        with pytest.raises(PoleError) as refusal:
+            eval_transfer(real, z)
+        assert str(refusal.value) == f"z = {shown} is too close to a pole: cond(zI - A) = inf"
+
+    def refusing(_):
+        raise PoleError("refused")
+
+    one = BlockRealization(DIMS1, A=[[0.5]], B=[[1.0]], C=[[1.0]])
+    with pytest.raises(NumericalError) as failure:
+        circle_samples([one], 4, refusing)
+    assert str(failure.value) == (
+        "no usable sample point found near radius 3.000e+00; the last was refused: refused")
+    with pytest.raises(NumericalError) as failure:
+        circle_samples([one], 4, lambda _: (np.inf,))
+    assert str(failure.value) == "sampled value at z = 3.000e+00+0.000e+00j is not finite: it overflowed"
 
 
 def test_transfer_equal_runs_no_svd_condition_number(river, river_wide, monkeypatch):
