@@ -10,8 +10,10 @@ stages pass, 1 when a mathematical check fails, 2 on unusable input.
 also when a stage fails, so a write that fails leaves stdout empty.
 
 Each sampled check is one :func:`~netreal.realization.circle_samples`
-call, which evaluates each of its systems once per evaluated point and
-keeps the worst deviation; no realization is built only to be evaluated.
+call, which evaluates each of its systems once per evaluated point, its
+pole-guard bounds and transfer values from one stacked pass over the
+strongly connected components of A, and keeps the worst deviation; no
+realization is built only to be evaluated.
 The ``--points`` points come in conjugate pairs, so only the
 ``points // 2 + 1`` of the closed upper half are evaluated.  ``compose``
 compares the result with its factors combined pointwise (:func:`_pointwise`),

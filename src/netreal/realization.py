@@ -231,11 +231,12 @@ class BlockRealization:
 
     @cached_property
     def _bound_terms(self) -> _BoundTerms:
-        """The parts of :func:`_cond_bounds` that do not depend on ``z``.
+        """The parts of the stacked pass (:func:`_stacked_pass`) that do not depend on ``z``.
 
         Each coupling block ``A_il`` of one shape is gathered with one
         fancy index over the states of its size groups.  With one
-        component there are no coupled pairs.
+        component there are no coupled pairs.  B and C are cast to
+        complex here, once, with C's columns in component order.
         """
         components = self.components
         count = len(components)
@@ -260,20 +261,38 @@ class BlockRealization:
             blocks = self.A[reader_states[:, :, None], read_states[:, None, :]]
             pair_groups.append((g, places, blocks, np.array(members)))
         gammas = np.empty(len(pairs))
-        for _, _, blocks, members in pair_groups:
-            gammas[members] = np.linalg.norm(blocks, axis=(1, 2))
+        # A norm that overflows reads inf, which certifies nothing.
+        with np.errstate(over="ignore"):
+            for _, _, blocks, members in pair_groups:
+                gammas[members] = np.linalg.norm(blocks, axis=(1, 2))
+            coupling_sq = float(np.sum(np.square(gammas)))
         # Complex, as the products with the complex inverses are then faster.
         pair_groups = tuple((g, places, blocks.astype(complex), members)
                             for g, places, blocks, members in pair_groups)
         groups = tuple((members, _diagonal_blocks(self.A, states)) for members, states in by_size)
         entries = sum(blocks.size for _, blocks in groups)
+        # Each component's rows among the states in component order.
+        sizes = [len(states) for states in components]
+        stops = np.cumsum(sizes).tolist()
+        starts = [stop - size for stop, size in zip(stops, sizes)]
+        state_rows = tuple(np.concatenate([np.arange(starts[k], stops[k]) for k in members])
+                           for members, _ in by_size)
+        inputs = tuple(self.B[states].astype(complex) for _, states in by_size)
+        # C-ordered, as a column-major C would take other BLAS kernels and other bits.
+        output = self.C[:, np.concatenate(components)].astype(complex, order="C")
+        # A chunk of the pass with values holds, per point, the diagonal
+        # blocks and their inverses, the coupling products, the states and
+        # the values: at most one dense evaluation's n x n shift and n x m states.
+        per_point = (2 * entries + sum(sizes[i] * sizes[l] for i, l in pairs)
+                     + (self.n + self.p) * self.m)
         return _BoundTerms(groups, tuple(pairs), np.array([i for i, _ in pairs], dtype=int),
-                           gammas, pair_groups, float(np.sum(np.square(gammas))),
-                           self.n * self.n // entries)
+                           gammas, pair_groups, coupling_sq,
+                           self.n * self.n // entries, tuple(zip(starts, stops)), state_rows, inputs,
+                           output, max(1, self.n * (self.n + self.m) // per_point))
 
 
 class _BoundTerms(NamedTuple):
-    """What :func:`_cond_bounds` reads of A."""
+    """What the stacked pass (:func:`_stacked_pass`) reads of the realization."""
 
     #: ``(members, blocks)`` per component state count: the positions of
     #: the components of that count, as :func:`_by_size` gives, and their
@@ -281,7 +300,7 @@ class _BoundTerms(NamedTuple):
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     #: ``(i, l)`` for every component ``i`` and earlier component ``l``
     #: whose coupling block ``A_il`` (rows of ``i``, columns of ``l``) is
-    #: nonzero, ``i`` ascending.
+    #: nonzero, ``i`` ascending, then ``l``.
     pairs: tuple[tuple[int, int], ...]
     #: The ``i`` of each pair.
     readers: np.ndarray
@@ -293,9 +312,23 @@ class _BoundTerms(NamedTuple):
     pair_groups: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
     #: The sum of the squared entries of A outside the diagonal blocks.
     coupling_sq: float
-    #: Points per stacked chunk: the most whose diagonal blocks, all
-    #: components together, hold no more entries than one ``n x n`` matrix.
+    #: Points per chunk of the bounds alone (:func:`_cond_bounds`): the
+    #: most whose diagonal blocks, all components together, hold no more
+    #: entries than one ``n x n`` matrix.
     chunk: int
+    #: ``(start, stop)`` of each component's rows among the states in component order.
+    spans: tuple[tuple[int, int], ...]
+    #: Per group of ``groups``: the rows in component order of its
+    #: components' states, component after component.
+    state_rows: tuple[np.ndarray, ...]
+    #: Per group of ``groups``: the rows of B of its components, stacked, complex.
+    inputs: tuple[np.ndarray, ...]
+    #: C with its columns in component order, complex.
+    output: np.ndarray
+    #: Points per chunk of the pass with values (:func:`_transfers`): the
+    #: most whose working arrays hold no more entries than ``n (n + m)``,
+    #: and at least one.
+    step: int
 
 
 def _by_size(blocks: Sequence[np.ndarray]):
@@ -466,41 +499,73 @@ def _certified_inverse(
 def _cond_bounds(real: BlockRealization, points: np.ndarray) -> np.ndarray:
     """Upper bounds on ``cond_2(zI - A)`` at each of ``points``, from the components of A.
 
-    See :func:`eval_transfer` for the bound and its rounding.  Only the
-    diagonal blocks ``zI - A_ii`` of the strongly connected components
-    are inverted, and the coupling blocks multiplied by those inverses:
-    one ``np.linalg.inv`` per component size over the blocks of every
-    point of a chunk, and one product per coupling shape.  A chunk holds
-    ``_BoundTerms.chunk`` points, so its diagonal blocks never take more
-    memory than one ``n x n`` ``zI - A``.  Then come two substitutions
-    per point.  With one component a point's bound is
-    ``||zI - A||_F ||(zI - A)^{-1}||_F``, rounded up.  A point where a
-    block is exactly singular reads ``inf``, and one that overflows
-    ``inf`` or NaN; neither certifies anything, and the other points of
-    its chunk keep their bounds.  A system without states reads 0.
+    See :func:`eval_transfer` for the bound and its rounding.  This is
+    the stacked pass (:func:`_stacked_pass`) without the values, so its
+    chunks hold ``_BoundTerms.chunk`` points: their diagonal blocks never
+    take more memory than one ``n x n`` ``zI - A``.  With one component a
+    point's bound is ``||zI - A||_F ||(zI - A)^{-1}||_F``, rounded up.  A
+    point where a block is exactly singular reads ``inf``, and one that
+    overflows ``inf`` or NaN; neither certifies anything, and the other
+    points of its chunk keep their bounds.  A system without states
+    reads 0.
     """
     if real.n == 0:
         return np.zeros(len(points))
     bounds = np.empty(len(points))
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = real._bound_terms.chunk
-        for start in range(0, len(points), step):
-            bounds[start:start + step] = _chunk_bounds(real, points[start:start + step])
+    step = real._bound_terms.chunk
+    for start in range(0, len(points), step):
+        bounds[start:start + step] = _chunk_pass(real, points[start:start + step], False)[0]
     return bounds
 
 
-def _chunk_bounds(real: BlockRealization, points: np.ndarray) -> np.ndarray:
-    """:func:`_cond_bounds` of one chunk; an exactly singular stack is split into single points."""
+def _transfers(real: BlockRealization, points: np.ndarray):
+    """Each point's pole-guard bound and transfer value, before the guard, in order.
+
+    One stacked pass (:func:`_stacked_pass`) per chunk of
+    ``_BoundTerms.step`` points; a chunk's values are dropped once its
+    points are taken.  A point whose block is exactly singular yields
+    ``(inf, None)``.  A system without states yields ``0.0`` and D, complex.
+    """
+    if real.n == 0:
+        for _ in range(len(points)):
+            yield 0.0, real.D.astype(complex)
+        return
+    step = real._bound_terms.step
+    for start in range(0, len(points), step):
+        yield from zip(*_chunk_pass(real, points[start:start + step], True))
+
+
+def _chunk_pass(real: BlockRealization, points: np.ndarray, values: bool):
+    """:func:`_stacked_pass` of one chunk; an exactly singular stack is split into single points.
+
+    Overflow is silenced: it reads ``inf`` or NaN.  A single point whose
+    block is exactly singular reads bound ``inf`` and value ``None``.
+    """
     try:
-        return _stacked_bounds(real._bound_terms, points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _stacked_pass(real, points, values)
     except np.linalg.LinAlgError:
         if len(points) == 1:
-            return np.array([np.inf])
-        return np.concatenate([_chunk_bounds(real, points[k:k + 1]) for k in range(len(points))])
+            return np.array([np.inf]), [None]
+        parts = [_chunk_pass(real, points[k:k + 1], values) for k in range(len(points))]
+        return (np.concatenate([bounds for bounds, _ in parts]),
+                [value for _, chunk in parts for value in chunk])
 
 
-def _stacked_bounds(terms: _BoundTerms, points: np.ndarray) -> np.ndarray:
-    """The bound at each of ``points``; ``LinAlgError`` when a block is exactly singular."""
+def _stacked_pass(real: BlockRealization, points: np.ndarray, values: bool) -> tuple[np.ndarray, list]:
+    """The bound at each of ``points``, and its transfer value if ``values``, else ``None``.
+
+    Raises ``LinAlgError`` when a block is exactly singular.  Only the
+    diagonal blocks ``M_ii = zI - A_ii`` of the strongly connected
+    components are inverted, ``W_i = M_ii^{-1}``: one ``np.linalg.inv``
+    per component size over the blocks of every point.  The coupling
+    products ``H_il = W_i A_il`` take one product per coupling shape.
+    Their norms give the bound; then come two substitutions per point.
+    The states follow down the component order, in the order of
+    ``_BoundTerms.pairs``, ``X_i = W_i B_i + H_il X_l + ...``, and the
+    value is ``C X + D`` (:func:`eval_transfer`).
+    """
+    terms = real._bound_terms
     count = len(points)
     weights = np.empty((count, sum(len(members) for members, _ in terms.groups)))
     slack = np.empty_like(weights)
@@ -519,9 +584,12 @@ def _stacked_bounds(terms: _BoundTerms, points: np.ndarray) -> np.ndarray:
         weights[:, members] = inverse_norms
         slack[:, members] = size * _EPS * block_norms * inverse_norms
         norm_sq = norm_sq + np.sum(np.square(block_norms), axis=1)
+    del blocks  # past their norms, the diagonal blocks are not needed
     couplings = np.empty((count, len(terms.pairs)))
+    products = []
     for g, positions, blocks, members in terms.pair_groups:
-        couplings[:, members] = np.linalg.norm(inverses[g][:, positions] @ blocks, axis=(2, 3))
+        products.append(inverses[g][:, positions] @ blocks)
+        couplings[:, members] = np.linalg.norm(products[-1], axis=(2, 3))
     couplings += (slack * weights)[:, terms.readers] * terms.gammas
     weights *= 1.0 + slack
     squares = []
@@ -540,7 +608,23 @@ def _stacked_bounds(terms: _BoundTerms, points: np.ndarray) -> np.ndarray:
         for (i, l), h_il in zip(reversed(terms.pairs), reversed(h)):
             u[l] += u[i] * h_il
         squares.append(sq * max(r) * max(map(operator.mul, u, w)))
-    return np.sqrt(squares)
+    if not values:
+        return np.sqrt(squares), [None] * count
+    states = np.empty((count, real.n, real.m), dtype=complex)
+    for rows, inverse, inputs in zip(terms.state_rows, inverses, terms.inputs):
+        states[:, rows] = (inverse @ inputs).reshape(count, len(rows), real.m)
+    # Each component's states, and each pair's product, as views.
+    parts = [states[:, start:stop] for start, stop in terms.spans]
+    by_pair = [None] * len(terms.pairs)
+    for product, (*_, members) in zip(products, terms.pair_groups):
+        for p, h in zip(members.tolist(), product.swapaxes(0, 1)):
+            by_pair[p] = h
+    # Readers come in ascending order, so each X_l is complete when it is read.
+    for (i, l), h in zip(terms.pairs, by_pair):
+        parts[i] += h @ parts[l]
+    result = terms.output @ states
+    result += real.D
+    return np.sqrt(squares), list(result)
 
 
 def _rank(pencil: np.ndarray, tol: float) -> int:
@@ -628,18 +712,16 @@ def spectral_radius(real: BlockRealization) -> float:
     return float(np.max(np.abs(eigs))) if eigs.size else 0.0
 
 
-def eval_transfer(
-    real: BlockRealization, z: complex, *, _bound: Optional[float] = None
-) -> np.ndarray:
+def eval_transfer(real: BlockRealization, z: complex) -> np.ndarray:
     """Evaluate ``C (zI - A)^{-1} B + D`` at one complex frequency.
 
     Raises :class:`~netreal.errors.PoleError` when ``M = zI - A`` has
     2-norm condition number at or above ``POLE_COND_LIMIT``.  A cheap
     upper bound on ``cond_2(M)`` that is finite and below half the limit
-    passes the point; otherwise the exact ``np.linalg.cond`` decides.
-    The bound is :func:`_cond_bounds` at ``z`` alone, unless
-    :func:`circle_samples` passes it as ``_bound``, from one stacked
-    pass over its circle.
+    passes the point; otherwise the exact ``np.linalg.cond`` decides
+    (:func:`_guarded`).  Bound and value come from one stacked pass at
+    ``z`` alone (:func:`_transfers`), the pass :func:`circle_samples`
+    runs over its circle.
 
     In the order of the strongly connected components of A
     (:attr:`BlockRealization.components`), ``M`` is block lower-triangular,
@@ -659,14 +741,24 @@ def eval_transfer(
     coupled pairs, and ``||M||_F^2`` is the diagonal blocks' plus the
     couplings', so a point costs the small inverses and products, and
     O(components + coupled pairs) besides.  With one component the
-    bound is ``||M||_F ||M^{-1}||_F``.  The states come from
-    ``np.linalg.solve(M, B)`` alone, exactly the dense call, one point at
-    a time.
+    bound is ``||M||_F ||M^{-1}||_F``.
     Bounding ``H_il`` by ``w_i ||A_il||_F`` would give the classic
     comparison matrix (Feingold and Varga), whose couplings do not
     depend on ``z``; but those products compound along a cascade: on a
     stabilized 40-node chain loop that bound reads 1e13 where this one
     reads 1e3 and the exact cond 12.
+
+    The states take the same blocks, by block forward substitution:
+    with ``W_i = M_ii^{-1}`` and the products ``W_i A_il`` the bound
+    already formed, ``X_i = W_i B_i + sum_l (W_i A_il) X_l``, the sum
+    taken over the coupled pairs in order, ``l`` ascending, each term
+    added to the running ``X_i``.  The value is ``C X + D``, with X and
+    the columns of C in component order.  With one component this is
+    ``M^{-1} B``, from the inverse.  No ``n x n`` matrix is formed and no
+    ``np.linalg.solve`` runs.  The values are not the bits of a dense
+    solve: the two differ by rounding, within a forward-error bound
+    of order ``n * eps * cond_2(M)``.  The pass runs with overflow
+    warnings silenced, so a value that overflows reads ``inf`` or NaN.
 
     Rounding.  A computed inverse of ``M_ii`` is off by about
     ``n_i * eps * kappa_i`` relative, with ``kappa_i = ||M_ii||_F w_i``,
@@ -679,22 +771,32 @@ def eval_transfer(
     non-negative terms, is a relative ``(n + components + pairs) * eps``
     at most; the half margin covers it, and the constant in "about".
     """
-    if real.n == 0:
-        return real.D.astype(complex)
-    shifted = _shifted(real.A, complex(z), negate=True)
+    (bound, value), = _transfers(real, np.array([z], dtype=complex))
+    return _guarded(real, z, bound, value)
+
+
+def _guarded(real: BlockRealization, z: complex, bound: float, value) -> np.ndarray:
+    """``value`` unless the pole guard refuses ``z``; ``bound`` and ``value`` come from :func:`_transfers`.
+
+    A ``bound`` that is finite and below half of ``POLE_COND_LIMIT``
+    passes.  Otherwise the exact ``np.linalg.cond`` of ``zI - A`` decides:
+    :class:`~netreal.errors.PoleError` at or above the limit or when it
+    is not finite.  A failing SVD, or a point that passes with no value
+    (an exactly singular block), raises :class:`~netreal.errors.NumericalError`.
+    """
+    if bound < 0.5 * POLE_COND_LIMIT:
+        return value
 
     def refuse(cond: float) -> PoleError:
         return PoleError(f"z = {z} is too close to a pole: cond(zI - A) = {cond:.3e}")
 
-    if _bound is None:
-        _bound = _cond_bounds(real, np.array([z], dtype=complex))[0]
     try:
-        if not _bound < 0.5 * POLE_COND_LIMIT:
-            _refuse_unless_cond_below(shifted, POLE_COND_LIMIT, refuse)
-        states = np.linalg.solve(shifted, real.B.astype(complex))
+        _refuse_unless_cond_below(_shifted(real.A, complex(z), negate=True), POLE_COND_LIMIT, refuse)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"transfer evaluation failed at z = {z}: {exc}") from exc
-    return real.C @ states + real.D
+    if value is None:
+        raise NumericalError(f"transfer evaluation failed at z = {z}: Singular matrix")
+    return value
 
 
 def scaled_deviation(left: np.ndarray, right: np.ndarray) -> float:
@@ -731,21 +833,21 @@ def circle_samples(
     points in exact conjugate pairs: point ``k <= num_points // 2`` is
     ``radius * exp(2 pi i k / num_points)``, and point ``num_points - k``
     is defined as its conjugate.  Only the ``num_points // 2 + 1`` points
-    of the closed upper half are evaluated: at each, :func:`eval_transfer`
-    runs once per system, and ``deviations`` takes the transfers in the
-    order of ``systems`` and returns a tuple of deviations.  Those must
-    not change when ``z`` is conjugated; scaled deviations between sums,
-    products and inverses of real transfers do, as ``G(conj z) = conj G(z)``.
-    Before the first evaluation, :func:`_cond_bounds` bounds the pole
-    guard of each system at all of those points in one stacked pass, and
-    each evaluation is handed its point's bound; the solves stay one
-    point at a time.
+    of the closed upper half are evaluated, each once per system, and
+    ``deviations`` takes the transfers in the order of ``systems`` and
+    returns a tuple of deviations.  Those must not change when ``z`` is
+    conjugated; scaled deviations between sums, products and inverses of
+    real transfers do, as ``G(conj z) = conj G(z)``.  Each system's
+    pole-guard bounds and values come from one stacked pass over those
+    points (:func:`_transfers`), in chunks; then, point by point, the
+    guard of :func:`eval_transfer` (:func:`_guarded`) runs on each
+    system in order before ``deviations``.
 
-    A point where an evaluation or ``deviations`` raises
+    A point where the guard or ``deviations`` raises
     :class:`~netreal.errors.PoleError` or ``LinAlgError`` is pushed
     outward by a factor 1.37, which keeps its pair conjugate, and every
-    system is evaluated there again, each bounding its guard at the
-    pushed point alone, a bounded number of times before
+    system is evaluated there again with :func:`eval_transfer`, the
+    one-point case of the pass, a bounded number of times before
     :class:`~netreal.errors.NumericalError` is raised with the last
     refusal's message.  Evaluation runs with overflow warnings silenced;
     a deviation that is not finite raises
@@ -757,20 +859,18 @@ def circle_samples(
     count = num_points // 2 + 1
     upper = np.fromiter((radius * np.exp(2j * np.pi * k / num_points) for k in range(count)),
                         complex, count)
-    bounds = [_cond_bounds(s, upper) for s in systems]
     worst = None
-    for k, z in enumerate(upper):
-        given = [b[k] for b in bounds]
+    for z, samples in zip(upper, zip(*(_transfers(s, upper) for s in systems))):
+        values = (_guarded(s, z, *sample) for s, sample in zip(systems, samples))
         for _ in range(_MAX_RESAMPLES):
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    value = deviations(*(eval_transfer(s, z, _bound=b)
-                                         for s, b in zip(systems, given)))
+                    value = deviations(*values)
                 break
             except (PoleError, np.linalg.LinAlgError) as exc:
                 refusal = exc
                 z *= 1.37
-                given = [None] * len(systems)
+                values = (eval_transfer(s, z) for s in systems)
         else:
             raise NumericalError(
                 f"no usable sample point found near radius {radius:.3e}; "

@@ -4,9 +4,10 @@ The oracles here deliberately avoid the library's own code paths:
 stabilizability and detectability are decided from the controllability
 matrix and an invariant-subspace restriction, transfer values from
 direct numpy solves on dense matrices behind an exact SVD condition
-number, block structure from a per-block scan of the dense matrices, and
-spectra from the dense eigenvalues of the diagonal blocks of the strongly
-connected components a boolean transitive closure finds.
+number (and, for the bitwise checks, from a plain per-point block
+substitution), block structure from a per-block scan of the dense
+matrices, and spectra from the dense eigenvalues of the diagonal blocks
+of the strongly connected components a boolean transitive closure finds.
 """
 
 from __future__ import annotations
@@ -270,6 +271,34 @@ def oracle_transfer(real, z):
     return real.C @ states + d
 
 
+def oracle_block_transfer(real, z):
+    """``C (zI - A)^{-1} B + D`` by block forward substitution over ``real.components``, unguarded.
+
+    A plain loop at one point, with the library's formula and
+    association: per component ``i`` in order, ``W_i`` is
+    ``np.linalg.inv(z I - A_ii)`` and ``X_i = W_i B_i``; then, for each
+    earlier component ``l`` whose block ``A_il`` has a nonzero entry,
+    ``l`` ascending, ``X_i = X_i + (W_i A_il) X_l``.  The value is
+    ``C X + D`` with the columns of C and the rows of X in component
+    order.  No condition number is checked: compare refusals with
+    :func:`oracle_transfer`.
+    """
+    if real.n == 0:
+        return real.D.astype(complex)
+    components = [list(states) for states in real.components]
+    inverses, states = [], []
+    for i, rows in enumerate(components):
+        inverses.append(np.linalg.inv(complex(z) * np.eye(len(rows)) - real.A[np.ix_(rows, rows)]))
+        x = inverses[i] @ real.B[rows]
+        for l in range(i):
+            coupling = real.A[np.ix_(rows, components[l])]
+            if np.any(coupling):
+                x = x + (inverses[i] @ coupling) @ states[l]
+        states.append(x)
+    order = [k for rows in components for k in rows]
+    return real.C[:, order] @ np.concatenate(states) + real.D
+
+
 def oracle_components(real):
     """Strongly connected components of the block pattern of A, by boolean transitive closure.
 
@@ -358,10 +387,12 @@ def oracle_identities(plant, controller, num_points):
     defines, of radius ``2 (1 + max spectral radius)`` over
     :func:`oracle_spectrum`: ``z_k = radius
     exp(2 pi i k / num_points)`` for ``k <= num_points // 2`` and
-    ``z_k = conj(z_{num_points - k})`` above.  The operations are the
-    textbook ones in a fixed order, so the library's values, taken on the
-    upper half alone, must match them bitwise; a point the library would
-    push outward fails here instead.
+    ``z_k = conj(z_{num_points - k})`` above.  Transfers come from
+    :func:`oracle_block_transfer`, at points :func:`oracle_transfer`
+    does not refuse.  The operations are the textbook ones in a fixed
+    order, so the library's values, taken on the upper half alone, must
+    match them bitwise; a point the library would push outward fails
+    here instead.
     """
     p, m = plant.p, plant.m
     spectra = [oracle_spectrum(s) for s in (plant, controller)]
@@ -370,8 +401,13 @@ def oracle_identities(plant, controller, num_points):
     points = upper + [np.conj(upper[num_points - k])
                       for k in range(num_points // 2 + 1, num_points)]
     worst = [0.0, 0.0]
+
+    def value(real, z):
+        oracle_transfer(real, z)  # refuses where the exact guard does
+        return oracle_block_transfer(real, z)
+
     for z in points:
-        p_z, c_z = oracle_transfer(plant, z), oracle_transfer(controller, z)
+        p_z, c_z = value(plant, z), value(controller, z)
         loop = np.eye(p) + p_z @ c_z
         cond = np.linalg.cond(loop) if p else 1.0
         if not cond < 1e12:

@@ -789,8 +789,9 @@ def test_cli_closeloop_passes_a_stabilized_chain(tmp_path, capsys, rng):
 def test_cli_evaluates_each_system_once_per_point(tmp_path, capsys, monkeypatch):
     """Sampled stages: one evaluation per system and upper-half point, one spectrum each.
 
-    Each system's pole guard is bounded in one stacked pass over the
-    upper-half points, and every evaluation is handed its point's bound.
+    Each system's bounds and values come from one stacked pass over the
+    upper-half points, and the pole guard runs once per system and
+    point; no point is evaluated alone.
     """
     paths = _write_river(tmp_path)
     controller = str(tmp_path / "controller.json")
@@ -806,23 +807,26 @@ def test_cli_evaluates_each_system_once_per_point(tmp_path, capsys, monkeypatch)
     def key(real):
         return real.A.shape, real.A.tobytes()
 
-    calls, unbounded, original = Counter(), [], eval_transfer
-    passes, bound_original = Counter(), netreal.realization._cond_bounds
+    calls, alone, original = Counter(), [], eval_transfer
+    passes, guard, stacked = Counter(), netreal.realization._guarded, netreal.realization._transfers
 
-    def counting(real, z, *, _bound=None):
+    def counting(real, z):
+        alone.append(key(real))
+        return original(real, z)
+
+    def guarding(real, z, bound, value):
         calls[key(real)] += 1
-        if _bound is None:
-            unbounded.append(key(real))
-        return original(real, z, _bound=_bound)
+        return guard(real, z, bound, value)
 
-    def bounding(real, points):
+    def passing(real, points):
         passes[key(real), len(points)] += 1
-        return bound_original(real, points)
+        return stacked(real, points)
 
     for module in list(sys.modules.values()):
         if module.__name__.startswith("netreal") and vars(module).get("eval_transfer") is original:
             monkeypatch.setattr(module, "eval_transfer", counting)
-    monkeypatch.setattr(netreal.realization, "_cond_bounds", bounding)
+    monkeypatch.setattr(netreal.realization, "_guarded", guarding)
+    monkeypatch.setattr(netreal.realization, "_transfers", passing)
     spectra = _counting_spectra(monkeypatch)
     cases = (
         (["imc", paths["wide"], paths["q"]], (plant, q, ctrl)),
@@ -837,7 +841,7 @@ def test_cli_evaluates_each_system_once_per_point(tmp_path, capsys, monkeypatch)
     for points, evaluated in ((5, 3), (4, 3)):
         for argv, systems in cases:
             calls.clear()
-            unbounded.clear()
+            alone.clear()
             passes.clear()
             spectra.clear()
             assert main([*argv, "--points", str(points), "--json"]) == 0, argv
@@ -845,7 +849,7 @@ def test_cli_evaluates_each_system_once_per_point(tmp_path, capsys, monkeypatch)
                 == points, argv
             assert calls == Counter(key(s) for s in systems for _ in range(evaluated)), argv
             assert passes == Counter((key(s), evaluated) for s in systems), argv
-            assert unbounded == [], argv
+            assert alone == [], argv
             assert sorted(spectra) == sorted(s.A.shape for s in systems), argv
     # imc evaluates no realization larger than the controller it checks.
     assert ctrl.n == plant.n + q.n < loop.n

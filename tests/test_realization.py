@@ -32,10 +32,13 @@ from netreal.realization import (
     _certified_inverse,
     _cond_bounds,
     _frobenius_cond_bound,
+    _EPS,
     _shifted,
+    _transfers,
     circle_samples,
 )
 from _support import (
+    oracle_block_transfer,
     oracle_component_bound,
     oracle_components,
     oracle_detectable,
@@ -408,6 +411,7 @@ def _outcome(evaluate, real, z):
 
 
 def test_eval_transfer_matches_exact_cond_oracle(rng):
+    """Refusals are the dense oracle's; each value is the block oracle's, bit for bit."""
     seen = Counter()
     for real in _guard_probe_systems(rng):
         for z in probe_points(rng, real):
@@ -417,6 +421,7 @@ def test_eval_transfer_matches_exact_cond_oracle(rng):
                 seen[want] += 1
                 seen["singular"] += bool(real.n and np.any(np.diag(real.A) == z))
             else:
+                want = oracle_block_transfer(real, z)
                 assert isinstance(got, np.ndarray) and got.dtype == want.dtype
                 assert np.array_equal(got, want), z
                 seen["value"] += 1
@@ -424,16 +429,15 @@ def test_eval_transfer_matches_exact_cond_oracle(rng):
 
 
 def test_eval_transfer_single_input_above_100_states_matches_oracle_bitwise(rng):
-    # OpenBLAS solves a lone right-hand side with level-2 kernels above
-    # about 100 states, which round differently from a blocked solve
-    # against more columns; solving against B alone, as the oracle does,
-    # gives its bits.
+    # One component of 120 states and a lone input column: the value is
+    # the inverse of zI - A times B, then C times that, as the block
+    # oracle forms it, and so has its bits.
     a = rng.normal(size=(120, 120)) * 0.05
     real = BlockRealization(
         NodeDims((120,), (1,), (2,)), a, rng.normal(size=(120, 1)), rng.normal(size=(2, 120)))
     assert len(real.components) == 1
     for z in (1.5, 0.3 + 2.0j, -2.5 - 0.1j):
-        got, want = eval_transfer(real, z), oracle_transfer(real, z)
+        got, want = eval_transfer(real, z), oracle_block_transfer(real, z)
         assert got.dtype == want.dtype and np.array_equal(got, want), z
 
 
@@ -530,32 +534,39 @@ def test_pointwise_checks_are_conjugate_symmetric_bitwise(rng):
 def test_circle_samples_evaluates_the_closed_upper_half(river, monkeypatch):
     """Points 0 .. N // 2 are evaluated once per system, in order; each deviation's worst is kept.
 
-    A point refused by an evaluation or by ``deviations`` is pushed once
-    by 1.37 and evaluated again for every system; no conjugate point is
-    evaluated.  Each evaluation on the circle is handed its point's
-    bound from one stacked pass per system; a pushed point is handed
-    none, so it bounds its guard alone.
+    Each system's bounds and values come from one pass over those
+    points; then the guard runs on each system in order at each point.
+    A point refused by the guard or by ``deviations`` is pushed once by
+    1.37 and every system is evaluated there again with
+    ``eval_transfer``; no conjugate point is evaluated.
     """
     real, _ = river
     slower = BlockRealization(real.dims, 0.5 * real.A, real.B, real.C, real.D)
     systems = [real, slower]
     radius = 2.0 * (1.0 + spectral_radius(real))
+    passes = []
     seen = []
-    given = []
     refused = set()
 
-    def recording(system, z, *, _bound=None):
-        seen.append((systems.index(system), z))
-        given.append(_bound)
-        if seen[-1] in refused:
-            raise PoleError("pushed")
+    def stacked(system, points):
+        passes.append((systems.index(system), list(points)))
+        for z in points:
+            yield ("bound", z), z
+
+    def guarded(system, z, bound, value):
+        assert bound == ("bound", z) and value == z
+        seen.append(("guard", systems.index(system), z))
+        if seen[-1][1:] in refused:
+            raise PoleError("refused by the guard")
+        return value
+
+    def one_point(system, z):
+        seen.append(("eval", systems.index(system), z))
         return z
 
-    def stacked(points):
-        return [_cond_bounds(s, np.array(points))[k] for k in range(len(points))
-                for s in systems]
-
-    monkeypatch.setattr(netreal.realization, "eval_transfer", recording)
+    monkeypatch.setattr(netreal.realization, "_transfers", stacked)
+    monkeypatch.setattr(netreal.realization, "_guarded", guarded)
+    monkeypatch.setattr(netreal.realization, "eval_transfer", one_point)
 
     def deviations(g1, g2):
         assert g1 == g2
@@ -566,36 +577,35 @@ def test_circle_samples_evaluates_the_closed_upper_half(river, monkeypatch):
     def worst(points):
         return tuple(max(values) for values in zip(*(deviations(z, z) for z in points)))
 
-    def visits(points):
-        return [(k, z) for z in points for k in range(len(systems))]
+    def visits(points, how="guard"):
+        return [(how, k, z) for z in points for k in range(len(systems))]
 
     for num_points in (1, 2, 3, 16):
         upper = [radius * np.exp(2j * np.pi * k / num_points)
                  for k in range(num_points // 2 + 1)]
+        passes.clear()
         seen.clear()
-        given.clear()
         got, got_radius = circle_samples(systems, num_points, deviations)
         assert got_radius == radius
+        assert passes == [(0, upper), (1, upper)], num_points
         assert seen == visits(upper), num_points
-        assert given == stacked(upper), num_points
         assert got == worst(upper), num_points
         # The evaluated points lie on the closed upper half; the rest are their conjugates.
-        assert all(z.imag >= 0.0 for _, z in seen)
+        assert all(z.imag >= 0.0 for *_, z in seen)
 
     upper = [radius * np.exp(2j * np.pi * k / 16) for k in range(9)]
     for refuser, k in ((0, 3), ("deviations", 8)):
         refused = {(refuser, upper[k])}
+        passes.clear()
         seen.clear()
-        given.clear()
         got, _ = circle_samples(systems, 16, deviations)
         pushed = upper[k] * 1.37
-        # An evaluation refusal stops at the refusing system; the deviations see every value.
-        tried = [(0, upper[k])] if refuser == 0 else visits([upper[k]])
-        assert seen == [*visits(upper[:k]), *tried, *visits([pushed]), *visits(upper[k + 1:])]
-        assert given == [*stacked(upper[:k]), *stacked(upper[k:k + 1])[:len(tried)],
-                         None, None, *stacked(upper[k + 1:])]
+        # A guard refusal stops at the refusing system; the deviations see every value.
+        tried = [("guard", 0, upper[k])] if refuser == 0 else visits([upper[k]])
+        assert passes == [(0, upper), (1, upper)]
+        assert seen == [*visits(upper[:k]), *tried, *visits([pushed], "eval"), *visits(upper[k + 1:])]
         assert got == worst([*upper[:k], pushed, *upper[k + 1:]])
-        assert np.conj(pushed) not in [z for _, z in seen]
+        assert np.conj(pushed) not in [z for *_, z in seen]
 
     # A deviation that refuses every push ends the sampling with the last refusal.
     pushes = [upper[0]]
@@ -605,7 +615,7 @@ def test_circle_samples_evaluates_the_closed_upper_half(river, monkeypatch):
     seen.clear()
     with pytest.raises(NumericalError, match="refused: refused by the deviations"):
         circle_samples(systems, 16, deviations)
-    assert seen == visits(pushes)
+    assert seen == visits(pushes[:1]) + visits(pushes[1:], "eval")
 
 
 def test_shift_matches_the_textbook_shift_and_keeps_a_real_pencil_real(rng):
@@ -745,10 +755,10 @@ def _several_component_cases(rng):
 
 
 def test_eval_transfer_matches_oracle_bitwise_with_several_components(rng):
-    """Each value is the oracle's, bit for bit, or both refuse; a refusal names the exact cond.
+    """Each value is the block oracle's, bit for bit, or both it and the dense oracle refuse.
 
-    The single-input cascade above 100 states is bitwise too, as the
-    states come from a solve against ``B`` alone, the oracle's call.
+    A refusal names the exact cond.  The single-input cascade above 100
+    states is bitwise too, as the block oracle forms the same products.
     """
     seen = Counter()
     for real in _several_component_cases(rng):
@@ -765,11 +775,148 @@ def test_eval_transfer_matches_oracle_bitwise_with_several_components(rng):
                         eval_transfer(real, z)
                     assert str(refusal.value).endswith(f"cond(zI - A) = {cond:.3e}"), z
             else:
+                want = oracle_block_transfer(real, z)
                 assert isinstance(got, np.ndarray) and got.dtype == want.dtype
                 assert np.array_equal(got, want), z
                 seen["value"] += 1
                 seen["single input"] += real.n > 100 and real.m == 1
     assert seen["value"] > 500 and seen[PoleError] > 150 and seen["single input"] > 40
+
+
+def test_block_oracle_is_within_forward_error_of_dense_solve(rng):
+    """The block substitution and the dense solve agree within a first-order forward-error bound.
+
+    With ``M = zI - A``, ``c = cond_2(M)``, ``kappa`` the largest
+    ``cond_2(M_ii)`` over the components, ``X = M^{-1} B`` and ``u = eps / 2``
+    (norms Frobenius unless marked 2), the two values differ by at most
+    ``7 n eps c (kappa ||C|| ||X|| + ||D||)``.  To first order in ``u``:
+
+    - the dense LU solve with partial pivoting solves ``(M + E) X = B``
+      with ``||E||_2 <= 3 n u ||M||_2`` (the ``gamma_3n`` backward error,
+      taking the growth of ``|L| |U|`` over ``|M|`` as 1, as partial
+      pivoting gives in practice), so its states are off by
+      ``3 n u c ||X||``;
+    - in block row ``i`` of the substitution, put back as a residual
+      ``M_ii (error of X_i)``: the inverse, itself an LU solve against
+      ``I``, leaves ``M_ii W_i - I`` of size ``3 n u kappa``, times
+      ``||M_ii X_i|| <= ||M||_2 ||X||``; the products ``W_i B_i``,
+      ``W_i A_il`` and ``(W_i A_il) X_l`` add ``n u kappa ||M||_2 ||X||``
+      each (Cauchy-Schwarz over the block row bounds the sum over
+      ``l``), and the additions ``u ||M||_2 ||X||``: 7 in all.  Down the
+      order these residuals become states off by ``||M^{-1}||_2`` times
+      them, ``7 n u kappa c ||X||``;
+    - ``C X`` adds ``n u ||C|| ||X||`` on each side, and ``+ D``
+      ``u (||C|| ||X|| + ||D||)`` on each side.
+
+    Summed, with ``c, kappa, n >= 1``: ``(3 + 7 + 2 + 2) n u`` times
+    ``c (kappa ||C|| ||X|| + ||D||)``, which is ``7 n eps`` times it.
+    The largest ratio of the gap to this bound seen here is 0.010: a
+    gap of one unit in the last place at a 4-state point with ``c`` 1.5.
+    """
+    worst = 0.0
+    count = 0
+    for real in [*_guard_probe_systems(rng), *_several_component_cases(rng)]:
+        if real.n == 0:
+            continue
+        radius = 2.0 * (1.0 + spectral_radius(real))
+        for z in [radius * np.exp(2j * np.pi * k / 16) for k in range(9)] + probe_points(rng, real):
+            dense = _outcome(oracle_transfer, real, z)
+            if isinstance(dense, type):
+                continue
+            shifted = complex(z) * np.eye(real.n) - real.A
+            states = np.linalg.solve(shifted, real.B.astype(complex))
+            kappa = max(np.linalg.cond(shifted[np.ix_(c, c)]) for c in real.components)
+            scale = kappa * np.linalg.norm(real.C) * np.linalg.norm(states) + np.linalg.norm(real.D)
+            bound = 7 * real.n * _EPS * np.linalg.cond(shifted) * scale
+            gap = np.linalg.norm(oracle_block_transfer(real, z) - dense)
+            assert gap <= bound, (z, gap, bound)
+            worst = max(worst, gap / bound if bound else 0.0)
+            count += 1
+    assert count > 1000 and worst > 0.0
+
+
+def _value_pass_cases(rng):
+    """Systems for the values of the stacked pass.
+
+    Components of mixed sizes, zero-width nodes and components that read
+    several earlier ones (:func:`_several_component_cases`).  Each comes
+    again with one input at its first node and one output at its last,
+    so that chunks hold several points; some come without inputs and
+    without outputs.  Last, the one-component grid of
+    :func:`_spectrum_cases`.
+    """
+    for k, real in enumerate(_several_component_cases(rng)):
+        yield real
+        d, none = real.dims, (0,) * real.num_nodes
+        ends = NodeDims(d.states, (1,) + none[1:], none[1:] + (1,))
+        yield BlockRealization(ends, real.A, rng.normal(size=(real.n, 1)),
+                               rng.normal(size=(1, real.n)), rng.normal(size=(1, 1)))
+        if k % 8 == 0:
+            yield BlockRealization(NodeDims(d.states, none, d.outputs), real.A, None, real.C)
+            yield BlockRealization(NodeDims(d.states, d.inputs, none), real.A, real.B)
+    *_, grid = _spectrum_cases(rng)
+    yield grid
+
+
+def test_stacked_values_are_the_one_point_values_bitwise(rng):
+    """Each point of a stacked pass reads the bound and the value of the pass at that point alone.
+
+    Where the guard passes, that value is :func:`eval_transfer`'s; a
+    point whose block is exactly singular reads ``(inf, None)`` in both.
+    """
+    seen = Counter()
+    for real in _value_pass_cases(rng):
+        radius = 2.0 * (1.0 + spectral_radius(real))
+        points = np.array([radius * np.exp(2j * np.pi * k / 16) for k in range(9)]
+                          + probe_points(rng, real), dtype=complex)
+        stacked = list(_transfers(real, points))
+        assert len(stacked) == len(points)
+        for z, (bound, value) in zip(points, stacked):
+            (one_bound, one_value), = _transfers(real, np.array([z]))
+            assert np.array_equal(bound, one_bound, equal_nan=True), z
+            if value is None:
+                assert one_value is None and bound == np.inf
+                seen["singular"] += 1
+                continue
+            assert value.dtype == complex and value.shape == (real.p, real.m)
+            assert np.array_equal(value, one_value, equal_nan=True), z
+            evaluated = _outcome(eval_transfer, real, z)
+            if not isinstance(evaluated, type):
+                assert np.array_equal(evaluated, value), z
+                seen["value"] += 1
+        pairs = Counter(i for i, _ in real._bound_terms.pairs)
+        seen["stacked"] += real._bound_terms.step > 1
+        seen["mixed sizes"] += len({len(states) for states in real.components}) > 1
+        seen["zero-width node"] += 0 in real.dims.states
+        seen["several read"] += max(pairs.values(), default=0) > 1
+        seen["no inputs"] += real.m == 0
+        seen["no outputs"] += real.p == 0
+        seen["one component"] += len(real.components) == 1
+    assert seen["value"] > 800 and seen["singular"] > 0
+    assert min(seen[k] for k in ("mixed sizes", "zero-width node", "several read")) > 10
+    assert seen["stacked"] > 5
+    assert min(seen[k] for k in ("no inputs", "no outputs", "one component")) > 0
+
+
+def test_circle_samples_peaks_below_one_dense_shift():
+    """A 300-node chain, two states per node, samples in less memory than one ``zI - A``.
+
+    One dense evaluation forms the 600 x 600 complex shift, 5.76 MB.
+    The stacked pass holds the 2 x 2 diagonal blocks, their inverses,
+    the coupling products, the states and the values of one chunk.
+    """
+    import tracemalloc
+
+    real = _single_input_chain(300)
+    shift_bytes = real.n * real.n * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        (worst,), _ = circle_samples([real], 16, lambda value: (float(np.abs(value).max()),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(worst)
+    assert peak < shift_bytes, (peak, shift_bytes)
 
 
 def _counting_linalg(monkeypatch):
@@ -792,12 +939,12 @@ def _counting_linalg(monkeypatch):
     return calls
 
 
-def test_eval_transfer_solves_a_chain_against_b_alone(rng, monkeypatch):
-    """A 40-node chain and a grid each run one solve of width m per point.
+def test_eval_transfer_substitutes_over_the_components_without_a_solve(rng, monkeypatch):
+    """A 40-node chain and a grid each invert their diagonal blocks once per point, and solve nothing.
 
     The chain inverts its components' diagonal blocks, one stack per
-    block size; the grid, one component, inverts its n x n matrix once.
-    Neither runs an exact cond or an SVD on the sampling circle.
+    block size; the grid, one component, inverts its n x n matrix.
+    Neither runs a solve, an exact cond or an SVD on the sampling circle.
     """
     plant, controller, _ = stabilized_chain(rng, 40, 10)
     chain = close_loop(plant, controller).realization
@@ -811,24 +958,40 @@ def test_eval_transfer_solves_a_chain_against_b_alone(rng, monkeypatch):
         for k in range(9):
             calls.clear()
             eval_transfer(real, radius * np.exp(2j * np.pi * k / 16))
-            assert calls == stacks + [("solve", real.m)], (k, calls)
+            assert calls == stacks, (k, calls)
     assert stacks == [("inv", (1, grid.n, grid.n))]
 
 
-def test_circle_samples_bounds_each_system_in_one_stacked_pass(rng, monkeypatch):
-    """One inverse stack per component size and chunk for each system, then one solve per point.
+def _single_input_chain(count):
+    """A cascade of ``count`` two-state nodes, driven at its head and read at its tail.
 
-    The chain's nine upper-half points fit one chunk; the grid, one
-    component, takes one point per chunk.  A point pushed outward is
-    bounded through the one-point path: one stack of its own per size.
+    Node ``i`` reads itself and node ``i - 1``; every node block is the
+    same stable rotation, and every coupling the same.
     """
-    plant, controller, _ = stabilized_chain(rng, 40, 10)
-    chain = close_loop(plant, controller).realization
+    n = 2 * count
+    a = np.zeros((n, n))
+    for i in range(count):
+        a[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[0.5, -0.3], [0.3, 0.5]]
+        if i:
+            a[2 * i:2 * i + 2, 2 * i - 2:2 * i] = [[0.2, 0.0], [0.1, 0.3]]
+    b, c = np.zeros((n, 1)), np.zeros((1, n))
+    b[:2, 0], c[0, -2:] = [1.0, 0.5], [0.5, 1.0]
+    dims = NodeDims((2,) * count, (1,) + (0,) * (count - 1), (0,) * (count - 1) + (1,))
+    return BlockRealization(dims, a, b, c)
+
+
+def test_circle_samples_bounds_each_system_in_one_stacked_pass(rng, monkeypatch):
+    """One inverse stack per component size and chunk for each system, and no solve.
+
+    Bounds and values come from the same pass.  The single-input
+    chain's nine upper-half points fit one chunk; the grid, one
+    component, takes one point per chunk.  A point pushed outward takes
+    the one-point pass for every system.
+    """
+    chain = _single_input_chain(60)
     *_, grid = _spectrum_cases(rng)
-    assert chain._bound_terms.chunk >= 9 and grid._bound_terms.chunk == 1
-    (size,) = {len(states) for states in chain.components}
-    one_point = {chain: [("inv", (40, size, size))], grid: [("inv", (1, grid.n, grid.n))]}
-    solves = [("solve", chain.m), ("solve", grid.m)]
+    assert chain._bound_terms.step >= 9 and grid._bound_terms.step == 1
+    one_point = {chain: [("inv", (60, 2, 2))], grid: [("inv", (1, grid.n, grid.n))]}
     attempts = []
 
     def deviations(*values):
@@ -839,9 +1002,8 @@ def test_circle_samples_bounds_each_system_in_one_stacked_pass(rng, monkeypatch)
 
     calls = _counting_linalg(monkeypatch)
     circle_samples([chain, grid], 16, deviations)
-    passes = [("inv", (9 * 40, size, size))] + one_point[grid] * 9
-    pushed = one_point[chain] + [solves[0]] + one_point[grid] + [solves[1]]
-    assert calls == passes + solves * 4 + pushed + solves * 5
+    pushed = one_point[chain] + one_point[grid]
+    assert calls == [("inv", (9 * 60, 2, 2))] + one_point[grid] * 4 + pushed + one_point[grid] * 5
 
 
 def test_eval_transfer_exactly_singular_shift_raises_pole_error():
