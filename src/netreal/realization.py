@@ -270,7 +270,6 @@ class BlockRealization:
         pair_groups = tuple((g, places, blocks.astype(complex), members)
                             for g, places, blocks, members in pair_groups)
         groups = tuple((members, _diagonal_blocks(self.A, states)) for members, states in by_size)
-        entries = sum(blocks.size for _, blocks in groups)
         # Each component's rows among the states in component order.
         sizes = [len(states) for states in components]
         stops = np.cumsum(sizes).tolist()
@@ -280,19 +279,23 @@ class BlockRealization:
         inputs = tuple(self.B[states].astype(complex) for _, states in by_size)
         # C-ordered, as a column-major C would take other BLAS kernels and other bits.
         output = self.C[:, np.concatenate(components)].astype(complex, order="C")
-        # A chunk of the pass with values holds, per point, the diagonal
-        # blocks and their inverses, the coupling products, the states and
-        # the values: at most one dense evaluation's n x n shift and n x m states.
-        per_point = (2 * entries + sum(sizes[i] * sizes[l] for i, l in pairs)
+        # A chunk of the pass holds, per point, the diagonal blocks and
+        # their inverses, the coupling products, the states and the
+        # values: at most one dense evaluation's n x n shift and n x m states.
+        per_point = (2 * sum(blocks.size for _, blocks in groups) + sum(sizes[i] * sizes[l] for i, l in pairs)
                      + (self.n + self.p) * self.m)
         return _BoundTerms(groups, tuple(pairs), np.array([i for i, _ in pairs], dtype=int),
-                           gammas, pair_groups, coupling_sq,
-                           self.n * self.n // entries, tuple(zip(starts, stops)), state_rows, inputs,
-                           output, max(1, self.n * (self.n + self.m) // per_point))
+                           gammas, pair_groups, coupling_sq, tuple(zip(starts, stops)),
+                           state_rows, inputs, output,
+                           max(1, self.n * (self.n + self.m) // per_point))
 
 
 class _BoundTerms(NamedTuple):
-    """What the stacked pass (:func:`_stacked_pass`) reads of the realization."""
+    """What the stacked pass (:func:`_stacked_pass`) reads of the realization.
+
+    :func:`_transfers` is the one way into the pass, in chunks of ``step``
+    points.
+    """
 
     #: ``(members, blocks)`` per component state count: the positions of
     #: the components of that count, as :func:`_by_size` gives, and their
@@ -312,10 +315,6 @@ class _BoundTerms(NamedTuple):
     pair_groups: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
     #: The sum of the squared entries of A outside the diagonal blocks.
     coupling_sq: float
-    #: Points per chunk of the bounds alone (:func:`_cond_bounds`): the
-    #: most whose diagonal blocks, all components together, hold no more
-    #: entries than one ``n x n`` matrix.
-    chunk: int
     #: ``(start, stop)`` of each component's rows among the states in component order.
     spans: tuple[tuple[int, int], ...]
     #: Per group of ``groups``: the rows in component order of its
@@ -325,9 +324,8 @@ class _BoundTerms(NamedTuple):
     inputs: tuple[np.ndarray, ...]
     #: C with its columns in component order, complex.
     output: np.ndarray
-    #: Points per chunk of the pass with values (:func:`_transfers`): the
-    #: most whose working arrays hold no more entries than ``n (n + m)``,
-    #: and at least one.
+    #: Points per chunk of the pass, a memory rule only: the most whose
+    #: working arrays hold no more entries than ``n (n + m)``, and at least one.
     step: int
 
 
@@ -496,35 +494,16 @@ def _certified_inverse(
     return inverse
 
 
-def _cond_bounds(real: BlockRealization, points: np.ndarray) -> np.ndarray:
-    """Upper bounds on ``cond_2(zI - A)`` at each of ``points``, from the components of A.
-
-    See :func:`eval_transfer` for the bound and its rounding.  This is
-    the stacked pass (:func:`_stacked_pass`) without the values, so its
-    chunks hold ``_BoundTerms.chunk`` points: their diagonal blocks never
-    take more memory than one ``n x n`` ``zI - A``.  With one component a
-    point's bound is ``||zI - A||_F ||(zI - A)^{-1}||_F``, rounded up.  A
-    point where a block is exactly singular reads ``inf``, and one that
-    overflows ``inf`` or NaN; neither certifies anything, and the other
-    points of its chunk keep their bounds.  A system without states
-    reads 0.
-    """
-    if real.n == 0:
-        return np.zeros(len(points))
-    bounds = np.empty(len(points))
-    step = real._bound_terms.chunk
-    for start in range(0, len(points), step):
-        bounds[start:start + step] = _chunk_pass(real, points[start:start + step], False)[0]
-    return bounds
-
-
 def _transfers(real: BlockRealization, points: np.ndarray):
     """Each point's pole-guard bound and transfer value, before the guard, in order.
 
     One stacked pass (:func:`_stacked_pass`) per chunk of
     ``_BoundTerms.step`` points; a chunk's values are dropped once its
-    points are taken.  A point whose block is exactly singular yields
-    ``(inf, None)``.  A system without states yields ``0.0`` and D, complex.
+    points are taken.  A chunk whose stack is exactly singular is run
+    again point by point, and a point whose block is exactly singular
+    yields ``(inf, None)``.  Overflow is silenced within each pass, and
+    only there, never across a ``yield``: it reads ``inf`` or NaN.  A
+    system without states yields ``0.0`` and D, complex.
     """
     if real.n == 0:
         for _ in range(len(points)):
@@ -532,28 +511,22 @@ def _transfers(real: BlockRealization, points: np.ndarray):
         return
     step = real._bound_terms.step
     for start in range(0, len(points), step):
-        yield from zip(*_chunk_pass(real, points[start:start + step], True))
+        chunk = points[start:start + step]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                bounds, values = _stacked_pass(real, chunk)
+        except np.linalg.LinAlgError:
+            if len(chunk) == 1:
+                yield np.inf, None
+            else:
+                for k in range(len(chunk)):
+                    yield from _transfers(real, chunk[k:k + 1])
+        else:
+            yield from zip(bounds, values)
 
 
-def _chunk_pass(real: BlockRealization, points: np.ndarray, values: bool):
-    """:func:`_stacked_pass` of one chunk; an exactly singular stack is split into single points.
-
-    Overflow is silenced: it reads ``inf`` or NaN.  A single point whose
-    block is exactly singular reads bound ``inf`` and value ``None``.
-    """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _stacked_pass(real, points, values)
-    except np.linalg.LinAlgError:
-        if len(points) == 1:
-            return np.array([np.inf]), [None]
-        parts = [_chunk_pass(real, points[k:k + 1], values) for k in range(len(points))]
-        return (np.concatenate([bounds for bounds, _ in parts]),
-                [value for _, chunk in parts for value in chunk])
-
-
-def _stacked_pass(real: BlockRealization, points: np.ndarray, values: bool) -> tuple[np.ndarray, list]:
-    """The bound at each of ``points``, and its transfer value if ``values``, else ``None``.
+def _stacked_pass(real: BlockRealization, points: np.ndarray) -> tuple[np.ndarray, list]:
+    """The bound and the transfer value at each of ``points``.
 
     Raises ``LinAlgError`` when a block is exactly singular.  Only the
     diagonal blocks ``M_ii = zI - A_ii`` of the strongly connected
@@ -608,8 +581,6 @@ def _stacked_pass(real: BlockRealization, points: np.ndarray, values: bool) -> t
         for (i, l), h_il in zip(reversed(terms.pairs), reversed(h)):
             u[l] += u[i] * h_il
         squares.append(sq * max(r) * max(map(operator.mul, u, w)))
-    if not values:
-        return np.sqrt(squares), [None] * count
     states = np.empty((count, real.n, real.m), dtype=complex)
     for rows, inverse, inputs in zip(terms.state_rows, inverses, terms.inputs):
         states[:, rows] = (inverse @ inputs).reshape(count, len(rows), real.m)

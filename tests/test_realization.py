@@ -30,10 +30,10 @@ from netreal.graphs import strongly_connected_components
 from netreal.realization import (
     POLE_COND_LIMIT,
     _certified_inverse,
-    _cond_bounds,
     _frobenius_cond_bound,
     _EPS,
     _shifted,
+    _stacked_pass,
     _transfers,
     circle_samples,
 )
@@ -658,8 +658,9 @@ def test_component_bound_is_never_below_the_exact_cond(rng):
     inverses stacked over points and components and two substitutions
     per point, is the oracle's rounded up by its error estimate for the
     small inverses: never below it, and within 1e-6 above it while it is
-    below 1e8.  All points of several circles and the probes go through
-    one stacked call, and each bound is bitwise the one-point call's.
+    below 1e8.  All points of several circles and the probes, but those
+    whose block is exactly singular, go through one stacked pass, and
+    each bound is bitwise the one-point pass's.
     """
     seen = Counter()
     for real in _spectrum_cases(rng):
@@ -670,10 +671,16 @@ def test_component_bound_is_never_below_the_exact_cond(rng):
         points = probe_points(rng, real) + [
             complex(radius * np.exp(2j * np.pi * k / count))
             for radius, count in circles for k in range(count // 2 + 1)]
-        stacked = _cond_bounds(real, np.array(points))
-        assert stacked.shape == (len(points),)
-        for z, got in zip(points, stacked):
-            assert np.array_equal(_cond_bounds(real, np.array([z])), [got], equal_nan=True), z
+        alone = [next(_transfers(real, np.array([z]))) for z in points]
+        regular = [k for k, (_, value) in enumerate(alone) if value is not None]
+        # The pass takes any number of points; the chunks of _transfers only bound its memory.
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked, _ = _stacked_pass(real, np.array([points[k] for k in regular]))
+        assert stacked.shape == (len(regular),)
+        for k, got in zip(regular, stacked):
+            assert np.array_equal(got, alone[k][0], equal_nan=True), points[k]
+        seen["singular"] += len(points) - len(regular)
+        for z, (got, _) in zip(points, alone):
             shifted = _shifted(real.A, z, negate=True)
             bound, cond = oracle_component_bound(real, z), np.linalg.cond(shifted)
             assert bound >= (1.0 - 1e-3) * min(cond, POLE_COND_LIMIT), (z, bound, cond)
@@ -691,43 +698,84 @@ def test_component_bound_is_never_below_the_exact_cond(rng):
                 seen["one"] += 1
     assert seen["certified"] > 1000 and seen["refused"] > 100
     assert seen["several"] > 1000 and seen["one"] > 100
+    assert seen["singular"] > 0
+
+
+def _one_state_cascade(diagonal):
+    """A cascade of one-state nodes, driven at its head and read at its tail; node ``i`` reads ``i - 1``."""
+    count = len(diagonal)
+    a = np.diag(diagonal) + np.diag([0.4] * (count - 1), k=-1)
+    b, c = np.zeros((count, 1)), np.zeros((1, count))
+    b[0, 0], c[0, -1] = 1.0, 1.0
+    none = (0,) * (count - 1)
+    return BlockRealization(NodeDims((1,) * count, (1,) + none, none + (1,)), a, b, c)
 
 
 def test_stacked_bound_reads_inf_only_at_a_singular_point(monkeypatch):
-    """An eigenvalue of one diagonal block makes its own point inf, not its whole stack.
+    """An eigenvalue of one diagonal block makes its own point ``(inf, None)``, not its whole chunk.
 
-    A 6-node cascade with one state per node is six components, so six
-    points fit in one chunk.  The stack that holds the eigenvalue 0.5
-    fails as a whole; each of its points is then bounded alone, and the
-    others come out as they would in a stack without it.
+    A 30-node cascade with one state per node, one input and one output
+    is thirty components, so seven points fit in one chunk.  The chunk
+    that holds the eigenvalue 0.5 fails as a whole; each of its points
+    is then run alone, and the others come out, bounds and values, as
+    they would in a chunk without it.
     """
-    a = np.diag([0.5, -0.25, 0.1, 0.3, -0.6, 0.2]) + np.diag([0.4] * 5, k=-1)
-    real = BlockRealization(NodeDims((1,) * 6, (1,) * 6, (1,) * 6), a, np.eye(6), np.eye(6))
-    assert len(real.components) == 6 and real._bound_terms.chunk == 6
-    circle = [complex(1.5 * np.exp(2j * np.pi * k / 10)) for k in range(5)]
-    for place in range(6):
-        points = np.array(circle[:place] + [0.5] + circle[place:])
-        bounds = _cond_bounds(real, points)
-        assert bounds[place] == np.inf
-        others = np.delete(bounds, place)
-        assert np.isfinite(others).all()
-        assert np.array_equal(others, _cond_bounds(real, np.array(circle)))
+    diagonal = 0.6 * np.cos(np.arange(30))
+    diagonal[14] = 0.5
+    real = _one_state_cascade(diagonal)
+    assert len(real.components) == 30 and real._bound_terms.step == 7
+    circle = [complex(1.5 * np.exp(2j * np.pi * k / 10)) for k in range(6)]
+    regular = list(_transfers(real, np.array(circle)))
+    for place in range(7):
+        got = list(_transfers(real, np.array(circle[:place] + [0.5] + circle[place:])))
+        assert len(got) == 7 and got[place] == (np.inf, None)
+        others = got[:place] + got[place + 1:]
+        for (bound, value), (want_bound, want_value) in zip(others, regular):
+            assert np.isfinite(bound) and bound == want_bound
+            assert np.array_equal(value, want_value)
     calls = _counting_linalg(monkeypatch)
-    _cond_bounds(real, np.array(circle + [0.5]))
-    assert calls == [("inv", (36, 1, 1))] + [("inv", (6, 1, 1))] * 6
+    list(_transfers(real, np.array(circle + [0.5])))
+    assert calls == [("inv", (7 * 30, 1, 1))] + [("inv", (30, 1, 1))] * 7
 
 
-def test_chunk_holds_the_most_points_whose_blocks_fit_one_shift(rng):
-    """A chunk's diagonal blocks, over all its points, hold at most ``n * n`` entries; one more would not fit."""
+def test_transfers_leave_the_overflow_setting_as_they_found_it():
+    """The pass silences overflow while it runs, not while its points wait to be taken."""
+    real = _one_state_cascade([1e200, 0.5, -0.5])
+    points = np.array([1.5, -1.5j])
+    with np.errstate(over="raise", invalid="ignore"), pytest.raises(FloatingPointError, match="overflow"):
+        _stacked_pass(real, points)
+    before = np.geterr()
+    transfers = _transfers(real, points)
+    bound, _ = next(transfers)
+    assert np.geterr() == before and bound == np.inf
+    transfers.close()
+
+
+def test_step_holds_the_most_points_whose_working_arrays_fit_one_evaluation(rng):
+    """A chunk's working arrays hold at most ``n (n + m)`` entries; one more point would not fit.
+
+    Per point: the diagonal blocks and their inverses, ``2 sum n_i^2``;
+    the coupling products, ``sum n_i n_l`` over the coupled pairs; the
+    states and the values, ``(n + p) m``.  The budget is one dense
+    evaluation's ``n x n`` shift and ``n x m`` states.  A chunk holds at
+    least one point, however large.
+    """
     cases = [*_spectrum_cases(rng), *_several_component_cases(rng)]
+    steps = Counter()
     for real in cases:
         if real.n == 0:
             continue
-        entries = sum(len(states) ** 2 for states in real.components)
-        chunk = real._bound_terms.chunk
-        assert chunk >= 1 and chunk * entries <= real.n ** 2 < (chunk + 1) * entries
-        if len(real.components) == 1:
-            assert chunk == 1
+        sizes = [len(states) for states in real.components]
+        coupled = sum(sizes[i] * sizes[l]
+                      for i, rows in enumerate(real.components)
+                      for l, cols in enumerate(real.components)
+                      if i != l and np.any(real.A[np.ix_(rows, cols)]))
+        per_point = 2 * sum(size * size for size in sizes) + coupled + (real.n + real.p) * real.m
+        budget, step = real.n * (real.n + real.m), real._bound_terms.step
+        assert step >= 1 and budget < (step + 1) * per_point
+        assert step == 1 or step * per_point <= budget
+        steps[step > 1] += 1
+    assert steps[True] > 0 and steps[False] > 0
 
 
 def _several_component_cases(rng):
