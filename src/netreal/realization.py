@@ -38,6 +38,15 @@ POLE_COND_LIMIT = 1e12
 
 _EPS = float(np.finfo(float).eps)
 
+#: A chunk of the stacked pass may exceed one dense evaluation while its
+#: working arrays hold at most this many entries (512 KiB of complex): with
+#: m about n one point fills the dense budget, and a pass per point pays
+#: its fixed numpy calls each time.
+_CHUNK_FLOOR_ENTRIES = 2 ** 15
+#: The most points a floored chunk holds: each point also holds Python
+#: objects the entry count does not see, its value array first.
+_CHUNK_FLOOR_POINTS = 16
+
 
 class DMode(enum.Enum):
     """How the direct term may be structured in a compatibility check."""
@@ -281,13 +290,15 @@ class BlockRealization:
         output = self.C[:, np.concatenate(components)].astype(complex, order="C")
         # A chunk of the pass holds, per point, the diagonal blocks and
         # their inverses, the coupling products, the states and the
-        # values: at most one dense evaluation's n x n shift and n x m states.
+        # values: at most one dense evaluation's n x n shift and n x m
+        # states, or the floor's entries and points.
         per_point = (2 * sum(blocks.size for _, blocks in groups) + sum(sizes[i] * sizes[l] for i, l in pairs)
                      + (self.n + self.p) * self.m)
+        step = max(1, self.n * (self.n + self.m) // per_point,
+                   min(_CHUNK_FLOOR_POINTS, _CHUNK_FLOOR_ENTRIES // per_point))
         return _BoundTerms(groups, tuple(pairs), np.array([i for i, _ in pairs], dtype=int),
                            gammas, pair_groups, coupling_sq, tuple(zip(starts, stops)),
-                           state_rows, inputs, output,
-                           max(1, self.n * (self.n + self.m) // per_point))
+                           state_rows, inputs, output, step)
 
 
 class _BoundTerms(NamedTuple):
@@ -325,7 +336,10 @@ class _BoundTerms(NamedTuple):
     #: C with its columns in component order, complex.
     output: np.ndarray
     #: Points per chunk of the pass, a memory rule only: the most whose
-    #: working arrays hold no more entries than ``n (n + m)``, and at least one.
+    #: working arrays hold no more entries than ``n (n + m)``, one dense
+    #: evaluation; or, where more fit the floor, the most whose working
+    #: arrays hold no more than ``_CHUNK_FLOOR_ENTRIES``, up to
+    #: ``_CHUNK_FLOOR_POINTS``; and at least one.
     step: int
 
 
@@ -498,12 +512,14 @@ def _transfers(real: BlockRealization, points: np.ndarray):
     """Each point's pole-guard bound and transfer value, before the guard, in order.
 
     One stacked pass (:func:`_stacked_pass`) per chunk of
-    ``_BoundTerms.step`` points; a chunk's values are dropped once its
-    points are taken.  A chunk whose stack is exactly singular is run
-    again point by point, and a point whose block is exactly singular
-    yields ``(inf, None)``.  Overflow is silenced within each pass, and
-    only there, never across a ``yield``: it reads ``inf`` or NaN.  A
-    system without states yields ``0.0`` and D, complex.
+    ``_BoundTerms.step`` points, which fit one dense evaluation or the
+    chunk floor; a chunk's values are dropped once its points are taken.
+    A point's bound and value do not depend on the chunk it shares.  A
+    chunk whose stack is exactly singular is run again point by point,
+    and a point whose block is exactly singular yields ``(inf, None)``.
+    Overflow is silenced within each pass, and only there, never across
+    a ``yield``: it reads ``inf`` or NaN.  A system without states
+    yields ``0.0`` and D, complex.
     """
     if real.n == 0:
         for _ in range(len(points)):
@@ -692,7 +708,8 @@ def eval_transfer(real: BlockRealization, z: complex) -> np.ndarray:
     passes the point; otherwise the exact ``np.linalg.cond`` decides
     (:func:`_guarded`).  Bound and value come from one stacked pass at
     ``z`` alone (:func:`_transfers`), the pass :func:`circle_samples`
-    runs over its circle.
+    runs over its circle in chunks of up to 16 points, or more where
+    they fit one dense evaluation; ``z`` reads the same bits in either.
 
     In the order of the strongly connected components of A
     (:attr:`BlockRealization.components`), ``M`` is block lower-triangular,

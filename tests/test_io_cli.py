@@ -694,14 +694,16 @@ def test_cli_sampling_memory_does_not_grow_with_the_points(tmp_path, capsys):
     """``--points 20001`` peaks under tracemalloc within 64 bytes per evaluated point of ``--points 5``.
 
     The system is four one-state nodes with four inputs and four
-    outputs, so one point's states and values already fill the chunk
-    budget of the stacked pole-guard pass, and each point takes a pass
-    of its own.  The run grows by about 32 bytes per evaluated point on
-    CPython 3.11 with numpy 2.4, 16 of them for the upper half of the
-    circle.  A pass stacked over all 10001 points at once grew by about
-    1300 bytes per point, its working arrays for both systems, and a
-    sampler that keeps every point's deviations until the end by about
-    103.
+    outputs, so one point's states and values already fill the dense
+    budget of the stacked pole-guard pass, and its chunks take the floor:
+    16 points, 40 entries each, well within ``2**15``.  The run grows by
+    about 35 to 39 bytes per evaluated point on CPython 3.11 with numpy
+    2.4 (32 with one point per chunk), and takes about 7 s where one
+    point per chunk took 19 to 28 s.  With the entry floor and no point
+    cap, a chunk of 819 points grew by about 193 bytes per point; a pass
+    stacked over all 10001 points at once, by about 1300, its working
+    arrays for both systems; and a sampler that keeps every point's
+    deviations until the end, by about 103.
     """
     import tracemalloc
 
@@ -709,7 +711,7 @@ def test_cli_sampling_memory_does_not_grow_with_the_points(tmp_path, capsys):
     real = BlockRealization(NodeDims((1,) * 4, (1,) * 4, (1,) * 4),
                             np.diag([-0.5, -0.2, 0.2, 0.5]), np.eye(4), np.eye(4), np.eye(4))
     write_system(path, real, build_graph(4, [(i, i) for i in range(4)]), "diag")
-    assert real._bound_terms.step == 1
+    assert real._bound_terms.step == 16
     peaks = {}
     for points in (5, 5, 20001):
         tracemalloc.start()

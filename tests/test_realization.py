@@ -715,27 +715,28 @@ def test_stacked_bound_reads_inf_only_at_a_singular_point(monkeypatch):
     """An eigenvalue of one diagonal block makes its own point ``(inf, None)``, not its whole chunk.
 
     A 30-node cascade with one state per node, one input and one output
-    is thirty components, so seven points fit in one chunk.  The chunk
-    that holds the eigenvalue 0.5 fails as a whole; each of its points
-    is then run alone, and the others come out, bounds and values, as
-    they would in a chunk without it.
+    is thirty components, 120 entries per point, so a chunk takes the
+    floor's sixteen points.  The chunk that holds the eigenvalue 0.5
+    fails as a whole; each of its points is then run alone, and the
+    others come out, bounds and values, as they would in a chunk without
+    it.
     """
     diagonal = 0.6 * np.cos(np.arange(30))
     diagonal[14] = 0.5
     real = _one_state_cascade(diagonal)
-    assert len(real.components) == 30 and real._bound_terms.step == 7
-    circle = [complex(1.5 * np.exp(2j * np.pi * k / 10)) for k in range(6)]
+    assert len(real.components) == 30 and real._bound_terms.step == 16
+    circle = [complex(1.5 * np.exp(2j * np.pi * k / 28)) for k in range(15)]
     regular = list(_transfers(real, np.array(circle)))
-    for place in range(7):
+    for place in range(16):
         got = list(_transfers(real, np.array(circle[:place] + [0.5] + circle[place:])))
-        assert len(got) == 7 and got[place] == (np.inf, None)
+        assert len(got) == 16 and got[place] == (np.inf, None)
         others = got[:place] + got[place + 1:]
         for (bound, value), (want_bound, want_value) in zip(others, regular):
             assert np.isfinite(bound) and bound == want_bound
             assert np.array_equal(value, want_value)
     calls = _counting_linalg(monkeypatch)
     list(_transfers(real, np.array(circle + [0.5])))
-    assert calls == [("inv", (7 * 30, 1, 1))] + [("inv", (30, 1, 1))] * 7
+    assert calls == [("inv", (16 * 30, 1, 1))] + [("inv", (30, 1, 1))] * 16
 
 
 def test_transfers_leave_the_overflow_setting_as_they_found_it():
@@ -751,31 +752,50 @@ def test_transfers_leave_the_overflow_setting_as_they_found_it():
     transfers.close()
 
 
+def _entries_per_point(real):
+    """The working entries of one point of the stacked pass, counted block by block."""
+    sizes = [len(states) for states in real.components]
+    coupled = sum(sizes[i] * sizes[l]
+                  for i, rows in enumerate(real.components)
+                  for l, cols in enumerate(real.components)
+                  if i != l and np.any(real.A[np.ix_(rows, cols)]))
+    return 2 * sum(size * size for size in sizes) + coupled + (real.n + real.p) * real.m
+
+
+def _dense_step(real):
+    """Points per chunk under the dense budget alone, ``n (n + m)`` entries, and at least one."""
+    return max(1, real.n * (real.n + real.m) // _entries_per_point(real))
+
+
 def test_step_holds_the_most_points_whose_working_arrays_fit_one_evaluation(rng):
-    """A chunk's working arrays hold at most ``n (n + m)`` entries; one more point would not fit.
+    """A chunk fits one dense evaluation, or the floor; one more point would fit neither.
 
     Per point: the diagonal blocks and their inverses, ``2 sum n_i^2``;
     the coupling products, ``sum n_i n_l`` over the coupled pairs; the
-    states and the values, ``(n + p) m``.  The budget is one dense
-    evaluation's ``n x n`` shift and ``n x m`` states.  A chunk holds at
-    least one point, however large.
+    states and the values, ``(n + p) m``.  The dense budget is one
+    evaluation's ``n x n`` shift and ``n x m`` states, ``n (n + m)``
+    entries.  The floor admits up to 16 points whose working arrays hold
+    at most ``2**15`` entries.  A chunk holds at least one point, however
+    large.  The stabilized 40-node chain's loop (n = 160) takes one
+    point per chunk; its plant (n = 80, m = p = 40), six.
     """
     cases = [*_spectrum_cases(rng), *_several_component_cases(rng)]
-    steps = Counter()
+    plant, controller, _ = stabilized_chain(rng, 40, 10)
+    cases += [plant, close_loop(plant, controller).realization]
+    kinds = Counter()
     for real in cases:
         if real.n == 0:
             continue
-        sizes = [len(states) for states in real.components]
-        coupled = sum(sizes[i] * sizes[l]
-                      for i, rows in enumerate(real.components)
-                      for l, cols in enumerate(real.components)
-                      if i != l and np.any(real.A[np.ix_(rows, cols)]))
-        per_point = 2 * sum(size * size for size in sizes) + coupled + (real.n + real.p) * real.m
+        per_point, dense = _entries_per_point(real), _dense_step(real)
         budget, step = real.n * (real.n + real.m), real._bound_terms.step
-        assert step >= 1 and budget < (step + 1) * per_point
-        assert step == 1 or step * per_point <= budget
-        steps[step > 1] += 1
-    assert steps[True] > 0 and steps[False] > 0
+        assert step >= dense
+        if step > dense:
+            assert step <= 16 and step * per_point <= 2 ** 15
+        assert budget < (step + 1) * per_point
+        assert step + 1 > 16 or 2 ** 15 < (step + 1) * per_point
+        kinds["one" if step == 1 else "dense" if step == dense else "floored"] += 1
+    assert min(kinds[k] for k in ("one", "dense", "floored")) > 0, kinds
+    assert plant._bound_terms.step == 6
 
 
 def _several_component_cases(rng):
@@ -890,7 +910,10 @@ def _value_pass_cases(rng):
     several earlier ones (:func:`_several_component_cases`).  Each comes
     again with one input at its first node and one output at its last,
     so that chunks hold several points; some come without inputs and
-    without outputs.  Last, the one-component grid of
+    without outputs.  Then a plant like the benchmark's pipeline, a
+    stabilized 40-node chain (n = 80, m = p = 40), whose chunks take the
+    floor, six points each; and again with one node's block triangular,
+    with the exact eigenvalue 0.5.  Last, the one-component grid of
     :func:`_spectrum_cases`.
     """
     for k, real in enumerate(_several_component_cases(rng)):
@@ -902,6 +925,11 @@ def _value_pass_cases(rng):
         if k % 8 == 0:
             yield BlockRealization(NodeDims(d.states, none, d.outputs), real.A, None, real.C)
             yield BlockRealization(NodeDims(d.states, d.inputs, none), real.A, real.B)
+    plant, _, _ = stabilized_chain(rng, 40, 10)
+    yield plant
+    a = plant.A.copy()
+    a[40:42, 40:42] = [[0.5, 0.3], [0.0, -0.2]]
+    yield BlockRealization(plant.dims, a, plant.B, plant.C)
     *_, grid = _spectrum_cases(rng)
     yield grid
 
@@ -910,13 +938,18 @@ def test_stacked_values_are_the_one_point_values_bitwise(rng):
     """Each point of a stacked pass reads the bound and the value of the pass at that point alone.
 
     Where the guard passes, that value is :func:`eval_transfer`'s; a
-    point whose block is exactly singular reads ``(inf, None)`` in both.
+    point whose block is exactly singular reads ``(inf, None)`` in both,
+    and the other points of its chunk read their own.  Every case also
+    takes ``z = 0.5``, after the circle: on the pipeline-like plant with
+    that exact eigenvalue, the fourth point of its second floored chunk.
     """
     seen = Counter()
     for real in _value_pass_cases(rng):
         radius = 2.0 * (1.0 + spectral_radius(real))
-        points = np.array([radius * np.exp(2j * np.pi * k / 16) for k in range(9)]
+        points = np.array([radius * np.exp(2j * np.pi * k / 16) for k in range(9)] + [0.5]
                           + probe_points(rng, real), dtype=complex)
+        floored = real.n > 0 and real._bound_terms.step > _dense_step(real)
+        pipeline = floored and real.n == 80 and real.m == real.p == 40
         stacked = list(_transfers(real, points))
         assert len(stacked) == len(points)
         for z, (bound, value) in zip(points, stacked):
@@ -925,6 +958,8 @@ def test_stacked_values_are_the_one_point_values_bitwise(rng):
             if value is None:
                 assert one_value is None and bound == np.inf
                 seen["singular"] += 1
+                seen["singular in a floored chunk"] += floored
+                seen["singular in a pipeline-like chunk"] += pipeline
                 continue
             assert value.dtype == complex and value.shape == (real.p, real.m)
             assert np.array_equal(value, one_value, equal_nan=True), z
@@ -934,6 +969,8 @@ def test_stacked_values_are_the_one_point_values_bitwise(rng):
                 seen["value"] += 1
         pairs = Counter(i for i, _ in real._bound_terms.pairs)
         seen["stacked"] += real._bound_terms.step > 1
+        seen["floored"] += floored
+        seen["pipeline-like"] += pipeline
         seen["mixed sizes"] += len({len(states) for states in real.components}) > 1
         seen["zero-width node"] += 0 in real.dims.states
         seen["several read"] += max(pairs.values(), default=0) > 1
@@ -942,7 +979,8 @@ def test_stacked_values_are_the_one_point_values_bitwise(rng):
         seen["one component"] += len(real.components) == 1
     assert seen["value"] > 800 and seen["singular"] > 0
     assert min(seen[k] for k in ("mixed sizes", "zero-width node", "several read")) > 10
-    assert seen["stacked"] > 5
+    assert seen["stacked"] > 5 and seen["floored"] > 5 and seen["pipeline-like"] == 2
+    assert seen["singular in a floored chunk"] > 1 and seen["singular in a pipeline-like chunk"] == 1
     assert min(seen[k] for k in ("no inputs", "no outputs", "one component")) > 0
 
 
@@ -1032,13 +1070,14 @@ def test_circle_samples_bounds_each_system_in_one_stacked_pass(rng, monkeypatch)
     """One inverse stack per component size and chunk for each system, and no solve.
 
     Bounds and values come from the same pass.  The single-input
-    chain's nine upper-half points fit one chunk; the grid, one
-    component, takes one point per chunk.  A point pushed outward takes
-    the one-point pass for every system.
+    chain's nine upper-half points fit one chunk of one dense
+    evaluation; the grid's, one component, fit one chunk of the floor,
+    eleven points of 2816 entries.  A point pushed outward takes the
+    one-point pass for every system.
     """
     chain = _single_input_chain(60)
     *_, grid = _spectrum_cases(rng)
-    assert chain._bound_terms.step >= 9 and grid._bound_terms.step == 1
+    assert chain._bound_terms.step >= 9 and grid._bound_terms.step == 11
     one_point = {chain: [("inv", (60, 2, 2))], grid: [("inv", (1, grid.n, grid.n))]}
     attempts = []
 
@@ -1051,7 +1090,7 @@ def test_circle_samples_bounds_each_system_in_one_stacked_pass(rng, monkeypatch)
     calls = _counting_linalg(monkeypatch)
     circle_samples([chain, grid], 16, deviations)
     pushed = one_point[chain] + one_point[grid]
-    assert calls == [("inv", (9 * 60, 2, 2))] + one_point[grid] * 4 + pushed + one_point[grid] * 5
+    assert calls == [("inv", (9 * 60, 2, 2)), ("inv", (9, grid.n, grid.n))] + pushed
 
 
 def test_eval_transfer_exactly_singular_shift_raises_pole_error():
