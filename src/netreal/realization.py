@@ -634,14 +634,122 @@ def _group_heads(eigs, tol: float) -> list[complex]:
     return heads
 
 
+def _gram_certified(rows: np.ndarray, cols: np.ndarray, heads: Sequence[complex],
+                    tol: float) -> list[bool]:
+    """Per head ``lam``, whether a Cholesky factor proves ``P = [rows - lam I, cols]`` of full rank.
+
+    Full rank as :func:`_rank` decides it.  ``rows`` is ``n x n`` and
+    ``cols`` is ``n x k``, so ``P`` is ``n x w`` with ``w = n + k``, and
+    :func:`_rank` counts the singular values above ``sv[0] * tau`` with
+    ``tau = max(w * eps, tol)``.  With ``S = rows rows^T + cols cols^T``,
+    formed once,
+
+        G = P P^H = S + |lam|^2 I - Re(lam) (rows + rows^T) - i Im(lam) (rows^T - rows),
+
+    real when ``lam`` is.  One head at a time, ``G - delta I`` is formed
+    in a reused buffer and factored by ``np.linalg.cholesky``.  The head
+    passes when that succeeds and ``G`` and ``delta`` are finite; every
+    other head is left to the SVD.
+
+    Choice of ``delta``, to first order in ``eps``.  Let ``sigma_n`` be
+    the smallest singular value of ``P``, and
+    ``K^2 = (||rows||_F + sqrt(n) |lam|)^2 + ||cols||_F^2``, which bounds
+    ``||P||_F^2 = tr(G)`` and the sum of the magnitudes of the terms ``G``
+    is formed from.
+
+    1. The cutoff.  ``sv[0] <= ||P||_F <= K``, so the SVD passes a head
+       with ``sigma_n > rho K``, where ``rho = tau + w eps (1 + tau)``
+       counts item 4's error on ``sigma_n`` and on ``sv[0]``.  As
+       ``w eps <= tau``, ``rho <= tau (2 + tau)``.
+    2. Forming ``G``.  ``S`` is two products, with inner sums of ``n``
+       and ``k`` terms, and their sum: off by at most
+       ``w eps (||rows||_F^2 + ||cols||_F^2)``.  The shift terms and the
+       diagonal take a few roundings each, ``6 eps K^2`` with the complex
+       parts.  And the SVD's pencil holds ``rows - lam I`` rounded on its
+       diagonal, which moves ``sigma_n^2`` by ``2 eps K^2``.  In all
+       ``(w + 8) eps K^2``.
+    3. Cholesky's backward error.  Success on ``H`` gives
+       ``H + E = R^H R`` with ``||E||_2 <= gamma_{n+1} tr(H) / (1 - gamma_{n+1})``
+       (Demmel 1989; Rump 2006), so ``lambda_min(H) >= -2 (n + 1) eps K^2``,
+       the 2 for complex arithmetic, as ``tr(H) <= tr(G) <= K^2``.
+    4. The SVD's own error.  LAPACK's singular values are those of a
+       matrix within ``w eps sv[0]`` of ``P``, the model behind the
+       cutoff's own ``w * eps``; item 1 counts it.
+    5. Safety.  Items 2 and 3 sum to ``(w + 2n + 10) eps K^2``, at most
+       ``(3w + 10) eps K^2`` as ``n <= w``; ``8 (w + 2) eps K^2`` is at
+       least 1.8 times that.  ``4 tau^2 (2 + tau)^2`` is at least 4
+       times ``rho^2``.
+
+    So ``delta = K^2 (4 tau^2 (2 + tau)^2 + 8 (w + 2) eps)``, and a head
+    that passes, ``H = G - delta I`` as formed, has
+    ``sigma_n^2 >= lambda_min(H) + delta - (w + 8) eps K^2 > rho^2 K^2``:
+    the SVD passes it too, and no head the SVD fails can pass.  The
+    converse does not hold.  A head whose ``sigma_n`` is below about
+    ``sqrt(8 (w + 2) eps) K`` goes to the SVD, and so does one where
+    ``rows`` is close to ``lam I``: ``P`` is then small beside the terms
+    of ``G``, whose cancellation ``K`` counts.
+    """
+    if not heads:
+        return []
+    n = len(rows)
+    width = n + cols.shape[1]
+    tau = max(width * _EPS, tol)
+    rho = tau * (2.0 + tau)
+    relative = 4.0 * rho * rho + 8.0 * (width + 2) * _EPS
+    certified = []
+    # Overflow reads inf or NaN, which certifies nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = rows @ rows.T
+        gram += cols @ cols.T
+        sym = rows + rows.T
+        skew = rows - rows.T
+        real_g = np.empty((n, n))
+        complex_g = None
+        norm_rows = float(np.linalg.norm(rows))
+        norm_cols = float(np.linalg.norm(cols))
+        root_n = float(np.sqrt(n))
+        for lam in heads:
+            re, im = float(lam.real), float(lam.imag)
+            bound = norm_rows + root_n * abs(lam)
+            delta = (bound * bound + norm_cols * norm_cols) * relative
+            if im:
+                if complex_g is None:
+                    complex_g = np.empty((n, n), dtype=complex)
+                g = complex_g
+                np.multiply(sym, -re, out=g.real)
+                g.real += gram
+                np.multiply(skew, im, out=g.imag)
+            else:
+                g = real_g
+                np.multiply(sym, -re, out=g)
+                g += gram
+            g.flat[::n + 1] += (re * re + im * im) - delta
+            passed = bool(np.isfinite(delta) and np.isfinite(g).all())
+            if passed:
+                try:
+                    np.linalg.cholesky(g)
+                except np.linalg.LinAlgError:
+                    passed = False
+            certified.append(passed)
+    return certified
+
+
 def _pbh_scan(real: BlockRealization, other: np.ndarray, stack_rows: bool,
               test: str, tol: float) -> PbhTestResult:
-    """One rank test per group of repeated eigenvalues on or outside ``1 - tol``."""
+    """One rank test per group of repeated eigenvalues on or outside ``1 - tol``.
+
+    A head that :func:`_gram_certified` passes is of full rank; every
+    other head runs the SVD (:func:`_rank`), which gives the deficiency.
+    """
     _require_tolerance(tol, "tol")
     n = real.n
     outer = [lam for lam in real.eigenvalues if abs(lam) >= 1.0 - tol]
+    heads = _group_heads(outer, tol)
+    rows, cols = (real.A.T, other.T) if stack_rows else (real.A, other)
     offending = []
-    for lam in _group_heads(outer, tol):
+    for lam, passed in zip(heads, _gram_certified(rows, cols, heads, tol)):
+        if passed:
+            continue
         shifted = _shifted(real.A, -lam)
         pencil = np.vstack([shifted, other]) if stack_rows else np.hstack([shifted, other])
         rank = _rank(pencil, tol)
@@ -657,6 +765,15 @@ def pbh_stabilizable(real: BlockRealization, tol: float = 1e-9) -> PbhTestResult
     zero.  Eigenvalues within ``tol`` (relative to their magnitude, when
     above 1) of each other form one group, tested once and reported as
     one mode whose deficiency covers the whole group.
+
+    Each group is first offered to a certificate: a Cholesky factor of
+    ``P P^H - delta I`` for the pencil ``P``, with ``delta`` covering the
+    cutoff and every rounding (:func:`_gram_certified`), exists only
+    where the SVD would find full rank too.  The SVD runs only where the
+    factor fails, so verdicts, offending eigenvalues and deficiencies
+    are the SVD's.  A certified group costs one ``n x n`` factor after
+    one ``n x n`` product per test, where the SVD of the ``n x (n + m)``
+    pencil costs several times more.
     """
     return _pbh_scan(real, real.B, False, "stabilizable", tol)
 
@@ -664,7 +781,9 @@ def pbh_stabilizable(real: BlockRealization, tol: float = 1e-9) -> PbhTestResult
 def pbh_detectable(real: BlockRealization, tol: float = 1e-9) -> PbhTestResult:
     """Rank test ``[A - lambda I; C]`` at every eigenvalue with ``|lambda| >= 1 - tol``.
 
-    Repeated eigenvalues are grouped as in :func:`pbh_stabilizable`.
+    Repeated eigenvalues are grouped, and each group certified by a
+    Cholesky factor or else tested by SVD, as in :func:`pbh_stabilizable`;
+    the factor is of ``P^H P - delta I``.
     """
     return _pbh_scan(real, real.C, True, "detectable", tol)
 

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths:
 stabilizability and detectability are decided from the controllability
-matrix and an invariant-subspace restriction, transfer values from
+matrix and an invariant-subspace restriction (and, for the exact PBH
+reports, from an SVD at every tested eigenvalue), transfer values from
 direct numpy solves on dense matrices behind an exact SVD condition
 number (and, for the bitwise checks, from a plain per-point block
 substitution), block structure from a per-block scan of the dense
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from netreal import BlockRealization, DMode, NodeDims, NumericalError, PoleError, build_graph
-from netreal.realization import POLE_COND_LIMIT
+from netreal.realization import POLE_COND_LIMIT, OffendingMode, PbhTestResult
 
 
 def random_graph(rng, num_nodes, edge_prob=0.45, self_loops=True):
@@ -209,6 +210,33 @@ def stabilized_chain(rng, count, num_unstable, poles=(0.1, 0.2, 0.25, 0.3)):
     graph = build_graph(count, [(i, i) for i in range(count)] + [(i, i - 1) for i in range(1, count)])
     return (BlockRealization(dims, a, b, c), BlockRealization(dims, ctrl_a, ctrl_b, ctrl_c),
             graph)
+
+
+def random_chain(rng, count, num_unstable):
+    """A cascade built like the benchmark's chains: two states, one input and one output per node.
+
+    Node ``i`` reads itself and node ``i - 1``.  Each node's own block of
+    A has real poles in [-0.7, 0.7] in a random basis, and
+    ``num_unstable`` random nodes carry one pole in [1.2, 1.6] instead.
+    The couplings to the node upstream are N(0, 0.3) in A and N(0, 1)
+    in C; B is block-diagonal.  A mode is reached from an input ``k``
+    nodes upstream only through ``k`` couplings of about 0.3 each.
+    """
+    n = 2 * count
+    a, b, c = np.zeros((n, n)), np.zeros((n, count)), np.zeros((count, n))
+    unstable = set(rng.choice(count, size=num_unstable, replace=False).tolist())
+    for i in range(count):
+        own = slice(2 * i, 2 * i + 2)
+        poles = rng.uniform(-0.7, 0.7, size=2)
+        if i in unstable:
+            poles[0] = rng.uniform(1.2, 1.6)
+        basis = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
+        a[own, own] = basis @ np.diag(poles) @ np.linalg.inv(basis)
+        b[own, i], c[i, own] = rng.normal(size=2), rng.normal(size=2)
+        if i:
+            a[own, 2 * i - 2:2 * i] = rng.normal(scale=0.3, size=(2, 2))
+            c[i, 2 * i - 2:2 * i] = rng.normal(size=2)
+    return BlockRealization(NodeDims((2,) * count, (1,) * count, (1,) * count), a, b, c)
 
 
 def oracle_imc_loop(plant, model, q, reference, disturbance):
@@ -577,6 +605,39 @@ def oracle_stabilizable(a, b):
 
 def oracle_detectable(a, c):
     return oracle_stabilizable(a.T, c.T)
+
+
+def oracle_pbh(real, test, tol=1e-9):
+    """The PBH report with one SVD at every tested eigenvalue: ``test`` is "stabilizable" or "detectable".
+
+    The scan that ``pbh_stabilizable`` and ``pbh_detectable`` ran before
+    their Cholesky certificate, kept as the reference they must match
+    bit for bit: the eigenvalues of ``real.eigenvalues`` on or outside
+    ``1 - tol``, grouped with the first earlier one within
+    ``tol * max(1, |head|)``; at each group's first, the pencil
+    ``[A - lambda I, B]`` (or ``[A - lambda I; C]``) and its singular
+    values above ``sv[0] * max(max(shape) * eps, tol)``.
+    """
+    n = real.n
+    eps = np.finfo(float).eps
+    heads = []
+    for lam in real.eigenvalues:
+        if abs(lam) >= 1.0 - tol and not any(
+                abs(lam - head) <= tol * max(1.0, abs(head)) for head in heads):
+            heads.append(lam)
+    offending = []
+    for lam in heads:
+        shifted = np.array(real.A, dtype=np.result_type(real.A, -lam))
+        shifted.flat[::n + 1] += -lam
+        if test == "stabilizable":
+            pencil = np.hstack([shifted, real.B])
+        else:
+            pencil = np.vstack([shifted, real.C])
+        sv = np.linalg.svd(pencil, compute_uv=False)
+        rank = int(np.count_nonzero(sv > sv[0] * max(max(pencil.shape) * eps, tol)))
+        if rank < n:
+            offending.append(OffendingMode(complex(lam), test, n - rank))
+    return PbhTestResult(not offending, test, tuple(offending))
 
 
 def random_orthogonal(rng, n):

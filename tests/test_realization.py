@@ -12,6 +12,7 @@ from netreal import (
     NodeDims,
     NumericalError,
     PoleError,
+    StabilityWarning,
     add,
     build_graph,
     certify_witness,
@@ -19,6 +20,7 @@ from netreal import (
     eval_transfer,
     invert,
     multiply,
+    packaged_system,
     pbh_detectable,
     pbh_stabilizable,
     scaled_deviation,
@@ -32,22 +34,27 @@ from netreal.realization import (
     _certified_inverse,
     _frobenius_cond_bound,
     _EPS,
+    _gram_certified,
+    _group_heads,
     _shifted,
     _stacked_pass,
     _transfers,
     circle_samples,
 )
 from _support import (
+    hidden_mode_case,
     oracle_block_transfer,
     oracle_component_bound,
     oracle_components,
     oracle_detectable,
+    oracle_pbh,
     oracle_spectrum,
     oracle_stabilizable,
     oracle_transfer,
     oracle_violations,
     probe_points,
     random_add_pair,
+    random_chain,
     random_dag,
     random_dims,
     random_graph,
@@ -287,6 +294,137 @@ def test_pbh_matches_oracle_on_random_systems(rng):
         real = BlockRealization(dims, a, b, c)
         assert pbh_stabilizable(real).passed == oracle_stabilizable(a, b)
         assert pbh_detectable(real).passed == oracle_detectable(a, c)
+
+
+def _pbh_bits(result):
+    """A PBH result with each offending eigenvalue as the hex of its real and imaginary parts."""
+    return (result.passed, result.test, [(m.eigenvalue.real.hex(), m.eigenvalue.imag.hex(),
+                                          m.test, m.deficiency) for m in result.offending])
+
+
+def _pbh_parity_cases(rng):
+    """Systems whose PBH reports must equal the all-SVD oracle's.
+
+    Generated systems on graphs with and without cycles, nodes of 0 to
+    3 states and 0 to 2 channels, A scaled to a spectral radius inside,
+    on or outside the unit circle; ``hidden_mode_case`` systems, whose
+    hidden modes a random orthogonal similarity mixes into every
+    coordinate; the remark1 product; ``diag(1.5, 1.5, 1.5)`` and a 2 x 2
+    Jordan block at 1.5, with B and C zero.
+    """
+    for k in range(60):
+        count = int(rng.integers(1, 7))
+        graph = (random_dag if k % 2 else random_graph)(rng, count)
+        dims = random_dims(rng, count)
+        yield random_system(rng, graph, dims, rho=float(rng.choice([0.8, 1.0, 1.3, 1.7])))
+    for k in range(20):
+        a, b, _ = hidden_mode_case(rng, int(rng.integers(0, 3)), int(rng.integers(1, 3)), k % 2 == 0)
+        n, m = a.shape[0], b.shape[1]
+        yield BlockRealization(NodeDims((n,), (m,), (m,)), a, b, b.T)
+    with pytest.warns(StabilityWarning):
+        yield multiply(packaged_system("remark1_g1")[0], packaged_system("remark1_g2")[0])
+    yield BlockRealization(NodeDims((3,), (1,), (1,)), A=np.diag([1.5, 1.5, 1.5]))
+    yield BlockRealization(NodeDims((2,), (1,), (1,)), A=[[1.5, 1.0], [0.0, 1.5]])
+
+
+def test_pbh_reports_equal_the_all_svd_scan_bitwise(rng):
+    """Verdicts, offending eigenvalue bits and deficiencies match the oracle, at two tolerances."""
+    outcomes = Counter()
+    for real in _pbh_parity_cases(rng):
+        for tol in (1e-9, 1e-4):
+            for test, name in ((pbh_stabilizable, "stabilizable"), (pbh_detectable, "detectable")):
+                result = test(real, tol)
+                assert _pbh_bits(result) == _pbh_bits(oracle_pbh(real, name, tol)), (real.dims, tol)
+                outcomes[result.passed] += 1
+                outcomes["deficiency", max((m.deficiency for m in result.offending), default=0)] += 1
+    # Both verdicts occur, and the triple eigenvalue's deficiency of 3.
+    assert outcomes[True] and outcomes[False] and outcomes["deficiency", 3]
+
+
+def _planted_mode(rng, scale, rotate):
+    """(A, B) with one unstable mode, or a pair, that B reaches only through ``scale``.
+
+    In the basis ``V`` of ``A = V diag V^-1``, the mode's rows of
+    ``V^-1 B`` are multiplied by ``scale``; with ``rotate`` the mode is
+    a complex pair, a scaled rotation block.
+    """
+    n = int(rng.integers(3, 7))
+    block = np.diag(rng.uniform(-0.9, 0.9, size=n))
+    radius = float(rng.uniform(1.1, 1.8))
+    if rotate:
+        angle = float(rng.uniform(0.3, 2.8))
+        block[:2, :2] = radius * np.array([[np.cos(angle), -np.sin(angle)],
+                                           [np.sin(angle), np.cos(angle)]])
+    else:
+        block[0, 0] = radius * float(rng.choice([-1.0, 1.0]))
+    coords = rng.normal(size=(n, int(rng.integers(1, 3))))
+    coords[:2 if rotate else 1] *= scale
+    basis = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+    return basis @ block @ np.linalg.inv(basis), basis @ coords
+
+
+def test_pbh_certificate_passes_only_heads_the_svd_passes(rng):
+    """Soundness and reach of the Cholesky certificate as a planted mode's input fades.
+
+    The input reaching one unstable mode (real, or a complex pair) is
+    scaled by 1e-14 to 1e-2.  Every head the certificate passes has
+    full rank by the oracle's SVD, at the default tolerance and a wide
+    one; and at the default every head whose smallest singular value is
+    at least 1e-5 of the pencil's Frobenius norm is passed, so the
+    certificate is not vacuous.  The scan itself matches the oracle.
+    """
+    certified = Counter()
+    for scale in np.logspace(-14, -2, 13):
+        for k in range(6):
+            a, b = _planted_mode(rng, scale, k % 2 == 1)
+            n = a.shape[0]
+            real = BlockRealization(NodeDims((n,), (b.shape[1],), (1,)), a, b)
+            for tol in (1e-9, 1e-3):
+                heads = _group_heads([lam for lam in real.eigenvalues if abs(lam) >= 1.0 - tol], tol)
+                for lam, passed in zip(heads, _gram_certified(real.A, real.B, heads, tol)):
+                    pencil = np.hstack([_shifted(real.A, -lam), real.B])
+                    sv = np.linalg.svd(pencil, compute_uv=False)
+                    full_rank = sv[n - 1] > sv[0] * max(pencil.shape[1] * _EPS, tol)
+                    assert full_rank or not passed, (scale, lam, sv[n - 1] / sv[0])
+                    if tol == 1e-9 and sv[n - 1] >= 1e-5 * np.linalg.norm(pencil):
+                        assert passed, (scale, lam, sv[n - 1] / np.linalg.norm(pencil))
+                    certified[passed] += 1
+                result = pbh_stabilizable(real, tol)
+                assert _pbh_bits(result) == _pbh_bits(oracle_pbh(real, "stabilizable", tol))
+    assert certified[True] and certified[False]
+
+
+def test_pbh_certifies_a_chain_with_no_svd(rng, monkeypatch):
+    """A 40-node chain, a quarter of its nodes unstable: one Cholesky per head and test, no SVD."""
+    real = random_chain(rng, 40, 10)
+    heads = int(np.count_nonzero(np.abs(np.linalg.eigvals(real.A)) >= 1.0))
+    assert heads == 10
+    calls = Counter()
+    for name in ("svd", "cholesky"):
+        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    assert pbh_stabilizable(real).passed and pbh_detectable(real).passed
+    assert calls == {"cholesky": 2 * heads}
+
+
+def test_pbh_refuses_a_chain_driven_only_at_its_head():
+    """A 30-node chain with one input, at its head, is not stabilizable.
+
+    The modes far downstream are reached only through many couplings of
+    about 0.3, so the pencil's smallest singular value at them is below
+    1e-10 of its largest: far under the cutoff.  The certificate must
+    pass none of those heads; the offending list is the oracle's, and the
+    controllability-matrix oracle agrees.
+    """
+    full = random_chain(np.random.default_rng(1), 30, 7)
+    real = BlockRealization(NodeDims((2,) * 30, (1,) + (0,) * 29, (1,) * 30),
+                            full.A, full.B[:, :1], full.C)
+    result = pbh_stabilizable(real)
+    assert not result.passed
+    assert _pbh_bits(result) == _pbh_bits(oracle_pbh(real, "stabilizable"))
+    assert not oracle_stabilizable(real.A, real.B)
 
 
 def test_certify_witness_combines_checks(river_wide):
