@@ -1,13 +1,36 @@
 """Serialization: systems and trajectories on disk, check reports as JSON.
 
 System files are JSON objects with a graph, per-node dimensions, and the
-four dense matrices row-major::
+four matrices A, B, C and D.  A matrix is stored in one of two forms:
+
+* dense, a list of rows: ``"A": [[0.9, 0, 0], [0.1, 0.8, 0], [0, 0.2, 0.7]]``;
+* by blocks, ``"A": {"blocks": [[i, j, rows], ...]}``: ``i`` is a node of
+  the matrix's row partition, ``j`` one of its column partition, and
+  ``rows`` that block, row-major.  A block that is not listed is zero.
+
+The reader takes either form, matrix by matrix; :func:`system_to_obj`
+and :func:`write_system` write only the second, with every block that
+holds an entry whose bits are not all zero (so ``-0.0`` is kept), sorted
+by ``(i, j)``::
 
     {
       "name": "river",
-      "graph": {"num_nodes": 3, "edges": [[0, 0], [1, 0], ...]},
-      "dims": [{"n": 1, "m": 1, "p": 1}, ...],
-      "A": [[0.9, 0, 0], ...], "B": ..., "C": ..., "D": ...
+      "graph": {
+        "num_nodes": 3,
+        "edges": [[0, 0], [1, 0], [1, 1], [2, 1], [2, 2]]
+      },
+      "dims": [
+        {"n": 1, "m": 1, "p": 1},
+        ...
+      ],
+      "A": {
+        "blocks": [
+          [0, 0, [[0.9]]],
+          [1, 0, [[0.1]]],
+          ...
+        ]
+      },
+      ...
     }
 
 A matrix key may be omitted only when one of its dimensions is zero.  A
@@ -89,34 +112,111 @@ def system_from_obj(obj) -> tuple[BlockRealization, NetworkGraph, str | None]:
             _as_int(_require(entry, key, f"dims[{k}]"), f"dims[{k}].{key}")
             for key in ("n", "m", "p")))
     dims = NodeDims.from_triples(triples)
-
-    def matrix(key: str, rows: int, cols: int) -> np.ndarray:
-        if key not in obj or obj[key] is None:
-            if rows == 0 or cols == 0:
-                return np.zeros((rows, cols))
-            raise InputError(f"missing required field '{key}' in system")
-        value = _as_floats(obj[key], f"field '{key}' is not a numeric matrix")
-        if value.shape != (rows, cols):
-            raise InputError(
-                f"field '{key}' has shape {value.shape}, expected ({rows}, {cols})")
-        return value
-
     _require_stored_channels(dims)
-    n, m, p = dims.n_total, dims.m_total, dims.p_total
-    real = BlockRealization(
-        dims,
-        A=matrix("A", n, n),
-        B=matrix("B", n, m),
-        C=matrix("C", p, n),
-        D=matrix("D", p, m),
-    )
-    return real, graph, name
+    matrices = {key: _matrix_from_obj(obj.get(key), key, dims, axes)
+                for key, axes in _MATRIX_AXES.items()}
+    return BlockRealization(dims, **matrices), graph, name
+
+
+#: The dims key that partitions the rows and the columns of each matrix.
+_MATRIX_AXES = {"A": ("n", "n"), "B": ("n", "m"), "C": ("p", "n"), "D": ("p", "m")}
+
+
+def _axis(dims: NodeDims, axis: str) -> tuple[tuple[int, ...], tuple[slice, ...]]:
+    """Per-node counts and node-major slices of dims key ``axis``."""
+    if axis == "n":
+        return dims.states, dims.state_slices
+    if axis == "m":
+        return dims.inputs, dims.input_slices
+    return dims.outputs, dims.output_slices
+
+
+def _matrix_from_obj(value, key: str, dims: NodeDims, axes: tuple[str, str]) -> np.ndarray:
+    """Matrix ``key`` of a system document, dense or by blocks, read-only.
+
+    ``None`` (the key absent) stands for a matrix with a zero dimension.
+    """
+    totals = {"n": dims.n_total, "m": dims.m_total, "p": dims.p_total}
+    shape = (totals[axes[0]], totals[axes[1]])
+    if value is None:
+        if 0 in shape:
+            return np.zeros(shape)
+        raise InputError(f"missing required field '{key}' in system")
+    if isinstance(value, dict):
+        matrix = _from_blocks(value, key, dims, axes)
+    else:
+        matrix = _as_floats(value, f"field '{key}' is not a numeric matrix")
+        if matrix.shape != shape:
+            raise InputError(f"field '{key}' has shape {matrix.shape}, expected {shape}")
+    # Owned and read-only, so BlockRealization keeps it without a copy.
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _from_blocks(obj: dict, key: str, dims: NodeDims, axes: tuple[str, str]) -> np.ndarray:
+    """The matrix of ``{"blocks": [[i, j, rows], ...]}``; every block not listed is zero.
+
+    ``i`` counts nodes along the rows' axis and ``j`` along the columns';
+    each must be a JSON integer naming a node with a nonzero count on its
+    axis, no ``(i, j)`` may repeat, and ``rows`` must have the shape of
+    the block.  Any other entry raises InputError naming the block.
+    """
+    blocks = _require(obj, "blocks", f"field '{key}'")
+    if not isinstance(blocks, list):
+        raise InputError(f"field '{key}.blocks' must be a list of [i, j, rows] entries")
+    (row_counts, row_slices), (col_counts, col_slices) = (_axis(dims, axis) for axis in axes)
+    matrix = np.zeros((sum(row_counts), sum(col_counts)))
+    seen = set()
+    for k, entry in enumerate(blocks):
+        what = f"field '{key}.blocks[{k}]'"
+        if type(entry) is not list or len(entry) != 3:
+            raise InputError(f"{what} must be an [i, j, rows] entry")
+        nodes = []
+        for node, axis, axis_counts, label in zip(entry, axes, (row_counts, col_counts), "ij"):
+            node = _as_int(node, f"{what} node {label}")
+            if not 0 <= node < dims.num_nodes:
+                raise InputError(
+                    f"{what} node {label} is {node}, out of range for {dims.num_nodes} nodes")
+            if not axis_counts[node]:
+                raise InputError(
+                    f"{what} node {label} is {node}, whose 'dims[{node}].{axis}' is 0")
+            nodes.append(node)
+        i, j = nodes
+        if (i, j) in seen:
+            raise InputError(f"{what} repeats block ({i}, {j})")
+        seen.add((i, j))
+        rows = _as_floats(entry[2], f"{what} rows are not a numeric matrix")
+        want = (row_counts[i], col_counts[j])
+        if rows.shape != want:
+            raise InputError(f"{what} rows have shape {rows.shape}, expected {want}")
+        matrix[row_slices[i], col_slices[j]] = rows
+    return matrix
+
+
+def _nonzero_blocks(matrix: np.ndarray, dims: NodeDims, axes: tuple[str, str]) -> list:
+    """``[i, j, rows]`` for each block of ``matrix`` with an entry whose bits are not all zero.
+
+    ``axes`` are the dims keys that partition its rows and its columns.
+    Blocks are sorted by ``(i, j)``.  The test is on bits, not values, so
+    a block of ``-0.0`` is listed.  Cost grows with the number of such
+    entries and blocks, plus one pass over ``matrix``.
+    """
+    (row_counts, row_slices), (col_counts, col_slices) = (_axis(dims, axis) for axis in axes)
+    rows, cols = np.nonzero(matrix.view(np.uint64))
+    num_cols = len(col_counts)
+    row_node = np.repeat(np.arange(len(row_counts)), row_counts)
+    col_node = np.repeat(np.arange(num_cols), col_counts)
+    keys = np.unique(row_node[rows] * num_cols + col_node[cols])
+    return [[i, j, matrix[row_slices[i], col_slices[j]].tolist()]
+            for i, j in zip(*(part.tolist() for part in np.divmod(keys, num_cols)))]
 
 
 def system_to_obj(
     real: BlockRealization, graph: NetworkGraph, name: str | None = None
 ) -> dict:
-    _require_stored_channels(real.dims)
+    """The system document of ``real`` on ``graph``, each matrix by its nonzero blocks."""
+    dims = real.dims
+    _require_stored_channels(dims)
     obj: dict = {}
     if name is not None:
         obj["name"] = name
@@ -125,12 +225,41 @@ def system_to_obj(
         "edges": [list(e) for e in graph.sorted_edges()],
     }
     obj["dims"] = [
-        {"n": n, "m": m, "p": p} for n, m, p in real.dims.triples()
+        {"n": n, "m": m, "p": p} for n, m, p in dims.triples()
     ]
-    for key, value in (("A", real.A), ("B", real.B), ("C", real.C), ("D", real.D)):
+    for key, axes in _MATRIX_AXES.items():
+        value = getattr(real, key)
         if value.size:
-            obj[key] = value.tolist()
+            obj[key] = {"blocks": _nonzero_blocks(value, dims, axes)}
     return obj
+
+
+def _system_text(obj: dict) -> str:
+    """A :func:`system_to_obj` document laid out like the packaged data files.
+
+    The edges stand on one line, each dims entry and each block on its
+    own.  Each list is one ``json.dumps`` call, which json's C encoder
+    serves, broken into lines where one entry ends and the next begins:
+    at ``}, {`` between dims entries, and at ``]]], [`` between blocks.
+    Neither occurs inside an entry, as a dims entry holds three integers
+    and a block's rows are a nonempty list of nonempty rows of numbers.
+    """
+
+    def listed(items, indent: str, close: str, open_: str) -> str:
+        if not items:
+            return "[]"
+        body = json.dumps(items)[1:-1].replace(f"{close}, {open_}", f"{close},\n{indent}{open_}")
+        return f"[\n{indent}{body}\n{indent[:-2]}]"
+
+    graph = obj["graph"]
+    members = [f'"name": {json.dumps(obj["name"])}'] if "name" in obj else []
+    members.append(f'"graph": {{\n    "num_nodes": {json.dumps(graph["num_nodes"])},\n'
+                   f'    "edges": {json.dumps(graph["edges"])}\n  }}')
+    members.append(f'"dims": {listed(obj["dims"], "    ", "}", "{")}')
+    members.extend(
+        f'"{key}": {{\n    "blocks": {listed(obj[key]["blocks"], "      ", "]]]", "[")}\n  }}'
+        for key in _MATRIX_AXES if key in obj)
+    return "{\n  " + ",\n  ".join(members) + "\n}\n"
 
 
 def _read(path, parse):
@@ -162,16 +291,18 @@ def _json(text: str):
 def json_text(obj, prefix: str = "") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, with less of the pure-Python encoder.
 
-    Given an indent, json takes its pure-Python encoder, which is slow on
-    the long float rows of a system file and leaves its nested closures
-    in reference cycles.  Here lists and dicts with string keys are laid
-    out the same way by recursion, ``prefix`` being the current line's
-    leading spaces; a list of finite floats is joined with
-    ``float.__repr__``, which is what json writes for each; every other
-    value is one ``json.dumps`` call without indent, which json's C
-    encoder serves.  Only a dict with a key that is not a ``str`` is left
-    to ``json.dumps(..., indent=2)`` itself, its lines moved in by
-    ``prefix`` (a JSON string holds no raw newline).
+    Reports (``--json``, ``-o``) and JSON trajectories keep these bytes;
+    system files have their own layout (:func:`write_system`).  Given an
+    indent, json takes its pure-Python encoder, which is slow on long
+    float rows and leaves its nested closures in reference cycles.  Here
+    lists and dicts with string keys are laid out the same way by
+    recursion, ``prefix`` being the current line's leading spaces; a list
+    of finite floats is joined with ``float.__repr__``, which is what
+    json writes for each; every other value is one ``json.dumps`` call
+    without indent, which json's C encoder serves.  Only a dict with a
+    key that is not a ``str`` is left to ``json.dumps(..., indent=2)``
+    itself, its lines moved in by ``prefix`` (a JSON string holds no raw
+    newline).
     """
     inner = prefix + "  "
     if isinstance(obj, (list, tuple)):
@@ -204,7 +335,14 @@ def read_system(path) -> tuple[BlockRealization, NetworkGraph, str | None]:
 
 
 def write_system(path, real, graph, name=None) -> None:
-    write_json(path, system_to_obj(real, graph, name))
+    """Save ``real`` on ``graph`` as a system file, each matrix by its nonzero blocks.
+
+    The file is :func:`system_to_obj`'s document in the layout of
+    :func:`_system_text`; a system the writer refuses leaves no file.
+    """
+    text = _system_text(system_to_obj(real, graph, name))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def trajectory_to_obj(traj: SignalTrajectory) -> dict:

@@ -42,15 +42,27 @@ from netreal import (
 )
 from netreal.cli import main
 from netreal.sysio import (
+    _MATRIX_AXES,
     Report,
+    _axis,
     _json,
+    _matrix_from_obj,
+    _nonzero_blocks,
     json_text,
     trajectory_from_csv,
     trajectory_from_obj,
     trajectory_to_csv,
     trajectory_to_obj,
 )
-from _support import oracle_spectrum, random_dims, random_graph, random_system, stabilized_chain
+from _support import (
+    oracle_spectrum,
+    random_chain,
+    random_dag,
+    random_dims,
+    random_graph,
+    random_system,
+    stabilized_chain,
+)
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +211,156 @@ def test_system_refuses_channels_no_matrix_holds():
     # with neither inputs nor outputs there is nothing to store
     real, _, _ = system_from_obj({"graph": graph, "dims": [{"n": 0, "m": 0, "p": 0}] * 2})
     assert real.D.shape == (0, 0)
+
+
+def test_block_form_diagnostics():
+    """Each malformed block raises InputError naming its field and block."""
+    base = {
+        "graph": {"num_nodes": 3, "edges": [[0, 0], [1, 1], [2, 2], [2, 0]]},
+        "dims": [{"n": 2, "m": 1, "p": 1}, {"n": 0, "m": 1, "p": 0}, {"n": 1, "m": 0, "p": 1}],
+        "A": {"blocks": [[0, 0, [[0.5, 0.0], [0.0, 0.5]]], [2, 0, [[1.0, -0.0]]]]},
+        "B": {"blocks": [[0, 0, [[1.0], [0.0]]]]},
+        "C": {"blocks": [[0, 0, [[1.0, 0.0]]], [2, 2, [[1.0]]]]},
+        "D": {"blocks": []},
+    }
+    real, _, _ = system_from_obj(base)
+    assert real.A[2].tolist() == [1.0, -0.0, 0.0] and np.signbit(real.A[2, 1])
+    assert real.C[1].tolist() == [0.0, 0.0, 1.0] and not real.D.any()
+    square = [[1.0, 2.0], [3.0, 4.0]]
+    for key, value, message in [
+        ("A", {}, r"missing required field 'blocks' in field 'A'"),
+        ("B", {"blocks": {"0": []}}, r"field 'B.blocks' must be a list"),
+        ("A", {"blocks": [[0, 0]]}, r"field 'A.blocks\[0\]' must be an \[i, j, rows\] entry"),
+        ("A", {"blocks": [{"i": 0}]}, r"field 'A.blocks\[0\]' must be an \[i, j, rows\] entry"),
+        ("A", {"blocks": [[0, 0, square, 1]]}, r"'A.blocks\[0\]' must be an \[i, j, rows\]"),
+        ("A", {"blocks": [[True, 0, square]]}, r"'A.blocks\[0\]' node i must be an integer"),
+        ("A", {"blocks": [[0, 1.0, square]]}, r"'A.blocks\[0\]' node j must be an integer"),
+        ("A", {"blocks": [[0, "0", square]]}, r"'A.blocks\[0\]' node j must be an integer"),
+        ("A", {"blocks": [[-1, 0, square]]}, r"'A.blocks\[0\]' node i is -1, out of range"),
+        ("C", {"blocks": [[0, 3, [[1.0]]]]}, r"'C.blocks\[0\]' node j is 3, out of range"),
+        ("A", {"blocks": [[0, 0, square], [0, 0, square]]},
+         r"field 'A.blocks\[1\]' repeats block \(0, 0\)"),
+        ("A", {"blocks": [[0, 0, [[1.0, 2.0]]]]},
+         r"'A.blocks\[0\]' rows have shape \(1, 2\), expected \(2, 2\)"),
+        ("A", {"blocks": [[0, 0, square], [2, 0, [[1.0], [2.0]]]]},
+         r"'A.blocks\[1\]' rows have shape \(2, 1\), expected \(1, 2\)"),
+        ("A", {"blocks": [[0, 0, "x"]]}, r"'A.blocks\[0\]' rows are not a numeric matrix"),
+        ("A", {"blocks": [[0, 0, [[1.0, 2.0], [3.0]]]]}, r"'A.blocks\[0\]' rows are not a numeric"),
+        ("A", {"blocks": [[1, 0, []]]}, r"'A.blocks\[0\]' node i is 1, whose 'dims\[1\]\.n' is 0"),
+        ("B", {"blocks": [[0, 2, [[1.0], [1.0]]]]},
+         r"'B.blocks\[0\]' node j is 2, whose 'dims\[2\]\.m' is 0"),
+        ("C", {"blocks": [[1, 0, []]]}, r"'C.blocks\[0\]' node i is 1, whose 'dims\[1\]\.p' is 0"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            system_from_obj({**base, key: value})
+
+
+def test_dense_and_block_forms_read_back_bit_for_bit():
+    """The dense rows and the nonzero blocks of one matrix read back to the same bytes.
+
+    Graphs are DAGs or cyclic, with or without self-loops; every third
+    system has a node without states or channels.  In each matrix one
+    filled block is overwritten with ``-0.0`` only, and in every fourth
+    system signed zeros, a subnormal, NaN and +-inf are spliced in.  Both
+    documents go through JSON text.  A system either form refuses, for a
+    non-finite entry or for channels no matrix holds, is refused by the
+    other with the same message; every other reads back whole, and
+    :func:`system_to_obj` writes it as the same blocks.
+    """
+    special = [0.0, -0.0, 5e-324, float("nan"), float("inf"), -float("inf")]
+    refused = 0
+    for seed in range(48):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 6))
+        graph = (random_dag if seed % 2 else random_graph)(rng, count, self_loops=seed % 4 < 2)
+        dims = random_dims(rng, count)
+        if seed % 3 == 0:
+            empty = int(rng.integers(count))
+            dims = NodeDims(*(tuple(0 if k == empty else v for k, v in enumerate(counts))
+                              for counts in (dims.states, dims.inputs, dims.outputs)))
+        real = random_system(rng, graph, dims, DMode.EDGE_SPARSE if seed % 5 else DMode.STRICT)
+        matrices = {}
+        for key, axes in _MATRIX_AXES.items():
+            matrix = getattr(real, key).copy()
+            row_slices, col_slices = (_axis(dims, axis)[1] for axis in axes)
+            filled = [(r, c) for r in row_slices for c in col_slices if matrix[r, c].any()]
+            if filled:
+                r, c = filled[int(rng.integers(len(filled)))]
+                matrix[r, c] = -0.0
+            if matrix.size and seed % 4 == 3:
+                matrix.flat[rng.integers(0, matrix.size, 2)] = rng.choice(special, 2)
+            matrices[key] = matrix
+        head = {"graph": {"num_nodes": count, "edges": [list(e) for e in graph.sorted_edges()]},
+                "dims": [{"n": n, "m": m, "p": p} for n, m, p in dims.triples()]}
+        forms = {key: ({"blocks": _nonzero_blocks(matrix, dims, _MATRIX_AXES[key])},
+                       matrix.tolist())
+                 for key, matrix in matrices.items() if matrix.size}
+        docs = [json.loads(json.dumps({**head, **{key: pair[k] for key, pair in forms.items()}}))
+                for k in (0, 1)]
+        for key, (blocks, _) in forms.items():
+            # Sorted by (i, j) without repeats, and none holds only zero bits.
+            places = [tuple(b[:2]) for b in blocks["blocks"]]
+            assert places == sorted(set(places)), (seed, key)
+            assert all(np.array(b[2]).view(np.uint64).any() for b in blocks["blocks"])
+            for doc in docs:
+                got = _matrix_from_obj(doc[key], key, dims, _MATRIX_AXES[key])
+                assert got.tobytes() == matrices[key].tobytes(), (seed, key)
+        outcomes = []
+        for doc in docs:
+            try:
+                outcomes.append(system_from_obj(doc)[0])
+            except InputError as exc:
+                outcomes.append(str(exc))
+        if isinstance(outcomes[0], str):
+            refused += 1
+            assert outcomes[1] == outcomes[0], seed
+            continue
+        for back in outcomes:
+            for key, matrix in matrices.items():
+                assert getattr(back, key).tobytes() == matrix.tobytes(), (seed, key)
+        written = system_to_obj(outcomes[0], graph)
+        assert {key: written[key] for key in forms} == {key: pair[0] for key, pair in forms.items()}
+    assert 6 <= refused <= 24, refused
+
+
+def test_packaged_systems_survive_a_block_form_round_trip(tmp_path):
+    """Every packaged system, dense on disk, reads back bit for bit from the file it saves."""
+    data = resources.files("netreal").joinpath("data")
+    names = sorted(p.name for p in data.iterdir() if p.name.endswith(".json"))
+    assert len(names) == 5
+    for file_name in names:
+        real, graph, name = read_system(str(data / file_name))
+        dense = json.loads((data / file_name).read_text("utf-8"))
+        assert all(isinstance(dense[key], list) for key in "ABCD" if key in dense)
+        path = tmp_path / file_name
+        write_system(path, real, graph, name)
+        saved = json.loads(path.read_text("utf-8"))
+        assert all(isinstance(saved[key], dict) for key in "ABCD" if key in saved)
+        back, graph2, name2 = read_system(path)
+        assert (graph2, name2, back.dims) == (graph, name, real.dims)
+        for key in "ABCD":
+            assert getattr(back, key).tobytes() == getattr(real, key).tobytes(), (file_name, key)
+
+
+def test_saved_file_size_follows_the_nonzero_blocks(tmp_path, capsys):
+    """``compose --op add --save`` on 100- and 200-node chains: the file less than 2.2 times larger.
+
+    Each sum has four states per node, so its dense A would grow fourfold.
+    """
+    sizes = {}
+    for count in (100, 200):
+        real = random_chain(np.random.default_rng(count), count, 0)
+        graph = build_graph(count, [(i, i) for i in range(count)]
+                            + [(i, i - 1) for i in range(1, count)])
+        chain, saved = tmp_path / f"chain{count}.json", tmp_path / f"sum{count}.json"
+        write_system(chain, real, graph, "chain")
+        assert main(["compose", "--op", "add", str(chain), str(chain), "--save", str(saved)]) == 0
+        summed = read_system(saved)[0]
+        dense = json_text({key: getattr(summed, key).tolist() for key in "ABCD"})
+        sizes[count] = (saved.stat().st_size, len(dense))
+    capsys.readouterr()
+    assert sizes[200][0] / sizes[100][0] < 2.2, sizes
+    assert sizes[200][1] / sizes[100][1] > 3.5, sizes
 
 
 def test_trajectory_csv_roundtrip(rng):
@@ -475,6 +637,12 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_cli_inputs_sized_beyond_memory_exit_2(tmp_path):
+    """Inputs whose declared sizes do not fit under a 2 GiB address space exit 2.
+
+    The block form of a matrix needs no case of its own: it sizes no
+    allocation beyond ``dims``.  Its matrix is the one ``dims`` gives,
+    and every block must match the counts of its two nodes.
+    """
     huge = str(tmp_path / "huge.json")
     Path(huge).write_text(json.dumps({
         "graph": {"num_nodes": 1, "edges": [[0, 0]]},
@@ -573,19 +741,32 @@ def _mutated_text(rng, text):
     return text
 
 
+def _matrix_forms(doc) -> set:
+    """"blocks" and "dense" for the matrices of a system document held in each form."""
+    if not isinstance(doc, dict):
+        return set()
+    return {"blocks" if isinstance(doc[key], dict) else "dense"
+            for key in "ABCD" if isinstance(doc.get(key), (dict, list))}
+
+
 def test_parsers_return_a_result_or_input_error(rng):
+    """Mutated system documents, in the block form the writer gives and the dense one, and trajectories."""
     graph = random_graph(rng, 3)
     system = system_to_obj(random_system(rng, graph, NodeDims((2, 0, 1), (1, 0, 2), (1, 1, 0))),
                            graph, "s")
-    river, river_graph, _ = packaged_system("river")
-    systems = (system, system_to_obj(river, river_graph))
+    river = json.loads(resources.files("netreal").joinpath("data", "river.json").read_text("utf-8"))
+    systems = (system, river)
+    assert [_matrix_forms(doc) for doc in systems] == [{"blocks"}, {"dense"}]
     traj = SignalTrajectory(rng.normal(size=(3, 3)), (2, 0, 1), "u")
     traj_obj = trajectory_to_obj(traj)
     csv_text = trajectory_to_csv(traj)
     spliced = dict.fromkeys(_LITERALS.values(), 0)
+    forms = Counter()
     for k in range(400):
+        mutated = _mutated(rng, systems[k % 2])
+        forms.update(_matrix_forms(mutated))
         for parse, doc in (
-            (lambda text: system_from_obj(_json(text)), _as_text(_mutated(rng, systems[k % 2]))),
+            (lambda text: system_from_obj(_json(text)), _as_text(mutated)),
             (lambda text: trajectory_from_obj(_json(text)), _as_text(_mutated(rng, traj_obj))),
             (lambda text: trajectory_from_csv(text, traj.partition),
              _mutated_text(rng, csv_text)),
@@ -597,6 +778,7 @@ def test_parsers_return_a_result_or_input_error(rng):
             except InputError:
                 pass
     assert all(spliced.values()), spliced
+    assert forms["blocks"] >= 100 and forms["dense"] >= 100, forms
 
 
 def test_cli_compose_and_save(tmp_path, capsys):
@@ -1060,10 +1242,27 @@ def test_json_text_is_json_dumps_byte_for_byte(rng, tmp_path):
         assert json_text(obj) == json.dumps(obj, indent=2), obj
     with pytest.raises(TypeError, match="not JSON serializable"):
         json_text({"a": [object()]})
+    # System files have their own layout: the packaged files' lines up to
+    # the matrices, then one line per block.
     real, graph, _ = packaged_system("river")
     write_system(tmp_path / "r.json", real, graph, "river")
-    assert (tmp_path / "r.json").read_text(encoding="utf-8") == (
-        json.dumps(system_to_obj(real, graph, "river"), indent=2) + "\n")
+    text = (tmp_path / "r.json").read_text(encoding="utf-8")
+    assert json.loads(text) == system_to_obj(real, graph, "river")
+    packaged = resources.files("netreal").joinpath("data", "river.json").read_text("utf-8")
+    head = packaged[:packaged.index('"A"')]
+    assert text.startswith(head) and '\n      [1, 0, [[0.1]]],\n' in text
+    graph = random_graph(rng, 4)
+    real = random_system(rng, graph, NodeDims((2, 1, 0, 3), (1, 2, 1, 0), (2, 0, 1, 1)))
+    write_system(tmp_path / "s.json", real, graph)
+    lines = (tmp_path / "s.json").read_text(encoding="utf-8").splitlines()
+    for key, value in system_to_obj(real, graph).items():
+        if key in "ABCD":
+            first = lines.index(f'  "{key}": {{') + 2
+            blocks = value["blocks"]
+            assert len(blocks) > 1
+            assert [json.loads(line.strip().rstrip(","))
+                    for line in lines[first:first + len(blocks)]] == blocks
+            assert lines[first + len(blocks)] == "    ]"
 
 
 def test_cli_json_and_saved_files_leave_no_reference_cycles(tmp_path, capsys):
