@@ -44,6 +44,17 @@ drives: a JSON file must declare that partition, and a CSV header must
 be exactly the one it gives, so zero-width nodes leave no column.  A
 signal of total width 0 is written as an empty header line and one
 empty line per step, and read back the same way.
+
+System and JSON trajectory files are parsed by :func:`_json`.  With
+orjson installed (the ``fast`` extra) it takes ``orjson.loads``, which
+reads dense matrices several times as fast; every document orjson
+refuses goes to ``json.loads``, so each refusal and its message is
+json's.  The one difference is an integer literal outside
+[-2**63, 2**64): orjson reads it as a float, so as a count or index it
+is refused as not an integer rather than as out of range.  Without
+orjson the reader is ``json.loads`` alone.  Matrix entries and
+trajectory values must be JSON numbers: strings, ``true``, ``false``
+and ``null`` are refused.
 """
 
 from __future__ import annotations
@@ -52,9 +63,15 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
+
+try:
+    import orjson as _orjson
+except ImportError:
+    _orjson = None
 
 from .errors import InputError
 from .graphs import NetworkGraph, NodeDims, _as_counts, _as_floats, _as_int, build_graph
@@ -145,12 +162,35 @@ def _matrix_from_obj(value, key: str, dims: NodeDims, axes: tuple[str, str]) -> 
     if isinstance(value, dict):
         matrix = _from_blocks(value, key, dims, axes)
     else:
-        matrix = _as_floats(value, f"field '{key}' is not a numeric matrix")
+        matrix = _numbers(value, f"field '{key}' is not a numeric matrix")
         if matrix.shape != shape:
             raise InputError(f"field '{key}' has shape {matrix.shape}, expected {shape}")
     # Owned and read-only, so BlockRealization keeps it without a copy.
     matrix.setflags(write=False)
     return matrix
+
+
+def _numbers(value, message: str) -> np.ndarray:
+    """``value``, rows of JSON numbers, as a new float array; else InputError(``message``).
+
+    The verdict comes from the dtype numpy finds in ``value``: a string,
+    ``true``, ``false`` or ``null`` is refused, which a conversion to
+    float would read as a number or as NaN.  A boolean among numbers is
+    not caught, as numpy reads it as a number.  Every other ``value``
+    converts as :func:`graphs._as_floats` converts it.
+    """
+    try:
+        array = np.array(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(message) from exc
+    kind = array.dtype.kind
+    if kind == "U":
+        raise InputError(f"{message}: it holds a string")
+    if kind == "b":
+        raise InputError(f"{message}: it holds true or false")
+    if kind == "O" and any(item is None for item in array.flat):
+        raise InputError(f"{message}: it holds null")
+    return array if array.dtype == float else _as_floats(value, message)
 
 
 def _from_blocks(obj: dict, key: str, dims: NodeDims, axes: tuple[str, str]) -> np.ndarray:
@@ -185,7 +225,7 @@ def _from_blocks(obj: dict, key: str, dims: NodeDims, axes: tuple[str, str]) -> 
         if (i, j) in seen:
             raise InputError(f"{what} repeats block ({i}, {j})")
         seen.add((i, j))
-        rows = _as_floats(entry[2], f"{what} rows are not a numeric matrix")
+        rows = _numbers(entry[2], f"{what} rows are not a numeric matrix")
         want = (row_counts[i], col_counts[j])
         if rows.shape != want:
             raise InputError(f"{what} rows have shape {rows.shape}, expected {want}")
@@ -273,12 +313,53 @@ def _read(path, parse):
             raise InputError(f"{path}: {exc}") from exc
 
 
+#: Nesting depth from which a document orjson read is read again by
+#: ``json.loads``.  json refuses nesting near the recursion limit (1000)
+#: and orjson does not; system and trajectory files nest 6 deep at most.
+_ORJSON_DEPTH = 64
+
+#: Every byte but brackets, quotes, backslashes and the characters an
+#: escape puts after a backslash: what :func:`_nesting` deletes first.
+_NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[]{}"\\/bfnrtu')))
+
+#: Opening brackets step the depth by 1, closing ones by -1 (255 as int8).
+_DEPTH_STEP = bytes.maketrans(b"[{]}", bytes([1, 1, 255, 255]))
+
+
+def _nesting(text: str) -> int:
+    """How deep arrays and objects nest in ``text``, if it is JSON.
+
+    Only brackets outside strings count.  Escapes are dropped before the
+    strings, so an escaped quote ends none; ``true``, ``false`` and
+    ``null`` leave letters that the last step deletes.  For text that is
+    not JSON the count means nothing, and orjson refuses that text; a
+    lone surrogate, which a ``str`` may hold, is encoded as it stands.
+    """
+    marks = text.encode(errors="surrogatepass").translate(None, _NOT_NESTING)
+    if b"\\" in marks:
+        marks = re.sub(rb"\\.", b"", marks)
+    steps = re.sub(rb'"[^"]*"', b"", marks).translate(_DEPTH_STEP, b"/bfnrtu")
+    return int(np.frombuffer(steps, np.int8).cumsum().max(initial=0))
+
+
 def _json(text: str):
     """The JSON document in ``text``; bad JSON raises InputError with its line and column.
 
     An integer literal too long for Python to convert, or nesting deeper
-    than the decoder's recursion limit, raises InputError too.
+    than the decoder's recursion limit, raises InputError too.  When
+    orjson is installed, ``orjson.loads`` reads ``text`` first unless it
+    nests ``_ORJSON_DEPTH`` deep, and any text it refuses takes the
+    ``json.loads`` path below, messages and all.
+    The two agree on every document but one holding an integer literal
+    outside [-2**63, 2**64), which orjson reads as the nearest float.
     """
+    # Nesting is counted first, so its copy of the text is freed before
+    # orjson builds the document.
+    if _orjson is not None and _nesting(text) < _ORJSON_DEPTH:
+        try:
+            return _orjson.loads(text)
+        except _orjson.JSONDecodeError:
+            pass
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -361,7 +442,7 @@ def trajectory_from_obj(obj) -> SignalTrajectory:
     name = obj.get("name", "signal")
     if not isinstance(name, str):
         raise InputError("trajectory field 'name' must be a string")
-    return SignalTrajectory(values, partition, name)
+    return SignalTrajectory(_numbers(values, "trajectory values are not numeric"), partition, name)
 
 
 def _csv_header(name: str, partition: tuple[int, ...]) -> list[str]:

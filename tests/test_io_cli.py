@@ -1,10 +1,13 @@
+import copy
 import gc
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
 from collections import Counter
+from decimal import Decimal
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 
 import netreal.realization
+import netreal.sysio as sysio
 from netreal import (
     BlockRealization,
     DMode,
@@ -63,6 +67,21 @@ from _support import (
     random_system,
     stabilized_chain,
 )
+
+
+@pytest.fixture
+def json_paths(monkeypatch):
+    """The readers' JSON paths in turn: orjson's when it is installed, then ``json.loads`` alone.
+
+    A reader test runs its body once per item; the second item sets
+    sysio's orjson handle to ``None``.
+    """
+    def paths():
+        if sysio._orjson is not None:
+            yield "orjson"
+        monkeypatch.setattr(sysio, "_orjson", None)
+        yield "json"
+    return paths()
 
 
 @pytest.fixture(scope="module")
@@ -255,18 +274,59 @@ def test_block_form_diagnostics():
             system_from_obj({**base, key: value})
 
 
-def test_dense_and_block_forms_read_back_bit_for_bit():
+def test_matrix_entries_must_be_json_numbers(json_paths):
+    """A string, true, false or null in a matrix, dense or by blocks, or in trajectory values exits 2.
+
+    Each refusal names the field, and the block in the block form; JSON
+    integers still read as floats.  A boolean among numbers is not
+    caught (numpy reads it as a number), so each literal fills its
+    matrix here.
+    """
+    head = ('{"graph": {"num_nodes": 2, "edges": [[0, 0], [1, 0], [1, 1]]}, '
+            '"dims": [{"n": 1, "m": 1, "p": 1}, {"n": 1, "m": 0, "p": 1}], '
+            '"A": [[0.5, 0], [1, 0.25]], "C": [[1, 0], [0, 1]], "D": [[0], [0]], ')
+    dense = head + '"B": [[%s], [%s]]}'
+    blocks = head + '"B": {"blocks": [[0, 0, [[%s]]], [1, 0, [[%s]]]]}}'
+    trajectory = '{"partition": [1, 1], "values": [[%s, %s]]}'
+    for _ in json_paths:
+        for text in (dense, blocks):
+            real = system_from_obj(_json(text % (1, 0)))[0]
+            assert real.A.tolist() == [[0.5, 0.0], [1.0, 0.25]] and real.B.tolist() == [[1.0], [0.0]]
+        assert trajectory_from_obj(_json(trajectory % (1, 0))).values.tolist() == [[1.0, 0.0]]
+        for literal, holds in (('"0.5"', "a string"), ('" 1e0 "', "a string"),
+                               ("true", "true or false"), ("false", "true or false"),
+                               ("null", "null")):
+            for text, read, what in (
+                (dense, system_from_obj, "field 'B' is not a numeric matrix"),
+                (blocks, system_from_obj, r"field 'B\.blocks\[0\]' rows are not a numeric matrix"),
+                (trajectory, trajectory_from_obj, "trajectory values are not numeric"),
+            ):
+                with pytest.raises(InputError, match=f"{what}: it holds {holds}$"):
+                    read(_json(text % (literal, literal)))
+            # Among numbers, a string or null is still refused.
+            if literal not in ("true", "false"):
+                with pytest.raises(InputError, match=f"it holds {holds}$"):
+                    system_from_obj(_json(dense % (literal, 0.5)))
+
+
+def test_dense_and_block_forms_read_back_bit_for_bit(json_paths):
     """The dense rows and the nonzero blocks of one matrix read back to the same bytes.
 
     Graphs are DAGs or cyclic, with or without self-loops; every third
     system has a node without states or channels.  In each matrix one
     filled block is overwritten with ``-0.0`` only, and in every fourth
     system signed zeros, a subnormal, NaN and +-inf are spliced in.  Both
-    documents go through JSON text.  A system either form refuses, for a
-    non-finite entry or for channels no matrix holds, is refused by the
-    other with the same message; every other reads back whole, and
-    :func:`system_to_obj` writes it as the same blocks.
+    documents go through JSON text and the reader's parser, on each of
+    its paths.  A system either form refuses, for a non-finite entry or
+    for channels no matrix holds, is refused by the other with the same
+    message; every other reads back whole, and :func:`system_to_obj`
+    writes it as the same blocks.
     """
+    for _ in json_paths:
+        _check_dense_and_block_forms()
+
+
+def _check_dense_and_block_forms():
     special = [0.0, -0.0, 5e-324, float("nan"), float("inf"), -float("inf")]
     refused = 0
     for seed in range(48):
@@ -295,7 +355,7 @@ def test_dense_and_block_forms_read_back_bit_for_bit():
         forms = {key: ({"blocks": _nonzero_blocks(matrix, dims, _MATRIX_AXES[key])},
                        matrix.tolist())
                  for key, matrix in matrices.items() if matrix.size}
-        docs = [json.loads(json.dumps({**head, **{key: pair[k] for key, pair in forms.items()}}))
+        docs = [_json(json.dumps({**head, **{key: pair[k] for key, pair in forms.items()}}))
                 for k in (0, 1)]
         for key, (blocks, _) in forms.items():
             # Sorted by (i, j) without repeats, and none holds only zero bits.
@@ -392,15 +452,16 @@ def test_trajectory_csv_header_diagnostics():
             trajectory_from_csv(text, partition)
 
 
-def test_trajectory_json_roundtrip(tmp_path, rng):
+def test_trajectory_json_roundtrip(tmp_path, rng, json_paths):
     traj = SignalTrajectory(rng.normal(size=(5, 2)), (1, 1), "meas")
     path = tmp_path / "t.json"
     write_trajectory(path, traj)
-    back = read_trajectory(path, (1, 1))
-    assert back.name == "meas"
-    assert np.array_equal(back.values, traj.values)
-    with pytest.raises(InputError, match=r"partition \(1, 1\) does not match the system's"):
-        read_trajectory(path, (2,))
+    for _ in json_paths:
+        back = read_trajectory(path, (1, 1))
+        assert back.name == "meas"
+        assert back.values.tobytes() == traj.values.tobytes()
+        with pytest.raises(InputError, match=r"partition \(1, 1\) does not match the system's"):
+            read_trajectory(path, (2,))
 
 
 @pytest.mark.parametrize("inputs", [(0, 1, 2), (1, 0, 2), (2, 1, 0)])
@@ -535,24 +596,25 @@ def test_cli_missing_file_and_usage(tmp_path, capsys):
     assert "unrecognized arguments: --d-mode edge" in capsys.readouterr().err
 
 
-def test_cli_refuses_non_integer_counts(tmp_path, capsys):
+def test_cli_refuses_non_integer_counts(tmp_path, capsys, json_paths):
     paths = _write_river(tmp_path)
     plant = json.loads(open(paths["plant"], encoding="utf-8").read())
     bad = tmp_path / "bad.json"
-    # 1e400 parses as an infinite float.
-    for edge in ("[0.5, 0]", "[true, 0]", '["1", 0]', '{"a": 1}', "[1e400, 0]"):
-        doc = json.dumps(plant).replace("[1, 0]", edge, 1)
-        assert edge in doc
-        bad.write_text(doc)
-        assert main(["check", str(bad)]) == 2, edge
-        assert "error:" in capsys.readouterr().err
-    for partition in ('["a"]', "5", "null", '"11"'):
-        bad.write_text(f'{{"partition": {partition}, "values": [[0.0, 0.0, 0.0]]}}')
-        assert main(["simulate", paths["plant"], "--input", str(bad)]) == 2, partition
-        assert "error:" in capsys.readouterr().err
+    for _ in json_paths:
+        # 1e400 parses as an infinite float.
+        for edge in ("[0.5, 0]", "[true, 0]", '["1", 0]', '{"a": 1}', "[1e400, 0]"):
+            doc = json.dumps(plant).replace("[1, 0]", edge, 1)
+            assert edge in doc
+            bad.write_text(doc)
+            assert main(["check", str(bad)]) == 2, edge
+            assert "error:" in capsys.readouterr().err
+        for partition in ('["a"]', "5", "null", '"11"'):
+            bad.write_text(f'{{"partition": {partition}, "values": [[0.0, 0.0, 0.0]]}}')
+            assert main(["simulate", paths["plant"], "--input", str(bad)]) == 2, partition
+            assert "error:" in capsys.readouterr().err
 
 
-def test_cli_numbers_beyond_float_range_exit_2(tmp_path, capsys):
+def test_cli_numbers_beyond_float_range_exit_2(tmp_path, capsys, json_paths):
     scalar = {"graph": {"num_nodes": 1, "edges": [[0, 0]]},
               "dims": [{"n": 1, "m": 1, "p": 1}], "A": [[0.5]], "B": [[1.0]],
               "C": [[1.0]], "D": [[0.0]]}
@@ -567,12 +629,13 @@ def test_cli_numbers_beyond_float_range_exit_2(tmp_path, capsys):
         ("u", f'{{"partition": [1], "values": [[{beyond_digits}]]}}',
          ["simulate", str(system), "--input"]),
     ]
-    for kind, text, argv in cases:
-        path = tmp_path / f"{kind}-bad.json"
-        path.write_text(text)
-        assert main([*argv, str(path)]) == 2, text[:40]
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error:"), captured.err
+    for _ in json_paths:
+        for kind, text, argv in cases:
+            path = tmp_path / f"{kind}-bad.json"
+            path.write_text(text)
+            assert main([*argv, str(path)]) == 2, text[:40]
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:"), captured.err
 
 
 def test_cli_refuses_unusable_tolerances(tmp_path, capsys):
@@ -705,11 +768,12 @@ def _mutated(rng, doc):
     for _ in range(int(rng.integers(1, 4))):
         slots = _slots(doc, [])
         if not slots:
-            return _JUNK[int(rng.integers(len(_JUNK)))]
+            return copy.deepcopy(_JUNK[int(rng.integers(len(_JUNK)))])
         container, key = slots[int(rng.integers(len(slots)))]
         action = int(rng.integers(3))
         if action == 0:
-            container[key] = _JUNK[int(rng.integers(len(_JUNK)))]
+            # A copy: later edits must not reach _JUNK, or a junk list could come to hold itself.
+            container[key] = copy.deepcopy(_JUNK[int(rng.integers(len(_JUNK)))])
         elif action == 1:
             del container[key]
         else:
@@ -749,8 +813,16 @@ def _matrix_forms(doc) -> set:
             for key in "ABCD" if isinstance(doc.get(key), (dict, list))}
 
 
-def test_parsers_return_a_result_or_input_error(rng):
-    """Mutated system documents, in the block form the writer gives and the dense one, and trajectories."""
+def test_parsers_return_a_result_or_input_error(rng, json_paths):
+    """Mutated system documents, in the block form the writer gives and the dense one, and trajectories.
+
+    Each JSON path of the readers takes its own 400 rounds.
+    """
+    for _ in json_paths:
+        _check_parsers(rng)
+
+
+def _check_parsers(rng):
     graph = random_graph(rng, 3)
     system = system_to_obj(random_system(rng, graph, NodeDims((2, 0, 1), (1, 0, 2), (1, 1, 0))),
                            graph, "s")
@@ -779,6 +851,167 @@ def test_parsers_return_a_result_or_input_error(rng):
                 pass
     assert all(spliced.values()), spliced
     assert forms["blocks"] >= 100 and forms["dense"] >= 100, forms
+
+
+def _same_json(got, want) -> bool:
+    """``got`` equals ``want`` in types and float bits, but that an int outside
+    [-2**63, 2**64) in ``want`` may be its nearest float in ``got``."""
+    if type(want) is int and not -2**63 <= want < 2**64 and type(got) is float:
+        return struct.pack("<d", got) == struct.pack("<d", float(want))
+    if type(got) is not type(want):
+        return False
+    if type(want) is float:
+        return struct.pack("<d", got) == struct.pack("<d", want)
+    if type(want) is list:
+        return len(got) == len(want) and all(map(_same_json, got, want))
+    if type(want) is dict:
+        return list(got) == list(want) and all(map(_same_json, got.values(), want.values()))
+    return got == want
+
+
+def _holds_wide_int(obj) -> bool:
+    """Whether a JSON document holds an int outside [-2**63, 2**64)."""
+    if type(obj) is int:
+        return not -2**63 <= obj < 2**64
+    if isinstance(obj, (list, dict)):
+        return any(map(_holds_wide_int, obj.values() if isinstance(obj, dict) else obj))
+    return False
+
+
+def _read_key(read, obj):
+    """What ``read`` makes of a parsed document, as a comparable value, or its InputError."""
+    try:
+        got = read(obj)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    if isinstance(got, SignalTrajectory):
+        return got.name, got.partition, got.values.tobytes()
+    real, graph, name = got
+    return graph, name, real.dims, *(getattr(real, key).tobytes() for key in "ABCD")
+
+
+def _float_literals(rng, count: int) -> list[str]:
+    """Decimal literals that are hard to round: short and long, halfway and near-halfway."""
+    bits = rng.integers(0, 2**63, size=count, dtype=np.uint64)
+    doubles = bits.view(np.float64)
+    doubles = doubles[np.isfinite(doubles)]
+    literals = [repr(float(x)) for x in doubles]
+    for x in doubles[:count // 4].tolist():
+        # The exact midpoint to the next double, and a digit either side of it.
+        mid = (Decimal(x) + Decimal(float(np.nextafter(x, np.inf)))) / 2
+        literals += [str(mid), f"{mid}1", f"{mid:.16e}", f"{mid:.25e}"]
+    for _ in range(count):
+        digits = "".join(rng.choice(list("0123456789"), size=int(rng.integers(1, 40))))
+        literals.append(f"{'-' if rng.random() < 0.5 else ''}{digits}e{int(rng.integers(-345, 310))}")
+        literals.append(f"0.{digits}e-{int(rng.integers(300, 330))}")
+    return literals
+
+
+def test_orjson_reads_what_json_reads(tmp_path, capsys, monkeypatch, rng):
+    """orjson's path gives every document ``json.loads`` gives, and refuses with json's message.
+
+    Documents: generated system files in both matrix forms and JSON
+    trajectories, each mutated by value and by character; literals the
+    two parsers treat differently (NaN, +-Infinity, numbers beyond double
+    range, a lone surrogate, a BOM, deep nesting, a trailing comma, the
+    64-bit bounds) alone and spliced into documents; and fuzzed float and
+    integer literals.  The one difference allowed is an integer literal
+    outside [-2**63, 2**64), which orjson reads as its nearest float: a
+    reader may then refuse the document with another message, and in a
+    count or an index it must (exit 2 on both paths).
+    """
+    orjson = pytest.importorskip("orjson")
+
+    def both(parse, text):
+        outcomes = []
+        for handle in (orjson, None):
+            monkeypatch.setattr(sysio, "_orjson", handle)
+            try:
+                outcomes.append(parse(text))
+            except InputError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    def compare(text, read=None):
+        fast, slow = both(_json, text)
+        if isinstance(slow, InputError) or isinstance(fast, InputError):
+            assert str(fast) == str(slow), (text[:80], fast, slow)
+            return
+        assert _same_json(fast, slow), text[:80]
+        if read is not None:
+            keys = _read_key(read, fast), _read_key(read, slow)
+            if keys[0] != keys[1]:
+                assert _holds_wide_int(slow) and all(isinstance(k, str) for k in keys), \
+                    (text[:80], keys)
+
+    systems, trajectories = [], []
+    for seed in range(6):
+        gen = np.random.default_rng(seed)
+        count = int(gen.integers(1, 5))
+        graph = random_graph(gen, count)
+        real = random_system(gen, graph, random_dims(gen, count))
+        scaled = [m * 10.0 ** gen.integers(-300, 300, size=m.shape) for m in (real.A, real.B, real.C, real.D)]
+        real = BlockRealization(real.dims, *scaled)
+        doc = system_to_obj(real, graph, "sé\"[\\")
+        systems.append(doc)
+        systems.append({**doc, **{key: getattr(real, key).tolist() for key in doc if key in "ABCD"}})
+        trajectories.append(trajectory_to_obj(SignalTrajectory(
+            gen.normal(size=(4, count)) * 10.0 ** gen.integers(-300, 300, size=(4, count)),
+            (1,) * count, "u")))
+    texts = [(sysio._system_text(doc), system_from_obj) for doc in systems[::2]]
+    texts += [(json.dumps(doc), system_from_obj) for doc in systems]
+    texts += [(json_text(doc), trajectory_from_obj) for doc in trajectories]
+    for text, read in texts:
+        compare(text, read)
+        compare("\ufeff" + text, read)
+    for k in range(300):
+        text, read = texts[k % len(texts)]
+        compare(_mutated_text(rng, text), read)
+        doc = (systems + trajectories)[k % (len(systems) + len(trajectories))]
+        compare(_as_text(_mutated(rng, doc)), system_from_obj if "graph" in doc else trajectory_from_obj)
+
+    literals = ["NaN", "-NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1.7976931348623159e308",
+                "9" * 400, "1" * 4301, "1" * 4300, '"\\ud800"', '"\\udc00\\ud800"', '"\ud800"',
+                "[1, 2,]", "{}",
+                "[" * 2000 + "]" * 2000, "[" * 100 + "0.5" + "]" * 100, "[" * 63 + "]" * 63,
+                # Closing brackets in a string: alone, after an escaped quote, and
+                # after a string that ends in an escaped backslash.
+                *(start + "]" * 2000 + '", ' + "[" * 2000 + "]" * 2001
+                  for start in ('["', '["\\"', '["\\\\", "')),
+                *(str(b + d) for b in (2**63, -2**63, 2**64) for d in (-1, 0, 1))]
+    system = json.dumps(systems[1])
+    first = next(iter(systems[1]["A"][0])) if systems[1].get("A") else None
+    for literal in literals:
+        compare(literal)
+        compare(f'{{"partition": [1], "values": [[{literal}]]}}', trajectory_from_obj)
+        compare(system.replace('"num_nodes": ', f'"num_nodes": {literal}, "was": ', 1),
+                system_from_obj)
+        if first is not None:
+            compare(system.replace(repr(first), literal, 1), system_from_obj)
+    compare("[" + ", ".join(_float_literals(rng, 2000)) + "]")
+    ints = rng.integers(-2**63, 2**63, size=500, dtype=np.int64).tolist()
+    ints += [b + d for b in (2**53, 2**63, -2**63, 2**64, 10**19, -10**19, 10**30) for d in range(-3, 4)]
+    compare(json.dumps(ints))
+
+    # An integer literal of 2**64 as the node count, an edge end and a block
+    # node: refused on both paths, with another message on orjson's.
+    scalar = {"graph": {"num_nodes": 1, "edges": [[0, 0]]}, "dims": [{"n": 1, "m": 1, "p": 1}],
+              "A": {"blocks": [[0, 0, [[0.5]]]]}, "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
+    text = json.dumps(scalar)
+    path = tmp_path / "wide.json"
+    for old, new, slow in (('"num_nodes": 1', '"num_nodes": 18446744073709551616',
+                            "one entry per node (18446744073709551616)"),
+                           ('"edges": [[0, 0]]', '"edges": [[18446744073709551616, 0]]',
+                            "edge (18446744073709551616, 0) out of range for 1 nodes"),
+                           ('[[0, 0, [[0.5]]]]', '[[0, 18446744073709551616, [[0.5]]]]',
+                            "node j is 18446744073709551616, out of range for 1 nodes")):
+        path.write_text(text.replace(old, new))
+        for handle, message in ((orjson, "must be an integer, got 1.8446744073709552e+19"),
+                                (None, slow)):
+            monkeypatch.setattr(sysio, "_orjson", handle)
+            assert main(["check", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err, (handle, captured.err)
 
 
 def test_cli_compose_and_save(tmp_path, capsys):
