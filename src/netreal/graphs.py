@@ -31,15 +31,37 @@ def _as_int(value, what: str) -> int:
     raise InputError(f"{what} must be an integer, got {value!r}")
 
 
-def _as_floats(value, message: str) -> np.ndarray:
-    """``value`` as a new float array; InputError(``message``) when numpy cannot convert it.
+#: What an array of each dtype kind, or an object array's entry, holds that is not a number.
+_KIND_HOLDS = {"U": "a string", "S": "a string", "b": "true or false", "c": "a complex number"}
+_ENTRY_HOLDS = ((type(None), "null"), ((str, bytes), "a string"),
+                ((complex, np.complexfloating), "a complex number"))
 
-    That includes integers beyond float range, which numpy refuses with OverflowError.
+
+def _as_floats(value, message: str) -> np.ndarray:
+    """``value`` as a new float64 array: the one rule of what counts as a number.
+
+    Files and library callers share it.  By the dtype numpy finds, or by
+    each entry of an object array, a string, a boolean array, a complex
+    number or ``None`` raises InputError(``message`` + ": it holds a
+    string", "true or false", "a complex number" or "null"); a cast would
+    read a number, NaN or a real part.  The one hole: a boolean among
+    numbers, in any array, reads as 1.0 or 0.0, as a scan per entry would
+    cost about what the conversion costs.  Other failures to convert, ints
+    beyond float range too, raise InputError(``message``).  A float64
+    array numpy builds from a list or tuple is kept; any other is copied.
     """
     try:
-        return np.array(value, dtype=float)
+        array = np.asarray(value)
+        holds = _KIND_HOLDS.get(array.dtype.kind)
+        if array.dtype.kind == "O":
+            holds = next((what for item in array.flat for kinds, what in _ENTRY_HOLDS
+                          if isinstance(item, kinds)), None)
+        if holds is None:
+            keep = array.dtype == float and isinstance(value, (list, tuple))
+            return array if keep else array.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(message) from exc
+    raise InputError(f"{message}: it holds {holds}")
 
 
 def _as_edge(item) -> tuple[int, int]:

@@ -119,10 +119,12 @@ class BlockOccupancy(NamedTuple):
 class BlockRealization:
     """State-space matrices with a node partition.
 
-    Matrices may be passed as ``None`` (filled with zeros), nested lists,
-    or arrays.  They are copied and frozen, except a float64 array of the
-    right shape that is read-only and owns its data (``base is None``): it
-    is kept and shared, and its owner must not make it writable again.
+    Matrices may be passed as ``None`` (filled with zeros), or as nested
+    lists or arrays of numbers by the one rule files follow too
+    (:func:`graphs._as_floats`, whose hole is a boolean among numbers).
+    They are copied and frozen, except a float64 array of the right shape
+    that is read-only and owns its data (``base is None``): it is kept
+    and shared, and its owner must not make it writable again.
     Instances are safe to share.
 
     Parameters

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import NetworkGraph, _as_counts, _as_floats, partition_slices
+from .graphs import NetworkGraph, _as_counts, _as_floats, _node_slice, partition_slices
 from .realization import BlockRealization, DMode, check_compatibility
 
 
@@ -35,7 +35,8 @@ class SignalTrajectory:
 
     ``values`` has shape ``(length, width)`` where ``width`` is the sum
     of ``partition``; node ``i`` owns the ``partition[i]`` columns at
-    its node-major offset.
+    its node-major offset.  ``values`` are numbers by the rule files follow
+    too (:func:`graphs._as_floats`; a boolean among them reads as 1 or 0).
     """
 
     values: np.ndarray
@@ -73,9 +74,7 @@ class SignalTrajectory:
         return self.values.shape[1]
 
     def node_slice(self, i: int) -> slice:
-        if not 0 <= i < len(self.partition):
-            raise InputError(f"node index {i} out of range")
-        return partition_slices(self.partition)[i]
+        return _node_slice(partition_slices(self.partition), i)
 
 
 def _coerce_signal(signal, partition: tuple[int, ...], name: str,

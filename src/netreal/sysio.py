@@ -53,8 +53,8 @@ json's.  The one difference is an integer literal outside
 [-2**63, 2**64): orjson reads it as a float, so as a count or index it
 is refused as not an integer rather than as out of range.  Without
 orjson the reader is ``json.loads`` alone.  Matrix entries and
-trajectory values must be JSON numbers: strings, ``true``, ``false``
-and ``null`` are refused.
+trajectory values follow the library's rule, :func:`graphs._as_floats`:
+strings, ``true``, ``false`` and ``null`` are refused.
 """
 
 from __future__ import annotations
@@ -162,35 +162,12 @@ def _matrix_from_obj(value, key: str, dims: NodeDims, axes: tuple[str, str]) -> 
     if isinstance(value, dict):
         matrix = _from_blocks(value, key, dims, axes)
     else:
-        matrix = _numbers(value, f"field '{key}' is not a numeric matrix")
+        matrix = _as_floats(value, f"field '{key}' is not a numeric matrix")
         if matrix.shape != shape:
             raise InputError(f"field '{key}' has shape {matrix.shape}, expected {shape}")
     # Owned and read-only, so BlockRealization keeps it without a copy.
     matrix.setflags(write=False)
     return matrix
-
-
-def _numbers(value, message: str) -> np.ndarray:
-    """``value``, rows of JSON numbers, as a new float array; else InputError(``message``).
-
-    The verdict comes from the dtype numpy finds in ``value``: a string,
-    ``true``, ``false`` or ``null`` is refused, which a conversion to
-    float would read as a number or as NaN.  A boolean among numbers is
-    not caught, as numpy reads it as a number.  Every other ``value``
-    converts as :func:`graphs._as_floats` converts it.
-    """
-    try:
-        array = np.array(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(message) from exc
-    kind = array.dtype.kind
-    if kind == "U":
-        raise InputError(f"{message}: it holds a string")
-    if kind == "b":
-        raise InputError(f"{message}: it holds true or false")
-    if kind == "O" and any(item is None for item in array.flat):
-        raise InputError(f"{message}: it holds null")
-    return array if array.dtype == float else _as_floats(value, message)
 
 
 def _from_blocks(obj: dict, key: str, dims: NodeDims, axes: tuple[str, str]) -> np.ndarray:
@@ -225,7 +202,7 @@ def _from_blocks(obj: dict, key: str, dims: NodeDims, axes: tuple[str, str]) -> 
         if (i, j) in seen:
             raise InputError(f"{what} repeats block ({i}, {j})")
         seen.add((i, j))
-        rows = _numbers(entry[2], f"{what} rows are not a numeric matrix")
+        rows = _as_floats(entry[2], f"{what} rows are not a numeric matrix")
         want = (row_counts[i], col_counts[j])
         if rows.shape != want:
             raise InputError(f"{what} rows have shape {rows.shape}, expected {want}")
@@ -313,9 +290,9 @@ def _read(path, parse):
             raise InputError(f"{path}: {exc}") from exc
 
 
-#: Nesting depth from which a document orjson read is read again by
-#: ``json.loads``.  json refuses nesting near the recursion limit (1000)
-#: and orjson does not; system and trajectory files nest 6 deep at most.
+#: Nesting depth from which a document goes to ``json.loads`` alone.  json
+#: refuses nesting near the recursion limit (1000), orjson does not, and the
+#: check keeps orjson 3.8.3 from crashing (it segfaults nested 1000000 deep).
 _ORJSON_DEPTH = 64
 
 #: Every byte but brackets, quotes, backslashes and the characters an
@@ -442,7 +419,7 @@ def trajectory_from_obj(obj) -> SignalTrajectory:
     name = obj.get("name", "signal")
     if not isinstance(name, str):
         raise InputError("trajectory field 'name' must be a string")
-    return SignalTrajectory(_numbers(values, "trajectory values are not numeric"), partition, name)
+    return SignalTrajectory(values, partition, name)
 
 
 def _csv_header(name: str, partition: tuple[int, ...]) -> list[str]:
@@ -499,8 +476,7 @@ def trajectory_from_csv(text: str, partition) -> SignalTrajectory:
             rows.append([float(v) for v in row])
         except ValueError as exc:
             raise InputError(f"row {lineno} contains a non-numeric value") from exc
-    values = np.array(rows, dtype=float).reshape(len(rows), width)
-    return SignalTrajectory(values, partition, name)
+    return SignalTrajectory(rows, partition, name)
 
 
 def read_trajectory(path, partition) -> SignalTrajectory:

@@ -278,6 +278,15 @@ def with_forbidden_entries(rng, real, count=3):
     return BlockRealization(real.dims, *mats)
 
 
+def oracle_taps(real, horizon):
+    """Taps 0 .. ``horizon`` of the impulse response in dense numpy: D, then ``C A^(k-1) B``."""
+    taps, reach = [real.D], real.B
+    for _ in range(horizon):
+        taps.append(real.C @ reach)
+        reach = real.A @ reach
+    return taps
+
+
 def oracle_transfer(real, z):
     """``C (zI - A)^{-1} B + D`` by one dense solve, guarded by the exact condition number.
 

@@ -309,6 +309,24 @@ def test_matrix_entries_must_be_json_numbers(json_paths):
                     system_from_obj(_json(dense % (literal, 0.5)))
 
 
+def test_wide_integers_do_not_let_strings_or_null_in(json_paths):
+    """A string or null beside an integer beyond 2**64 is refused on both JSON paths.
+
+    json reads such an integer as an int, so numpy finds an object array
+    and the gate judges its entries; orjson reads it as a float.
+    """
+    text = ('{"graph": {"num_nodes": 1, "edges": [[0, 0]]}, "dims": [{"n": 2, "m": 0, "p": 0}], '
+            '"A": [[%s, 0], [0, %s]]}')
+    wide, what = "9" * 20, "field 'A' is not a numeric matrix"
+    for _ in json_paths:
+        assert system_from_obj(_json(text % (wide, 0)))[0].A[0, 0] == float(wide)
+        for literal, holds in (('"0.5"', "a string"), ("null", "null")):
+            with pytest.raises(InputError, match=f"{what}: it holds {holds}$"):
+                system_from_obj(_json(text % (wide, literal)))
+        with pytest.raises(InputError, match=f"{what}$"):
+            system_from_obj(_json(text % (wide, "[1]")))
+
+
 def test_dense_and_block_forms_read_back_bit_for_bit(json_paths):
     """The dense rows and the nonzero blocks of one matrix read back to the same bytes.
 
@@ -738,6 +756,33 @@ def test_cli_inputs_sized_beyond_memory_exit_2(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 2, (argv, done.stderr)
         assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
+
+
+def test_cli_deep_nesting_exits_2(tmp_path):
+    """A system or JSON trajectory nested a million deep exits 2 as invalid JSON.
+
+    orjson crashes the interpreter on such text, so ``_json`` must route
+    it to ``json.loads``; each run is a subprocess, so a regression fails
+    here instead of killing the test run.
+    """
+    deep = "[" * 1_000_000 + "]" * 1_000_000
+    system = tmp_path / "deep.json"
+    system.write_text(deep)
+    u_json = tmp_path / "u.json"
+    u_json.write_text('{"partition": [1], "values": %s}' % deep)
+    scalar = str(tmp_path / "scalar.json")
+    write_system(scalar, BlockRealization(
+        NodeDims((1,), (1,), (1,)), A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]]),
+        build_graph(1, [(0, 0)]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    for path, argv in ((system, ["check", str(system)]),
+                       (u_json, ["simulate", scalar, "--input", str(u_json)])):
+        done = subprocess.run([sys.executable, "-c", _UNDER_2_GIB, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, (argv, done.returncode, done.stderr)
+        assert done.stderr.startswith(f"error: {path}: invalid JSON"), done.stderr
+        assert done.stderr.count("\n") == 1, done.stderr
 
 
 #: Integer literals that :func:`_as_text` splices in for their placeholders:

@@ -14,12 +14,16 @@ from netreal import (
     invert,
     q_param,
     scaled_deviation,
+    simulate_imc_loop,
     verify_identities,
+    write_system,
 )
+from netreal.cli import main
 from _support import (
     oracle_grid_node_major,
     oracle_identities,
     oracle_node_major,
+    oracle_taps,
     random_loop_pair,
 )
 
@@ -113,6 +117,35 @@ def test_close_loop_rejects_mismatched_shapes(river):
         close_loop(plant, bad)
 
 
+def test_pair_refuses_outputs_that_do_not_match_plant_inputs(river, tmp_path, capsys):
+    """A controller or parameter that reads the plant's outputs but drives other inputs.
+
+    Its per-node input counts match the plant's outputs, so only the
+    second count check refuses it, naming both count tuples; the CLI
+    exits 2.
+    """
+    plant, graph = river
+    wide_out = BlockRealization(NodeDims((1, 1, 1), (1, 1, 1), (1, 2, 1)), A=np.eye(3) * 0.5)
+    message = ("per-node output counts must match plant input counts, "
+               r"got \(1, 2, 1\) vs \(1, 1, 1\)$")
+    reference = np.zeros((2, 3))
+    for role, call in (
+        ("controller", lambda: close_loop(plant, wide_out)),
+        ("controller", lambda: q_param(plant, wide_out)),
+        ("design parameter", lambda: imc_controller(plant, wide_out)),
+        ("design parameter", lambda: simulate_imc_loop(plant, plant, wide_out, reference)),
+    ):
+        with pytest.raises(InputError, match=f"^{role} {message}"):
+            call()
+    paths = [str(tmp_path / "plant.json"), str(tmp_path / "controller.json")]
+    write_system(paths[0], plant, graph)
+    write_system(paths[1], wide_out, graph)
+    assert main(["closeloop", *paths]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: controller per-node output counts") and err.count("\n") == 1
+    assert "got (1, 2, 1) vs (1, 1, 1)" in err
+
+
 def test_block_extraction_validates_indices(river_wide, river_q):
     plant, _ = river_wide
     loop = close_loop(plant, imc_controller(plant, river_q))
@@ -142,6 +175,39 @@ def test_q_param_matches_dense_formula(rng):
             want = c_z @ np.linalg.inv(np.eye(plant.p) + p_z @ c_z)
             assert scaled_deviation(eval_transfer(q, z), want) < 1e-9
         checked += 1
+
+
+@pytest.mark.parametrize("self_loops", [True, False])
+def test_q_param_taps_follow_the_walks_of_the_graph(rng, self_loops):
+    """Necessity: each tap of ``q_param(P, K)`` lies on the graph's walks.
+
+    P is compatible with zero D and K compatible with block-diagonal D.
+    Tap k <= 2N of Q reads exactly 0.0 on each block (i, j) where the
+    graph has no walk of exactly k steps from node j to node i; for tap
+    0 that is every block off the diagonal.  The taps come from
+    :func:`oracle_taps`, which the transfer at a point far outside the
+    spectrum pins first.
+    """
+    zero_blocks = 0
+    for _ in range(12):
+        plant, controller, graph = random_loop_pair(rng, max_nodes=6, self_loops=self_loops)
+        q = q_param(plant, controller)
+        count = graph.num_nodes
+        taps = oracle_taps(q, 2 * count)
+        z = 4.0 * (1.0 + np.linalg.norm(q.A, 2))
+        series = sum(tap * z ** -k for k, tap in enumerate(oracle_taps(q, 40)))
+        assert scaled_deviation(eval_transfer(q, z), series) < 1e-9
+        edges = np.zeros((count, count), dtype=int)
+        for i, j in graph.edges:
+            edges[i, j] = 1
+        walks = np.eye(count, dtype=int)
+        for tap in taps:
+            for i, j in zip(*np.nonzero(walks == 0)):
+                block = tap[q.dims.output_slice(i), q.dims.input_slice(j)]
+                assert np.all(block == 0.0), (self_loops, i, j)
+                zero_blocks += block.size > 0
+            walks = np.minimum(edges @ walks, 1)
+    assert zero_blocks > 100
 
 
 def test_verify_identities_on_certified_loop(river_wide, river_q):

@@ -15,6 +15,7 @@ from netreal import (
     simulate_imc_loop,
     simulate_lti,
 )
+from netreal.sim import _coerce_state
 from _support import (
     oracle_grid_node_major,
     oracle_imc_loop,
@@ -45,6 +46,55 @@ def test_trajectory_validation():
         traj.node_slice(3)
     with pytest.raises(ValueError):
         traj.values[0, 0] = 1.0
+
+
+#: Entries that are not numbers, and the reason each refusal ends with.
+_NOT_NUMBERS = (("0.5", "a string"), (True, "true or false"), (None, "null"),
+                (0.5j, "a complex number"), (1 + 0j, "a complex number"))
+
+
+def test_library_inputs_follow_the_file_readers_number_rule():
+    """Matrices, trajectory values and initial states refuse what system files refuse.
+
+    A string, a boolean array, ``None`` or a complex number raises
+    InputError naming what it holds, given as a list, as an array or
+    (but for the boolean) as an object array, without a ComplexWarning;
+    floats, integers and float32 still convert to float64, into memory
+    the caller's array does not share.
+    """
+    graph = build_graph(1, [(0, 0)])
+    dims = NodeDims((1,), (1,), (1,))
+    plant = BlockRealization(dims, A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
+    u = np.ones((3, 1))
+    inputs = {
+        "A": lambda value: BlockRealization(dims, A=value, B=[[1.0]], C=[[1.0]], D=[[0.0]]),
+        "trajectory": lambda value: SignalTrajectory(value, (1,)),
+        "initial state": lambda value: simulate_lti(plant, u, value),
+        "distributed initial state": lambda value: simulate_distributed(plant, graph, u, value),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry, holds in _NOT_NUMBERS:
+            for build in inputs.values():
+                forms = [[[entry]], np.array([[entry]])]
+                if entry is not True:
+                    forms.append(np.array([[entry]], dtype=object))
+                for value in forms:
+                    with pytest.raises(InputError, match=f"numeric.*: it holds {holds}$"):
+                        build(value)
+    want = simulate_lti(plant, u, [0.25])
+    for value in ([[0.25]], [[1]], np.array([[0.25]]), np.array([[1]]),
+                  np.array([[0.25]], dtype=np.float32), np.array([[0.25]]).T):
+        real = inputs["A"](value)
+        traj = inputs["trajectory"](value)
+        x0 = _coerce_state(plant, value)
+        for got in (real.A, traj.values, x0):
+            assert got.dtype == np.float64 and not np.shares_memory(got, value)
+            assert got.ravel().tolist() == np.asarray(value, dtype=float).ravel().tolist()
+        if value[0][0] == 0.25:
+            for run in (inputs["initial state"], inputs["distributed initial state"]):
+                assert all(np.array_equal(a.values, b.values)
+                           for a, b in zip(run(value), want))
 
 
 def test_simulate_scalar_recursion_exact():
