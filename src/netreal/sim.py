@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import NetworkGraph, _as_counts, _as_floats, _node_slice, partition_slices
+from .graphs import NetworkGraph, _as_counts, _as_floats, _as_int, _node_slice, partition_slices
 from .realization import BlockRealization, DMode, check_compatibility
 
 
@@ -63,7 +63,10 @@ class SignalTrajectory:
     @classmethod
     def zeros(cls, partition, length: int, name: str = "signal") -> "SignalTrajectory":
         partition = _as_counts(partition, "partition")
-        return cls(np.zeros((int(length), sum(partition))), partition, name)
+        length = _as_int(length, "length")
+        if length < 0:
+            raise InputError(f"length must be nonnegative, got {length}")
+        return cls(np.zeros((length, sum(partition))), partition, name)
 
     @property
     def length(self) -> int:

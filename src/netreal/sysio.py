@@ -55,6 +55,16 @@ is refused as not an integer rather than as out of range.  Without
 orjson the reader is ``json.loads`` alone.  Matrix entries and
 trajectory values follow the library's rule, :func:`graphs._as_floats`:
 strings, ``true``, ``false`` and ``null`` are refused.
+
+CSV trajectories take orjson too, with the same bytes and values either
+way.  :func:`trajectory_to_csv` writes each value as ``repr`` does; with
+orjson, a row whose entries are all +-0 or of magnitude in [1e-4, 1e16)
+is written by ``orjson.dumps``, which gives the same digits there, and
+every other row by ``repr``.  :func:`trajectory_from_csv` hands the
+lines after the header to ``orjson.loads`` when they hold only digits,
+``e E . , + -`` and line breaks, no integer literal ``-0``, and rows of
+the header's width that orjson accepts; any other text goes to the csv
+reader, so each value and refusal is the one it gives.
 """
 
 from __future__ import annotations
@@ -427,12 +437,81 @@ def _csv_header(name: str, partition: tuple[int, ...]) -> list[str]:
     return [f"{name}{i}_{c}" for i, width in enumerate(partition) for c in range(width)]
 
 
+def _csv_line(row: list) -> str:
+    return ",".join(map(repr, row)) + "\n"
+
+
+def _csv_lines(values: np.ndarray):
+    """One CSV line per row of ``values``, by :func:`trajectory_to_csv`'s rule."""
+    if _orjson is None:
+        return map(_csv_line, values.tolist())
+    # repr writes +-0 and magnitudes in [1e-4, 1e16) in fixed notation, and
+    # orjson the same digits; outside, orjson writes 1e-05 as 0.00001, 1e+16
+    # as 1e16, and NaN and +-inf as null.
+    size = np.abs(values)
+    fixed = ((size == 0) | ((size >= 1e-4) & (size < 1e16))).all(axis=1)
+    return (_orjson.dumps(row, option=_orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode() + "\n" if ok
+            else _csv_line(row.tolist())
+            for row, ok in zip(np.ascontiguousarray(values), fixed.tolist()))
+
+
 def trajectory_to_csv(traj: SignalTrajectory) -> str:
-    """CSV with one header per channel; zero-width nodes leave no column."""
+    """CSV with one header per channel; zero-width nodes leave no column.
+
+    Each value is written as ``repr`` writes it, so it reads back to the
+    same bits.  With orjson installed, a row whose entries are all +-0 or
+    of magnitude in [1e-4, 1e16) is written by ``orjson.dumps``, any other
+    row by ``repr``; the text is the same.
+    """
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(_csv_header(traj.name, traj.partition))
-    out.writelines(",".join(map(repr, row)) + "\n" for row in traj.values.tolist())
+    out.writelines(_csv_lines(traj.values))
     return out.getvalue()
+
+
+#: The characters of a CSV body orjson may read: deleted, they leave "".
+_CSV_NUMBER_CHARS = str.maketrans("", "", "0123456789eE.,+-\n")
+
+#: ``-0`` as an integer literal: orjson reads it as the int 0, float() as -0.0.
+_NEGATIVE_ZERO = re.compile(r"-0(?![.eE0-9])")
+
+#: Characters of a CSV body that orjson parses in one call.  orjson's
+#: parse buffers, outside Python's allocator, are several times the text
+#: (a 66 kB parse raised a fresh process's peak RSS by 384 kB), and chunks
+#: from 2**12 to 2**16 read sim-wide's input equally fast.
+_CSV_CHUNK = 1 << 13
+
+
+def _orjson_rows(text: str, start: int, width: int) -> list | None:
+    """The rows of the CSV body ``text[start:]`` as orjson reads them, or None.
+
+    The body's lines are cut into chunks of about ``_CSV_CHUNK``
+    characters, so no copy of the whole body is made, and each chunk is
+    wrapped as ``[[...],[...]]``, one list per line.  A final line break
+    ends the last line rather than starting an empty one.  None, for the
+    csv reader to read the text again, when a chunk fails the character
+    gate or holds an integer literal ``-0``, orjson refuses it, or a line
+    does not hold ``width`` values.  JSON numbers are a subset of what
+    ``float`` reads, and it reads them to the same floats; an int that
+    orjson gives converts to the float of its literal.
+    """
+    end = len(text) - text.endswith("\n")
+    rows = []
+    while start <= end:
+        stop = text.find("\n", min(start + _CSV_CHUNK, end), end)
+        stop = end if stop < 0 else stop
+        chunk = text[start:stop]
+        if chunk.translate(_CSV_NUMBER_CHARS) or _NEGATIVE_ZERO.search(chunk):
+            return None
+        try:
+            lines = _orjson.loads("[[" + chunk.replace("\n", "],[") + "]]")
+        except _orjson.JSONDecodeError:
+            return None
+        if set(map(len, lines)) != {width}:
+            return None
+        rows += lines
+        start = stop + 1
+    return rows
 
 
 def trajectory_from_csv(text: str, partition) -> SignalTrajectory:
@@ -443,6 +522,14 @@ def trajectory_from_csv(text: str, partition) -> SignalTrajectory:
     channel suffix.  A partition of total width 0 has no column: its
     header line is empty, every line after it is one step, and the
     trajectory is named ``"signal"``, since no label carries the name.
+
+    With orjson installed, the lines after the header go to
+    ``orjson.loads`` (:func:`_orjson_rows`) when they hold only digits,
+    ``e E . , + -`` and line breaks, no integer literal ``-0``, and rows of
+    the header's width that orjson accepts.  Any other text, with a
+    quote, a space, ``nan``, ``+1``, ``.5``, a blank line or a ragged row,
+    is read by the csv reader, so each value and refusal is the one it
+    gives without orjson.
     """
     partition = _as_counts(partition, "partition")
     width = sum(partition)
@@ -465,6 +552,13 @@ def trajectory_from_csv(text: str, partition) -> SignalTrajectory:
             if label != want:
                 raise InputError(
                     f"column {k + 1} is '{label}', expected '{want}' for partition {partition}")
+    # A header csv read across lines leaves its closing quote or a label's
+    # "_" after the first line break, which orjson's path declines.
+    start = text.find("\n") + 1
+    if _orjson is not None and start:
+        rows = _orjson_rows(text, start, width)
+        if rows is not None:
+            return SignalTrajectory(rows, partition, name)
     rows = []
     for lineno, row in enumerate(reader, start=2):
         if width and (not row or (len(row) == 1 and not row[0].strip())):

@@ -71,7 +71,8 @@ from _support import (
 
 @pytest.fixture
 def json_paths(monkeypatch):
-    """The readers' JSON paths in turn: orjson's when it is installed, then ``json.loads`` alone.
+    """The readers' and the CSV writer's paths in turn: orjson's when it is
+    installed, then ``json.loads``, ``csv`` and ``repr`` alone.
 
     A reader test runs its body once per item; the second item sets
     sysio's orjson handle to ``None``.
@@ -82,6 +83,20 @@ def json_paths(monkeypatch):
         monkeypatch.setattr(sysio, "_orjson", None)
         yield "json"
     return paths()
+
+
+@pytest.fixture
+def csv_outcomes(monkeypatch):
+    """How often orjson's CSV path read a text (True) or left it to the csv reader (False)."""
+    outcomes, read_rows = Counter(), sysio._orjson_rows
+
+    def counting(*args):
+        rows = read_rows(*args)
+        outcomes[rows is not None] += 1
+        return rows
+
+    monkeypatch.setattr(sysio, "_orjson_rows", counting)
+    return outcomes
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +483,113 @@ def test_trajectory_csv_header_diagnostics():
     ]:
         with pytest.raises(InputError, match=message):
             trajectory_from_csv(text, partition)
+
+
+def _writer_rows(rng) -> np.ndarray:
+    """Rows of width 8: in repr's fixed range, random bit patterns, and both mixed."""
+    signs = rng.choice([-1.0, 1.0], size=(3000, 8))
+    fixed = signs[:1000] * 10.0 ** rng.uniform(-4, 16, size=(1000, 8))
+    bits = rng.integers(0, 2**64, size=(1000, 8), dtype=np.uint64).view(np.float64)
+    wide = signs[2000:] * 10.0 ** rng.uniform(-330, 308, size=(1000, 8))
+    mixed = fixed.copy()
+    mixed[np.arange(1000), rng.integers(0, 8, size=1000)] = np.concatenate([bits, wide])[:1000, 0]
+    return np.concatenate([fixed, bits, wide, mixed])
+
+
+#: Values at the edges of repr's fixed notation, and values orjson writes apart.
+_WRITER_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.1125369292536007e-308,
+                 1e-4, -1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1e-4, 1)),
+                 1e-5, float(np.nextafter(1e16, 0)), -float(np.nextafter(1e16, 0)), 1e16, -1e16,
+                 1e15, 0.5, 2.0**53 + 2, 1.7976931348623157e308, float("nan"), float("inf"),
+                 float("-inf"))
+
+
+def test_csv_writer_paths_write_repr(rng, json_paths):
+    """Both writer paths give ``repr`` of every value, byte for byte.
+
+    Finite rows go through :func:`trajectory_to_csv`, partitions 1 and 0
+    wide too; NaN and +-inf, which a trajectory refuses, through the line
+    writer itself.  Each edge value stands alone in a row and inside a
+    row of values orjson writes.
+    """
+    rows = _writer_rows(rng)
+    edges = np.array(_WRITER_EDGES)
+    inside = np.repeat(rows[:1], len(edges), axis=0)
+    inside[np.arange(len(edges)), rng.integers(0, 8, size=len(edges))] = edges
+    rows = np.concatenate([rows, inside])
+    finite = rows[np.isfinite(rows).all(axis=1)]
+    cases = [(finite, (3, 0, 5)), (finite[:, :1], (0, 1)), (edges[np.isfinite(edges), None], (1,)),
+             (np.zeros((3, 0)), (0,)), (np.zeros((2, 0)), (0, 0)), (finite[:0], (8,))]
+    for _ in json_paths:
+        for values, partition in cases:
+            text = trajectory_to_csv(SignalTrajectory(values, partition, "u"))
+            header = ",".join(f"u{i}_{c}" for i, w in enumerate(partition) for c in range(w))
+            assert text == header + "\n" + "".join(
+                ",".join(map(repr, row)) + "\n" for row in values.tolist())
+        for values in (rows, edges[:, None], np.array([[1.5, float("nan"), 2.5]])):
+            assert list(sysio._csv_lines(values)) == [
+                ",".join(map(repr, row)) + "\n" for row in values.tolist()]
+
+
+#: Literals the csv path and orjson read differently, or one of them refuses.
+_CSV_LITERALS = ("-0", "-0.0", "-0e0", "-0E0", "0", "-1", "2.5e-3", "1E+5", "+1", ".5", "1.", "01",
+                 "-00", " 1", "1 ", "1_0", "nan", "inf", "-Infinity", "1e400", "1e-400", "-1e-400",
+                 "true", "null", "[1]", '"1"', '""', str(2**53 + 1), str(2**63 + 1),
+                 str(2**64 - 1), str(2**64), str(-2**63 - 1), "1" * 400, "e", "-", "1e-0")
+
+
+def _csv_cases(rng) -> list[tuple[str, tuple[int, ...]]]:
+    """CSV texts and the partitions to read them by."""
+    cases = []
+    for literal in _CSV_LITERALS:
+        cases += [(f"u0_0\n{literal}\n", (1,)), (f"u0_0\n{literal}", (1,)),
+                  (f"u0_0,u1_0\n{literal},-1\n-1,{literal}\n", (1, 1)),
+                  (f"u0_0,u0_1\n0.5,2\n{literal},{literal}", (2,))]
+    body = "".join(",".join(map(repr, row)) + "\n" for row in rng.normal(size=(40, 2)).tolist())
+    cases += [
+        ("u0_0,u0_1\n", (2,)), ("u0_0,u0_1", (2,)), ("u0_0,u0_1\n" + body, (2,)),
+        ("u0_0,u0_1\n" + body[:-1], (2,)), ("u0_0,u0_1\n" + body + "\n" + body, (2,)),
+        ("u0_0,u0_1\n" + body + "\n", (2,)), ("u0_0,u0_1\n\n" + body, (2,)),
+        ("u0_0,u0_1\n" + body.replace("\n", "\r\n"), (2,)),
+        ("u0_0,u0_1\r\n" + body, (2,)),
+        ("u0_0,u0_1\n" + body + "1.5\n", (2,)), ("u0_0,u0_1\n" + body + "1,2,3\n", (2,)),
+        ("u0_0,u0_1\n" + body + "1,2,\n", (2,)), ("u0_0,u0_1\n" + body + ",\n", (2,)),
+        ('"u0_0",u0_1\n' + body, (2,)), ('u0_0,"u0_1\n' + body, (2,)),
+        # Headers csv reads across lines, named "a\n" and "a\n1".
+        ('"a\n0_0"\n1\n', (1,)), ('"a\n0_0', (1,)), ('"a\n10_0"\n1\n-2\n', (1,)),
+        ("u0_0,u0_1\n" + body.replace("-", "-0", 3), (2,)),
+        # Bodies of several default chunks, refused in the last one or not.
+        ("u0_0,u0_1\n" + body * 12, (2,)), ("u0_0,u0_1\n" + body * 12 + "1\n", (2,)),
+        ("u0_0,u0_1\n" + body * 12 + "-0,1", (2,)),
+        ("\n", (0,)), ("\n\n\n", (0,)), ("\n\n\n", (0, 0)), ("\n1\n", (0,)),
+        ("\n\n,\n", (0,)), ("", (0,)), ("u0_0\n", (2,)), ("u1_0,u1_1\n1,2\n", (0, 2)),
+    ]
+    return cases
+
+
+def test_csv_reader_paths_agree(rng, monkeypatch, json_paths, csv_outcomes):
+    """orjson's CSV path gives the csv path's values bit for bit, or the same InputError.
+
+    The csv path is float() of each field.  Both paths read every case
+    with the body cut into chunks of the default size and of 5 characters,
+    so the cases also fall across chunk boundaries.
+    """
+    cases = _csv_cases(rng)
+    keys = {}
+    for path in json_paths:
+        for chunk in (sysio._CSV_CHUNK, 5):
+            monkeypatch.setattr(sysio, "_CSV_CHUNK", chunk)
+            keys[path, chunk] = [
+                _read_key(lambda text: trajectory_from_csv(text, partition), text)
+                for text, partition in cases]
+    want = keys["json", 5]
+    for (path, chunk), got in keys.items():
+        for (text, partition), got_key, want_key in zip(cases, got, want):
+            assert got_key == want_key, (path, chunk, text, partition)
+    assert dict(zip(cases, want))["u0_0\n-0\n", (1,)][3] == struct.pack("<d", -0.0)
+    assert dict(zip(cases, want))["u0_0\n" + str(2**64 - 1), (1,)][3] == struct.pack("<d", 2.0**64)
+    if ("orjson", 5) in keys:
+        assert csv_outcomes[True] >= 40 and csv_outcomes[False] >= 40, csv_outcomes
 
 
 def test_trajectory_json_roundtrip(tmp_path, rng, json_paths):
@@ -858,13 +980,16 @@ def _matrix_forms(doc) -> set:
             for key in "ABCD" if isinstance(doc.get(key), (dict, list))}
 
 
-def test_parsers_return_a_result_or_input_error(rng, json_paths):
+def test_parsers_return_a_result_or_input_error(rng, json_paths, csv_outcomes):
     """Mutated system documents, in the block form the writer gives and the dense one, and trajectories.
 
-    Each JSON path of the readers takes its own 400 rounds.
+    Each path of the readers takes its own 400 rounds; on orjson's, the
+    CSV texts reach both its CSV path and the csv reader after it.
     """
     for _ in json_paths:
         _check_parsers(rng)
+        if sysio._orjson is not None:
+            assert csv_outcomes[True] >= 50 and csv_outcomes[False] >= 50, csv_outcomes
 
 
 def _check_parsers(rng):
@@ -930,7 +1055,7 @@ def _read_key(read, obj):
     except InputError as exc:
         return f"InputError: {exc}"
     if isinstance(got, SignalTrajectory):
-        return got.name, got.partition, got.values.tobytes()
+        return got.name, got.partition, got.values.shape, got.values.tobytes()
     real, graph, name = got
     return graph, name, real.dims, *(getattr(real, key).tobytes() for key in "ABCD")
 
@@ -1286,7 +1411,10 @@ def test_cli_evaluates_each_system_once_per_point(tmp_path, capsys, monkeypatch)
         passes[key(real), len(points)] += 1
         return stacked(real, points)
 
+    # An entry of None marks a module blocked from import.
     for module in list(sys.modules.values()):
+        if module is None:
+            continue
         if module.__name__.startswith("netreal") and vars(module).get("eval_transfer") is original:
             monkeypatch.setattr(module, "eval_transfer", counting)
     monkeypatch.setattr(netreal.realization, "_guarded", guarding)

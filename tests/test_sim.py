@@ -48,6 +48,21 @@ def test_trajectory_validation():
         traj.values[0, 0] = 1.0
 
 
+def test_zeros_length_is_a_nonnegative_integer():
+    """``length`` follows the rule of every other count: no strings, floats or booleans."""
+    for bad, message in (("3", "length must be an integer, got '3'"),
+                         (2.9, "length must be an integer, got 2.9"),
+                         (True, "length must be an integer, got True"),
+                         (-1, "length must be nonnegative, got -1")):
+        with pytest.raises(InputError) as info:
+            SignalTrajectory.zeros((2, 0, 1), bad)
+        assert str(info.value) == message
+    for length in (0, 3, np.int64(3)):
+        traj = SignalTrajectory.zeros((2, 0, 1), length, "u")
+        assert traj.values.shape == (int(length), 3) and traj.name == "u"
+        assert not traj.values.any()
+
+
 #: Entries that are not numbers, and the reason each refusal ends with.
 _NOT_NUMBERS = (("0.5", "a string"), (True, "true or false"), (None, "null"),
                 (0.5j, "a complex number"), (1 + 0j, "a complex number"))
