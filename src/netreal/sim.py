@@ -1,29 +1,31 @@
-"""Discrete-time simulation with a fixed block evaluation order.
+"""Discrete-time simulation: one product per node per step.
 
-Both simulators run one step loop over a plan that lists, per node,
-the state blocks it reads (A and C) and the input blocks that drive it
-(B and D), each in ascending node order.  :func:`simulate_lti` plans
-the blocks that hold a nonzero entry; :func:`simulate_distributed`
-plans the node's in-neighbors and its own input, so no block off an
-edge is ever read.  :func:`netreal.imc.simulate_imc_loop` runs the
+Both simulators run one plan, the nonzero blocks of the realization
+(:func:`_plan`).  Node ``i``'s step is one matrix-vector product: its
+rows of ``[A B; C D]``, restricted to the states of the nodes ``j`` whose
+A or C block ``(i, j)`` holds a nonzero and to the inputs of the nodes
+``k`` whose B or D block ``(i, k)`` does, times those states and inputs,
+give its next state and its output.  Nodes of about the same size are
+stacked into groups, so a step costs one ``take``, one batched
+``matmul`` and one slice write per group, whatever the number of nodes.
+
+:func:`simulate_lti` runs that plan on any realization.
+:func:`simulate_distributed` first checks strict compatibility, which
+proves that every planned read is an in-neighbor's state or the node's
+own input, and then runs the same plan.  So the two runs do the same
+arithmetic in the same order, and agree under array equality by
+construction.  :func:`netreal.imc.simulate_imc_loop` runs the
 internal-model loop through :func:`simulate_lti`.
-
-The step loop stacks the planned blocks once, zero-padded to the
-largest node, so a step costs one gather, two batched products (the
-read and the drive stack, each covering both the state and the output
-rows) and an ordered scatter-add, whatever the number of nodes.  Every
-node sums its contributions in plan order, reads before drives.  On a
-strictly compatible realization the two plans differ only by exact-zero
-blocks, whose contributions are exact zeros, and each planned block's
-product does not depend on which other blocks are planned, so the two
-runs agree under array equality, not tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
+from .algebra import node_major_indices
 from .errors import InputError, NumericalError
 from .graphs import NetworkGraph, _as_counts, _as_floats, _as_int, _node_slice, partition_slices
 from .realization import BlockRealization, DMode, check_compatibility
@@ -114,77 +116,162 @@ def _check_finite(*traces: np.ndarray) -> None:
             f"simulation diverged: non-finite values at step {int(np.argmax(bad))}")
 
 
-def _padded_index(counts: tuple[int, ...], pad: int) -> np.ndarray:
-    """Node-major positions of each node's entries, one row per node.
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of ``counts`` starts when they are laid end to end."""
+    return np.cumsum(counts) - counts
 
-    Row ``i`` lists node ``i``'s ``counts[i]`` positions, then repeats
-    ``pad`` up to the width of the widest node.
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for each start ``s`` and count ``c``, concatenated."""
+    return np.repeat(starts - _starts(counts), counts) + np.arange(counts.sum())
+
+
+def _bucket(counts: np.ndarray) -> np.ndarray:
+    """``k`` such that ``2**(k - 1) < count <= 2**k``, for each positive count."""
+    return np.frexp(counts - 1.0)[1]
+
+
+def _entries(real: BlockRealization, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``[A B; C D][rows[:, :, None], cols[:, None, :]]``, 0 past the matrix.
+
+    Read from the four matrices in place, so the cost follows the entries
+    asked for, not the size of ``[A B; C D]``.
     """
-    counts = np.asarray(counts)
-    slot = np.arange(counts.max())
-    starts = np.cumsum(counts) - counts
-    return np.where(slot < counts[:, None], starts[:, None] + slot, pad)
+    rows, cols = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
+    out = np.zeros(rows.shape)
+    n = real.n
+    for matrix, top, left in ((real.A, 0, 0), (real.B, 0, n), (real.C, n, 0), (real.D, n, n)):
+        row, col = rows - top, cols - left
+        hit = (row >= 0) & (row < matrix.shape[0]) & (col >= 0) & (col < matrix.shape[1])
+        out[hit] = matrix[row[hit], col[hit]]
+    return out
+
+
+class _Group(NamedTuple):
+    """Nodes of one size bucket: their stacked rows and where they read and write."""
+
+    #: ``(nodes, rows, cols)``: each node's rows of ``[A B; C D]`` over its
+    #: planned columns, zero-padded to the group's most rows and columns.
+    blocks: np.ndarray
+    #: ``(nodes, cols)``: the frame position each of those columns reads.
+    take: np.ndarray
+    #: The frame positions the group writes, its nodes' rows one after another.
+    rows: slice
+
+
+class _Plan(NamedTuple):
+    """Every node's step as one product, grouped by size, over a flat frame."""
+
+    groups: tuple[_Group, ...]
+    #: Frame width: node slots, then the inputs, then one zero.
+    width: int
+    #: Frame position of each state, and of each output, node-major.
+    states: np.ndarray
+    outputs: np.ndarray
+    #: Frame position of input 0; the inputs follow it in order.
+    inputs: int
+
+
+def _plan(real: BlockRealization) -> _Plan:
+    """The one plan both simulators run: the nonzero blocks of ``real``.
+
+    Node ``i`` reads the states of every node ``j`` whose A or C block
+    ``(i, j)`` holds a nonzero (its read sources) and the inputs of every
+    node ``k`` whose B or D block ``(i, k)`` does (its drive sources).
+    Its columns are the read sources' states, then the drive sources'
+    inputs, each in ascending node order; its rows are its states, then
+    its outputs.  A node with no planned block is in no group: its
+    outputs and its states after the first step are zero.
+
+    Nodes are grouped by the power-of-two bucket of their row count and
+    of their column count, and padded to the largest node of their
+    group, so padding never doubles a node's rows or its columns: a
+    star's hub is not stacked with its leaves.  Each node owns a slot of
+    the frame, its group's row count wide (its state count if it is in no
+    group); the slot holds its state, then its output.
+    """
+    dims, occ = real.dims, real.occupancy
+    n, m, p = real.n, real.m, real.p
+    states, inputs, outputs = (np.array(c, dtype=np.intp)
+                               for c in (dims.states, dims.inputs, dims.outputs))
+    # Each node's columns of [A B; C D], node after node: source j < count
+    # stands for node j's states, source count + k for node k's inputs.
+    node, source = np.nonzero(np.hstack([(occ.A > 0) | (occ.C > 0), (occ.B > 0) | (occ.D > 0)]))
+    col_count = np.concatenate([states, inputs])[source]
+    width = np.bincount(node, col_count, len(states)).astype(np.intp)
+    cols = _ranges(np.concatenate([_starts(states), n + _starts(inputs)])[source], col_count)
+    # Each node's rows of [A B; C D], node after node: its states, then its outputs.
+    height = states + outputs
+    rows = node_major_indices(dims.states, dims.outputs)
+
+    # Group by bucket (each below 64); the nodes in no group come last.
+    active = width > 0
+    key = np.where(active, _bucket(height) * 64 + _bucket(width), 64 * 64)
+    group = (np.cumsum(np.bincount(key) > 0) - 1)[key]
+    group_rows, group_cols = np.zeros((2, group.max() + 1), dtype=np.intp)
+    np.maximum.at(group_rows, group, height)
+    np.maximum.at(group_cols, group, width)
+    slot = np.where(active, group_rows[group], states)
+    span = np.where(active, group_cols[group], 0)
+    frame_order = np.argsort(group, kind="stable")
+    slot_at, span_at = np.empty((2, len(states)), dtype=np.intp)
+    slot_at[frame_order] = _starts(slot[frame_order])
+    span_at[frame_order] = _starts(span[frame_order])
+    first_input = int(slot.sum())
+    zero = first_input + m
+    state_at = _ranges(slot_at, states)
+    output_at = np.where(np.repeat(active, outputs), _ranges(slot_at + states, outputs), zero)
+    frame_of_col = np.concatenate([state_at, np.arange(first_input, zero + 1)])
+    # The row of [A B; C D] each grouped frame position takes, and the
+    # column each stacked column reads.  Padding takes row n + p and column
+    # n + m, past the matrix, whose entries read 0.
+    row_of = np.full(int(slot[active].sum()), n + p)
+    mine = np.repeat(active, height)
+    row_of[_ranges(slot_at, height)[mine]] = rows[mine]
+    col_of = np.full(int(span.sum()), n + m)
+    col_of[_ranges(span_at, width)] = cols
+
+    groups, row_start, col_start = [], 0, 0
+    for size, height_g, width_g in zip(np.bincount(group[active]), group_rows, group_cols):
+        at_rows = row_of[row_start:row_start + size * height_g].reshape(size, height_g)
+        at_cols = col_of[col_start:col_start + size * width_g].reshape(size, width_g)
+        groups.append(_Group(_entries(real, at_rows, at_cols),
+                             frame_of_col[at_cols], slice(row_start, row_start + at_rows.size)))
+        row_start += at_rows.size
+        col_start += at_cols.size
+    return _Plan(tuple(groups), zero + 1, state_at, output_at, first_input)
 
 
 def _run(
-    real: BlockRealization, u: SignalTrajectory, x: np.ndarray, reads, drives
+    real: BlockRealization, u: SignalTrajectory, x: np.ndarray
 ) -> tuple[SignalTrajectory, SignalTrajectory]:
-    """Step loop shared by both simulators.
+    """Step loop shared by both simulators: one product per node per step.
 
-    ``reads`` and ``drives`` are ``(node, source)`` index-array pairs in
-    plan order: ascending node, then ascending source.  Node ``i``'s
-    next state and output sum its A and C blocks over its ``reads``
-    sources, then its B and D blocks over its ``drives`` sources.
-
-    The planned blocks are stacked once.  Each node's rows of ``[A; C]``
-    (or ``[B; D]``) are zero-padded to the most states and the most
-    outputs of any node, its columns to the most states (or inputs).
-    Each step gathers the source states, forms every planned block's
-    contribution with one batched ``matmul`` over the read stack and one
-    over the drive stack, and adds the contributions into a zeroed
-    per-node accumulator with ``np.add.at``: the reads in plan order,
-    then the drives in plan order.  So each node's sum runs in its plan
-    order, and a planned block of exact zeros, padding included, adds
-    exact zeros.
+    Row ``t`` of a flat frame holds every node's state ``x[t]`` and output
+    ``y[t - 1]`` in its slot, then the input ``u[t]``, then a zero that
+    padding reads; the inputs are copied in once, before the loop.  A
+    step gathers each group's columns from row ``t`` with one ``take``,
+    multiplies them by the group's stacked rows with one batched
+    ``matmul``, and writes the products, each node's next state and
+    output, into row ``t + 1`` in one slice.  So node ``i`` computes
+    ``[x_i[t+1]; y_i[t]] = [A_i B_i; C_i D_i] [x_sources[t]; u_sources[t]]``
+    as one matrix-vector product over its concatenated planned blocks.
     """
-    dims = real.dims
-    n, m, p = real.n, real.m, real.p
-    count = dims.num_nodes
-    # Pads index an appended zero row or column.
-    rows = np.hstack([_padded_index(dims.states, n + p), n + _padded_index(dims.outputs, p)])
-    state_cols = _padded_index(dims.states, n)
-    input_cols = _padded_index(dims.inputs, m)
-    width, n_max = rows.shape[1], state_cols.shape[1]
-
-    def stack(top, bottom, cols, plan):
-        dst, src = plan
-        padded = np.pad(np.vstack([top, bottom]), ((0, 1), (0, 1)))
-        at = (dst[:, None] * width + np.arange(width)).ravel()
-        return padded[rows[dst][:, :, None], cols[src][:, None, :]], at
-
-    read_blocks, read_at = stack(real.A, real.C, state_cols, reads)
-    drive_blocks, drive_at = stack(real.B, real.D, input_cols, drives)
-    read_src, drive_src = reads[1], drives[1]
-    inputs = np.pad(u.values, ((0, 0), (0, 1)))[:, input_cols]
+    plan = _plan(real)
     steps = u.length
-    # Row t + 1 holds every node's padded state x[t + 1] and output y[t];
-    # row 0 holds the initial state.
-    history = np.zeros((steps + 1, count, width))
-    history[0, :, :n_max] = np.append(x, 0.0)[state_cols]
-    flat = history.reshape(steps + 1, -1)
+    frame = np.zeros((steps + 1, plan.width))
+    frame[0, plan.states] = x
+    frame[:steps, plan.inputs:plan.inputs + real.m] = u.values
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            state = history[t, :, :n_max]
-            np.add.at(flat[t + 1], read_at,
-                      np.matmul(read_blocks, state[read_src, :, None]).ravel())
-            np.add.at(flat[t + 1], drive_at,
-                      np.matmul(drive_blocks, inputs[t, drive_src, :, None]).ravel())
-    xs = history[:steps, :, :n_max][:, state_cols != n]
-    ys = history[1:, :, n_max:][:, rows[:, n_max:] != n + p]
+        for now, after in zip(frame[:-1], frame[1:]):
+            for blocks, take, rows in plan.groups:
+                after[rows] = np.matmul(blocks, now.take(take)[:, :, None]).ravel()
+    xs = frame[:steps, plan.states]
+    ys = frame[1:, plan.outputs]
     _check_finite(xs, ys)
     return (
-        SignalTrajectory(ys, dims.outputs, "y"),
-        SignalTrajectory(xs, dims.states, "x"),
+        SignalTrajectory(ys, real.dims.outputs, "y"),
+        SignalTrajectory(xs, real.dims.states, "x"),
     )
 
 
@@ -195,16 +282,13 @@ def simulate_lti(
 
     Row ``t`` of the state trajectory is the state at step ``t`` (so row
     0 is the initial state), aligned with the output ``y[t]`` it produced.
-    Contributions accumulate over the nonzero column blocks in ascending
-    node order, matching :func:`simulate_distributed` exactly.  Raises
-    :class:`~netreal.errors.NumericalError` if the run diverges.
+    Each node's step is one product over its nonzero blocks
+    (:func:`_plan`), the same one :func:`simulate_distributed` runs.
+    Raises :class:`~netreal.errors.NumericalError` if the run diverges.
     """
     u = _coerce_signal(u, real.dims.inputs, "input")
     x = _coerce_state(real, x0)
-    occ = real.occupancy
-    reads = np.nonzero((occ.A > 0) | (occ.C > 0))
-    drives = np.nonzero((occ.B > 0) | (occ.D > 0))
-    return _run(real, u, x, reads, drives)
+    return _run(real, u, x)
 
 
 def simulate_distributed(
@@ -215,11 +299,14 @@ def simulate_distributed(
 ) -> tuple[SignalTrajectory, SignalTrajectory, int]:
     """Per-node simulation that only reads state along declared edges.
 
-    The plan gives node ``i`` the states of its in-neighbors and its own
-    input, and nothing else, so a read off an edge cannot happen.
-    Requires strict compatibility.  Outputs equal :func:`simulate_lti` under
-    array equality, and the returned message count, one per non-self
-    edge per step, is ``steps * number of non-self edges``.
+    Requires strict compatibility: every nonzero A or C block lies on an
+    edge and B and D are block-diagonal, so in the plan of nonzero blocks
+    (:func:`_plan`) node ``i`` reads only its in-neighbors' states and its
+    own input.  That proven, it runs that same plan, so its outputs equal
+    :func:`simulate_lti`'s under array equality: the two runs do the same
+    arithmetic.  The returned message count, one per non-self edge per
+    step, is ``steps * number of non-self edges``, whether or not an
+    edge's blocks hold a nonzero.
     """
     report = check_compatibility(real, graph, DMode.STRICT)
     if not report.ok:
@@ -228,7 +315,5 @@ def simulate_distributed(
             f"realization is not strictly compatible with the graph ({worst})")
     u = _coerce_signal(u, real.dims.inputs, "input")
     x = _coerce_state(real, x0)
-    reads = np.nonzero(graph.adjacency)
-    nodes = np.arange(real.num_nodes)
-    y, xs = _run(real, u, x, reads, (nodes, nodes))
+    y, xs = _run(real, u, x)
     return y, xs, u.length * graph.num_non_self_edges

@@ -135,10 +135,15 @@ def system_from_obj(obj) -> tuple[BlockRealization, NetworkGraph, str | None]:
     for k, entry in enumerate(dims_obj):
         if not isinstance(entry, dict):
             raise InputError(f"dims[{k}] must be an object with keys n, m, p")
-        triples.append(tuple(
-            _as_int(_require(entry, key, f"dims[{k}]"), f"dims[{k}].{key}")
-            for key in ("n", "m", "p")))
-    dims = NodeDims.from_triples(triples)
+        triples.append(tuple(_require(entry, key, f"dims[{k}]") for key in ("n", "m", "p")))
+    try:
+        dims = NodeDims.from_triples(triples)
+    except InputError:
+        # NodeDims checked each count; name the first that is not an integer.
+        for k, triple in enumerate(triples):
+            for key, value in zip(("n", "m", "p"), triple):
+                _as_int(value, f"dims[{k}].{key}")
+        raise
     _require_stored_channels(dims)
     matrices = {key: _matrix_from_obj(obj.get(key), key, dims, axes)
                 for key, axes in _MATRIX_AXES.items()}
@@ -514,6 +519,19 @@ def _orjson_rows(text: str, start: int, width: int) -> list | None:
     return rows
 
 
+def _csv_rows(text: str):
+    """The csv reader's rows of ``text``; text it refuses raises InputError.
+
+    The reader refuses a field over its size limit (131072 characters)
+    and a line break inside an unquoted field.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"trajectory CSV line {reader.line_num} is not valid CSV: {exc}") from exc
+
+
 def trajectory_from_csv(text: str, partition) -> SignalTrajectory:
     """The trajectory of a signal split by ``partition``, from CSV text.
 
@@ -529,11 +547,12 @@ def trajectory_from_csv(text: str, partition) -> SignalTrajectory:
     the header's width that orjson accepts.  Any other text, with a
     quote, a space, ``nan``, ``+1``, ``.5``, a blank line or a ragged row,
     is read by the csv reader, so each value and refusal is the one it
-    gives without orjson.
+    gives without orjson.  Text the csv reader refuses (:func:`_csv_rows`)
+    raises InputError naming its line.
     """
     partition = _as_counts(partition, "partition")
     width = sum(partition)
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text)
     header = next(reader, None)
     if header is None or (width and not header):
         raise InputError("trajectory CSV has no columns")

@@ -485,6 +485,42 @@ def test_trajectory_csv_header_diagnostics():
             trajectory_from_csv(text, partition)
 
 
+#: A field longer than the csv reader's limit of 131072 characters.
+_LONG_FIELD = "1" * 140000
+
+
+def test_csv_reader_refusals_are_input_errors(json_paths):
+    """Text the csv reader refuses raises InputError naming its line, on both paths.
+
+    The reader refuses a field over its size limit, and a carriage return
+    inside an unquoted field, with ``csv.Error``.
+    """
+    for _ in json_paths:
+        for text, message in [
+            ("u0_0\r1\n", "line 1 is not valid CSV: new-line character"),
+            ("u0_0\n1\r2\n", "line 2 is not valid CSV: new-line character"),
+            (f"u0_0\n{_LONG_FIELD}\n", r"line 2 is not valid CSV: field larger than field limit"),
+            (f"u0_0\n1\n{_LONG_FIELD}.5\n", r"line 3 is not valid CSV: field larger"),
+            (f'"u{_LONG_FIELD}0_0"\n1\n', r"line 1 is not valid CSV: field larger"),
+        ]:
+            with pytest.raises(InputError, match=message):
+                trajectory_from_csv(text, (1,))
+
+
+def test_cli_simulate_refuses_an_oversized_csv_field(tmp_path, capsys, json_paths):
+    """An input CSV field over the csv reader's limit exits 2 with a message, not a traceback."""
+    paths = _write_river(tmp_path)
+    u_path = tmp_path / "u.csv"
+    for _ in json_paths:
+        for body in (f"{_LONG_FIELD},0,0\n", f"1,0,0\n0,{_LONG_FIELD}.5,0\n"):
+            u_path.write_text("u0_0,u1_0,u2_0\n" + body)
+            assert main(["simulate", paths["wide"], "--input", str(u_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert f"{u_path}: trajectory CSV line" in captured.err
+            assert "field larger than field limit" in captured.err
+
+
 def _writer_rows(rng) -> np.ndarray:
     """Rows of width 8: in repr's fixed range, random bit patterns, and both mixed."""
     signs = rng.choice([-1.0, 1.0], size=(3000, 8))

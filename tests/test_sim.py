@@ -15,7 +15,7 @@ from netreal import (
     simulate_imc_loop,
     simulate_lti,
 )
-from netreal.sim import _coerce_state
+from netreal.sim import _coerce_state, _plan
 from _support import (
     oracle_grid_node_major,
     oracle_imc_loop,
@@ -220,6 +220,83 @@ def test_kernel_runs_an_empty_plan(rng):
     y, x = _check_plan_run(real, graph, u, x0)
     assert not y.values.any()
     assert np.array_equal(x.values[0], x0) and not x.values[1:].any()
+
+
+def _planned_entries(real):
+    """Entries of each node's rows of [A B; C D] over the columns of its nonzero blocks."""
+    occ, dims = real.occupancy, real.dims
+    reads = ((occ.A > 0) | (occ.C > 0)) @ np.array(dims.states)
+    drives = ((occ.B > 0) | (occ.D > 0)) @ np.array(dims.inputs)
+    return int(np.add(dims.states, dims.outputs) @ (reads + drives))
+
+
+def test_kernel_stacks_a_star_without_padding_leaves_to_the_hub(rng):
+    """The hub of a 300-node star reads every node; the leaves read one or two.
+
+    Stacking every node at the hub's width would hold about N times the
+    planned entries.  Grouped by size, the stack holds at most twice them.
+    """
+    count = 300
+    edges = ([(0, j) for j in range(count)] + [(j, j) for j in range(1, count)]
+             + [(j, 0) for j in range(1, count, 3)])
+    graph = build_graph(count, edges)
+    dims = NodeDims((2,) * count, (1,) * count, (1,) * count)
+    real = random_system(rng, graph, dims, rho=0.9)
+    planned = _planned_entries(real)
+    assert sum(group.blocks.size for group in _plan(real).groups) <= 2 * planned
+    u = SignalTrajectory(rng.normal(size=(6, count)), dims.inputs, "u")
+    _check_plan_run(real, graph, u, rng.normal(size=dims.n_total))
+
+
+def test_kernel_pads_one_wide_node_apart_from_the_narrow_ones(rng):
+    """A 16-state node among 1-state nodes pads no other node's rows.
+
+    Grouped by size, each node's stacked rows and columns stay below
+    twice its own, so the stack holds under 4 times the planned entries.
+    """
+    dims = NodeDims((16,) + (1,) * 11, (1,) * 12, (1,) * 12)
+    for k in range(8):
+        graph = random_graph(rng, dims.num_nodes, self_loops=k % 2 == 0)
+        real = random_system(rng, graph, dims, rho=0.9)
+        stacked = sum(group.blocks.size for group in _plan(real).groups)
+        assert stacked < 4 * _planned_entries(real)
+        u = SignalTrajectory(rng.normal(size=(7, dims.m_total)), dims.inputs, "u")
+        _check_plan_run(real, graph, u, rng.normal(size=dims.n_total))
+
+
+def test_kernel_counts_messages_on_edges_whose_blocks_are_zero(rng):
+    """An edge whose A and C blocks hold only zeros still carries one message a step."""
+    for k in range(8):
+        graph = random_graph(rng, 6, edge_prob=0.6, self_loops=k % 2 == 0)
+        dims = random_dims(rng, 6, min_channels=1)
+        real = random_system(rng, graph, dims, rho=0.8)
+        a, c = real.A.copy(), real.C.copy()
+        remote = [(i, j) for i, j in graph.sorted_edges() if i != j]
+        for i, j in remote[::2]:
+            a[dims.state_slice(i), dims.state_slice(j)] = 0.0
+            c[dims.output_slice(i), dims.state_slice(j)] = 0.0
+        real = BlockRealization(dims, a, real.B, c, real.D)
+        assert all(real.occupancy.A[i, j] == 0 for i, j in remote[::2])
+        u = SignalTrajectory(rng.normal(size=(20, dims.m_total)), dims.inputs, "u")
+        _check_plan_run(real, graph, u, rng.normal(size=dims.n_total))
+
+
+ZERO_WIDTH_DIMS = NodeDims((2, 0, 1, 0, 3), (1, 0, 0, 2, 1), (1, 0, 2, 1, 0))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+@pytest.mark.parametrize("self_loops", [True, False])
+def test_kernel_runs_short_horizons_on_zero_width_nodes(rng, steps, self_loops):
+    """T = 0 and 1, a node with no state, input or output, and graphs without self-loops."""
+    for dims in (ZERO_WIDTH_DIMS, MIXED_DIMS):
+        graph = random_graph(rng, dims.num_nodes, self_loops=self_loops)
+        real = random_system(rng, graph, dims, rho=0.9)
+        u = SignalTrajectory(rng.normal(size=(steps, dims.m_total)), dims.inputs, "u")
+        x0 = rng.normal(size=dims.n_total)
+        y, x = _check_plan_run(real, graph, u, x0)
+        assert y.values.shape == (steps, dims.p_total)
+        if steps:
+            assert np.array_equal(x.values[0], x0)
 
 
 def test_kernel_reports_first_diverging_step_on_mixed_sizes():
