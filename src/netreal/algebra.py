@@ -155,8 +155,8 @@ def multiply(outer: BlockRealization, inner: BlockRealization) -> BlockRealizati
 
 
 def _block_diagonal(real: BlockRealization) -> bool:
-    occupied = real.occupancy.D
-    return not np.any(occupied[~np.eye(real.num_nodes, dtype=bool)])
+    blocks = real.occupancy.D
+    return np.array_equal(blocks.rows, blocks.cols)
 
 
 def _invert_direct(real: BlockRealization) -> np.ndarray:

@@ -110,38 +110,27 @@ class NetworkGraph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    # Cached outside the dataclass fields, so equality and hashing ignore it.
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Read-only ``num_nodes x num_nodes`` boolean array, True at every edge."""
-        adj = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
-        if self.edges:
-            adj[tuple(np.array(sorted(self.edges)).T)] = True
-        adj.setflags(write=False)
-        return adj
-
 
 def build_graph(num_nodes: int, edges: Iterable) -> NetworkGraph:
     """Validate an edge list (duplicates allowed, deduplicated) into a graph."""
     return NetworkGraph(num_nodes, edges)
 
 
-def strongly_connected_components(pattern: np.ndarray) -> list[list[int]]:
-    """Strongly connected components of the square boolean node grid ``pattern``.
+def strongly_connected_components(num_nodes: int, edges: Iterable) -> list[list[int]]:
+    """Strongly connected components of the graph on ``num_nodes`` nodes with ``edges``.
 
-    ``pattern[i, j]`` is an edge ``(i, j)``: node ``i`` reads node ``j``.
-    An iterative Tarjan pass, O(nodes + edges).  Each component comes
-    after every component it reads, so ordering the nodes component by
-    component makes a matrix with this block pattern block
+    Edge ``(i, j)``: node ``i`` reads node ``j``.  An iterative Tarjan pass,
+    O(nodes + edges), taking each node's edges in the order given.  Each
+    component comes after every component it reads, so ordering the nodes
+    component by component makes a matrix with these nonzero blocks block
     lower-triangular.  Nodes within a component ascend.
     """
-    successors = [[] for _ in range(len(pattern))]
-    rows, cols = np.nonzero(pattern)
-    for i, j in zip(rows.tolist(), cols.tolist()):
+    successors = [[] for _ in range(num_nodes)]
+    for i, j in edges:
         successors[i].append(j)
-    index = [-1] * len(pattern)
-    low = [0] * len(pattern)
-    on_stack = [False] * len(pattern)
+    index = [-1] * num_nodes
+    low = [0] * num_nodes
+    on_stack = [False] * num_nodes
     stack: list[int] = []
     components: list[list[int]] = []
     visited = 0
@@ -153,7 +142,7 @@ def strongly_connected_components(pattern: np.ndarray) -> list[list[int]]:
         stack.append(v)
         on_stack[v] = True
 
-    for root in range(len(pattern)):
+    for root in range(num_nodes):
         if index[root] >= 0:
             continue
         visit(root)

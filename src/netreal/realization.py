@@ -27,7 +27,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError, PoleError
-from .graphs import NetworkGraph, NodeDims, _as_floats, strongly_connected_components
+from .graphs import (_MAX_TOTAL, NetworkGraph, NodeDims, _as_floats, _as_int,
+                     strongly_connected_components)
 
 #: Evaluation of C (zI - A)^{-1} B refuses condition numbers at or above this.
 #: An upper bound on the 2-norm condition number, built from the strongly
@@ -64,9 +65,12 @@ def _require_tolerance(value: float, name: str) -> None:
 
 
 def _require_count(num_points: int) -> None:
-    """Refuse a sample count below one, which samples nothing."""
-    if num_points < 1:
-        raise InputError(f"num_points must be positive, got {num_points}")
+    """Refuse a count that is no integer, below one, or whose points no complex array holds."""
+    count = _as_int(num_points, "num_points")
+    if count < 1:
+        raise InputError(f"num_points must be positive, got {count}")
+    if count // 2 + 1 > _MAX_TOTAL // 2:
+        raise InputError(f"num_points must be below {_MAX_TOTAL // 2 * 2}, got {count}")
 
 
 def _as_matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
@@ -87,32 +91,44 @@ def _as_matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
     return arr
 
 
-def block_occupancy(matrix: np.ndarray, row_counts, col_counts) -> np.ndarray:
-    """Largest entry magnitude of every block of ``matrix``.
+def _node_blocks(rows: np.ndarray, cols: np.ndarray, row_counts, col_counts):
+    """Row node ``i`` and column node ``j`` of each block holding an entry ``(rows[k], cols[k])``.
 
-    Rows are split node-major by ``row_counts`` and columns by
-    ``col_counts``; entry ``(i, j)`` of the result is the largest
-    ``|matrix[r, c]|`` over the rows of node ``i`` and the columns of node
-    ``j``.  A block without a nonzero entry, an empty one included,
-    reads 0.  Cost grows with the number of nonzero entries, plus the
-    size of the returned node grid.
+    Rows split node-major by ``row_counts``, columns by ``col_counts``.  Blocks
+    are distinct and sorted by ``(i, j)``; also returned are the order that sorts
+    the entries by block and where each block starts in it.  One stable sort and
+    no ``np.unique``, whose first call imports ``numpy.ma``.
+    """
+    num_cols = len(col_counts)
+    keys = (np.repeat(np.arange(len(row_counts)), row_counts)[rows] * num_cols
+            + np.repeat(np.arange(num_cols), col_counts)[cols])
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    i, j = np.divmod(keys[order[starts]], num_cols)
+    return i, j, order, starts
+
+
+#: Row node, column node and largest magnitude of each nonzero node block of a matrix.
+NodeBlocks = NamedTuple("NodeBlocks", [(name, np.ndarray) for name in ("rows", "cols", "top")])
+
+
+def block_occupancy(matrix: np.ndarray, row_counts, col_counts) -> NodeBlocks:
+    """The node blocks of ``matrix`` that hold a nonzero, sorted by ``(i, j)``, read-only.
+
+    Each block (:func:`_node_blocks`) with an entry that is not zero (``-0.0``
+    is) comes with its largest ``|matrix[r, c]|``.  Cost grows with the nonzero
+    entries and the nodes, after one pass over ``matrix``.
     """
     rows, cols = np.nonzero(matrix)
-    grid = np.zeros((len(row_counts), len(col_counts)))
-    row_node = np.repeat(np.arange(len(row_counts)), row_counts)
-    col_node = np.repeat(np.arange(len(col_counts)), col_counts)
-    np.maximum.at(grid, (row_node[rows], col_node[cols]), np.abs(matrix[rows, cols]))
-    grid.setflags(write=False)
-    return grid
+    i, j, order, starts = _node_blocks(rows, cols, row_counts, col_counts)
+    top = np.maximum.reduceat(np.abs(matrix[rows, cols])[order], starts)
+    for part in (i, j, top):
+        part.setflags(write=False)
+    return NodeBlocks(i, j, top)
 
 
-class BlockOccupancy(NamedTuple):
-    """:func:`block_occupancy` of each of the four matrices of a realization."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
+#: :func:`block_occupancy` of each of the four matrices of a realization, by name.
+BlockOccupancy = NamedTuple("BlockOccupancy", [(name, NodeBlocks) for name in "ABCD"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +200,7 @@ class BlockRealization:
     # once, on first use, and kept outside the dataclass fields.
     @cached_property
     def occupancy(self) -> BlockOccupancy:
-        """Largest entry magnitude of every node block of A, B, C and D."""
+        """The nonzero node blocks of A, B, C and D (:func:`block_occupancy`), not an N x N grid."""
         d = self.dims
         return BlockOccupancy(
             block_occupancy(self.A, d.states, d.states),
@@ -206,8 +222,9 @@ class BlockRealization:
         components without states are left out.
         """
         slices = self.dims.state_slices
+        edges = zip(self.occupancy.A.rows.tolist(), self.occupancy.A.cols.tolist())
         blocks = [np.concatenate([np.arange(slices[k].start, slices[k].stop) for k in nodes])
-                  for nodes in strongly_connected_components(self.occupancy.A > 0)]
+                  for nodes in strongly_connected_components(self.num_nodes, edges)]
         blocks = tuple(states for states in blocks if states.size)
         for states in blocks:
             states.setflags(write=False)
@@ -403,32 +420,24 @@ def check_compatibility(
     A and C blocks must vanish off the edge set; B must be block-diagonal.
     In strict mode D must be block-diagonal too; in edge-sparse mode D
     blocks are additionally allowed on edges.  The test is exact: a block
-    off its allowed set violates when any of its entries is nonzero.
-
-    Returns a report listing every offending block with its largest
-    magnitude; ``ok`` is True iff there are none.
+    off its allowed set violates when any of its entries is nonzero.  Only
+    the nonzero blocks (:attr:`BlockRealization.occupancy`) are tested, so
+    the cost follows them, not N².  Returns a report listing every
+    offending block with its largest magnitude, A, B, C and D in turn,
+    each row-major; ``ok`` is True iff there are none.
     """
-    dims = real.dims
-    if dims.num_nodes != graph.num_nodes:
-        raise InputError(
-            f"realization has {dims.num_nodes} nodes, graph has {graph.num_nodes}")
-
-    edges = graph.adjacency
-    diagonal = np.eye(dims.num_nodes, dtype=bool)
-    if mode is DMode.STRICT:
-        d_ok = diagonal
-    elif mode is DMode.EDGE_SPARSE:
-        d_ok = diagonal | edges
-    else:
+    if real.num_nodes != graph.num_nodes:
+        raise InputError(f"realization has {real.num_nodes} nodes, graph has {graph.num_nodes}")
+    if not isinstance(mode, DMode):
         raise InputError(f"unknown D mode {mode!r}")
-
-    occ = real.occupancy
+    occ, edges = real.occupancy, graph.edges
     violations = [
-        Violation(name, (int(i), int(j)), float(grid[i, j]))
-        for name, grid, allowed in (
-            ("A", occ.A, edges), ("B", occ.B, diagonal),
-            ("C", occ.C, edges), ("D", occ.D, d_ok))
-        for i, j in zip(*np.nonzero((grid > 0) & ~allowed))
+        Violation(name, (i, j), top)
+        for name, blocks, diagonal, on_edges in (
+            ("A", occ.A, False, True), ("B", occ.B, True, False),
+            ("C", occ.C, False, True), ("D", occ.D, True, mode is DMode.EDGE_SPARSE))
+        for i, j, top in zip(*(part.tolist() for part in blocks))
+        if not ((diagonal and i == j) or (on_edges and (i, j) in edges))
     ]
     return CompatibilityReport(not violations, tuple(violations))
 

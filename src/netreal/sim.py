@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import node_major_indices
 from .errors import InputError, NumericalError
 from .graphs import NetworkGraph, _as_counts, _as_floats, _as_int, _node_slice, partition_slices
-from .realization import BlockRealization, DMode, check_compatibility
+from .realization import BlockRealization, DMode, _node_blocks, check_compatibility
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,11 +194,16 @@ def _plan(real: BlockRealization) -> _Plan:
     n, m, p = real.n, real.m, real.p
     states, inputs, outputs = (np.array(c, dtype=np.intp)
                                for c in (dims.states, dims.inputs, dims.outputs))
-    # Each node's columns of [A B; C D], node after node: source j < count
-    # stands for node j's states, source count + k for node k's inputs.
-    node, source = np.nonzero(np.hstack([(occ.A > 0) | (occ.C > 0), (occ.B > 0) | (occ.D > 0)]))
+    # Each node's columns of [A B; C D], node after node: the union of the block lists,
+    # listed on a grid of one row per node and one column per source, where source
+    # j < count stands for node j's states and count + k for node k's inputs.
+    count = len(states)
+    node, source, *_ = _node_blocks(
+        np.concatenate([occ.A.rows, occ.C.rows, occ.B.rows, occ.D.rows]),
+        np.concatenate([occ.A.cols, occ.C.cols, count + occ.B.cols, count + occ.D.cols]),
+        np.ones(count, dtype=np.intp), np.ones(2 * count, dtype=np.intp))
     col_count = np.concatenate([states, inputs])[source]
-    width = np.bincount(node, col_count, len(states)).astype(np.intp)
+    width = np.bincount(node, col_count, count).astype(np.intp)
     cols = _ranges(np.concatenate([_starts(states), n + _starts(inputs)])[source], col_count)
     # Each node's rows of [A B; C D], node after node: its states, then its outputs.
     height = states + outputs
@@ -214,7 +219,7 @@ def _plan(real: BlockRealization) -> _Plan:
     slot = np.where(active, group_rows[group], states)
     span = np.where(active, group_cols[group], 0)
     frame_order = np.argsort(group, kind="stable")
-    slot_at, span_at = np.empty((2, len(states)), dtype=np.intp)
+    slot_at, span_at = np.empty((2, count), dtype=np.intp)
     slot_at[frame_order] = _starts(slot[frame_order])
     span_at[frame_order] = _starts(span[frame_order])
     first_input = int(slot.sum())

@@ -85,7 +85,7 @@ except ImportError:
 
 from .errors import InputError
 from .graphs import NetworkGraph, NodeDims, _as_counts, _as_floats, _as_int, build_graph
-from .realization import BlockRealization
+from .realization import BlockRealization, _node_blocks
 from .sim import SignalTrajectory, _coerce_signal
 
 
@@ -229,18 +229,14 @@ def _nonzero_blocks(matrix: np.ndarray, dims: NodeDims, axes: tuple[str, str]) -
     """``[i, j, rows]`` for each block of ``matrix`` with an entry whose bits are not all zero.
 
     ``axes`` are the dims keys that partition its rows and its columns.
-    Blocks are sorted by ``(i, j)``.  The test is on bits, not values, so
-    a block of ``-0.0`` is listed.  Cost grows with the number of such
-    entries and blocks, plus one pass over ``matrix``.
+    Blocks are sorted by ``(i, j)`` (:func:`realization._node_blocks`).  The
+    test is on bits, not values, so a block of ``-0.0`` is listed.  Cost grows
+    with such entries and blocks, plus one pass over ``matrix``.
     """
     (row_counts, row_slices), (col_counts, col_slices) = (_axis(dims, axis) for axis in axes)
-    rows, cols = np.nonzero(matrix.view(np.uint64))
-    num_cols = len(col_counts)
-    row_node = np.repeat(np.arange(len(row_counts)), row_counts)
-    col_node = np.repeat(np.arange(num_cols), col_counts)
-    keys = np.unique(row_node[rows] * num_cols + col_node[cols])
+    rows, cols, *_ = _node_blocks(*np.nonzero(matrix.view(np.uint64)), row_counts, col_counts)
     return [[i, j, matrix[row_slices[i], col_slices[j]].tolist()]
-            for i, j in zip(*(part.tolist() for part in np.divmod(keys, num_cols)))]
+            for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def system_to_obj(

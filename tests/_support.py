@@ -565,6 +565,43 @@ def oracle_violations(real, graph, mode):
     return found
 
 
+def oracle_occupancy_grid(matrix, row_counts, col_counts):
+    """Dense node grid: entry ``(i, j)`` is the largest ``|matrix[r, c]|`` over block ``(i, j)``.
+
+    A block without a nonzero entry, an empty one included, reads 0.
+    """
+    rows, cols = np.nonzero(matrix)
+    grid = np.zeros((len(row_counts), len(col_counts)))
+    row_node = np.repeat(np.arange(len(row_counts)), row_counts)
+    col_node = np.repeat(np.arange(len(col_counts)), col_counts)
+    np.maximum.at(grid, (row_node[rows], col_node[cols]), np.abs(matrix[rows, cols]))
+    return grid
+
+
+def oracle_dense_violations(real, graph, mode):
+    """``(matrix, (i, j), max_abs)`` from dense occupancy grids under dense N x N masks.
+
+    ``np.nonzero`` of each masked grid, A, B, C, D in turn, so row-major.
+    """
+    count = graph.num_nodes
+    edges = np.zeros((count, count), dtype=bool)
+    for i, j in graph.edges:
+        edges[i, j] = True
+    diagonal = np.eye(count, dtype=bool)
+    d_ok = diagonal | edges if mode is DMode.EDGE_SPARSE else diagonal
+    dims = real.dims
+    found = []
+    for name, matrix, rows, cols, allowed in (
+            ("A", real.A, dims.states, dims.states, edges),
+            ("B", real.B, dims.states, dims.inputs, diagonal),
+            ("C", real.C, dims.outputs, dims.states, edges),
+            ("D", real.D, dims.outputs, dims.inputs, d_ok)):
+        grid = oracle_occupancy_grid(matrix, rows, cols)
+        found += [(name, (int(i), int(j)), float(grid[i, j]))
+                  for i, j in zip(*np.nonzero((grid > 0) & ~allowed))]
+    return found
+
+
 def oracle_block_diagonal_d(real):
     """True iff every off-diagonal block of D is exactly zero."""
     return not any(np.any(blk) for (i, j), blk in oracle_blocks(real)["D"].items() if i != j)

@@ -45,6 +45,7 @@ from netreal import (
     write_trajectory,
 )
 from netreal.cli import main
+from netreal.graphs import _MAX_TOTAL
 from netreal.sysio import (
     _MATRIX_AXES,
     Report,
@@ -880,7 +881,10 @@ def test_cli_inputs_sized_beyond_memory_exit_2(tmp_path):
 
     The block form of a matrix needs no case of its own: it sizes no
     allocation beyond ``dims``.  Its matrix is the one ``dims`` gives,
-    and every block must match the counts of its two nodes.
+    and every block must match the counts of its two nodes.  A
+    ``--points`` count whose points no array can hold is refused by the
+    argument parser.  60000 nodes without states or channels do fit:
+    no check forms an N x N node grid, so they pass.
     """
     huge = str(tmp_path / "huge.json")
     Path(huge).write_text(json.dumps({
@@ -894,7 +898,7 @@ def test_cli_inputs_sized_beyond_memory_exit_2(tmp_path):
         build_graph(1, [(0, 0)]))
     u_csv = str(tmp_path / "u.csv")
     Path(u_csv).write_text("u99999999999_0\n1.0\n")
-    # Small on disk, but its N x N adjacency grid does not fit under the cap.
+    # Small on disk; an N x N node grid of it would not fit under the cap.
     many = str(tmp_path / "many.json")
     Path(many).write_text(json.dumps({
         "graph": {"num_nodes": 60000, "edges": [[0, 0]]},
@@ -907,13 +911,27 @@ def test_cli_inputs_sized_beyond_memory_exit_2(tmp_path):
         ["compose", "--op", "add", huge, huge],
         ["simulate", huge, "--input", u_json],
         ["simulate", scalar, "--input", u_csv],
-        ["check", many],
-        ["compose", "--op", "add", many, many],
     ):
         done = subprocess.run([sys.executable, "-c", _UNDER_2_GIB, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 2, (argv, done.stderr)
         assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
+    for points in ("4611686018427387904", "99999999999999999999999"):
+        argv = ["compose", "--op", "add", scalar, scalar, "--points", points]
+        done = subprocess.run([sys.executable, "-c", _UNDER_2_GIB, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, (argv, done.stderr)
+        errors = [line for line in done.stderr.splitlines() if "error:" in line]
+        assert errors == [done.stderr.splitlines()[-1]], done.stderr
+        assert f"argument --points: num_points must be below {2 * (_MAX_TOTAL // 2)}, got {points}" \
+            in errors[0], done.stderr
+    for argv in (["check", many], ["compose", "--op", "add", many, many]):
+        done = subprocess.run([sys.executable, "-c", _UNDER_2_GIB, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, ""), (argv, done.stderr)
+        lines = done.stdout.splitlines()
+        assert lines[-1] == "overall: PASS" and len(lines) >= 4, done.stdout
+        assert all(line.startswith("  [PASS] ") for line in lines[1:-1]), done.stdout
 
 
 def test_cli_deep_nesting_exits_2(tmp_path):

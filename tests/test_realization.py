@@ -29,6 +29,7 @@ from netreal import (
 )
 from netreal.loops import _identity_deviations, _loop_inverse, close_loop
 from netreal.graphs import strongly_connected_components
+from netreal.sysio import _MATRIX_AXES, _nonzero_blocks
 from netreal.realization import (
     POLE_COND_LIMIT,
     _certified_inverse,
@@ -46,7 +47,9 @@ from _support import (
     oracle_block_transfer,
     oracle_component_bound,
     oracle_components,
+    oracle_dense_violations,
     oracle_detectable,
+    oracle_occupancy_grid,
     oracle_pbh,
     oracle_spectrum,
     oracle_stabilizable,
@@ -203,12 +206,80 @@ def test_block_occupancy_of_zero_width_and_empty_blocks():
     a[0, 2] = -4.0
     a[1, 0] = 0.5
     real = BlockRealization(dims, A=a, B=[[0.0, 0.0], [0.0, -3.0], [0.0, 0.0]])
-    assert np.array_equal(real.occupancy.A, [[0.5, 0.0, 4.0], [0.0] * 3, [0.0] * 3])
-    assert np.array_equal(real.occupancy.B, [[0.0, 3.0, 0.0], [0.0] * 3, [0.0] * 3])
-    assert real.occupancy.C.shape == (3, 3) and not real.occupancy.C.any()
+    listed = {name: [part.tolist() for part in blocks]
+              for name, blocks in zip("ABCD", real.occupancy)}
+    assert listed["A"] == [[0, 0], [0, 2], [0.5, 4.0]]
+    assert listed["B"] == [[0], [1], [3.0]]
+    assert listed["C"] == listed["D"] == [[], [], []]
     assert real.occupancy is real.occupancy
-    with pytest.raises(ValueError):
-        real.occupancy.A[0, 0] = 1.0
+    for blocks in real.occupancy:
+        for part in blocks:
+            with pytest.raises(ValueError):
+                part[:1] = 1
+
+
+def _with_negative_zeros(rng, real):
+    """Copy of ``real`` with some entries of each matrix set to ``-0.0``.
+
+    In each matrix one random node block is cleared first, so a block may
+    hold ``-0.0`` and nothing else.
+    """
+    dims = real.dims
+    mats = []
+    for matrix, rows, cols in (
+            (real.A, dims.state_slices, dims.state_slices),
+            (real.B, dims.state_slices, dims.input_slices),
+            (real.C, dims.output_slices, dims.state_slices),
+            (real.D, dims.output_slices, dims.input_slices)):
+        matrix = matrix.copy()
+        i, j = rng.integers(0, dims.num_nodes, 2)
+        matrix[rows[i], cols[j]] = 0.0
+        matrix[rng.random(matrix.shape) < 0.2] = -0.0
+        mats.append(matrix)
+    return BlockRealization(dims, *mats)
+
+
+def test_block_lists_match_dense_grid_oracles(rng):
+    """The node block lists against the dense N x N grids and masks they replace.
+
+    Over generated systems with zero-width nodes, graphs without
+    self-loops, forbidden entries and planted ``-0.0`` entries:
+    ``occupancy`` lists exactly the blocks whose dense max-magnitude grid
+    is positive, row-major, with the same magnitudes; the writer lists
+    the blocks with a nonzero bit, ``-0.0`` ones too; and
+    ``check_compatibility`` gives the dense-mask violations in order.
+    """
+    zero_width = no_self_loops = negative_zero_blocks = violating = 0
+    for k in range(120):
+        graph = random_graph(rng, int(rng.integers(1, 7)), self_loops=k % 2 == 0)
+        dims = random_dims(rng, graph.num_nodes, max_states=int(rng.integers(0, 4)))
+        mode = DMode.EDGE_SPARSE if k % 3 == 0 else DMode.STRICT
+        real = random_system(rng, graph, dims, mode=mode, rho=0.8)
+        if k % 4:
+            real = with_forbidden_entries(rng, real)
+        real = _with_negative_zeros(rng, real)
+        zero_width += 0 in dims.states + dims.inputs + dims.outputs
+        no_self_loops += k % 2
+        for (name, axes), blocks in zip(_MATRIX_AXES.items(), real.occupancy):
+            matrix = getattr(real, name)
+            counts = [{"n": dims.states, "m": dims.inputs, "p": dims.outputs}[a] for a in axes]
+            grid = oracle_occupancy_grid(matrix, *counts)
+            rows, cols = np.nonzero(grid > 0)
+            assert (blocks.rows.tolist(), blocks.cols.tolist()) == (rows.tolist(), cols.tolist())
+            assert blocks.top.tobytes() == grid[rows, cols].tobytes()
+            bits = oracle_occupancy_grid((matrix.view(np.uint64) != 0).astype(float), *counts)
+            written = [(i, j) for i, j, _ in _nonzero_blocks(matrix, dims, axes)]
+            assert written == list(zip(*(part.tolist() for part in np.nonzero(bits))))
+            negative_zero_blocks += int(np.count_nonzero((bits > 0) & (grid == 0)))
+        for check_mode in DMode:
+            found = check_compatibility(real, graph, check_mode)
+            expected = oracle_dense_violations(real, graph, check_mode)
+            got = [(v.matrix, v.block, v.max_abs) for v in found.violations]
+            assert got == expected
+            assert np.array([v[2] for v in got]).tobytes() == np.array(
+                [v[2] for v in expected]).tobytes()
+            violating += bool(expected)
+    assert zero_width and no_self_loops and negative_zero_blocks and violating
 
 
 def test_node_count_mismatch_rejected(river):
@@ -476,12 +547,13 @@ def _spectrum_cases(rng):
 
 def test_components_match_transitive_closure_oracle(rng):
     for real in _spectrum_cases(rng):
-        components = strongly_connected_components(real.occupancy.A > 0)
+        blocks = list(zip(real.occupancy.A.rows.tolist(), real.occupancy.A.cols.tolist()))
+        components = strongly_connected_components(real.num_nodes, blocks)
         assert sorted(components) == sorted(oracle_components(real))
         # Each component reads only itself and components listed before it.
         position = {node: k for k, comp in enumerate(components) for node in comp}
-        for i, j in zip(*np.nonzero(real.occupancy.A)):
-            assert position[int(j)] <= position[int(i)]
+        for i, j in blocks:
+            assert position[j] <= position[i]
 
 
 def test_eigenvalues_match_per_component_oracle(rng):
@@ -1321,6 +1393,17 @@ def test_transfer_equal_rejects_shape_mismatch(river):
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(InputError, match="rel_tol must be finite and nonnegative"):
             transfer_equal(real, bumped, rel_tol=bad)
+
+
+def test_transfer_equal_refuses_counts_that_are_not_integers_or_too_large(river):
+    """A count is an integer, never a bool, and its points must fit one complex array."""
+    real, _ = river
+    for bad in (2.5, "4", True):
+        with pytest.raises(InputError, match="num_points must be an integer"):
+            transfer_equal(real, real, num_points=bad)
+    with pytest.raises(InputError, match="num_points must be below"):
+        transfer_equal(real, real, num_points=2**62)
+    assert transfer_equal(real, real, num_points=np.int64(3)).equal
 
 
 def test_random_compatible_generator_is_bitwise_clean(rng):
