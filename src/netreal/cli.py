@@ -46,7 +46,7 @@ from .realization import (
     pbh_stabilizable,
     scaled_deviation,
 )
-from .sim import simulate_distributed, simulate_lti
+from .sim import _simulate
 from .sysio import (
     Report,
     json_text,
@@ -218,11 +218,10 @@ def _cmd_simulate(args) -> int:
         except ValueError:
             raise InputError(
                 f"--x0 must be comma-separated numbers, got {args.x0!r}") from None
+    # Only the outputs are written, so the run builds no state trajectory.
+    y, _, messages = _simulate(real, u, x0, graph if args.distributed else None, states=False)
     if args.distributed:
-        y, _, messages = simulate_distributed(real, graph, u, x0)
         print(f"messages: {messages}", file=sys.stderr)
-    else:
-        y, _ = simulate_lti(real, u, x0)
     if args.out:
         write_trajectory(args.out, y)
     else:

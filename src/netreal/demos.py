@@ -32,7 +32,7 @@ from .realization import (
     pbh_stabilizable,
     transfer_equal,
 )
-from .sim import SignalTrajectory, simulate_lti
+from .sim import SignalTrajectory, _simulate
 from .sysio import Report, read_system
 
 _PACKAGED = ("river", "river_bar", "river_q", "remark1_g1", "remark1_g2")
@@ -102,7 +102,7 @@ def run_demo_river(
             np.ones((steps, plant.p)), plant.dims.outputs, "r")
         _, y, prediction_error = simulate_imc_loop(plant, plant, q, reference)
         _, ideal = ideal_maps(plant, q)
-        y_ref, _ = simulate_lti(ideal, reference)
+        y_ref, _, _ = _simulate(ideal, reference, states=False)
         loop_dev = float(np.max(np.abs(y.values - y_ref.values)))
         error_zero = bool(np.all(prediction_error.values == 0.0))
         report.add(

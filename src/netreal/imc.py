@@ -48,7 +48,7 @@ import numpy as np
 from .algebra import _node_major, _part_positions, multiply, node_major_indices
 from .loops import _check_pair
 from .realization import BlockRealization
-from .sim import SignalTrajectory, _coerce_signal, simulate_lti
+from .sim import SignalTrajectory, _coerce_signal, _simulate
 
 
 def imc_controller(plant: BlockRealization, q: BlockRealization) -> BlockRealization:
@@ -122,7 +122,8 @@ def simulate_imc_loop(
 
     The loop is built as one realization from ``(reference,
     disturbance)`` to ``(u, y, prediction_error)``, whose equations the
-    module docstring gives, and run by :func:`~netreal.sim.simulate_lti`.
+    module docstring gives, and run as :func:`~netreal.sim.simulate_lti`
+    runs it, without building the loop's state trajectory.
     Returns ``(u, y, prediction_error)`` where the prediction error is
     the model output minus the measured output.  When the model's
     matrices equal the plant's it is exactly minus the disturbance, so
@@ -139,14 +140,17 @@ def simulate_imc_loop(
     output_disturbance = _coerce_signal(output_disturbance, outputs, "disturbance", steps)
 
     loop = _imc_loop(plant, model, q)
-    inputs = np.hstack([reference.values, output_disturbance.values])
-    out, _ = simulate_lti(loop, inputs[:, node_major_indices(outputs, outputs)])
-    us, ys, errs = (out.values[:, at]
+    # Each array below is a fresh gather of finite values, so the trajectories keep it.
+    inputs = np.hstack([reference.values, output_disturbance.values]).take(
+        node_major_indices(outputs, outputs), axis=1)
+    out, _, _ = _simulate(
+        loop, SignalTrajectory._owned(inputs, loop.dims.inputs, "input"), states=False)
+    us, ys, errs = (out.values.take(at, axis=1)
                     for at in _part_positions((plant.dims.inputs, outputs, outputs)))
     return (
-        SignalTrajectory(us, plant.dims.inputs, "u"),
-        SignalTrajectory(ys, plant.dims.outputs, "y"),
-        SignalTrajectory(errs, plant.dims.outputs, "prediction_error"),
+        SignalTrajectory._owned(us, plant.dims.inputs, "u"),
+        SignalTrajectory._owned(ys, plant.dims.outputs, "y"),
+        SignalTrajectory._owned(errs, plant.dims.outputs, "prediction_error"),
     )
 
 

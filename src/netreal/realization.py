@@ -108,6 +108,16 @@ def _node_blocks(rows: np.ndarray, cols: np.ndarray, row_counts, col_counts):
     return i, j, order, starts
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of nonnegative ``values``, ascending, as ``np.unique`` gives them.
+
+    One sort and a neighbour comparison, as in :func:`_node_blocks`, so no
+    first ``np.unique`` call imports ``numpy.ma``.
+    """
+    values = np.sort(values)
+    return values[np.diff(values, prepend=-1) != 0]
+
+
 #: Row node, column node and largest magnitude of each nonzero node block of a matrix.
 NodeBlocks = NamedTuple("NodeBlocks", [(name, np.ndarray) for name in ("rows", "cols", "top")])
 
@@ -272,7 +282,7 @@ class BlockRealization:
         for k, states in enumerate(components):
             owner[states] = k
         rows, cols = np.nonzero(self.A)
-        readers, read = np.divmod(np.unique(owner[rows] * count + owner[cols]), count)
+        readers, read = np.divmod(_distinct(owner[rows] * count + owner[cols]), count)
         pairs = [(i, l) for i, l in zip(readers.tolist(), read.tolist()) if i != l]
         by_size = tuple(_by_size(components))
         # Where each component sits: its size group and its place in that stack.
@@ -365,7 +375,7 @@ class _BoundTerms(NamedTuple):
 def _by_size(blocks: Sequence[np.ndarray]):
     """``(members, states)`` per block size: the positions of the blocks of that size, stacked."""
     sizes = np.array([len(states) for states in blocks])
-    for size in np.unique(sizes):
+    for size in _distinct(sizes):
         members = np.flatnonzero(sizes == size)
         yield members, np.stack([blocks[k] for k in members])
 

@@ -15,7 +15,17 @@ proves that every planned read is an in-neighbor's state or the node's
 own input, and then runs the same plan.  So the two runs do the same
 arithmetic in the same order, and agree under array equality by
 construction.  :func:`netreal.imc.simulate_imc_loop` runs the
-internal-model loop through :func:`simulate_lti`.
+internal-model loop as :func:`simulate_lti` does.
+
+A run holds each trajectory once.  Its frame, ``steps + 1`` rows of
+every node's slot and the inputs, is the only working array; the
+output and state trajectories are gathered from it once and kept
+without a second copy or a second finiteness pass.  Both simulators
+run :func:`_simulate`, which gathers the states only for a caller that
+returns them: ``netreal simulate``, the internal-model loop and the
+river demo read outputs alone, so they hold the frame and one copy
+each of the inputs and outputs.  Divergence is read off the frame's
+rows, so such a run raises :class:`NumericalError` at the same step.
 """
 
 from __future__ import annotations
@@ -63,6 +73,21 @@ class SignalTrajectory:
         object.__setattr__(self, "partition", partition)
 
     @classmethod
+    def _owned(cls, values: np.ndarray, partition: tuple[int, ...],
+               name: str) -> "SignalTrajectory":
+        """A trajectory that keeps ``values`` itself: no copy and no check.
+
+        Only for an array the library has just made and checked: float64,
+        2-D, owning its data, finite and as wide as ``partition``, a tuple
+        of counts.  ``values`` is made read-only here.
+        """
+        values.setflags(write=False)
+        signal = object.__new__(cls)
+        for key, value in (("values", values), ("partition", partition), ("name", name)):
+            object.__setattr__(signal, key, value)
+        return signal
+
+    @classmethod
     def zeros(cls, partition, length: int, name: str = "signal") -> "SignalTrajectory":
         partition = _as_counts(partition, "partition")
         length = _as_int(length, "length")
@@ -106,11 +131,16 @@ def _coerce_state(real: BlockRealization, x0) -> np.ndarray:
     return x
 
 
+#: Rows of a trace :func:`_check_finite` tests at once, so its mask stays small.
+_FINITE_ROWS = 1024
+
+
 def _check_finite(*traces: np.ndarray) -> None:
     """Raise :class:`NumericalError` at the first step where a trace is non-finite."""
     bad = np.zeros(len(traces[0]), dtype=bool)
     for trace in traces:
-        bad |= ~np.isfinite(trace).all(axis=1)
+        for at in range(0, len(trace), _FINITE_ROWS):
+            bad[at:at + _FINITE_ROWS] |= ~np.isfinite(trace[at:at + _FINITE_ROWS]).all(axis=1)
     if bad.any():
         raise NumericalError(
             f"simulation diverged: non-finite values at step {int(np.argmax(bad))}")
@@ -247,10 +277,20 @@ def _plan(real: BlockRealization) -> _Plan:
     return _Plan(tuple(groups), zero + 1, state_at, output_at, first_input)
 
 
-def _run(
-    real: BlockRealization, u: SignalTrajectory, x: np.ndarray
-) -> tuple[SignalTrajectory, SignalTrajectory]:
-    """Step loop shared by both simulators: one product per node per step.
+def _state_trace(frame: np.ndarray, plan: _Plan, steps: int) -> np.ndarray:
+    """The states ``x[0] .. x[steps - 1]`` of a run's frame, one row per step."""
+    return frame[:steps].take(plan.states, axis=1)
+
+
+def _simulate(real: BlockRealization, u, x0=None, graph: NetworkGraph | None = None,
+              states: bool = True) -> tuple[SignalTrajectory, SignalTrajectory | None, int]:
+    """The one run behind both simulators, one product per node per step: ``(y, x, messages)``.
+
+    With a ``graph`` it is :func:`simulate_distributed`'s: strict
+    compatibility is checked first, and ``messages`` counts one per
+    non-self edge per step; without one it is :func:`simulate_lti`'s and
+    ``messages`` is 0.  ``x`` is None unless ``states``, so a caller that
+    reads only the outputs never builds the state trajectory.
 
     Row ``t`` of a flat frame holds every node's state ``x[t]`` and output
     ``y[t - 1]`` in its slot, then the input ``u[t]``, then a zero that
@@ -261,7 +301,17 @@ def _run(
     output, into row ``t + 1`` in one slice.  So node ``i`` computes
     ``[x_i[t+1]; y_i[t]] = [A_i B_i; C_i D_i] [x_sources[t]; u_sources[t]]``
     as one matrix-vector product over its concatenated planned blocks.
+    Each trajectory is gathered from the frame once and kept without a
+    second copy.
     """
+    if graph is not None:
+        report = check_compatibility(real, graph, DMode.STRICT)
+        if not report.ok:
+            worst = ", ".join(report.violation_labels[:4])
+            raise InputError(
+                f"realization is not strictly compatible with the graph ({worst})")
+    u = _coerce_signal(u, real.dims.inputs, "input")
+    x = _coerce_state(real, x0)
     plan = _plan(real)
     steps = u.length
     frame = np.zeros((steps + 1, plan.width))
@@ -271,13 +321,17 @@ def _run(
         for now, after in zip(frame[:-1], frame[1:]):
             for blocks, take, rows in plan.groups:
                 after[rows] = np.matmul(blocks, now.take(take)[:, :, None]).ravel()
-    xs = frame[:steps, plan.states]
-    ys = frame[1:, plan.outputs]
-    _check_finite(xs, ys)
-    return (
-        SignalTrajectory(ys, real.dims.outputs, "y"),
-        SignalTrajectory(xs, real.dims.states, "x"),
-    )
+    ys = frame[1:].take(plan.outputs, axis=1)
+    # Row t holds x[t], y[t - 1], finite inputs and padding, which is 0
+    # times row t - 1's states; so the first step with a non-finite row
+    # here or in ys is the first with a non-finite x[t] or y[t], whether
+    # or not the states are returned.
+    _check_finite(frame[:steps], ys)
+    xs = None
+    if states:
+        xs = SignalTrajectory._owned(_state_trace(frame, plan, steps), real.dims.states, "x")
+    messages = 0 if graph is None else steps * graph.num_non_self_edges
+    return SignalTrajectory._owned(ys, real.dims.outputs, "y"), xs, messages
 
 
 def simulate_lti(
@@ -291,9 +345,8 @@ def simulate_lti(
     (:func:`_plan`), the same one :func:`simulate_distributed` runs.
     Raises :class:`~netreal.errors.NumericalError` if the run diverges.
     """
-    u = _coerce_signal(u, real.dims.inputs, "input")
-    x = _coerce_state(real, x0)
-    return _run(real, u, x)
+    y, xs, _ = _simulate(real, u, x0)
+    return y, xs
 
 
 def simulate_distributed(
@@ -313,12 +366,4 @@ def simulate_distributed(
     step, is ``steps * number of non-self edges``, whether or not an
     edge's blocks hold a nonzero.
     """
-    report = check_compatibility(real, graph, DMode.STRICT)
-    if not report.ok:
-        worst = ", ".join(report.violation_labels[:4])
-        raise InputError(
-            f"realization is not strictly compatible with the graph ({worst})")
-    u = _coerce_signal(u, real.dims.inputs, "input")
-    x = _coerce_state(real, x0)
-    y, xs = _run(real, u, x)
-    return y, xs, u.length * graph.num_non_self_edges
+    return _simulate(real, u, x0, graph)

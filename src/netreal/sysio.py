@@ -64,7 +64,10 @@ every other row by ``repr``.  :func:`trajectory_from_csv` hands the
 lines after the header to ``orjson.loads`` when they hold only digits,
 ``e E . , + -`` and line breaks, no integer literal ``-0``, and rows of
 the header's width that orjson accepts; any other text goes to the csv
-reader, so each value and refusal is the one it gives.
+reader, so each value and refusal is the one it gives.  The csv reader
+takes the text a line at a time, so reading holds no second copy of
+it.  A text that starts with a byte order mark is refused, as a JSON
+file that does is.
 """
 
 from __future__ import annotations
@@ -515,13 +518,26 @@ def _orjson_rows(text: str, start: int, width: int) -> list | None:
     return rows
 
 
+def _text_lines(text: str):
+    """The lines of ``text``, each with its line break, as ``io.StringIO`` gives them.
+
+    One line at a time, so no copy of the whole text is made.
+    """
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
+
+
 def _csv_rows(text: str):
     """The csv reader's rows of ``text``; text it refuses raises InputError.
 
     The reader refuses a field over its size limit (131072 characters)
-    and a line break inside an unquoted field.
+    and a line break inside an unquoted field.  It takes the text a line
+    at a time (:func:`_text_lines`).
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_text_lines(text))
     try:
         yield from reader
     except csv.Error as exc:
@@ -544,10 +560,13 @@ def trajectory_from_csv(text: str, partition) -> SignalTrajectory:
     quote, a space, ``nan``, ``+1``, ``.5``, a blank line or a ragged row,
     is read by the csv reader, so each value and refusal is the one it
     gives without orjson.  Text the csv reader refuses (:func:`_csv_rows`)
-    raises InputError naming its line.
+    raises InputError naming its line, and a text that starts with a byte
+    order mark raises InputError too.  No path copies the whole text.
     """
     partition = _as_counts(partition, "partition")
     width = sum(partition)
+    if text.startswith("\ufeff"):
+        raise InputError("trajectory CSV starts with a UTF-8 byte order mark; save it without one")
     reader = _csv_rows(text)
     header = next(reader, None)
     if header is None or (width and not header):

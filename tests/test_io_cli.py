@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import netreal.realization
+import netreal.sim
 import netreal.sysio as sysio
 from netreal import (
     BlockRealization,
@@ -484,6 +485,42 @@ def test_trajectory_csv_header_diagnostics():
     ]:
         with pytest.raises(InputError, match=message):
             trajectory_from_csv(text, partition)
+
+
+def test_csv_byte_order_mark_is_refused(json_paths):
+    """A CSV trajectory that starts with a byte order mark is refused as such, on both paths.
+
+    Read as text, the mark would join the first label: one column would
+    name the signal ``'\\ufeffu'``, two would be refused for a label
+    that does not match.
+    """
+    for _ in json_paths:
+        for text, partition in (("\ufeffu0_0\n1\n", (1,)), ("\ufeffu0_0,u1_0\n1,2\n", (1, 1)),
+                                ('\ufeff"u0_0"\n1\n', (1,)), ("\ufeff\n\n", (0,))):
+            with pytest.raises(InputError, match="starts with a UTF-8 byte order mark"):
+                trajectory_from_csv(text, partition)
+
+
+def test_csv_read_peaks_below_four_bytes_per_character(json_paths):
+    """Reading a long CSV allocates less than 4 bytes per character of its text.
+
+    A copy of the text in ``io.StringIO``, 4 bytes a character, would
+    alone reach the bound.  The values are ``repr`` of normal draws, 19
+    to 23 characters with their separator.
+    """
+    import tracemalloc
+
+    values = np.random.default_rng(9).normal(size=(20000, 6))
+    text = trajectory_to_csv(SignalTrajectory(values, (2, 0, 4), "u"))
+    for path in json_paths:
+        tracemalloc.start()
+        try:
+            back = trajectory_from_csv(text, (2, 0, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.values.tobytes() == values.tobytes()
+        assert peak < 4 * len(text), (path, peak / len(text))
 
 
 #: A field longer than the csv reader's limit of 131072 characters.
@@ -1329,6 +1366,32 @@ def test_cli_sampling_failure_names_the_refusal(tmp_path, capsys):
     assert err.startswith("error: no usable sample point") and "cond" in err
 
 
+_MODULES_AFTER = """
+import sys
+from netreal.cli import main
+code = main(sys.argv[1:])
+print("numpy.ma" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_check_and_compose_leave_numpy_ma_unimported():
+    """``netreal check`` and ``compose --op add`` on river_bar never import ``numpy.ma``.
+
+    The first ``np.unique`` call imports it, which grew a fresh process's
+    peak RSS by about 1.5 MB; the spectra and the pole-guard bounds list
+    distinct values with a sort instead.  Each command runs in a fresh
+    interpreter.
+    """
+    path = str(resources.files("netreal").joinpath("data", "river_bar.json"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["check", path], ["compose", "--op", "add", path, path]):
+        done = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "False\n"), (argv, done.stderr)
+
+
 def test_cli_sampling_memory_does_not_grow_with_the_points(tmp_path, capsys):
     """``--points 20001`` peaks under tracemalloc within 64 bytes per evaluated point of ``--points 5``.
 
@@ -1361,6 +1424,49 @@ def test_cli_sampling_memory_does_not_grow_with_the_points(tmp_path, capsys):
             tracemalloc.stop()
         assert "overall: PASS" in capsys.readouterr().out
     assert peaks[20001] - peaks[5] < 64 * 10001, peaks
+
+
+def test_cli_simulate_memory_grows_by_one_frame_and_the_signals_per_step(tmp_path, capsys):
+    """``netreal simulate`` holds each trajectory once: per step, its frame, u and y.
+
+    The plant has 6 nodes of 8 states, 1 input and 1 output on a chain.
+    The run's frame (:func:`netreal.sim._plan`) is ``W = 61`` values a
+    step, so between 2000 and 8000 steps the tracemalloc peak may grow
+    by ``8 (W + m + p) + 8`` bytes a step, 592: the frame, one copy each
+    of u and y, and a byte of the divergence check's step mask with room
+    to spare.  It grows by about 585 on CPython 3.11 with numpy 2.4, with
+    and without ``--distributed`` and orjson.  With the reader's
+    ``io.StringIO`` copy of its text, a state trajectory the command
+    never writes and second copies of both traces, it grew by about 1448;
+    a divergence mask over the whole frame adds ``W``.
+    """
+    import tracemalloc
+
+    count = 6
+    dims = NodeDims((8,) * count, (1,) * count, (1,) * count)
+    graph = build_graph(count, [(i, i) for i in range(count)]
+                        + [(i, i - 1) for i in range(1, count)])
+    rng = np.random.default_rng(5)
+    real = random_system(rng, graph, dims, rho=0.9)
+    width = netreal.sim._plan(real).width
+    assert width == 61
+    system, u_path, y_path = (str(tmp_path / f) for f in ("sys.json", "u.csv", "y.csv"))
+    write_system(system, real, graph)
+    per_step = 8 * (width + real.m + real.p + 1)
+    for extra in ([], ["--distributed"]):
+        peaks = {}
+        for steps in (100, 2000, 8000):
+            write_trajectory(u_path, SignalTrajectory(
+                rng.normal(size=(steps, real.m)), dims.inputs, "u"))
+            tracemalloc.start()
+            try:
+                assert main(["simulate", system, "--input", u_path, "-o", y_path, *extra]) == 0
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+        growth = (peaks[8000] - peaks[2000]) / 6000
+        assert growth <= per_step, (extra, growth, per_step)
 
 
 def test_cli_closeloop_and_imc(tmp_path, capsys):

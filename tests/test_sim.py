@@ -15,7 +15,11 @@ from netreal import (
     simulate_imc_loop,
     simulate_lti,
 )
+from netreal import sim
+from netreal.cli import main
+from netreal.demos import run_demo_river
 from netreal.sim import _coerce_state, _plan
+from netreal.sysio import write_system, write_trajectory
 from _support import (
     oracle_grid_node_major,
     oracle_imc_loop,
@@ -323,6 +327,109 @@ def test_kernel_reports_first_diverging_step_on_mixed_sizes():
             simulate_lti(real, u)
         with pytest.raises(NumericalError, match=f"step {first_bad}$"):
             simulate_distributed(real, graph, u)
+
+
+def _divergence_cases():
+    """Systems whose run diverges, each with a graph it is strictly compatible with.
+
+    The first is :func:`test_kernel_reports_first_diverging_step_on_mixed_sizes`'s.
+    In the second the states stay finite and ``C x`` overflows first.  In
+    the third the states of a node without outputs, which no node reads,
+    overflow: the output trace stays finite, and only the states show
+    the divergence.
+    """
+    dims = MIXED_DIMS
+    a = np.zeros((dims.n_total, dims.n_total))
+    a[:16, :16] = 10.0 * np.eye(16)
+    b = np.zeros((dims.n_total, dims.m_total))
+    b[:16, :2] = 1.0
+    c = np.zeros((dims.p_total, dims.n_total))
+    c[:3, :16] = 1.0
+    yield (BlockRealization(dims, a, b, c), build_graph(dims.num_nodes, [(0, 0), (2, 0), (3, 2)]))
+    pair = NodeDims((1, 2), (1, 1), (1, 1))
+    loops = build_graph(2, [(0, 0), (1, 1)])
+    yield (BlockRealization(pair, np.diag([0.5, 0.5, 0.5]), [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                            [[1.0, 0.0, 0.0], [0.0, 1e308, 1e308]]), loops)
+    silent = NodeDims((1, 2), (1, 1), (1, 0))
+    yield (BlockRealization(silent, np.diag([0.5, 10.0, 0.5]), [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                            [[1.0, 0.0, 0.0]]), loops)
+
+
+def test_cli_simulate_reports_the_library_diverging_step(tmp_path, capsys):
+    """``netreal simulate`` builds no state trajectory, yet fails at the library's step.
+
+    With and without ``--distributed`` it exits 1 with the message
+    :func:`simulate_lti` raises, step included.
+    """
+    system, u_path = str(tmp_path / "sys.json"), str(tmp_path / "u.csv")
+    for k, (real, graph) in enumerate(_divergence_cases()):
+        u = SignalTrajectory(np.ones((400, real.m)), real.dims.inputs, "u")
+        with pytest.raises(NumericalError, match=r"step \d+$") as info:
+            simulate_lti(real, u)
+        if k:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = _dense_states_finite(real, u.values)
+            assert finite == (k == 1), k
+        write_system(system, real, graph)
+        write_trajectory(u_path, u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for extra in ([], ["--distributed"]):
+                assert main(["simulate", system, "--input", u_path, *extra]) == 1, (k, extra)
+                err = capsys.readouterr().err
+                assert err.splitlines()[-1] == f"error: {info.value}", (k, extra, err)
+
+
+def _dense_states_finite(real, u):
+    """Whether every state of the dense recursion on ``u`` from rest stays finite."""
+    x = np.zeros(real.n)
+    for row in u:
+        x = real.A @ x + real.B @ row
+        if not np.isfinite(x).all():
+            return False
+    return True
+
+
+def test_output_only_callers_build_no_state_trajectory(tmp_path, capsys, monkeypatch,
+                                                       river, river_wide, river_q):
+    """``netreal simulate``, :func:`simulate_imc_loop` and the river demo read outputs only.
+
+    With the state trace made to raise, each still runs and gives the
+    bits it gives with it; the library simulators still return the
+    states, each array owned and read-only.
+    """
+    plant, _ = river
+    wide, graph = river_wide
+    rng = np.random.default_rng(3)
+    u = SignalTrajectory(rng.normal(size=(50, wide.m)), wide.dims.inputs, "u")
+    r = SignalTrajectory(rng.normal(size=(50, plant.p)), plant.dims.outputs, "r")
+    system, u_path = str(tmp_path / "sys.json"), str(tmp_path / "u.csv")
+    write_system(system, wide, graph)
+    write_trajectory(u_path, u)
+
+    def outcomes():
+        cli = []
+        for extra in ([], ["--distributed"]):
+            assert main(["simulate", system, "--input", u_path, *extra]) == 0
+            cli.append(capsys.readouterr())
+        loop = [t.values.tobytes() for t in simulate_imc_loop(plant, plant, river_q, r)]
+        return cli, loop, run_demo_river().to_obj()
+
+    want = outcomes()
+    y, x = simulate_lti(wide, u)
+    for values in (y.values, x.values):
+        assert values.flags.owndata and not values.flags.writeable
+    user = rng.normal(size=(4, wide.m))
+    assert not np.shares_memory(SignalTrajectory(user, wide.dims.inputs).values, user)
+
+    def refuse(*args):
+        raise AssertionError("the state trajectory was built")
+
+    monkeypatch.setattr(sim, "_state_trace", refuse)
+    assert outcomes() == want
+    assert want[2]["pass"]
+    with pytest.raises(AssertionError, match="state trajectory was built"):
+        simulate_lti(wide, u)
 
 
 def test_diverging_run_raises_numerical_error():
