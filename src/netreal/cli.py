@@ -49,10 +49,10 @@ from .realization import (
 from .sim import _simulate
 from .sysio import (
     Report,
+    _write_csv,
     json_text,
     read_system,
     read_trajectory,
-    trajectory_to_csv,
     trajectory_to_obj,
     write_json,
     write_system,
@@ -228,7 +228,7 @@ def _cmd_simulate(args) -> int:
         if args.json:
             print(json.dumps(trajectory_to_obj(y)))
         else:
-            sys.stdout.write(trajectory_to_csv(y))
+            _write_csv(sys.stdout, y)
     return 0
 
 

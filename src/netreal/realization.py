@@ -219,7 +219,7 @@ class BlockRealization:
             block_occupancy(self.D, d.outputs, d.inputs),
         )
 
-    @cached_property
+    @property
     def components(self) -> tuple[np.ndarray, ...]:
         """State indices of each strongly connected component of A, in order, read-only.
 
@@ -231,14 +231,38 @@ class BlockRealization:
         holds the states of one component, node by node and ascending;
         components without states are left out.
         """
+        return self._layout.states
+
+    @cached_property
+    def _layout(self) -> _Layout:
+        """The components (:attr:`components`) as the spectrum and the stacked pass read them.
+
+        From A's nonzero node blocks (:attr:`occupancy`) and one call for
+        their components: a coupled pair is a block between two components.
+        """
         slices = self.dims.state_slices
-        edges = zip(self.occupancy.A.rows.tolist(), self.occupancy.A.cols.tolist())
-        blocks = [np.concatenate([np.arange(slices[k].start, slices[k].stop) for k in nodes])
-                  for nodes in strongly_connected_components(self.num_nodes, edges)]
-        blocks = tuple(states for states in blocks if states.size)
-        for states in blocks:
-            states.setflags(write=False)
-        return blocks
+        blocks = self.occupancy.A
+        owner = np.zeros(self.num_nodes, dtype=int)
+        states = []
+        for nodes in strongly_connected_components(
+                self.num_nodes, zip(blocks.rows.tolist(), blocks.cols.tolist())):
+            part = np.concatenate([np.arange(slices[k].start, slices[k].stop) for k in nodes])
+            if part.size:
+                owner[nodes] = len(states)
+                part.setflags(write=False)
+                states.append(part)
+        count = len(states)
+        readers, read = np.divmod(_distinct(owner[blocks.rows] * count + owner[blocks.cols]), count)
+        sizes = np.array([len(part) for part in states], dtype=int)
+        starts = np.cumsum(sizes) - sizes
+        groups = []
+        for size in _distinct(sizes):
+            members = np.flatnonzero(sizes == size)
+            stacked = np.stack([states[k] for k in members])
+            groups.append((members, stacked, (starts[members, None] + np.arange(size)).ravel(),
+                           self.A[stacked[:, :, None], stacked[:, None, :]]))
+        return _Layout(tuple(states), tuple(zip(starts.tolist(), (starts + sizes).tolist())), tuple(groups),
+                       tuple((i, l) for i, l in zip(readers.tolist(), read.tolist()) if i != l))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -259,7 +283,7 @@ class BlockRealization:
             eigs = np.zeros(0, dtype=complex)
         else:
             try:
-                eigs = _blockwise_eigvals(self.A, self.components)
+                eigs = _blockwise_eigvals(self._layout)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
             if not np.isfinite(eigs).all():
@@ -272,21 +296,15 @@ class BlockRealization:
         """The parts of the stacked pass (:func:`_stacked_pass`) that do not depend on ``z``.
 
         Each coupling block ``A_il`` of one shape is gathered with one
-        fancy index over the states of its size groups.  With one
-        component there are no coupled pairs.  B and C are cast to
-        complex here, once, with C's columns in component order.
+        fancy index over the states of the layout's size groups
+        (:attr:`_layout`).  With one component there are no coupled
+        pairs.  B and C are cast to complex here, once, with C's columns
+        in component order.
         """
-        components = self.components
-        count = len(components)
-        owner = np.empty(self.n, dtype=int)
-        for k, states in enumerate(components):
-            owner[states] = k
-        rows, cols = np.nonzero(self.A)
-        readers, read = np.divmod(_distinct(owner[rows] * count + owner[cols]), count)
-        pairs = [(i, l) for i, l in zip(readers.tolist(), read.tolist()) if i != l]
-        by_size = tuple(_by_size(components))
+        layout = self._layout
+        pairs = layout.pairs
         # Where each component sits: its size group and its place in that stack.
-        slot = {k: (g, place) for g, (members, _) in enumerate(by_size)
+        slot = {k: (g, place) for g, (members, *_) in enumerate(layout.groups)
                 for place, k in enumerate(members.tolist())}
         by_shape: dict[tuple[int, int], list[int]] = {}
         for p, (i, l) in enumerate(pairs):
@@ -294,10 +312,9 @@ class BlockRealization:
         pair_groups = []
         for (g, h), members in by_shape.items():
             places = np.array([slot[pairs[p][0]][1] for p in members])
-            reader_states = by_size[g][1][places]
-            read_states = by_size[h][1][[slot[pairs[p][1]][1] for p in members]]
-            blocks = self.A[reader_states[:, :, None], read_states[:, None, :]]
-            pair_groups.append((g, places, blocks, np.array(members)))
+            reader = layout.groups[g][1][places]
+            read = layout.groups[h][1][[slot[pairs[p][1]][1] for p in members]]
+            pair_groups.append((g, places, self.A[reader[:, :, None], read[:, None, :]], np.array(members)))
         gammas = np.empty(len(pairs))
         # A norm that overflows reads inf, which certifies nothing.
         with np.errstate(over="ignore"):
@@ -307,60 +324,60 @@ class BlockRealization:
         # Complex, as the products with the complex inverses are then faster.
         pair_groups = tuple((g, places, blocks.astype(complex), members)
                             for g, places, blocks, members in pair_groups)
-        groups = tuple((members, _diagonal_blocks(self.A, states)) for members, states in by_size)
-        # Each component's rows among the states in component order.
-        sizes = [len(states) for states in components]
-        stops = np.cumsum(sizes).tolist()
-        starts = [stop - size for stop, size in zip(stops, sizes)]
-        state_rows = tuple(np.concatenate([np.arange(starts[k], stops[k]) for k in members])
-                           for members, _ in by_size)
-        inputs = tuple(self.B[states].astype(complex) for _, states in by_size)
+        inputs = tuple(self.B[states].astype(complex) for _, states, _, _ in layout.groups)
         # C-ordered, as a column-major C would take other BLAS kernels and other bits.
-        output = self.C[:, np.concatenate(components)].astype(complex, order="C")
+        output = self.C[:, np.concatenate(layout.states)].astype(complex, order="C")
         # A chunk of the pass holds, per point, the diagonal blocks and
         # their inverses, the coupling products, the states and the
         # values: at most one dense evaluation's n x n shift and n x m
         # states, or the floor's entries and points.
-        per_point = (2 * sum(blocks.size for _, blocks in groups) + sum(sizes[i] * sizes[l] for i, l in pairs)
-                     + (self.n + self.p) * self.m)
+        sizes = [stop - start for start, stop in layout.spans]
+        per_point = (2 * sum(blocks.size for *_, blocks in layout.groups)
+                     + sum(sizes[i] * sizes[l] for i, l in pairs) + (self.n + self.p) * self.m)
         step = max(1, self.n * (self.n + self.m) // per_point,
                    min(_CHUNK_FLOOR_POINTS, _CHUNK_FLOOR_ENTRIES // per_point))
-        return _BoundTerms(groups, tuple(pairs), np.array([i for i, _ in pairs], dtype=int),
-                           gammas, pair_groups, coupling_sq, tuple(zip(starts, stops)),
-                           state_rows, inputs, output, step)
+        return _BoundTerms(pairs, np.array([i for i, _ in pairs], dtype=int), gammas, pair_groups,
+                           coupling_sq, inputs, output, step)
+
+
+class _Layout(NamedTuple):
+    """The strongly connected components of A, as :attr:`BlockRealization._layout` lays them out."""
+
+    #: The states of each component (:attr:`BlockRealization.components`).
+    states: tuple[np.ndarray, ...]
+    #: ``(start, stop)`` of each component's rows among the states in component order.
+    spans: tuple[tuple[int, int], ...]
+    #: ``(members, states, rows, blocks)`` per component state count,
+    #: ascending: the positions of the components of that count, their
+    #: states stacked, their rows in component order one component after
+    #: another, and their diagonal blocks ``A_ii`` stacked.
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    #: ``(i, l)`` for every component ``i`` and earlier component ``l``
+    #: whose coupling block ``A_il`` (rows of ``i``, columns of ``l``) is
+    #: nonzero, ``i`` ascending, then ``l``.
+    pairs: tuple[tuple[int, int], ...]
 
 
 class _BoundTerms(NamedTuple):
-    """What the stacked pass (:func:`_stacked_pass`) reads of the realization.
+    """What the stacked pass (:func:`_stacked_pass`) reads of the realization besides its layout.
 
     :func:`_transfers` is the one way into the pass, in chunks of ``step``
     points.
     """
 
-    #: ``(members, blocks)`` per component state count: the positions of
-    #: the components of that count, as :func:`_by_size` gives, and their
-    #: diagonal blocks ``A_ii``, stacked.
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
-    #: ``(i, l)`` for every component ``i`` and earlier component ``l``
-    #: whose coupling block ``A_il`` (rows of ``i``, columns of ``l``) is
-    #: nonzero, ``i`` ascending, then ``l``.
+    #: The layout's coupled pairs (:attr:`_Layout.pairs`).
     pairs: tuple[tuple[int, int], ...]
     #: The ``i`` of each pair.
     readers: np.ndarray
     #: ``||A_il||_F`` of each pair.
     gammas: np.ndarray
-    #: The coupling blocks stacked by shape: the group of ``groups`` that
+    #: The coupling blocks stacked by shape: the layout's size group that
     #: holds the reader, the reader's position in it, the blocks, and the
     #: positions of their pairs in ``pairs``.
     pair_groups: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
     #: The sum of the squared entries of A outside the diagonal blocks.
     coupling_sq: float
-    #: ``(start, stop)`` of each component's rows among the states in component order.
-    spans: tuple[tuple[int, int], ...]
-    #: Per group of ``groups``: the rows in component order of its
-    #: components' states, component after component.
-    state_rows: tuple[np.ndarray, ...]
-    #: Per group of ``groups``: the rows of B of its components, stacked, complex.
+    #: Per size group of the layout: the rows of B of its components, stacked, complex.
     inputs: tuple[np.ndarray, ...]
     #: C with its columns in component order, complex.
     output: np.ndarray
@@ -372,31 +389,13 @@ class _BoundTerms(NamedTuple):
     step: int
 
 
-def _by_size(blocks: Sequence[np.ndarray]):
-    """``(members, states)`` per block size: the positions of the blocks of that size, stacked."""
-    sizes = np.array([len(states) for states in blocks])
-    for size in _distinct(sizes):
-        members = np.flatnonzero(sizes == size)
-        yield members, np.stack([blocks[k] for k in members])
-
-
-def _diagonal_blocks(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The stacked diagonal blocks ``matrix[s, s]``, one for each row ``s`` of ``states``."""
-    return matrix[states[:, :, None], states[:, None, :]]
-
-
-def _blockwise_eigvals(a: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Eigenvalues of the diagonal blocks ``a[states, states]``, concatenated in order.
-
-    Blocks of one size are stacked into one ``np.linalg.eigvals`` call.
-    """
-    sizes = np.array([len(states) for states in blocks])
-    starts = np.cumsum(sizes) - sizes
-    spectra = [(members, np.linalg.eigvals(_diagonal_blocks(a, states)))
-               for members, states in _by_size(blocks)]
-    eigs = np.empty(int(sizes.sum()), np.result_type(*(vals for _, vals in spectra)))
-    for members, vals in spectra:
-        eigs[starts[members, None] + np.arange(vals.shape[1])] = vals
+def _blockwise_eigvals(layout: _Layout) -> np.ndarray:
+    """Eigenvalues of the diagonal blocks, in component order: one ``eigvals`` call per size group."""
+    spectra = [(rows, np.linalg.eigvals(blocks)) for _, _, rows, blocks in layout.groups]
+    eigs = np.empty(sum(rows.size for rows, _ in spectra),
+                    np.result_type(*(vals for _, vals in spectra)))
+    for rows, vals in spectra:
+        eigs[rows] = vals.ravel()
     return eigs
 
 
@@ -575,13 +574,13 @@ def _stacked_pass(real: BlockRealization, points: np.ndarray) -> tuple[np.ndarra
     ``_BoundTerms.pairs``, ``X_i = W_i B_i + H_il X_l + ...``, and the
     value is ``C X + D`` (:func:`eval_transfer`).
     """
-    terms = real._bound_terms
+    terms, layout = real._bound_terms, real._layout
     count = len(points)
-    weights = np.empty((count, sum(len(members) for members, _ in terms.groups)))
+    weights = np.empty((count, len(layout.states)))
     slack = np.empty_like(weights)
     inverses = []
     norm_sq = terms.coupling_sq
-    for members, diagonals in terms.groups:
+    for members, _, _, diagonals in layout.groups:
         size = diagonals.shape[-1]
         # zI - A_ii for every point and component, entry for entry as _shifted forms zI - A.
         blocks = np.empty((count, *diagonals.shape), dtype=complex)
@@ -619,10 +618,10 @@ def _stacked_pass(real: BlockRealization, points: np.ndarray) -> tuple[np.ndarra
             u[l] += u[i] * h_il
         squares.append(sq * max(r) * max(map(operator.mul, u, w)))
     states = np.empty((count, real.n, real.m), dtype=complex)
-    for rows, inverse, inputs in zip(terms.state_rows, inverses, terms.inputs):
+    for (_, _, rows, _), inverse, inputs in zip(layout.groups, inverses, terms.inputs):
         states[:, rows] = (inverse @ inputs).reshape(count, len(rows), real.m)
     # Each component's states, and each pair's product, as views.
-    parts = [states[:, start:stop] for start, stop in terms.spans]
+    parts = [states[:, start:stop] for start, stop in layout.spans]
     by_pair = [None] * len(terms.pairs)
     for product, (*_, members) in zip(products, terms.pair_groups):
         for p, h in zip(members.tolist(), product.swapaxes(0, 1)):

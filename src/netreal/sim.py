@@ -17,14 +17,17 @@ arithmetic in the same order, and agree under array equality by
 construction.  :func:`netreal.imc.simulate_imc_loop` runs the
 internal-model loop as :func:`simulate_lti` does.
 
-A run holds each trajectory once.  Its frame, ``steps + 1`` rows of
-every node's slot and the inputs, is the only working array; the
-output and state trajectories are gathered from it once and kept
-without a second copy or a second finiteness pass.  Both simulators
-run :func:`_simulate`, which gathers the states only for a caller that
+A run holds each trajectory once and at most one window of its frame.
+A row of the frame holds every node's slot and the inputs of one step;
+a window holds up to ``_FINITE_ROWS`` steps, and no more entries than
+the larger of the plan and the trajectories the run reads and returns.
+The run steps through the
+horizon one window at a time, copying each window's inputs in and its
+outputs out into arrays sized by the horizon.  Both simulators run
+:func:`_simulate`, which copies the states out only for a caller that
 returns them: ``netreal simulate``, the internal-model loop and the
-river demo read outputs alone, so they hold the frame and one copy
-each of the inputs and outputs.  Divergence is read off the frame's
+river demo read outputs alone, so they hold one window and one copy
+each of the inputs and outputs.  Divergence is read off each window's
 rows, so such a run raises :class:`NumericalError` at the same step.
 """
 
@@ -131,19 +134,22 @@ def _coerce_state(real: BlockRealization, x0) -> np.ndarray:
     return x
 
 
-#: Rows of a trace :func:`_check_finite` tests at once, so its mask stays small.
+#: The most steps a run's window holds, so the window and the masks of
+#: :func:`_check_finite` stay small.
 _FINITE_ROWS = 1024
 
 
-def _check_finite(*traces: np.ndarray) -> None:
-    """Raise :class:`NumericalError` at the first step where a trace is non-finite."""
+def _check_finite(start: int, *traces: np.ndarray) -> None:
+    """Raise :class:`NumericalError` at the first step where a trace is non-finite.
+
+    The traces' rows are the steps from ``start`` on.
+    """
     bad = np.zeros(len(traces[0]), dtype=bool)
     for trace in traces:
-        for at in range(0, len(trace), _FINITE_ROWS):
-            bad[at:at + _FINITE_ROWS] |= ~np.isfinite(trace[at:at + _FINITE_ROWS]).all(axis=1)
+        bad |= ~np.isfinite(trace).all(axis=1)
     if bad.any():
         raise NumericalError(
-            f"simulation diverged: non-finite values at step {int(np.argmax(bad))}")
+            f"simulation diverged: non-finite values at step {start + int(np.argmax(bad))}")
 
 
 def _starts(counts: np.ndarray) -> np.ndarray:
@@ -165,15 +171,19 @@ def _entries(real: BlockRealization, rows: np.ndarray, cols: np.ndarray) -> np.n
     """``[A B; C D][rows[:, :, None], cols[:, None, :]]``, 0 past the matrix.
 
     Read from the four matrices in place, so the cost follows the entries
-    asked for, not the size of ``[A B; C D]``.
+    asked for, not the size of ``[A B; C D]``.  Each matrix is gathered
+    once, through row and column indices clamped into it, and copied
+    where both fall in it, so no full-size index grid is built.
     """
-    rows, cols = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
-    out = np.zeros(rows.shape)
+    out = np.zeros((*rows.shape, cols.shape[1]))
     n = real.n
     for matrix, top, left in ((real.A, 0, 0), (real.B, 0, n), (real.C, n, 0), (real.D, n, n)):
-        row, col = rows - top, cols - left
-        hit = (row >= 0) & (row < matrix.shape[0]) & (col >= 0) & (col < matrix.shape[1])
-        out[hit] = matrix[row[hit], col[hit]]
+        if matrix.size:
+            (height, width), row, col = matrix.shape, rows - top, cols - left
+            hit = (((row >= 0) & (row < height))[:, :, None]
+                   & ((col >= 0) & (col < width))[:, None, :])
+            row, col = row.clip(0, height - 1), col.clip(0, width - 1)
+            np.copyto(out, matrix[row[:, :, None], col[:, None, :]], where=hit)
     return out
 
 
@@ -278,7 +288,7 @@ def _plan(real: BlockRealization) -> _Plan:
 
 
 def _state_trace(frame: np.ndarray, plan: _Plan, steps: int) -> np.ndarray:
-    """The states ``x[0] .. x[steps - 1]`` of a run's frame, one row per step."""
+    """The states of the first ``steps`` rows of a run's window, one row per step."""
     return frame[:steps].take(plan.states, axis=1)
 
 
@@ -294,15 +304,22 @@ def _simulate(real: BlockRealization, u, x0=None, graph: NetworkGraph | None = N
 
     Row ``t`` of a flat frame holds every node's state ``x[t]`` and output
     ``y[t - 1]`` in its slot, then the input ``u[t]``, then a zero that
-    padding reads; the inputs are copied in once, before the loop.  A
-    step gathers each group's columns from row ``t`` with one ``take``,
-    multiplies them by the group's stacked rows with one batched
-    ``matmul``, and writes the products, each node's next state and
-    output, into row ``t + 1`` in one slice.  So node ``i`` computes
-    ``[x_i[t+1]; y_i[t]] = [A_i B_i; C_i D_i] [x_sources[t]; u_sources[t]]``
+    padding reads.  A step gathers each group's columns from row ``t``
+    with one ``take``, multiplies them by the group's stacked rows with
+    one batched ``matmul``, and writes the products, each node's next
+    state and output, into row ``t + 1`` in one slice.  So node ``i``
+    computes ``[x_i[t+1]; y_i[t]] = [A_i B_i; C_i D_i] [x_sources[t]; u_sources[t]]``
     as one matrix-vector product over its concatenated planned blocks.
-    Each trajectory is gathered from the frame once and kept without a
-    second copy.
+
+    The run holds one window of the frame, a row more than its steps:
+    ``_FINITE_ROWS`` steps, or fewer where more would hold more entries
+    than the plan and than the trajectories the run reads and returns,
+    and at least one.  Window by window, the inputs are copied in, the
+    steps run, the rows are checked for divergence, the outputs (and the
+    states, if asked for) are copied out into arrays sized by the
+    horizon, and the last row is carried into the next window's first.
+    Each step reads the values it would read in a frame of the whole
+    horizon, so the bits do not depend on the window.
     """
     if graph is not None:
         report = check_compatibility(real, graph, DMode.STRICT)
@@ -314,22 +331,32 @@ def _simulate(real: BlockRealization, u, x0=None, graph: NetworkGraph | None = N
     x = _coerce_state(real, x0)
     plan = _plan(real)
     steps = u.length
-    frame = np.zeros((steps + 1, plan.width))
-    frame[0, plan.states] = x
-    frame[:steps, plan.inputs:plan.inputs + real.m] = u.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        for now, after in zip(frame[:-1], frame[1:]):
-            for blocks, take, rows in plan.groups:
-                after[rows] = np.matmul(blocks, now.take(take)[:, :, None]).ravel()
-    ys = frame[1:].take(plan.outputs, axis=1)
-    # Row t holds x[t], y[t - 1], finite inputs and padding, which is 0
-    # times row t - 1's states; so the first step with a non-finite row
-    # here or in ys is the first with a non-finite x[t] or y[t], whether
-    # or not the states are returned.
-    _check_finite(frame[:steps], ys)
-    xs = None
+    held = max(sum(group.blocks.size for group in plan.groups),
+               u.values.size + steps * (real.p + (real.n if states else 0)))
+    length = max(1, min(_FINITE_ROWS, held // plan.width))
+    window = np.zeros((min(length, steps) + 1, plan.width))
+    window[0, plan.states] = x
+    ys = np.empty((steps, real.p))
+    xs = np.empty((steps, real.n)) if states else None
+    for start in range(0, steps, length):
+        stop = min(start + length, steps)
+        frame = window[:stop - start + 1]
+        frame[:-1, plan.inputs:plan.inputs + real.m] = u.values[start:stop]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for now, after in zip(frame[:-1], frame[1:]):
+                for blocks, take, rows in plan.groups:
+                    after[rows] = np.matmul(blocks, now.take(take)[:, :, None]).ravel()
+        ys[start:stop] = frame[1:].take(plan.outputs, axis=1)
+        # Row t holds x[t], y[t - 1], finite inputs and padding, which is 0
+        # times row t - 1's states; so the first step with a non-finite row
+        # here or in ys is the first with a non-finite x[t] or y[t], whether
+        # or not the states are returned.
+        _check_finite(start, frame[:-1], ys[start:stop])
+        if states:
+            xs[start:stop] = _state_trace(frame, plan, stop - start)
+        window[0] = frame[-1]
     if states:
-        xs = SignalTrajectory._owned(_state_trace(frame, plan, steps), real.dims.states, "x")
+        xs = SignalTrajectory._owned(xs, real.dims.states, "x")
     messages = 0 if graph is None else steps * graph.num_non_self_edges
     return SignalTrajectory._owned(ys, real.dims.outputs, "y"), xs, messages
 

@@ -448,7 +448,7 @@ def _csv_line(row: list) -> str:
 def _csv_lines(values: np.ndarray):
     """One CSV line per row of ``values``, by :func:`trajectory_to_csv`'s rule."""
     if _orjson is None:
-        return map(_csv_line, values.tolist())
+        return (_csv_line(row.tolist()) for row in values)
     # repr writes +-0 and magnitudes in [1e-4, 1e16) in fixed notation, and
     # orjson the same digits; outside, orjson writes 1e-05 as 0.00001, 1e+16
     # as 1e16, and NaN and +-inf as null.
@@ -459,17 +459,24 @@ def _csv_lines(values: np.ndarray):
             for row, ok in zip(np.ascontiguousarray(values), fixed.tolist()))
 
 
+def _write_csv(out, traj: SignalTrajectory) -> None:
+    """Write :func:`trajectory_to_csv`'s text to the text stream ``out``, a line at a time."""
+    csv.writer(out, lineterminator="\n").writerow(_csv_header(traj.name, traj.partition))
+    out.writelines(_csv_lines(traj.values))
+
+
 def trajectory_to_csv(traj: SignalTrajectory) -> str:
     """CSV with one header per channel; zero-width nodes leave no column.
 
     Each value is written as ``repr`` writes it, so it reads back to the
     same bits.  With orjson installed, a row whose entries are all +-0 or
     of magnitude in [1e-4, 1e16) is written by ``orjson.dumps``, any other
-    row by ``repr``; the text is the same.
+    row by ``repr``; the text is the same.  The string is built in memory;
+    :func:`write_trajectory` writes the same text to a file a line at a
+    time, without it.
     """
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(_csv_header(traj.name, traj.partition))
-    out.writelines(_csv_lines(traj.values))
+    _write_csv(out, traj)
     return out.getvalue()
 
 
@@ -617,12 +624,17 @@ def read_trajectory(path, partition) -> SignalTrajectory:
 
 
 def write_trajectory(path, traj: SignalTrajectory) -> None:
+    """Save a trajectory as JSON (.json) or else as CSV.
+
+    The CSV text is :func:`trajectory_to_csv`'s, written a line at a time,
+    so the write holds one line of it, not the whole text.
+    """
     path = str(path)
     if path.endswith(".json"):
         write_json(path, trajectory_to_obj(traj))
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(trajectory_to_csv(traj))
+            _write_csv(fh, traj)
 
 
 def jsonable(value):

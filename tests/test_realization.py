@@ -571,6 +571,86 @@ def test_eigenvalues_match_per_component_oracle(rng):
     assert one_component >= 5
 
 
+def _layout_cases(rng):
+    """:func:`_spectrum_cases`, the 8 x 8 grid, and systems whose coupling blocks hold only ``-0.0``.
+
+    In the last, every coupling block of A that holds no nonzero after
+    the change is set to ``-0.0``, and so are some entries inside the
+    components' diagonal blocks: no pair may come of the first, and the
+    second must keep its sign bit in the stacked blocks.
+    """
+    yield from _spectrum_cases(rng)
+    graph = build_graph(64, [(i, j) for i in range(64) for j in range(64)
+                             if abs(i // 8 - j // 8) + abs(i % 8 - j % 8) <= 1])
+    yield random_system(rng, graph, NodeDims((2,) * 64, (1,) * 64, (1,) * 64))
+    for k in range(12):
+        count = int(rng.integers(2, 9))
+        make = random_dag if k % 2 else random_graph
+        graph = make(rng, count, edge_prob=0.5, self_loops=k % 4 < 2)
+        real = random_system(rng, graph, random_dims(rng, count))
+        a = real.A.copy()
+        owner = np.empty(real.n, dtype=int)
+        for c, states in enumerate(real.components):
+            owner[states] = c
+        for i, j in zip(*(part.tolist() for part in (real.occupancy.A.rows, real.occupancy.A.cols))):
+            rows, cols = real.dims.state_slice(i), real.dims.state_slice(j)
+            if owner[rows.start] != owner[cols.start] and rng.random() < 0.5:
+                a[rows, cols] = -0.0
+            elif owner[rows.start] == owner[cols.start]:
+                a[rows.start, cols.start] = -0.0
+        yield BlockRealization(real.dims, a, real.B, real.C, real.D)
+
+
+def _scanned_pairs(real, owner):
+    """``(i, l)``, ``i != l``, for every nonzero entry of A read entry by entry, sorted.
+
+    ``owner`` maps each state to its component.
+    """
+    rows, cols = np.nonzero(real.A)
+    return sorted({(owner[r], owner[c]) for r, c in zip(rows.tolist(), cols.tolist())
+                   if owner[r] != owner[c]})
+
+
+def test_layout_matches_a_dense_scan_of_a(rng):
+    """The layout's pairs are a dense entry scan's, in order, and its diagonal blocks ``A[s, s]``, bitwise.
+
+    Its components are the transitive-closure oracle's and lie end to
+    end in component order; each size group stacks the components of
+    one state count, ascending.
+    """
+    seen = Counter()
+    for real in _layout_cases(rng):
+        layout = real._layout
+        assert layout.states is real.components
+        node_of = np.repeat(np.arange(real.num_nodes), real.dims.states)
+        spanned = [sorted(set(node_of[states].tolist())) for states in layout.states]
+        assert sorted(spanned) == sorted(comp for comp in oracle_components(real)
+                                         if sum(real.dims.states[k] for k in comp))
+        owner = {s: k for k, states in enumerate(layout.states) for s in states.tolist()}
+        assert list(layout.pairs) == _scanned_pairs(real, owner)
+        assert real.n == 0 or real._bound_terms.pairs == layout.pairs
+        stops = np.cumsum([len(states) for states in layout.states]).tolist()
+        assert list(layout.spans) == list(zip([0] + stops[:-1], stops))
+        sizes = [len(layout.states[members[0]]) for members, *_ in layout.groups]
+        assert sizes == sorted(set(sizes))
+        assert sorted(k for members, *_ in layout.groups for k in members.tolist()) == list(
+            range(len(layout.states)))
+        for members, states, rows, blocks in layout.groups:
+            assert np.array_equal(states, [layout.states[k] for k in members.tolist()])
+            assert rows.tolist() == [r for k in members.tolist() for r in range(*layout.spans[k])]
+            expected = np.stack([real.A[np.ix_(s, s)] for s in states])
+            assert blocks.dtype == expected.dtype and blocks.tobytes() == expected.tobytes()
+            seen["negative zero"] += bool(np.signbit(blocks[blocks == 0]).any())
+        seen["several nodes"] += max(map(len, spanned), default=0) > 1
+        seen["pairs"] += bool(layout.pairs)
+        seen["negative zero coupling"] += any(
+            owner[r] != owner[c] for r, c in np.argwhere((real.A == 0) & np.signbit(real.A)).tolist())
+        seen["grid"] += real.num_nodes == 64 and len(layout.states) == 1
+    assert all(seen[key] for key in ("negative zero", "negative zero coupling", "several nodes",
+                                     "pairs")), seen
+    assert seen["grid"] == 1, seen
+
+
 def test_spectral_radius(river):
     real, _ = river
     assert spectral_radius(real) == pytest.approx(0.9)

@@ -432,6 +432,147 @@ def test_output_only_callers_build_no_state_trajectory(tmp_path, capsys, monkeyp
         simulate_lti(wide, u)
 
 
+def _window_starts(monkeypatch):
+    """The first step of each window runs check, in order, by wrapping :func:`sim._check_finite`."""
+    starts, check = [], sim._check_finite
+
+    def counting(start, *traces):
+        starts.append(start)
+        return check(start, *traces)
+
+    monkeypatch.setattr(sim, "_check_finite", counting)
+    return starts
+
+
+@pytest.mark.parametrize("steps", [0, 1024, 1025, 3000])
+def test_runs_of_several_windows_keep_the_bits_of_one_step_windows(rng, monkeypatch, steps):
+    """Horizons of 0, 1024, 1025 and 3000 steps, with and without a graph.
+
+    A window holds at most 1024 steps, so the longer runs span several.
+    Their outputs and states match the dense recursion, agree between the
+    two simulators and without states, and are the bits of a run of one
+    step per window.
+    """
+    starts = _window_starts(monkeypatch)
+    for dims in (MIXED_DIMS, NodeDims((1,), (1,), (1,))):
+        graph = random_graph(rng, dims.num_nodes)
+        real = random_system(rng, graph, dims, rho=0.9)
+        u = SignalTrajectory(rng.normal(size=(steps, dims.m_total)), dims.inputs, "u")
+        x0 = rng.normal(size=dims.n_total)
+        starts.clear()
+        y, x = _check_plan_run(real, graph, u, x0)
+        assert len(starts) >= 2 * -(-steps // 1024)
+        for on in (None, graph):
+            assert np.array_equal(sim._simulate(real, u, x0, on, states=False)[0].values, y.values)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_FINITE_ROWS", 1)
+            y_one, x_one = simulate_lti(real, u, x0)
+        assert np.array_equal(y_one.values, y.values) and np.array_equal(x_one.values, x.values)
+
+
+@pytest.mark.parametrize("gain, c, first_bad", [
+    (2.0, 1.0, 1023), (1.0, 1.0, 1024), (0.5, 1.0, 1025), (0.5, 2.0, 1024)])
+def test_divergence_just_past_a_window_boundary(monkeypatch, gain, c, first_bad):
+    """``x[t + 1] = 2 x[t] + gain``, ``y[t] = c x[t]``, first non-finite at steps 1023 to 1025.
+
+    The run's windows hold 1024 steps, so step 1024 is the second
+    window's carried first row and 1025 the row after it; with ``c = 2``
+    the output overflows at step 1024 while the state is still finite.
+    Each simulator, with and without states, reports the dense
+    recursion's first non-finite step.
+    """
+    real = BlockRealization(NodeDims((1,), (1,), (1,)), A=[[2.0]], B=[[gain]], C=[[c]])
+    graph = build_graph(1, [(0, 0)])
+    u = np.ones((3000, 1))
+    x, dense = 0.0, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(3000):
+            if not (np.isfinite(x) and np.isfinite(c * x)):
+                dense = t
+                break
+            x = np.float64(2.0) * x + gain
+    assert dense == first_bad
+    starts = _window_starts(monkeypatch)
+    runs = (lambda: simulate_lti(real, u), lambda: simulate_distributed(real, graph, u),
+            lambda: sim._simulate(real, u, states=False),
+            lambda: sim._simulate(real, u, graph=graph, states=False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in runs:
+            starts.clear()
+            with pytest.raises(NumericalError, match=f"step {first_bad}$"):
+                run()
+            assert starts == [0, 1024][:1 + (first_bad >= 1024)]
+
+
+@pytest.fixture(scope="module")
+def wide_chain():
+    """A stable 100-node chain with 40 states, 1 input and 1 output a node, and its graph.
+
+    n = 4000, so the run's frame is 4201 values a step: 67 MB for a
+    frame of all of 2000 steps.  A is passed read-only, so it is kept,
+    not copied, and only its nonzero blocks are written.
+    """
+    count, k = 100, 40
+    rng = np.random.default_rng(40)
+    n = count * k
+    a, b, c = np.zeros((n, n)), np.zeros((n, count)), np.zeros((count, n))
+    for i in range(count):
+        own = slice(k * i, k * i + k)
+        a[own, own] = rng.normal(scale=0.5 / np.sqrt(k), size=(k, k))
+        b[own, i], c[i, own] = rng.normal(size=k), rng.normal(size=k)
+        if i:
+            a[own, k * i - k:k * i] = rng.normal(scale=0.1 / np.sqrt(k), size=(k, k))
+    a.setflags(write=False)
+    dims = NodeDims((k,) * count, (1,) * count, (1,) * count)
+    graph = build_graph(count, [(i, i) for i in range(count)] + [(i, i - 1) for i in range(1, count)])
+    real = BlockRealization(dims, a, b, c, np.eye(count))
+    real.occupancy  # kept with the realization, not by a run
+    return real, graph
+
+
+def _traced_peak(call):
+    """``call()`` and the tracemalloc peak of its allocations, in bytes."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_run_of_a_wide_frame_peaks_below_12_mb(wide_chain):
+    """T = 2000 steps of the 4000-state chain, outputs only, peak below 12 MB.
+
+    A frame of the whole horizon peaked at 72.4 MiB.  A window holds no
+    more entries than the trajectories the run reads and returns, here
+    95 steps (3.2 MB), besides the plan (2.7 MB) and the outputs
+    (1.6 MB); the run peaks at about 8.0 MB, inside the plan's build.
+    """
+    real, graph = wide_chain
+    u = SignalTrajectory(np.random.default_rng(12).normal(size=(2000, real.m)), real.dims.inputs, "u")
+    (y, x, _), peak = _traced_peak(lambda: sim._simulate(real, u, states=False))
+    assert x is None and peak < 12e6, peak
+    assert np.array_equal(sim._simulate(real, u, graph=graph, states=False)[0].values, y.values)
+    assert np.isfinite(y.values).all() and np.abs(y.values).max() < 1e3
+
+
+def test_plan_peaks_below_three_times_what_it_keeps(wide_chain):
+    """The plan of the 4000-state chain keeps 2.7 MB and peaks below three times that.
+
+    Full-size row and column index grids and a mask per matrix peaked at
+    15.4 MiB; clamped indices and one masked copy per matrix peak at
+    about 6.2 MB.
+    """
+    real, _ = wide_chain
+    plan, peak = _traced_peak(lambda: _plan(real))
+    kept = (sum(group.blocks.nbytes + group.take.nbytes for group in plan.groups)
+            + plan.states.nbytes + plan.outputs.nbytes)
+    assert peak < 3 * kept, (peak, kept)
+
+
 def test_diverging_run_raises_numerical_error():
     real = BlockRealization(
         NodeDims((1,), (1,), (1,)), A=[[10.0]], B=[[1.0]], C=[[1.0]])
