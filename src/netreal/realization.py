@@ -40,10 +40,17 @@ POLE_COND_LIMIT = 1e12
 _EPS = float(np.finfo(float).eps)
 
 #: A chunk of the stacked pass may exceed one dense evaluation while its
-#: working arrays hold at most this many entries (512 KiB of complex): with
-#: m about n one point fills the dense budget, and a pass per point pays
-#: its fixed numpy calls each time.
-_CHUNK_FLOOR_ENTRIES = 2 ** 15
+#: working arrays hold at most this many entries (2 MiB of complex): with
+#: m about n one point fills the dense budget, and each chunk pays the
+#: pass's fixed numpy calls, one product per coupled pair among them.  The
+#: pass holds only the entries its step counts (:func:`_stacked_pass`),
+#: and a point's bits do not depend on its chunk.  At this floor
+#: pipeline-chain's 160-state loop takes its nine points as 6 + 3, and
+#: every other system of that workload one chunk; ``2**18`` was no faster.
+_CHUNK_FLOOR_ENTRIES = 2 ** 17
+#: The most entries of a stack whose Frobenius norms the stacked pass takes
+#: in one ``np.linalg.norm`` call, which holds two temporaries of its size.
+_NORM_ENTRIES = 2 ** 10
 #: The most points a floored chunk holds: each point also holds Python
 #: objects the entry count does not see, its value array first.
 _CHUNK_FLOOR_POINTS = 16
@@ -324,20 +331,31 @@ class BlockRealization:
         # Complex, as the products with the complex inverses are then faster.
         pair_groups = tuple((g, places, blocks.astype(complex), members)
                             for g, places, blocks, members in pair_groups)
+        # -A_ii as np.negative forms it in complex, -0.0 in each imaginary part;
+        # the pass copies it for each point without casting through a buffer.
+        negated = tuple(np.negative(blocks, dtype=complex) for *_, blocks in layout.groups)
         inputs = tuple(self.B[states].astype(complex) for _, states, _, _ in layout.groups)
+        runs = []
+        for members, *_ in layout.groups:
+            cuts = [0, *(np.flatnonzero(np.diff(members) != 1) + 1).tolist(), len(members)]
+            runs.append(tuple((first, last, layout.spans[members[first]][0], layout.spans[members[last - 1]][1])
+                              for first, last in zip(cuts, cuts[1:])))
         # C-ordered, as a column-major C would take other BLAS kernels and other bits.
         output = self.C[:, np.concatenate(layout.states)].astype(complex, order="C")
+        # Complex, as adding a real D to the values casts it through a buffer of up to 2**13 entries.
+        direct = self.D.astype(complex)
         # A chunk of the pass holds, per point, the diagonal blocks and
         # their inverses, the coupling products, the states and the
-        # values: at most one dense evaluation's n x n shift and n x m
-        # states, or the floor's entries and points.
+        # values, and nothing else of that size: at most one dense
+        # evaluation's n x n shift and n x m states, or the floor's
+        # entries and points.
         sizes = [stop - start for start, stop in layout.spans]
         per_point = (2 * sum(blocks.size for *_, blocks in layout.groups)
                      + sum(sizes[i] * sizes[l] for i, l in pairs) + (self.n + self.p) * self.m)
         step = max(1, self.n * (self.n + self.m) // per_point,
                    min(_CHUNK_FLOOR_POINTS, _CHUNK_FLOOR_ENTRIES // per_point))
         return _BoundTerms(pairs, np.array([i for i, _ in pairs], dtype=int), gammas, pair_groups,
-                           coupling_sq, inputs, output, step)
+                           coupling_sq, negated, inputs, tuple(runs), output, direct, step)
 
 
 class _Layout(NamedTuple):
@@ -377,15 +395,29 @@ class _BoundTerms(NamedTuple):
     pair_groups: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
     #: The sum of the squared entries of A outside the diagonal blocks.
     coupling_sq: float
+    #: Per size group of the layout: its diagonal blocks ``-A_ii``, complex.
+    negated: tuple[np.ndarray, ...]
     #: Per size group of the layout: the rows of B of its components, stacked, complex.
     inputs: tuple[np.ndarray, ...]
+    #: Per size group of the layout: ``(first, last, start, stop)`` for each
+    #: run of components that follow one another in component order, the
+    #: run's place ``first:last`` in the group's stack and its rows
+    #: ``start:stop`` among the states in component order.
+    runs: tuple[tuple[tuple[int, int, int, int], ...], ...]
     #: C with its columns in component order, complex.
     output: np.ndarray
+    #: D, complex.
+    direct: np.ndarray
     #: Points per chunk of the pass, a memory rule only: the most whose
     #: working arrays hold no more entries than ``n (n + m)``, one dense
     #: evaluation; or, where more fit the floor, the most whose working
     #: arrays hold no more than ``_CHUNK_FLOOR_ENTRIES``, up to
-    #: ``_CHUNK_FLOOR_POINTS``; and at least one.
+    #: ``_CHUNK_FLOOR_POINTS``; and at least one.  A point's working
+    #: arrays are its diagonal blocks and their inverses, ``2 sum n_i^2``
+    #: entries, its coupling products, ``sum n_i n_l`` over the pairs, and
+    #: its states and value, ``(n + p) m``; the pass holds no other array
+    #: of that size (:func:`_stacked_pass`).  The step bounds memory only:
+    #: a point reads the same bits in any chunk.
     step: int
 
 
@@ -533,10 +565,14 @@ def _transfers(real: BlockRealization, points: np.ndarray):
 
     One stacked pass (:func:`_stacked_pass`) per chunk of
     ``_BoundTerms.step`` points, which fit one dense evaluation or the
-    chunk floor; a chunk's values are dropped once its points are taken.
-    A point's bound and value do not depend on the chunk it shares.  A
-    chunk whose stack is exactly singular is run again point by point,
-    and a point whose block is exactly singular yields ``(inf, None)``.
+    chunk floor; a chunk holds the working arrays the step counts and no
+    other array of that size, and its values are dropped once its points
+    are taken.  A default 16-point circle's nine upper-half points are
+    one chunk where nine points' arrays fit the floor or one dense
+    evaluation.  A point's bound and value do not depend on the chunk it
+    shares.  A chunk whose stack is exactly singular is run again point
+    by point, and a point whose block is exactly singular yields
+    ``(inf, None)``.
     Overflow is silenced within each pass, and only there, never across
     a ``yield``: it reads ``inf`` or NaN.  A system without states
     yields ``0.0`` and D, complex.
@@ -561,6 +597,22 @@ def _transfers(real: BlockRealization, points: np.ndarray):
             yield from zip(bounds, values)
 
 
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(stack, axis=(-2, -1))``, over slices of ``stack``'s first axis.
+
+    ``np.linalg.norm`` holds two temporaries the size of what it is
+    given; a slice holds at most ``_NORM_ENTRIES`` entries, or one step
+    of the first axis where that is larger.  Each matrix's norm has the
+    bits of one call on the whole stack, as it has those of a call on
+    the matrix alone.
+    """
+    norms = np.empty(stack.shape[:-2])
+    step = max(1, _NORM_ENTRIES * len(stack) // max(1, stack.size))
+    for start in range(0, len(stack), step):
+        norms[start:start + step] = np.linalg.norm(stack[start:start + step], axis=(-2, -1))
+    return norms
+
+
 def _stacked_pass(real: BlockRealization, points: np.ndarray) -> tuple[np.ndarray, list]:
     """The bound and the transfer value at each of ``points``.
 
@@ -573,6 +625,21 @@ def _stacked_pass(real: BlockRealization, points: np.ndarray) -> tuple[np.ndarra
     The states follow down the component order, in the order of
     ``_BoundTerms.pairs``, ``X_i = W_i B_i + H_il X_l + ...``, and the
     value is ``C X + D`` (:func:`eval_transfer`).
+
+    It holds what ``_BoundTerms.step`` counts per point, each array
+    once: the diagonal blocks, their inverses, the coupling products, the
+    states and the values.  The blocks are dropped once inverted, the
+    inverses once the states hold ``W_i B_i``, and the products before
+    the values are formed.  ``W_i B_i`` is written straight into the
+    states, one product per run of adjacent components of a size group
+    (one run with a single size group), so no ``n x m`` temporary or
+    scatter is made; each term ``H_il X_l`` goes through one buffer of
+    the largest reader's rows (:func:`_substitute`); norms are taken in
+    slices (:func:`_frobenius_norms`); and D is added to one value at a
+    time.  What is left uncounted is Python objects and numpy's ufunc
+    buffers.  Every value is the product or sum a point taken alone
+    forms, in the same order, so a point reads the same bits in any set
+    of points.
     """
     terms, layout = real._bound_terms, real._layout
     count = len(points)
@@ -580,25 +647,24 @@ def _stacked_pass(real: BlockRealization, points: np.ndarray) -> tuple[np.ndarra
     slack = np.empty_like(weights)
     inverses = []
     norm_sq = terms.coupling_sq
-    for members, _, _, diagonals in layout.groups:
-        size = diagonals.shape[-1]
+    for (members, *_), negated in zip(layout.groups, terms.negated):
+        size = negated.shape[-1]
         # zI - A_ii for every point and component, entry for entry as _shifted forms zI - A.
-        blocks = np.empty((count, *diagonals.shape), dtype=complex)
-        np.negative(diagonals, out=blocks, dtype=complex)
+        blocks = np.empty((count, *negated.shape), dtype=complex)
+        blocks[...] = negated
         blocks.reshape(count, len(members), -1)[:, :, ::size + 1] += points[:, None, None]
-        blocks = blocks.reshape(-1, size, size)
-        inverses.append(np.linalg.inv(blocks).reshape(count, -1, size, size))
-        block_norms = np.linalg.norm(blocks, axis=(1, 2)).reshape(count, -1)
-        inverse_norms = np.linalg.norm(inverses[-1], axis=(2, 3))
+        block_norms = _frobenius_norms(blocks)
+        inverses.append(np.linalg.inv(blocks.reshape(-1, size, size)).reshape(blocks.shape))
+        del blocks  # past their norms, the diagonal blocks are not needed
+        inverse_norms = _frobenius_norms(inverses[-1])
         weights[:, members] = inverse_norms
         slack[:, members] = size * _EPS * block_norms * inverse_norms
         norm_sq = norm_sq + np.sum(np.square(block_norms), axis=1)
-    del blocks  # past their norms, the diagonal blocks are not needed
     couplings = np.empty((count, len(terms.pairs)))
     products = []
     for g, positions, blocks, members in terms.pair_groups:
         products.append(inverses[g][:, positions] @ blocks)
-        couplings[:, members] = np.linalg.norm(products[-1], axis=(2, 3))
+        couplings[:, members] = _frobenius_norms(products[-1])
     couplings += (slack * weights)[:, terms.readers] * terms.gammas
     weights *= 1.0 + slack
     squares = []
@@ -618,20 +684,40 @@ def _stacked_pass(real: BlockRealization, points: np.ndarray) -> tuple[np.ndarra
             u[l] += u[i] * h_il
         squares.append(sq * max(r) * max(map(operator.mul, u, w)))
     states = np.empty((count, real.n, real.m), dtype=complex)
-    for (_, _, rows, _), inverse, inputs in zip(layout.groups, inverses, terms.inputs):
-        states[:, rows] = (inverse @ inputs).reshape(count, len(rows), real.m)
-    # Each component's states, and each pair's product, as views.
-    parts = [states[:, start:stop] for start, stop in layout.spans]
+    for inverse, inputs, runs in zip(inverses, terms.inputs, terms.runs):
+        for first, last, start, stop in runs:
+            # Splitting the row axis in two is a view, so W_i B_i lands in the states.
+            np.matmul(inverse[:, first:last], inputs[first:last],
+                      out=states[:, start:stop].reshape(count, last - first, inverse.shape[-1], real.m))
+    del inverses, inverse
+    _substitute(real, states, products)
+    del products
+    result = list(terms.output @ states)
+    # Point by point: numpy buffers an in-place sum that broadcasts.
+    for value in result:
+        value += terms.direct
+    return np.sqrt(squares), result
+
+
+def _substitute(real: BlockRealization, states: np.ndarray, products: list) -> None:
+    """Add each coupled pair's ``H_il X_l`` to ``X_i`` in ``states``, in the order of the pairs.
+
+    ``states`` holds ``W_i B_i`` in component order and ``products`` the
+    stacked pass's ``H_il``, one array per coupling shape.  Each term goes
+    through one buffer of the largest reader's rows.  Readers come in
+    ascending order, so each ``X_l`` is complete when it is read.
+    """
+    terms = real._bound_terms
+    parts = [states[:, start:stop] for start, stop in real._layout.spans]
     by_pair = [None] * len(terms.pairs)
     for product, (*_, members) in zip(products, terms.pair_groups):
         for p, h in zip(members.tolist(), product.swapaxes(0, 1)):
             by_pair[p] = h
-    # Readers come in ascending order, so each X_l is complete when it is read.
+    buffer = np.empty((len(states), max((h.shape[1] for h in by_pair), default=0), real.m), dtype=complex)
     for (i, l), h in zip(terms.pairs, by_pair):
-        parts[i] += h @ parts[l]
-    result = terms.output @ states
-    result += real.D
-    return np.sqrt(squares), list(result)
+        term = buffer[:, :h.shape[1]]
+        np.matmul(h, parts[l], out=term)
+        parts[i] += term
 
 
 def _rank(pencil: np.ndarray, tol: float) -> int:
@@ -847,8 +933,10 @@ def eval_transfer(real: BlockRealization, z: complex) -> np.ndarray:
     passes the point; otherwise the exact ``np.linalg.cond`` decides
     (:func:`_guarded`).  Bound and value come from one stacked pass at
     ``z`` alone (:func:`_transfers`), the pass :func:`circle_samples`
-    runs over its circle in chunks of up to 16 points, or more where
-    they fit one dense evaluation; ``z`` reads the same bits in either.
+    runs over its circle in chunks of up to 16 points within ``2**17``
+    working entries, or more where they fit one dense evaluation; the
+    chunk holds only the arrays its step counts, and ``z`` reads the
+    same bits in any chunk.
 
     In the order of the strongly connected components of A
     (:attr:`BlockRealization.components`), ``M`` is block lower-triangular,

@@ -445,18 +445,28 @@ def _csv_line(row: list) -> str:
     return ",".join(map(repr, row)) + "\n"
 
 
+#: Rows whose writer :func:`_csv_lines` picks at once, so a write holds one block's test.
+_CSV_BLOCK_ROWS = 1024
+
+
 def _csv_lines(values: np.ndarray):
     """One CSV line per row of ``values``, by :func:`trajectory_to_csv`'s rule."""
     if _orjson is None:
         return (_csv_line(row.tolist()) for row in values)
+    return (line for start in range(0, len(values), _CSV_BLOCK_ROWS)
+            for line in _orjson_lines(values[start:start + _CSV_BLOCK_ROWS]))
+
+
+def _orjson_lines(block: np.ndarray):
+    """:func:`_csv_lines` of a block of rows: orjson's line where it writes ``repr``'s digits."""
     # repr writes +-0 and magnitudes in [1e-4, 1e16) in fixed notation, and
     # orjson the same digits; outside, orjson writes 1e-05 as 0.00001, 1e+16
     # as 1e16, and NaN and +-inf as null.
-    size = np.abs(values)
+    size = np.abs(block)
     fixed = ((size == 0) | ((size >= 1e-4) & (size < 1e16))).all(axis=1)
     return (_orjson.dumps(row, option=_orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode() + "\n" if ok
             else _csv_line(row.tolist())
-            for row, ok in zip(np.ascontiguousarray(values), fixed.tolist()))
+            for row, ok in zip(np.ascontiguousarray(block), fixed.tolist()))
 
 
 def _write_csv(out, traj: SignalTrajectory) -> None:

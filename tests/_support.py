@@ -212,6 +212,28 @@ def stabilized_chain(rng, count, num_unstable, poles=(0.1, 0.2, 0.25, 0.3)):
             graph)
 
 
+def fir_delay_line(rng, count):
+    """An FIR filter on a chain of ``count`` nodes, realized as a delay line.
+
+    Node ``i`` holds ``u_j[t-1-(i-j)]`` for each ``j <= i``, ``i + 1``
+    states in ``j`` order.  Its own input enters the last of them through
+    B, and the identity block ``A_{i,i-1}`` copies node ``i - 1``'s states
+    one step on.  One input and one output a node; ``C_ii`` and ``D_ii``
+    hold random taps.  A is nilpotent, and each node is a component of
+    its own with a zero diagonal block.
+    """
+    dims = NodeDims(tuple(range(1, count + 1)), (1,) * count, (1,) * count)
+    n = dims.n_total
+    a, b, c = np.zeros((n, n)), np.zeros((n, count)), np.zeros((count, n))
+    start = 0
+    for i in range(count):
+        a[start:start + i, start - i:start] = np.eye(i)
+        b[start + i, i] = 1.0
+        c[i, start:start + i + 1] = rng.normal(size=i + 1)
+        start += i + 1
+    return BlockRealization(dims, a, b, c, np.diag(rng.normal(size=count)))
+
+
 def random_chain(rng, count, num_unstable):
     """A cascade built like the benchmark's chains: two states, one input and one output per node.
 
@@ -386,7 +408,8 @@ def oracle_component_bound(real, z):
     ``H_il`` that of ``M_ii^{-1} A_il``, the comparison matrix ``I - H``
     is lower-triangular with a unit diagonal, and
     ``Y = (I - H)^{-1} diag(w)`` comes from a plain forward substitution,
-    column by column.  An exactly singular diagonal block gives ``inf``.
+    column by column.  An exactly singular diagonal block gives ``inf``,
+    and so does a norm or a sum that overflows.
     """
     ranges = _node_ranges(real.dims.states)
     left = [[k for node in comp for k in ranges[node]] for comp in oracle_components(real)]
@@ -409,10 +432,12 @@ def oracle_component_bound(real, z):
         for l in range(i):
             h[i, l] = np.linalg.norm(inverses[i] @ real.A[np.ix_(order[i], order[l])])
     y = np.zeros((count, count))
-    for j in range(count):
-        for i in range(count):
-            y[i, j] = w[i] * (i == j) + sum(h[i, l] * y[l, j] for l in range(i))
-    return float(np.linalg.norm(shifted)) * float(np.sqrt(y.sum(axis=0).max() * y.sum(axis=1).max()))
+    with np.errstate(over="ignore"):
+        for j in range(count):
+            for i in range(count):
+                # Uncoupled pairs are left out: 0 * inf would read NaN.
+                y[i, j] = w[i] * (i == j) + sum(h[i, l] * y[l, j] for l in range(i) if h[i, l])
+        return float(np.linalg.norm(shifted)) * float(np.sqrt(y.sum(axis=0).max() * y.sum(axis=1).max()))
 
 
 def oracle_identities(plant, controller, num_points):

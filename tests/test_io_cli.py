@@ -547,6 +547,32 @@ def test_csv_write_peaks_below_one_byte_per_character(tmp_path, json_paths):
         assert peak < len(text), (route, peak / len(text))
 
 
+def test_csv_write_of_a_wide_trajectory_peaks_below_a_third_of_a_row_per_step(tmp_path, json_paths):
+    """A streamed write of 48 channels holds one block of rows, not a copy of the trajectory.
+
+    8000 steps of 48 normal draws, sim-wide's output width: a row is 384
+    bytes of floats.  orjson's writer tests the rows' magnitudes 1024
+    rows at a time, so its tracemalloc peak is about 76 bytes a step on
+    CPython 3.11 with numpy 2.4; one ``np.abs`` of the whole trajectory
+    would reach about 529.  The ``repr`` writer converts a row at a time.
+    """
+    import tracemalloc
+
+    steps = 8000
+    traj = SignalTrajectory(np.random.default_rng(12).normal(size=(steps, 48)), (4,) * 12, "y")
+    path = tmp_path / "y.csv"
+    for route in json_paths:
+        text = trajectory_to_csv(traj)
+        tracemalloc.start()
+        try:
+            write_trajectory(path, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == text.encode()
+        assert peak < 128 * steps, (route, peak / steps)
+
+
 def test_cli_simulate_writes_the_same_csv_to_stdout_and_to_a_file(tmp_path, capsys, json_paths):
     """``netreal simulate`` streams its CSV to stdout and to ``-o`` alike, over several windows."""
     paths = _write_river(tmp_path)

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -43,6 +44,7 @@ from netreal.realization import (
     circle_samples,
 )
 from _support import (
+    fir_delay_line,
     hidden_mode_case,
     oracle_block_transfer,
     oracle_component_bound,
@@ -940,6 +942,12 @@ def test_certified_bound_is_never_below_half_the_exact_cond(rng):
     assert certified > 300 and refused > 50
 
 
+def _delay_lines(rng, counts):
+    """FIR delay lines (:func:`fir_delay_line`) on chains of ``counts`` nodes, drawn one by one."""
+    for count in counts:
+        yield fir_delay_line(rng, count)
+
+
 def test_component_bound_is_never_below_the_exact_cond(rng):
     """The comparison-matrix bound tops cond_2(zI - A); with one component it is the Frobenius bound.
 
@@ -950,10 +958,11 @@ def test_component_bound_is_never_below_the_exact_cond(rng):
     small inverses: never below it, and within 1e-6 above it while it is
     below 1e8.  All points of several circles and the probes, but those
     whose block is exactly singular, go through one stacked pass, and
-    each bound is bitwise the one-point pass's.
+    each bound is bitwise the one-point pass's.  The last case is a
+    10-node FIR delay line (:func:`fir_delay_line`).
     """
     seen = Counter()
-    for real in _spectrum_cases(rng):
+    for real in itertools.chain(_spectrum_cases(rng), _delay_lines(rng, (10,))):
         if real.n == 0:
             continue
         rho = spectral_radius(real)
@@ -989,6 +998,35 @@ def test_component_bound_is_never_below_the_exact_cond(rng):
     assert seen["certified"] > 1000 and seen["refused"] > 100
     assert seen["several"] > 1000 and seen["one"] > 100
     assert seen["singular"] > 0
+
+
+def test_component_bound_tops_the_exact_cond_on_long_delay_lines(rng):
+    """On FIR delay lines of 36 and 40 nodes the library's bound is the oracle's, and tops cond_2.
+
+    The checks of :func:`test_component_bound_is_never_below_the_exact_cond`
+    at the nine upper-half points of ``transfer_equal``'s circle, radius
+    2.  Its probe points, one per eigenvalue, would take an 820 x 820
+    exact cond each.  Each identity block of ``k`` channels has Frobenius
+    norm ``sqrt(k)``, so the bound compounds down the cascade while the
+    exact cond stays near 3: at these sizes every point of the circle
+    reaches half the limit, and ``transfer_equal(q, q)`` runs 18 exact
+    conds.
+    """
+    points = np.array([2.0 * np.exp(2j * np.pi * k / 16) for k in range(9)])
+    for real in _delay_lines(rng, (36, 40)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked, _ = _stacked_pass(real, points)
+        for z, got in zip(points, stacked):
+            (alone, _), = _transfers(real, np.array([z]))
+            assert np.array_equal(got, alone, equal_nan=True), z
+            bound = oracle_component_bound(real, z)
+            cond = np.linalg.cond(_shifted(real.A, z, negate=True))
+            assert bound >= (1.0 - 1e-3) * min(cond, POLE_COND_LIMIT), (z, bound, cond)
+            if bound < 1e300:
+                assert bound * (1.0 - 1e-12) <= got, z
+                assert bound >= 1e8 or got <= bound * (1.0 + 1e-6), z
+            else:
+                assert not got < 0.5 * POLE_COND_LIMIT, z
 
 
 def _one_state_cascade(diagonal):
@@ -1065,13 +1103,15 @@ def test_step_holds_the_most_points_whose_working_arrays_fit_one_evaluation(rng)
     states and the values, ``(n + p) m``.  The dense budget is one
     evaluation's ``n x n`` shift and ``n x m`` states, ``n (n + m)``
     entries.  The floor admits up to 16 points whose working arrays hold
-    at most ``2**15`` entries.  A chunk holds at least one point, however
-    large.  The stabilized 40-node chain's loop (n = 160) takes one
-    point per chunk; its plant (n = 80, m = p = 40), six.
+    at most ``2**17`` entries.  A chunk holds at least one point, however
+    large: one component of 200 states takes one point per chunk.  The
+    stabilized 40-node chain's loop (n = 160, m = p = 80) takes six; its
+    plant (n = 80, m = p = 40), sixteen.
     """
     cases = [*_spectrum_cases(rng), *_several_component_cases(rng)]
     plant, controller, _ = stabilized_chain(rng, 40, 10)
-    cases += [plant, close_loop(plant, controller).realization]
+    loop = close_loop(plant, controller).realization
+    cases += [plant, loop, random_system(rng, build_graph(1, [(0, 0)]), NodeDims((200,), (1,), (1,)))]
     kinds = Counter()
     for real in cases:
         if real.n == 0:
@@ -1080,12 +1120,49 @@ def test_step_holds_the_most_points_whose_working_arrays_fit_one_evaluation(rng)
         budget, step = real.n * (real.n + real.m), real._bound_terms.step
         assert step >= dense
         if step > dense:
-            assert step <= 16 and step * per_point <= 2 ** 15
+            assert step <= 16 and step * per_point <= 2 ** 17
         assert budget < (step + 1) * per_point
-        assert step + 1 > 16 or 2 ** 15 < (step + 1) * per_point
+        assert step + 1 > 16 or 2 ** 17 < (step + 1) * per_point
         kinds["one" if step == 1 else "dense" if step == dense else "floored"] += 1
     assert min(kinds[k] for k in ("one", "dense", "floored")) > 0, kinds
-    assert plant._bound_terms.step == 6
+    assert (loop._bound_terms.step, plant._bound_terms.step) == (6, 16)
+
+
+def test_stacked_pass_peaks_within_the_entries_its_step_counts(rng):
+    """A full chunk of the pass holds no more than ``step`` points' counted entries and 16 KiB.
+
+    The count is :func:`_entries_per_point`'s, complex.  The pass writes
+    ``W_i B_i`` into the states, drops each array when it is done with
+    it, adds each coupling term through one buffer and takes its norms
+    in slices, so what is left over is Python objects and numpy's ufunc
+    buffers.  Cases: the stabilized 40-node chain's loop (six points);
+    one with three component sizes, a zero-width node and a size group
+    whose components are not adjacent; and every system of
+    :func:`_several_component_cases`.  An ``n x m`` temporary for
+    ``W_i B_i``, scattered into the states, would alone break the bound
+    on the loop.
+    """
+    import tracemalloc
+
+    plant, controller, _ = stabilized_chain(rng, 40, 10)
+    loop = close_loop(plant, controller).realization
+    graph = build_graph(6, [(i, i) for i in range(6)] + [(i, i - 1) for i in range(1, 6)] + [(4, 0)])
+    mixed = random_system(rng, graph, NodeDims((3, 0, 2, 3, 1, 2), (2, 1, 0, 2, 1, 1), (1, 2, 1, 0, 2, 1)))
+    assert loop._bound_terms.step == 6
+    assert [len(states) for states in mixed.components] == [3, 2, 3, 1, 2]
+    for real in (loop, mixed, *_several_component_cases(rng)):
+        step = real._bound_terms.step
+        radius = 2.0 * (1.0 + spectral_radius(real))
+        points = radius * np.exp(2j * np.pi * np.arange(step) / (2 * step))
+        _stacked_pass(real, points)
+        tracemalloc.start()
+        try:
+            _stacked_pass(real, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counted = step * _entries_per_point(real) * np.dtype(complex).itemsize
+        assert peak <= counted + 16 * 1024, (real.n, real.m, step, peak, counted)
 
 
 def _several_component_cases(rng):
@@ -1362,12 +1439,12 @@ def test_circle_samples_bounds_each_system_in_one_stacked_pass(rng, monkeypatch)
     Bounds and values come from the same pass.  The single-input
     chain's nine upper-half points fit one chunk of one dense
     evaluation; the grid's, one component, fit one chunk of the floor,
-    eleven points of 2816 entries.  A point pushed outward takes the
+    sixteen points of 2816 entries.  A point pushed outward takes the
     one-point pass for every system.
     """
     chain = _single_input_chain(60)
     *_, grid = _spectrum_cases(rng)
-    assert chain._bound_terms.step >= 9 and grid._bound_terms.step == 11
+    assert chain._bound_terms.step >= 9 and grid._bound_terms.step == 16
     one_point = {chain: [("inv", (60, 2, 2))], grid: [("inv", (1, grid.n, grid.n))]}
     attempts = []
 
