@@ -45,29 +45,19 @@ be exactly the one it gives, so zero-width nodes leave no column.  A
 signal of total width 0 is written as an empty header line and one
 empty line per step, and read back the same way.
 
-System and JSON trajectory files are parsed by :func:`_json`.  With
-orjson installed (the ``fast`` extra) it takes ``orjson.loads``, which
-reads dense matrices several times as fast; every document orjson
-refuses goes to ``json.loads``, so each refusal and its message is
-json's.  The one difference is an integer literal outside
-[-2**63, 2**64): orjson reads it as a float, so as a count or index it
-is refused as not an integer rather than as out of range.  Without
-orjson the reader is ``json.loads`` alone.  Matrix entries and
-trajectory values follow the library's rule, :func:`graphs._as_floats`:
-strings, ``true``, ``false`` and ``null`` are refused.
+System and JSON trajectory files are parsed by :func:`_json`, with
+``orjson.loads`` when orjson is installed (the ``fast`` extra) and
+``json.loads`` for every document orjson refuses, so each refusal and
+its message is json's.  CSV trajectories take orjson too, with the same
+bytes and values either way (:func:`trajectory_to_csv`,
+:func:`trajectory_from_csv`).  Matrix entries and trajectory values
+follow :func:`graphs._as_floats`: strings, ``true``, ``false`` and
+``null`` are refused.
 
-CSV trajectories take orjson too, with the same bytes and values either
-way.  :func:`trajectory_to_csv` writes each value as ``repr`` does; with
-orjson, a row whose entries are all +-0 or of magnitude in [1e-4, 1e16)
-is written by ``orjson.dumps``, which gives the same digits there, and
-every other row by ``repr``.  :func:`trajectory_from_csv` hands the
-lines after the header to ``orjson.loads`` when they hold only digits,
-``e E . , + -`` and line breaks, no integer literal ``-0``, and rows of
-the header's width that orjson accepts; any other text goes to the csv
-reader, so each value and refusal is the one it gives.  The csv reader
-takes the text a line at a time, so reading holds no second copy of
-it.  A text that starts with a byte order mark is refused, as a JSON
-file that does is.
+Files are read as bytes, which go to orjson and to the CSV gate as they
+are.  Text is decoded only for ``json.loads`` or the csv reader, as
+text mode would read the file (:func:`_newlines`): strict UTF-8, with
+``\\r\\n`` and a lone ``\\r`` read as ``\\n``.
 """
 
 from __future__ import annotations
@@ -294,14 +284,28 @@ def _system_text(obj: dict) -> str:
 
 
 def _read(path, parse):
-    """``parse`` applied to the text of a UTF-8 file; its InputError names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse(fh.read())
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+    """``parse`` of a file's bytes; its InputError names the file, a byte not UTF-8 its offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse(data)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _newlines(data):
+    """``data`` with ``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as text mode reads them.
+
+    Bytes are decoded first, as strict UTF-8, unless they are ASCII.
+    """
+    if isinstance(data, bytes) and not data.isascii():
+        data = data.decode()
+    cr, lf = (b"\r", b"\n") if isinstance(data, bytes) else ("\r", "\n")
+    if cr in data:
+        data = data.replace(cr + lf, lf).replace(cr, lf)
+    return data
 
 
 #: Nesting depth from which a document goes to ``json.loads`` alone.  json
@@ -317,40 +321,42 @@ _NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[]{}"\\/bfnrtu')))
 _DEPTH_STEP = bytes.maketrans(b"[{]}", bytes([1, 1, 255, 255]))
 
 
-def _nesting(text: str) -> int:
-    """How deep arrays and objects nest in ``text``, if it is JSON.
+def _nesting(data: bytes) -> int:
+    """How deep arrays and objects nest in ``data``, if it is JSON.
 
     Only brackets outside strings count.  Escapes are dropped before the
     strings, so an escaped quote ends none; ``true``, ``false`` and
-    ``null`` leave letters that the last step deletes.  For text that is
-    not JSON the count means nothing, and orjson refuses that text; a
-    lone surrogate, which a ``str`` may hold, is encoded as it stands.
+    ``null`` leave letters that the last step deletes.  For bytes that
+    are not JSON the count means nothing, and orjson refuses them.
     """
-    marks = text.encode(errors="surrogatepass").translate(None, _NOT_NESTING)
+    marks = data.translate(None, _NOT_NESTING)
     if b"\\" in marks:
         marks = re.sub(rb"\\.", b"", marks)
     steps = re.sub(rb'"[^"]*"', b"", marks).translate(_DEPTH_STEP, b"/bfnrtu")
     return int(np.frombuffer(steps, np.int8).cumsum().max(initial=0))
 
 
-def _json(text: str):
-    """The JSON document in ``text``; bad JSON raises InputError with its line and column.
+def _json(data: bytes | str):
+    """The JSON document in a file's bytes or in text; bad JSON raises InputError with its place.
 
     An integer literal too long for Python to convert, or nesting deeper
-    than the decoder's recursion limit, raises InputError too.  When
-    orjson is installed, ``orjson.loads`` reads ``text`` first unless it
-    nests ``_ORJSON_DEPTH`` deep, and any text it refuses takes the
-    ``json.loads`` path below, messages and all.
-    The two agree on every document but one holding an integer literal
-    outside [-2**63, 2**64), which orjson reads as the nearest float.
+    than the decoder's recursion limit, raises InputError too.  orjson,
+    when installed, reads the bytes first unless they nest
+    ``_ORJSON_DEPTH`` deep; bytes it refuses (invalid UTF-8, a byte order
+    mark) go to ``json.loads`` as text (:func:`_newlines`), never as bytes,
+    which json would read as UTF-16 or UTF-32.  The two agree on every
+    document but one holding an integer literal outside [-2**63, 2**64),
+    which orjson reads as the nearest float.
     """
-    # Nesting is counted first, so its copy of the text is freed before
-    # orjson builds the document.
-    if _orjson is not None and _nesting(text) < _ORJSON_DEPTH:
-        try:
-            return _orjson.loads(text)
-        except _orjson.JSONDecodeError:
-            pass
+    if _orjson is not None:
+        # Text is encoded as it stands: orjson refuses a lone surrogate.
+        raw = data.encode(errors="surrogatepass") if isinstance(data, str) else data
+        if _nesting(raw) < _ORJSON_DEPTH:
+            try:
+                return _orjson.loads(raw)
+            except _orjson.JSONDecodeError:
+                pass
+    text = data if isinstance(data, str) else _newlines(data.decode())
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -403,7 +409,7 @@ def write_json(path, obj) -> None:
 
 def read_system(path) -> tuple[BlockRealization, NetworkGraph, str | None]:
     """Load a system file; raises InputError naming the file, and the position of bad JSON."""
-    return _read(path, lambda text: system_from_obj(_json(text)))
+    return _read(path, lambda data: system_from_obj(_json(data)))
 
 
 def write_system(path, real, graph, name=None) -> None:
@@ -490,42 +496,43 @@ def trajectory_to_csv(traj: SignalTrajectory) -> str:
     return out.getvalue()
 
 
-#: The characters of a CSV body orjson may read: deleted, they leave "".
-_CSV_NUMBER_CHARS = str.maketrans("", "", "0123456789eE.,+-\n")
+#: The bytes of a CSV body orjson may read: deleted, they leave b"".
+_CSV_NUMBER_BYTES = b"0123456789eE.,+-\n"
 
 #: ``-0`` as an integer literal: orjson reads it as the int 0, float() as -0.0.
-_NEGATIVE_ZERO = re.compile(r"-0(?![.eE0-9])")
+_NEGATIVE_ZERO = re.compile(rb"-0(?![.eE0-9])")
 
-#: Characters of a CSV body that orjson parses in one call.  orjson's
-#: parse buffers, outside Python's allocator, are several times the text
-#: (a 66 kB parse raised a fresh process's peak RSS by 384 kB), and chunks
+#: Bytes of a CSV body that orjson parses in one call.  orjson's parse
+#: buffers, outside Python's allocator, are several times the text (a
+#: 66 kB parse raised a fresh process's peak RSS by 384 kB), and chunks
 #: from 2**12 to 2**16 read sim-wide's input equally fast.
 _CSV_CHUNK = 1 << 13
 
 
-def _orjson_rows(text: str, start: int, width: int) -> list | None:
-    """The rows of the CSV body ``text[start:]`` as orjson reads them, or None.
+def _orjson_rows(data: bytes | str, start: int, width: int) -> list | None:
+    """The rows of the CSV body ``data[start:]`` as orjson reads them, or None.
 
-    The body's lines are cut into chunks of about ``_CSV_CHUNK``
-    characters, so no copy of the whole body is made, and each chunk is
-    wrapped as ``[[...],[...]]``, one list per line.  A final line break
-    ends the last line rather than starting an empty one.  None, for the
-    csv reader to read the text again, when a chunk fails the character
-    gate or holds an integer literal ``-0``, orjson refuses it, or a line
-    does not hold ``width`` values.  JSON numbers are a subset of what
-    ``float`` reads, and it reads them to the same floats; an int that
-    orjson gives converts to the float of its literal.
+    ``data`` is ASCII, bytes or text.  The body is cut at line breaks into
+    chunks of about ``_CSV_CHUNK`` characters, each encoded alone if text
+    and wrapped as ``[[...],[...]]``; a final line break ends the last
+    line.  None, for the csv reader, when a chunk fails the byte gate or
+    holds an integer literal ``-0``, orjson refuses it, or a line does not
+    hold ``width`` values.  JSON numbers are a subset of what ``float``
+    reads, to the same floats; an int converts to its literal's float.
     """
-    end = len(text) - text.endswith("\n")
+    lf = b"\n" if isinstance(data, bytes) else "\n"
+    end = len(data) - data.endswith(lf)
     rows = []
     while start <= end:
-        stop = text.find("\n", min(start + _CSV_CHUNK, end), end)
+        stop = data.find(lf, min(start + _CSV_CHUNK, end), end)
         stop = end if stop < 0 else stop
-        chunk = text[start:stop]
-        if chunk.translate(_CSV_NUMBER_CHARS) or _NEGATIVE_ZERO.search(chunk):
+        chunk = data[start:stop]
+        if isinstance(chunk, str):
+            chunk = chunk.encode()
+        if chunk.translate(None, _CSV_NUMBER_BYTES) or _NEGATIVE_ZERO.search(chunk):
             return None
         try:
-            lines = _orjson.loads("[[" + chunk.replace("\n", "],[") + "]]")
+            lines = _orjson.loads(b"[[" + chunk.replace(b"\n", b"],[") + b"]]")
         except _orjson.JSONDecodeError:
             return None
         if set(map(len, lines)) != {width}:
@@ -535,33 +542,36 @@ def _orjson_rows(text: str, start: int, width: int) -> list | None:
     return rows
 
 
-def _text_lines(text: str):
-    """The lines of ``text``, each with its line break, as ``io.StringIO`` gives them.
+def _text_lines(data: bytes | str):
+    """The lines of ``data``, each with its line break, as ``io.StringIO`` gives them.
 
-    One line at a time, so no copy of the whole text is made.
+    One line at a time, each decoded alone if bytes, so no copy of the
+    whole text is made.
     """
+    lf = b"\n" if isinstance(data, bytes) else "\n"
     start = 0
-    while start < len(text):
-        stop = text.find("\n", start) + 1 or len(text)
-        yield text[start:stop]
+    while start < len(data):
+        stop = data.find(lf, start) + 1 or len(data)
+        line = data[start:stop]
+        yield line if isinstance(line, str) else line.decode()
         start = stop
 
 
-def _csv_rows(text: str):
-    """The csv reader's rows of ``text``; text it refuses raises InputError.
+def _csv_rows(data: bytes | str):
+    """The csv reader's rows of ``data``; text it refuses raises InputError.
 
     The reader refuses a field over its size limit (131072 characters)
     and a line break inside an unquoted field.  It takes the text a line
     at a time (:func:`_text_lines`).
     """
-    reader = csv.reader(_text_lines(text))
+    reader = csv.reader(_text_lines(data))
     try:
         yield from reader
     except csv.Error as exc:
         raise InputError(f"trajectory CSV line {reader.line_num} is not valid CSV: {exc}") from exc
 
 
-def trajectory_from_csv(text: str, partition) -> SignalTrajectory:
+def trajectory_from_csv(text: str | bytes, partition) -> SignalTrajectory:
     """The trajectory of a signal split by ``partition``, from CSV text.
 
     The header must be the one ``trajectory_to_csv`` writes for that
@@ -570,19 +580,22 @@ def trajectory_from_csv(text: str, partition) -> SignalTrajectory:
     header line is empty, every line after it is one step, and the
     trajectory is named ``"signal"``, since no label carries the name.
 
-    With orjson installed, the lines after the header go to
-    ``orjson.loads`` (:func:`_orjson_rows`) when they hold only digits,
+    With orjson installed, the lines after the header of an ASCII text go
+    to ``orjson.loads`` (:func:`_orjson_rows`) when they hold only digits,
     ``e E . , + -`` and line breaks, no integer literal ``-0``, and rows of
     the header's width that orjson accepts.  Any other text, with a
-    quote, a space, ``nan``, ``+1``, ``.5``, a blank line or a ragged row,
-    is read by the csv reader, so each value and refusal is the one it
-    gives without orjson.  Text the csv reader refuses (:func:`_csv_rows`)
-    raises InputError naming its line, and a text that starts with a byte
-    order mark raises InputError too.  No path copies the whole text.
+    quote, a space, ``nan``, ``+1``, ``.5``, a blank line, a ragged row or
+    a character beyond ASCII, is read by the csv reader, so each value and
+    refusal is the one it gives without orjson.  Text the csv reader
+    refuses (:func:`_csv_rows`) raises InputError naming its line, and a
+    text that starts with a byte order mark raises InputError too.  No
+    path copies the whole text.  :func:`read_trajectory` passes an ASCII
+    file's bytes (:func:`_newlines`) in place of its text.
     """
     partition = _as_counts(partition, "partition")
     width = sum(partition)
-    if text.startswith("\ufeff"):
+    ascii_ = isinstance(text, bytes) or text.isascii()
+    if not ascii_ and text.startswith("\ufeff"):
         raise InputError("trajectory CSV starts with a UTF-8 byte order mark; save it without one")
     reader = _csv_rows(text)
     header = next(reader, None)
@@ -605,8 +618,8 @@ def trajectory_from_csv(text: str, partition) -> SignalTrajectory:
                     f"column {k + 1} is '{label}', expected '{want}' for partition {partition}")
     # A header csv read across lines leaves its closing quote or a label's
     # "_" after the first line break, which orjson's path declines.
-    start = text.find("\n") + 1
-    if _orjson is not None and start:
+    start = text.find(b"\n" if isinstance(text, bytes) else "\n") + 1
+    if _orjson is not None and ascii_ and start:
         rows = _orjson_rows(text, start, width)
         if rows is not None:
             return SignalTrajectory(rows, partition, name)
@@ -628,9 +641,9 @@ def read_trajectory(path, partition) -> SignalTrajectory:
     """Load a trajectory (.json, else CSV) of a signal split by ``partition``."""
     path = str(path)
     if path.endswith(".json"):
-        return _read(path, lambda text: _coerce_signal(
-            trajectory_from_obj(_json(text)), _as_counts(partition, "partition"), "trajectory"))
-    return _read(path, lambda text: trajectory_from_csv(text, partition))
+        return _read(path, lambda data: _coerce_signal(
+            trajectory_from_obj(_json(data)), _as_counts(partition, "partition"), "trajectory"))
+    return _read(path, lambda data: trajectory_from_csv(_newlines(data), partition))
 
 
 def write_trajectory(path, traj: SignalTrajectory) -> None:

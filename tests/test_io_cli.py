@@ -744,6 +744,152 @@ def test_trajectory_json_roundtrip(tmp_path, rng, json_paths):
             read_trajectory(path, (2,))
 
 
+def _text_mode_key(parse, path):
+    """What ``parse`` makes of the file as text mode reads it, as :func:`_read_key` gives it.
+
+    This is how files were read before they were read as bytes: decoded
+    whole as UTF-8, universal newlines, the text handed to the parser.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return str(_read_key(parse, text))
+
+
+def test_line_endings_read_as_text_mode_reads_them(tmp_path, rng, json_paths, csv_outcomes):
+    """CRLF, lone-CR and mixed copies of each kind of file read to the LF file's values bit for bit.
+
+    System files in both matrix forms, a JSON trajectory and a CSV
+    trajectory, on both paths; each copy also reads as text mode would
+    have read it.  A CRLF or lone-CR CSV stays on orjson's path.
+    """
+    graph = random_graph(rng, 3)
+    real = random_system(rng, graph, NodeDims((2, 1, 1), (1, 1, 2), (1, 2, 1)))
+    traj = SignalTrajectory(rng.normal(size=(40, 4)), (1, 1, 2), "u")
+    blocks, dense = tmp_path / "blocks.json", tmp_path / "dense.json"
+    write_system(blocks, real, graph, "s")
+    dense.write_text(json.dumps({**system_to_obj(real, graph, "s"),
+                                 **{key: getattr(real, key).tolist() for key in "ABCD"}}, indent=1))
+    u_json, u_csv = tmp_path / "u.json", tmp_path / "u.csv"
+    write_trajectory(u_json, traj)
+    write_trajectory(u_csv, traj)
+    readers = [(blocks, read_system, lambda text: system_from_obj(_json(text))),
+               (dense, read_system, lambda text: system_from_obj(_json(text))),
+               (u_json, lambda p: read_trajectory(p, traj.partition),
+                lambda text: trajectory_from_obj(_json(text))),
+               (u_csv, lambda p: read_trajectory(p, traj.partition),
+                lambda text: trajectory_from_csv(text, traj.partition))]
+    endings = {"crlf": lambda data: data.replace(b"\n", b"\r\n"),
+               "cr": lambda data: data.replace(b"\n", b"\r"),
+               "mixed": lambda data: b"".join(
+                   (b"\r\n", b"\r", b"\n")[k % 3] * bool(k) + line
+                   for k, line in enumerate(data.split(b"\n")))}
+    for path in json_paths:
+        for source, read, parse in readers:
+            want = _read_key(read, str(source))
+            assert isinstance(want, tuple), (path, source.name, want)
+            for ending, rewrite in endings.items():
+                copy_ = tmp_path / f"{ending}-{source.name}"
+                copy_.write_bytes(rewrite(source.read_bytes()))
+                assert b"\r" in copy_.read_bytes()
+                csv_outcomes.clear()
+                got = _read_key(read, str(copy_))
+                assert got == want, (path, ending, source.name)
+                if source is u_csv and path == "orjson":
+                    assert csv_outcomes == {True: 1}, (ending, csv_outcomes)
+                assert _text_mode_key(parse, copy_) == str(want), (path, ending, source.name)
+
+
+def test_invalid_utf8_reports_the_files_byte_offset(tmp_path, json_paths):
+    """An invalid byte after CRLF lines is reported at its offset in the file, as text mode did.
+
+    Also a byte order mark and UTF-16: a system or JSON trajectory file with
+    a BOM is invalid JSON at line 1 column 1, a CSV with one is refused as
+    such, and UTF-16 is not UTF-8 text.
+    """
+    header = b'{"name": "s",\r\n"graph": {"num_nodes": 1,\r\n"edges": [[0, 0]]},\r\n'
+    cases = [
+        ("system.json", header + b'"dims": [{"n": 1, "m": 1, "p": 1}], "A": [[\xff]]}\r\n',
+         read_system),
+        ("late.json", header + b"\r\n" * 50 + b'"x": "\xe2\x82"}', read_system),
+        ("u.json", b'{"partition": [1],\r\n"values": [[1.0],\r\n[2.0\xc3]]}',
+         lambda p: read_trajectory(p, (1,))),
+        ("u.csv", b"u0_0\r\n1\r\n2\r\n\xe9\r\n", lambda p: read_trajectory(p, (1,))),
+        ("lonecr.csv", b"u0_0\r1\r2\r3\xf0\x9f\r", lambda p: read_trajectory(p, (1,))),
+    ]
+    for _ in json_paths:
+        for name, data, read in cases:
+            path = tmp_path / name
+            path.write_bytes(data)
+            with pytest.raises(UnicodeDecodeError) as text_mode:
+                path.read_text(encoding="utf-8")
+            exc = text_mode.value
+            assert exc.start == next(k for k, byte in enumerate(data) if byte > 127), name
+            with pytest.raises(InputError) as got:
+                read(path)
+            assert str(got.value) == f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+
+    doc = {"graph": {"num_nodes": 1, "edges": [[0, 0]]}, "dims": [{"n": 1, "m": 1, "p": 1}],
+           "A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
+    bom = b"\xef\xbb\xbf"
+    for _ in json_paths:
+        for name, data, read, message in [
+            ("bom.json", bom + json.dumps(doc).encode(), read_system,
+             "invalid JSON at line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            ("bom_u.json", bom + b'{"partition": [1], "values": [[1.0]]}',
+             lambda p: read_trajectory(p, (1,)),
+             "invalid JSON at line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            ("bom.csv", bom + b"u0_0\r\n1\r\n", lambda p: read_trajectory(p, (1,)),
+             "trajectory CSV starts with a UTF-8 byte order mark; save it without one"),
+            ("utf16.json", json.dumps(doc).encode("utf-16"), read_system,
+             "not UTF-8 text (invalid start byte at byte 0)"),
+            ("utf16.csv", "u0_0\n1\n".encode("utf-16"), lambda p: read_trajectory(p, (1,)),
+             "not UTF-8 text (invalid start byte at byte 0)"),
+        ]:
+            path = tmp_path / name
+            path.write_bytes(data)
+            with pytest.raises(InputError) as got:
+                read(path)
+            assert str(got.value) == f"{path}: {message}", name
+
+
+def test_cli_refuses_a_utf16_system_file(tmp_path, capsys, json_paths):
+    """A UTF-16 system file exits 2 as not UTF-8 text, with or without orjson."""
+    plant, graph, _ = packaged_system("river")
+    path = tmp_path / "utf16.json"
+    path.write_text(json.dumps(system_to_obj(plant, graph)), encoding="utf-16")
+    for _ in json_paths:
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+def test_deep_files_still_go_to_json(tmp_path, monkeypatch):
+    """A file nested ``_ORJSON_DEPTH`` deep is parsed by ``json.loads`` alone; one level less is orjson's.
+
+    orjson 3.8.3 crashes on very deep nesting, so the count must hold on
+    the bytes as read from the file, CRLF line breaks and all.
+    """
+    pytest.importorskip("orjson")
+    calls = Counter()
+    loads = json.loads
+
+    def counting(text, *args, **kwargs):
+        calls[type(text).__name__] += 1
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(sysio.json, "loads", counting)
+    for depth, want in ((sysio._ORJSON_DEPTH, {"str": 1}), (sysio._ORJSON_DEPTH - 1, {})):
+        # The object is one level; the value's arrays are the rest.
+        inner = "[" * (depth - 1) + "\r\n1.0\r\n" + "]" * (depth - 1)
+        path = tmp_path / f"deep{depth}.json"
+        path.write_bytes(f'{{"partition": [1],\r\n"values": {inner}}}\r\n'.encode())
+        calls.clear()
+        with pytest.raises(InputError, match="values"):
+            read_trajectory(path, (1,))
+        assert calls == want, (depth, calls)
+
+
 @pytest.mark.parametrize("inputs", [(0, 1, 2), (1, 0, 2), (2, 1, 0)])
 def test_zero_width_nodes_through_csv(tmp_path, capsys, rng, inputs):
     graph = random_graph(rng, 3)
