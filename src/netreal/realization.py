@@ -725,8 +725,6 @@ def _rank(pencil: np.ndarray, tol: float) -> int:
         sv = np.linalg.svd(pencil, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"rank test failed: {exc}") from exc
-    if sv.size == 0:
-        return 0
     cutoff = sv[0] * max(max(pencil.shape) * _EPS, tol)
     return int(np.count_nonzero(sv > cutoff))
 

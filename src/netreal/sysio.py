@@ -54,10 +54,11 @@ bytes and values either way (:func:`trajectory_to_csv`,
 follow :func:`graphs._as_floats`: strings, ``true``, ``false`` and
 ``null`` are refused.
 
-Files are read as bytes, which go to orjson and to the CSV gate as they
-are.  Text is decoded only for ``json.loads`` or the csv reader, as
-text mode would read the file (:func:`_newlines`): strict UTF-8, with
-``\\r\\n`` and a lone ``\\r`` read as ``\\n``.
+Files are read as bytes, and one rule says what text they hold
+(:func:`_read`): strict UTF-8, with ``\\r\\n`` and a lone ``\\r`` read as
+``\\n``, as text mode reads a file.  Every parser then takes those bytes:
+orjson and the CSV gate as they are, ``json.loads`` decoded, and the
+csv reader through a UTF-8 wrapper.
 """
 
 from __future__ import annotations
@@ -284,28 +285,26 @@ def _system_text(obj: dict) -> str:
 
 
 def _read(path, parse):
-    """``parse`` of a file's bytes; its InputError names the file, a byte not UTF-8 its offset."""
+    """``parse`` of a file's bytes under the one text rule; InputError names the file.
+
+    The rule is text mode's.  Bytes that are not all ASCII must be strict
+    UTF-8; they are checked before any line break moves, so a refusal
+    gives the offset of the bad byte in the file.  Then ``\\r\\n`` and a
+    lone ``\\r`` become ``\\n``; neither byte occurs inside a multibyte
+    UTF-8 sequence.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
+        if not data.isascii():
+            data.decode()
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         return parse(data)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def _newlines(data):
-    """``data`` with ``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as text mode reads them.
-
-    Bytes are decoded first, as strict UTF-8, unless they are ASCII.
-    """
-    if isinstance(data, bytes) and not data.isascii():
-        data = data.decode()
-    cr, lf = (b"\r", b"\n") if isinstance(data, bytes) else ("\r", "\n")
-    if cr in data:
-        data = data.replace(cr + lf, lf).replace(cr, lf)
-    return data
 
 
 #: Nesting depth from which a document goes to ``json.loads`` alone.  json
@@ -336,27 +335,25 @@ def _nesting(data: bytes) -> int:
     return int(np.frombuffer(steps, np.int8).cumsum().max(initial=0))
 
 
-def _json(data: bytes | str):
-    """The JSON document in a file's bytes or in text; bad JSON raises InputError with its place.
+def _json(data: bytes):
+    """The JSON document in UTF-8 bytes; bad JSON raises InputError with its place.
 
     An integer literal too long for Python to convert, or nesting deeper
     than the decoder's recursion limit, raises InputError too.  orjson,
     when installed, reads the bytes first unless they nest
-    ``_ORJSON_DEPTH`` deep; bytes it refuses (invalid UTF-8, a byte order
-    mark) go to ``json.loads`` as text (:func:`_newlines`), never as bytes,
-    which json would read as UTF-16 or UTF-32.  The two agree on every
-    document but one holding an integer literal outside [-2**63, 2**64),
-    which orjson reads as the nearest float.
+    ``_ORJSON_DEPTH`` deep; bytes it refuses (a byte order mark, say) go
+    to ``json.loads`` decoded, never as bytes, which json would read as
+    UTF-16 or UTF-32.  The two agree on every document but one holding an
+    integer literal outside [-2**63, 2**64), which orjson reads as the
+    nearest float.
     """
-    if _orjson is not None:
-        # Text is encoded as it stands: orjson refuses a lone surrogate.
-        raw = data.encode(errors="surrogatepass") if isinstance(data, str) else data
-        if _nesting(raw) < _ORJSON_DEPTH:
-            try:
-                return _orjson.loads(raw)
-            except _orjson.JSONDecodeError:
-                pass
-    text = data if isinstance(data, str) else _newlines(data.decode())
+    if _orjson is not None and _nesting(data) < _ORJSON_DEPTH:
+        try:
+            return _orjson.loads(data)
+        except _orjson.JSONDecodeError:
+            pass
+    # Outside the try: bytes that are not UTF-8 are not bad JSON.
+    text = data.decode()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -509,26 +506,23 @@ _NEGATIVE_ZERO = re.compile(rb"-0(?![.eE0-9])")
 _CSV_CHUNK = 1 << 13
 
 
-def _orjson_rows(data: bytes | str, start: int, width: int) -> list | None:
+def _orjson_rows(data: bytes, start: int, width: int) -> list | None:
     """The rows of the CSV body ``data[start:]`` as orjson reads them, or None.
 
-    ``data`` is ASCII, bytes or text.  The body is cut at line breaks into
-    chunks of about ``_CSV_CHUNK`` characters, each encoded alone if text
-    and wrapped as ``[[...],[...]]``; a final line break ends the last
-    line.  None, for the csv reader, when a chunk fails the byte gate or
-    holds an integer literal ``-0``, orjson refuses it, or a line does not
-    hold ``width`` values.  JSON numbers are a subset of what ``float``
-    reads, to the same floats; an int converts to its literal's float.
+    The body is cut at line breaks into chunks of about ``_CSV_CHUNK``
+    bytes, each wrapped as ``[[...],[...]]``; a final line break ends the
+    last line.  None, for the csv reader, when a chunk fails the byte gate
+    (which every byte beyond ASCII fails) or holds an integer literal
+    ``-0``, orjson refuses it, or a line does not hold ``width`` values.
+    JSON numbers are a subset of what ``float`` reads, to the same floats;
+    an int converts to its literal's float.
     """
-    lf = b"\n" if isinstance(data, bytes) else "\n"
-    end = len(data) - data.endswith(lf)
+    end = len(data) - data.endswith(b"\n")
     rows = []
     while start <= end:
-        stop = data.find(lf, min(start + _CSV_CHUNK, end), end)
+        stop = data.find(b"\n", min(start + _CSV_CHUNK, end), end)
         stop = end if stop < 0 else stop
         chunk = data[start:stop]
-        if isinstance(chunk, str):
-            chunk = chunk.encode()
         if chunk.translate(None, _CSV_NUMBER_BYTES) or _NEGATIVE_ZERO.search(chunk):
             return None
         try:
@@ -542,62 +536,47 @@ def _orjson_rows(data: bytes | str, start: int, width: int) -> list | None:
     return rows
 
 
-def _text_lines(data: bytes | str):
-    """The lines of ``data``, each with its line break, as ``io.StringIO`` gives them.
-
-    One line at a time, each decoded alone if bytes, so no copy of the
-    whole text is made.
-    """
-    lf = b"\n" if isinstance(data, bytes) else "\n"
-    start = 0
-    while start < len(data):
-        stop = data.find(lf, start) + 1 or len(data)
-        line = data[start:stop]
-        yield line if isinstance(line, str) else line.decode()
-        start = stop
-
-
-def _csv_rows(data: bytes | str):
-    """The csv reader's rows of ``data``; text it refuses raises InputError.
+def _csv_rows(data: bytes):
+    """The csv reader's rows of UTF-8 ``data``; text it refuses raises InputError.
 
     The reader refuses a field over its size limit (131072 characters)
-    and a line break inside an unquoted field.  It takes the text a line
-    at a time (:func:`_text_lines`).
+    and a line break inside an unquoted field.  A UTF-8 wrapper hands it
+    the text a line at a time, so no copy of the whole text is made, and
+    ends lines at ``\\n`` alone, so a ``\\r`` reaches the reader as it stands.
     """
-    reader = csv.reader(_text_lines(data))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n"))
     try:
         yield from reader
     except csv.Error as exc:
         raise InputError(f"trajectory CSV line {reader.line_num} is not valid CSV: {exc}") from exc
 
 
-def trajectory_from_csv(text: str | bytes, partition) -> SignalTrajectory:
-    """The trajectory of a signal split by ``partition``, from CSV text.
+def trajectory_from_csv(data: bytes, partition) -> SignalTrajectory:
+    """The trajectory of a signal split by ``partition``, from a CSV file's bytes.
 
-    The header must be the one ``trajectory_to_csv`` writes for that
-    partition; the signal's name is the first label less its node and
-    channel suffix.  A partition of total width 0 has no column: its
+    ``data`` is UTF-8 with ``\\n`` line breaks, as :func:`_read` hands a
+    file on.  The header must be the one ``trajectory_to_csv`` writes for
+    that partition; the signal's name is the first label less its node
+    and channel suffix.  A partition of total width 0 has no column: its
     header line is empty, every line after it is one step, and the
     trajectory is named ``"signal"``, since no label carries the name.
 
-    With orjson installed, the lines after the header of an ASCII text go
-    to ``orjson.loads`` (:func:`_orjson_rows`) when they hold only digits,
+    With orjson installed, the lines after the header go to
+    ``orjson.loads`` (:func:`_orjson_rows`) when they hold only digits,
     ``e E . , + -`` and line breaks, no integer literal ``-0``, and rows of
-    the header's width that orjson accepts.  Any other text, with a
+    the header's width that orjson accepts.  Any other body, with a
     quote, a space, ``nan``, ``+1``, ``.5``, a blank line, a ragged row or
-    a character beyond ASCII, is read by the csv reader, so each value and
+    a byte beyond ASCII, is read by the csv reader, so each value and
     refusal is the one it gives without orjson.  Text the csv reader
-    refuses (:func:`_csv_rows`) raises InputError naming its line, and a
-    text that starts with a byte order mark raises InputError too.  No
-    path copies the whole text.  :func:`read_trajectory` passes an ASCII
-    file's bytes (:func:`_newlines`) in place of its text.
+    refuses (:func:`_csv_rows`) raises InputError naming its line, and
+    bytes that start with a UTF-8 byte order mark raise InputError too.
+    No path copies the whole text.
     """
     partition = _as_counts(partition, "partition")
     width = sum(partition)
-    ascii_ = isinstance(text, bytes) or text.isascii()
-    if not ascii_ and text.startswith("\ufeff"):
+    if data.startswith(b"\xef\xbb\xbf"):
         raise InputError("trajectory CSV starts with a UTF-8 byte order mark; save it without one")
-    reader = _csv_rows(text)
+    reader = _csv_rows(data)
     header = next(reader, None)
     if header is None or (width and not header):
         raise InputError("trajectory CSV has no columns")
@@ -618,9 +597,9 @@ def trajectory_from_csv(text: str | bytes, partition) -> SignalTrajectory:
                     f"column {k + 1} is '{label}', expected '{want}' for partition {partition}")
     # A header csv read across lines leaves its closing quote or a label's
     # "_" after the first line break, which orjson's path declines.
-    start = text.find(b"\n" if isinstance(text, bytes) else "\n") + 1
-    if _orjson is not None and ascii_ and start:
-        rows = _orjson_rows(text, start, width)
+    start = data.find(b"\n") + 1
+    if _orjson is not None and start:
+        rows = _orjson_rows(data, start, width)
         if rows is not None:
             return SignalTrajectory(rows, partition, name)
     rows = []
@@ -643,7 +622,7 @@ def read_trajectory(path, partition) -> SignalTrajectory:
     if path.endswith(".json"):
         return _read(path, lambda data: _coerce_signal(
             trajectory_from_obj(_json(data)), _as_counts(partition, "partition"), "trajectory"))
-    return _read(path, lambda data: trajectory_from_csv(_newlines(data), partition))
+    return _read(path, lambda data: trajectory_from_csv(data, partition))
 
 
 def write_trajectory(path, traj: SignalTrajectory) -> None:
