@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from .errors import InputError, InversionError, NumericalError, StabilityWarning
-from .graphs import NodeDims
+from .graphs import NodeDims, _frozen
 from .realization import BlockRealization, _certified_inverse, spectral_radius
 
 #: :func:`invert` refuses a direct term whose condition number reaches this.
@@ -46,14 +46,13 @@ def _assemble(grid, row_at, col_at) -> np.ndarray:
 
     ``row_at`` and ``col_at`` hold each part's :func:`_part_positions`.
     Each block is copied to the rows and columns of its parts; ``None``
-    blocks stay zero.  The result is frozen, so a realization keeps it.
+    blocks stay zero.
     """
     out = np.zeros((sum(map(len, row_at)), sum(map(len, col_at))))
     for blocks, r in zip(grid, row_at):
         for blk, c in zip(blocks, col_at):
             if blk is not None:
                 out[np.ix_(r, c)] = blk
-    out.setflags(write=False)
     return out
 
 
@@ -66,11 +65,15 @@ def _part_positions(parts) -> list[np.ndarray]:
 
 
 def _finite(*matrices: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``matrices`` (A, B, C, D of a result), or :class:`NumericalError` if one overflowed."""
+    """``matrices`` (A, B, C, D of a result) frozen, or :class:`NumericalError` if one overflowed.
+
+    Each is a fresh array, so the realization built from them keeps it
+    (:func:`graphs._kept`).
+    """
     for name, matrix in zip("ABCD", matrices):
         if not np.isfinite(matrix).all():
             raise NumericalError(f"{name} of the result is not finite: a product overflowed")
-    return matrices
+    return tuple(map(_frozen, matrices))
 
 
 def _node_major(a, b, c, d, states, inputs, outputs) -> BlockRealization:

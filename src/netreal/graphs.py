@@ -47,8 +47,9 @@ def _as_floats(value, message: str) -> np.ndarray:
     read a number, NaN or a real part.  The one hole: a boolean among
     numbers, in any array, reads as 1.0 or 0.0, as a scan per entry would
     cost about what the conversion costs.  Other failures to convert, ints
-    beyond float range too, raise InputError(``message``).  A float64
-    array numpy builds from a list or tuple is kept; any other is copied.
+    beyond float range too, raise InputError(``message``).  A float64 array
+    numpy builds from a list or tuple is kept; any other is copied.  The
+    checked constructors call it only for what :func:`_kept` does not keep.
     """
     try:
         array = np.asarray(value)
@@ -62,6 +63,24 @@ def _as_floats(value, message: str) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(message) from exc
     raise InputError(f"{message}: it holds {holds}")
+
+
+def _kept(value) -> bool:
+    """Whether a checked constructor keeps ``value`` itself: the one keep-or-copy rule.
+
+    :class:`~netreal.realization.BlockRealization` and :class:`~netreal.sim.SignalTrajectory`
+    keep a read-only float64 ``np.ndarray`` that owns its data (``base is None``) and check
+    it as they check a copy; its owner must not make it writable again.  Anything else
+    goes through :func:`_as_floats`.  The library freezes (:func:`_frozen`) what it makes.
+    """
+    return (type(value) is np.ndarray and value.dtype == np.float64
+            and value.base is None and not value.flags.writeable)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: a fresh float64 one is then kept, not copied (:func:`_kept`)."""
+    array.setflags(write=False)
+    return array
 
 
 def _as_edge(item) -> tuple[int, int]:

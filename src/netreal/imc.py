@@ -46,6 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import _node_major, _part_positions, multiply, node_major_indices
+from .graphs import _frozen
 from .loops import _check_pair
 from .realization import BlockRealization
 from .sim import SignalTrajectory, _coerce_signal, _simulate
@@ -140,18 +141,15 @@ def simulate_imc_loop(
     output_disturbance = _coerce_signal(output_disturbance, outputs, "disturbance", steps)
 
     loop = _imc_loop(plant, model, q)
-    # Each array below is a fresh gather of finite values, so the trajectories keep it.
+    # Each array below is a fresh gather, frozen so its trajectory keeps it.
     inputs = np.hstack([reference.values, output_disturbance.values]).take(
         node_major_indices(outputs, outputs), axis=1)
     out, _, _ = _simulate(
-        loop, SignalTrajectory._owned(inputs, loop.dims.inputs, "input"), states=False)
-    us, ys, errs = (out.values.take(at, axis=1)
-                    for at in _part_positions((plant.dims.inputs, outputs, outputs)))
-    return (
-        SignalTrajectory._owned(us, plant.dims.inputs, "u"),
-        SignalTrajectory._owned(ys, plant.dims.outputs, "y"),
-        SignalTrajectory._owned(errs, plant.dims.outputs, "prediction_error"),
-    )
+        loop, SignalTrajectory(_frozen(inputs), loop.dims.inputs, "input"), states=False)
+    parts = (plant.dims.inputs, outputs, outputs)
+    return tuple(
+        SignalTrajectory(_frozen(out.values.take(at, axis=1)), part, name)
+        for at, part, name in zip(_part_positions(parts), parts, ("u", "y", "prediction_error")))
 
 
 def ideal_maps(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import _node_major, _part_positions
 from .errors import InputError, PoleError
-from .graphs import NodeDims
+from .graphs import NodeDims, _frozen
 from .realization import (
     POLE_COND_LIMIT,
     BlockRealization,
@@ -82,8 +82,8 @@ class ClosedLoop:
             self.p_dims if col == 1 else self.m_dims,
             self.p_dims if row == 1 else self.m_dims,
         )
-        return BlockRealization(
-            dims, h.A, h.B[:, cols], h.C[rows, :], h.D[np.ix_(rows, cols)])
+        return BlockRealization(dims, h.A, _frozen(h.B.take(cols, axis=1)),
+                                _frozen(h.C[rows]), _frozen(h.D[np.ix_(rows, cols)]))
 
     @property
     def spectral_radius(self) -> float:
@@ -129,7 +129,7 @@ def q_param(plant: BlockRealization, controller: BlockRealization) -> BlockReali
     """
     loop = close_loop(plant, controller)
     sub = loop.block(2, 1)
-    return BlockRealization(sub.dims, sub.A, sub.B, -sub.C, -sub.D)
+    return BlockRealization(sub.dims, sub.A, sub.B, _frozen(-sub.C), _frozen(-sub.D))
 
 
 def _loop_inverse(p_z: np.ndarray, c_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

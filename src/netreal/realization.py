@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError, PoleError
-from .graphs import (_MAX_TOTAL, NetworkGraph, NodeDims, _as_floats, _as_int,
+from .graphs import (_MAX_TOTAL, NetworkGraph, NodeDims, _as_floats, _as_int, _frozen, _kept,
                      strongly_connected_components)
 
 #: Evaluation of C (zI - A)^{-1} B refuses condition numbers at or above this.
@@ -81,10 +81,10 @@ def _require_count(num_points: int) -> None:
 
 
 def _as_matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
+    """``value`` as a read-only ``shape`` matrix: kept by :func:`graphs._kept` if so shaped."""
     if value is None:
         arr = np.zeros(shape)
-    elif (type(value) is np.ndarray and value.dtype == np.float64 and value.shape == shape
-          and value.base is None and not value.flags.writeable):
+    elif _kept(value) and value.shape == shape:
         arr = value
     else:
         arr = _as_floats(value, f"{name} is not a numeric matrix")
@@ -94,8 +94,7 @@ def _as_matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
             raise InputError(f"{name} must have shape {shape}, got {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
+    return _frozen(arr)
 
 
 def _node_blocks(rows: np.ndarray, cols: np.ndarray, row_counts, col_counts):
@@ -139,9 +138,7 @@ def block_occupancy(matrix: np.ndarray, row_counts, col_counts) -> NodeBlocks:
     rows, cols = np.nonzero(matrix)
     i, j, order, starts = _node_blocks(rows, cols, row_counts, col_counts)
     top = np.maximum.reduceat(np.abs(matrix[rows, cols])[order], starts)
-    for part in (i, j, top):
-        part.setflags(write=False)
-    return NodeBlocks(i, j, top)
+    return NodeBlocks(*map(_frozen, (i, j, top)))
 
 
 #: :func:`block_occupancy` of each of the four matrices of a realization, by name.
@@ -155,9 +152,8 @@ class BlockRealization:
     Matrices may be passed as ``None`` (filled with zeros), or as nested
     lists or arrays of numbers by the one rule files follow too
     (:func:`graphs._as_floats`, whose hole is a boolean among numbers).
-    They are copied and frozen, except a float64 array of the right shape
-    that is read-only and owns its data (``base is None``): it is kept
-    and shared, and its owner must not make it writable again.
+    They are copied and frozen, except an array of the right shape that
+    :func:`graphs._kept` keeps, which is shared and checked alike.
     Instances are safe to share.
 
     Parameters
@@ -180,10 +176,8 @@ class BlockRealization:
         if not isinstance(self.dims, NodeDims):
             raise InputError("dims must be a NodeDims instance")
         n, m, p = self.dims.n_total, self.dims.m_total, self.dims.p_total
-        object.__setattr__(self, "A", _as_matrix(self.A, (n, n), "A"))
-        object.__setattr__(self, "B", _as_matrix(self.B, (n, m), "B"))
-        object.__setattr__(self, "C", _as_matrix(self.C, (p, n), "C"))
-        object.__setattr__(self, "D", _as_matrix(self.D, (p, m), "D"))
+        for name, shape in zip("ABCD", ((n, n), (n, m), (p, n), (p, m))):
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), shape, name))
 
     @property
     def n(self) -> int:
@@ -256,8 +250,7 @@ class BlockRealization:
             part = np.concatenate([np.arange(slices[k].start, slices[k].stop) for k in nodes])
             if part.size:
                 owner[nodes] = len(states)
-                part.setflags(write=False)
-                states.append(part)
+                states.append(_frozen(part))
         count = len(states)
         readers, read = np.divmod(_distinct(owner[blocks.rows] * count + owner[blocks.cols]), count)
         sizes = np.array([len(part) for part in states], dtype=int)
@@ -295,8 +288,7 @@ class BlockRealization:
                 raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
             if not np.isfinite(eigs).all():
                 raise NumericalError("eigenvalue computation failed: non-finite eigenvalues")
-        eigs.setflags(write=False)
-        return eigs
+        return _frozen(eigs)
 
     @cached_property
     def _bound_terms(self) -> _BoundTerms:

@@ -40,7 +40,8 @@ import numpy as np
 
 from .algebra import node_major_indices
 from .errors import InputError, NumericalError
-from .graphs import NetworkGraph, _as_counts, _as_floats, _as_int, _node_slice, partition_slices
+from .graphs import (NetworkGraph, _as_counts, _as_floats, _as_int, _frozen, _kept, _node_slice,
+                     partition_slices)
 from .realization import BlockRealization, DMode, _node_blocks, check_compatibility
 
 
@@ -52,6 +53,8 @@ class SignalTrajectory:
     of ``partition``; node ``i`` owns the ``partition[i]`` columns at
     its node-major offset.  ``values`` are numbers by the rule files follow
     too (:func:`graphs._as_floats`; a boolean among them reads as 1 or 0).
+    They are copied and frozen, except an array :func:`graphs._kept` keeps,
+    which is shared and checked alike.
     """
 
     values: np.ndarray
@@ -60,7 +63,8 @@ class SignalTrajectory:
 
     def __post_init__(self):
         partition = _as_counts(self.partition, "partition")
-        values = _as_floats(self.values, "trajectory values are not numeric")
+        values = (self.values if _kept(self.values)
+                  else _as_floats(self.values, "trajectory values are not numeric"))
         width = sum(partition)
         if values.ndim == 1 and values.size == 0:
             values = values.reshape(0, width)
@@ -71,24 +75,8 @@ class SignalTrajectory:
                 f"trajectory width {values.shape[1]} does not match partition total {width}")
         if values.size and not np.isfinite(values).all():
             raise InputError("trajectory contains non-finite entries")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(values))
         object.__setattr__(self, "partition", partition)
-
-    @classmethod
-    def _owned(cls, values: np.ndarray, partition: tuple[int, ...],
-               name: str) -> "SignalTrajectory":
-        """A trajectory that keeps ``values`` itself: no copy and no check.
-
-        Only for an array the library has just made and checked: float64,
-        2-D, owning its data, finite and as wide as ``partition``, a tuple
-        of counts.  ``values`` is made read-only here.
-        """
-        values.setflags(write=False)
-        signal = object.__new__(cls)
-        for key, value in (("values", values), ("partition", partition), ("name", name)):
-            object.__setattr__(signal, key, value)
-        return signal
 
     @classmethod
     def zeros(cls, partition, length: int, name: str = "signal") -> "SignalTrajectory":
@@ -96,7 +84,7 @@ class SignalTrajectory:
         length = _as_int(length, "length")
         if length < 0:
             raise InputError(f"length must be nonnegative, got {length}")
-        return cls(np.zeros((length, sum(partition))), partition, name)
+        return cls(_frozen(np.zeros((length, sum(partition)))), partition, name)
 
     @property
     def length(self) -> int:
@@ -356,9 +344,9 @@ def _simulate(real: BlockRealization, u, x0=None, graph: NetworkGraph | None = N
             xs[start:stop] = _state_trace(frame, plan, stop - start)
         window[0] = frame[-1]
     if states:
-        xs = SignalTrajectory._owned(xs, real.dims.states, "x")
+        xs = SignalTrajectory(_frozen(xs), real.dims.states, "x")
     messages = 0 if graph is None else steps * graph.num_non_self_edges
-    return SignalTrajectory._owned(ys, real.dims.outputs, "y"), xs, messages
+    return SignalTrajectory(_frozen(ys), real.dims.outputs, "y"), xs, messages
 
 
 def simulate_lti(

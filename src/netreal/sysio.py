@@ -78,7 +78,8 @@ except ImportError:
     _orjson = None
 
 from .errors import InputError
-from .graphs import NetworkGraph, NodeDims, _as_counts, _as_floats, _as_int, build_graph
+from .graphs import (NetworkGraph, NodeDims, _as_counts, _as_floats, _as_int, _frozen,
+                     build_graph)
 from .realization import BlockRealization, _node_blocks
 from .sim import SignalTrajectory, _coerce_signal
 
@@ -158,7 +159,7 @@ def _axis(dims: NodeDims, axis: str) -> tuple[tuple[int, ...], tuple[slice, ...]
 
 
 def _matrix_from_obj(value, key: str, dims: NodeDims, axes: tuple[str, str]) -> np.ndarray:
-    """Matrix ``key`` of a system document, dense or by blocks, read-only.
+    """Matrix ``key`` of a system document, dense or by blocks, frozen (:func:`graphs._frozen`).
 
     ``None`` (the key absent) stands for a matrix with a zero dimension.
     """
@@ -174,9 +175,7 @@ def _matrix_from_obj(value, key: str, dims: NodeDims, axes: tuple[str, str]) -> 
         matrix = _as_floats(value, f"field '{key}' is not a numeric matrix")
         if matrix.shape != shape:
             raise InputError(f"field '{key}' has shape {matrix.shape}, expected {shape}")
-    # Owned and read-only, so BlockRealization keeps it without a copy.
-    matrix.setflags(write=False)
-    return matrix
+    return _frozen(matrix)
 
 
 def _from_blocks(obj: dict, key: str, dims: NodeDims, axes: tuple[str, str]) -> np.ndarray:

@@ -1022,6 +1022,24 @@ def test_cli_check_json_is_schema_valid(tmp_path, capsys, report_schema):
     assert obj["pass"] is True
 
 
+def test_cli_edge_sparse_mode_admits_off_diagonal_direct_terms(capsys, report_schema):
+    """Remark 1's first factor has D blocks on edges: strict mode refuses them, edge mode passes."""
+    g1 = str(resources.files("netreal").joinpath("data", "remark1_g1.json"))
+    assert main(["check", g1]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] compatibility (mode=strict, violations=[D(2, 1), D(3, 1)])" in out
+    assert main(["check", g1, "--d-mode", "edge"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] compatibility (mode=edge, violations=[])" in out
+    assert main(["compose", "--op", "add", g1, g1, "--d-mode", "edge"]) == 0
+    assert "compatibility (mode=edge, states=2, violations=[])" in capsys.readouterr().out
+    assert main(["check", g1, "--d-mode", "edge", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    jsonschema.validate(obj, report_schema)
+    assert obj["pass"] is True
+    assert obj["stages"][0]["detail"] == {"mode": "edge", "violations": []}
+
+
 def test_cli_missing_file_and_usage(tmp_path, capsys):
     assert main(["check", str(tmp_path / "none.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -28,7 +28,7 @@ from netreal import (
     spectral_radius,
     transfer_equal,
 )
-from netreal.loops import _identity_deviations, _loop_inverse, close_loop
+from netreal.loops import _identity_deviations, _loop_inverse, close_loop, q_param
 from netreal.graphs import strongly_connected_components
 from netreal.sysio import _MATRIX_AXES, _nonzero_blocks
 from netreal.realization import (
@@ -81,7 +81,7 @@ def test_matrices_default_to_zero_and_freeze():
         real.A[0, 0] = 1.0
 
 
-def test_frozen_owned_matrices_are_kept_and_others_copied():
+def test_frozen_owned_matrices_are_kept_and_others_copied(monkeypatch):
     dims = NodeDims((2,), (2,), (2,))
     frozen = np.arange(4.0).reshape(2, 2).copy()
     frozen.setflags(write=False)
@@ -94,9 +94,20 @@ def test_frozen_owned_matrices_are_kept_and_others_copied():
     writable[0, 0] = owner[0, 0] = 7.0
     assert real.B[0, 0] == real.C[0, 0] == 0.0
     assert not (real.B.flags.writeable or real.C.flags.writeable or real.D.flags.writeable)
-    # A composite's matrices are frozen and owned, so a realization built from them shares them.
-    total = add(real, real)
-    assert BlockRealization(total.dims, total.A, total.B, total.C, total.D).A is total.A
+    # A composite's matrices are frozen and owned, so a realization built from them shares
+    # them: sums, inverses, feedback parameters and closed-loop channel blocks alike.  No
+    # builder hands its realization an array to copy.
+    plant = BlockRealization(dims, A=0.5 * np.eye(2), B=np.eye(2), C=np.eye(2))
+
+    def copy(value, message):
+        raise AssertionError(f"a builder's matrix was copied ({message})")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(netreal.realization, "_as_floats", copy)
+        for built in (add(real, real), invert(real), q_param(plant, real),
+                      close_loop(plant, real).block(1, 2)):
+            again = BlockRealization(built.dims, built.A, built.B, built.C, built.D)
+            assert all(getattr(again, name) is getattr(built, name) for name in "ABCD")
     # A kept matrix is checked like a copied one.
     infinite = np.array([[np.inf]])
     infinite.setflags(write=False)

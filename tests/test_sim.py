@@ -72,6 +72,13 @@ _NOT_NUMBERS = (("0.5", "a string"), (True, "true or false"), (None, "null"),
                 (0.5j, "a complex number"), (1 + 0j, "a complex number"))
 
 
+def _read_only(values, dtype=float):
+    """A new read-only array of ``values`` that owns its data."""
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
 def test_library_inputs_follow_the_file_readers_number_rule():
     """Matrices, trajectory values and initial states refuse what system files refuse.
 
@@ -79,7 +86,9 @@ def test_library_inputs_follow_the_file_readers_number_rule():
     InputError naming what it holds, given as a list, as an array or
     (but for the boolean) as an object array, without a ComplexWarning;
     floats, integers and float32 still convert to float64, into memory
-    the caller's array does not share.
+    the caller's array does not share, but for a read-only float64 array
+    that owns its data: realizations and trajectories keep that one, and
+    check it alike.
     """
     graph = build_graph(1, [(0, 0)])
     dims = NodeDims((1,), (1,), (1,))
@@ -103,7 +112,8 @@ def test_library_inputs_follow_the_file_readers_number_rule():
                         build(value)
     want = simulate_lti(plant, u, [0.25])
     for value in ([[0.25]], [[1]], np.array([[0.25]]), np.array([[1]]),
-                  np.array([[0.25]], dtype=np.float32), np.array([[0.25]]).T):
+                  np.array([[0.25]], dtype=np.float32), np.array([[0.25]]).T,
+                  _read_only([[0.25]])[:, :], _read_only([[0.25]], np.float32)):
         real = inputs["A"](value)
         traj = inputs["trajectory"](value)
         x0 = _coerce_state(plant, value)
@@ -114,6 +124,20 @@ def test_library_inputs_follow_the_file_readers_number_rule():
             for run in (inputs["initial state"], inputs["distributed initial state"]):
                 assert all(np.array_equal(a.values, b.values)
                            for a, b in zip(run(value), want))
+    # A read-only float64 array that owns its data is kept, by realizations and
+    # trajectories alike; read-only views and read-only float32 arrays are copied above.
+    kept = _read_only([[0.25]])
+    assert inputs["A"](kept).A is kept and inputs["trajectory"](kept).values is kept
+    assert not np.shares_memory(_coerce_state(plant, kept), kept)
+    # A kept array is checked like a copied one, with the same messages.
+    for values, message in (
+            ([[np.nan, 0.0]], "trajectory contains non-finite entries"),
+            (np.zeros((4, 3)), "trajectory width 3 does not match partition total 2"),
+            ([0.0, 0.0], r"trajectory values must be 2-D, got shape \(2,\)")):
+        with pytest.raises(InputError, match=message):
+            SignalTrajectory(_read_only(values), (1, 1))
+    assert SignalTrajectory(_read_only([]), (1, 1)).values.shape == (0, 2)
+
 
 
 def test_simulate_scalar_recursion_exact():
@@ -416,9 +440,10 @@ def test_output_only_callers_build_no_state_trajectory(tmp_path, capsys, monkeyp
         return cli, loop, run_demo_river().to_obj()
 
     want = outcomes()
-    y, x = simulate_lti(wide, u)
-    for values in (y.values, x.values):
-        assert values.flags.owndata and not values.flags.writeable
+    for run in (simulate_lti(wide, u), simulate_distributed(wide, graph, u)[:2],
+                simulate_imc_loop(plant, plant, river_q, r)):
+        for traj in run:
+            assert traj.values.flags.owndata and not traj.values.flags.writeable
     user = rng.normal(size=(4, wide.m))
     assert not np.shares_memory(SignalTrajectory(user, wide.dims.inputs).values, user)
 
