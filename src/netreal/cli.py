@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .algebra import add, invert, multiply, node_major_indices
+from .algebra import _part_positions, add, invert, multiply
 from .demos import run_demo_remark1, run_demo_river
 from .errors import InputError, NetRealError
 from .imc import imc_controller
@@ -173,11 +173,17 @@ def _cmd_closeloop(args) -> int:
 
     report = _opened(args, f"loop({label1}, {label2})", loop.realization, graph,
                      states=loop.realization.n)
-    chan_perm = node_major_indices(plant.dims.outputs, plant.dims.inputs)
+    # Where the plant's outputs and inputs sit among the loop's node-major channels.
+    outputs_at, inputs_at = _part_positions((plant.dims.outputs, plant.dims.inputs))
+    size = plant.p + plant.m
 
     def deviations(loop_z, p_z, c_z):
-        big = np.block([[np.eye(plant.p), -p_z], [c_z, np.eye(plant.m)]])
-        gap = scaled_deviation(loop_z, np.linalg.inv(big[np.ix_(chan_perm, chan_perm)]))
+        # [[I, -P], [C, I]] with rows and columns in the loop's channel order.
+        big = np.zeros((size, size), dtype=np.result_type(p_z, c_z))
+        np.fill_diagonal(big, 1)
+        big[outputs_at[:, None], inputs_at] = -p_z
+        big[inputs_at[:, None], outputs_at] = c_z
+        gap = scaled_deviation(loop_z, np.linalg.inv(big))
         return (gap, *_identity_deviations(p_z, c_z))
 
     # One circle for both sampled stages: each system is evaluated once per point.

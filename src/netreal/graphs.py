@@ -207,6 +207,16 @@ def partition_slices(counts: Sequence[int]) -> tuple[slice, ...]:
         slice(stop - width, stop) for width, stop in zip(counts, accumulate(counts)))
 
 
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of ``counts`` starts when they are laid end to end."""
+    return np.cumsum(counts) - counts
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for each start ``s`` and count ``c``, concatenated."""
+    return np.repeat(starts - _starts(counts), counts) + np.arange(counts.sum())
+
+
 def _node_slice(slices: tuple[slice, ...], index: int) -> slice:
     if not 0 <= index < len(slices):
         raise InputError(f"node index {index} out of range for {len(slices)} nodes")

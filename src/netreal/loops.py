@@ -133,14 +133,19 @@ def q_param(plant: BlockRealization, controller: BlockRealization) -> BlockReali
 
 
 def _loop_inverse(p_z: np.ndarray, c_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``L = I + P(z) C(z)`` and ``L^{-1}`` at one sample point.
+    """``L = I + P(z) C(z)`` and ``L^{-1}`` at one sample point (:func:`_guarded_loop`)."""
+    return _guarded_loop(p_z @ c_z)
+
+
+def _guarded_loop(product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``L = I + product`` and ``L^{-1}``, where ``product`` is ``P(z) C(z)``.
 
     The one guard of that inverse: :func:`_certified_inverse` raises
     :class:`~netreal.errors.PoleError` when ``cond(L)`` reaches
     ``POLE_COND_LIMIT``, the limit of every sample point, so
     :func:`circle_samples` pushes the point outward.
     """
-    loop = np.eye(len(p_z)) + p_z @ c_z
+    loop = np.eye(len(product)) + product
     loop_inv = _certified_inverse(
         loop, POLE_COND_LIMIT,
         lambda cond: PoleError(f"I + PC is ill-conditioned: cond {cond:.3e}"))
@@ -158,15 +163,28 @@ def _identity_deviations(p_z: np.ndarray, c_z: np.ndarray) -> tuple[float, float
 
     * ``L^{-1} = I - P(z) C(z) L^{-1}``
     * ``[[L, 0], [C(z), I]]^{-1} = [[L^{-1}, 0], [-C(z) L^{-1}, I]]``
+
+    ``P(z) C(z)`` is formed once, and each block matrix is one array
+    whose blocks are written in place.
     """
-    p, m = p_z.shape
-    zero, eye_m = np.zeros((p, m)), np.eye(m)
-    loop, loop_inv = _loop_inverse(p_z, c_z)
-    rhs = np.eye(p) - p_z @ c_z @ loop_inv
-    tri = np.block([[loop, zero], [c_z, eye_m]])
-    expected = np.block([[loop_inv, zero], [-c_z @ loop_inv, eye_m]])
+    p = len(p_z)
+    product = p_z @ c_z
+    loop, loop_inv = _guarded_loop(product)
+    rhs = np.eye(p) - product @ loop_inv
+    tri = _lower_block(loop, c_z)
+    expected = _lower_block(loop_inv, -c_z @ loop_inv)
     return (scaled_deviation(loop_inv, rhs),
             scaled_deviation(np.linalg.inv(tri), expected))
+
+
+def _lower_block(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """``[[upper, 0], [lower, I]]``, as ``np.block`` forms it, for square ``upper``."""
+    p, size = len(upper), len(upper) + len(lower)
+    out = np.zeros((size, size), dtype=np.result_type(upper, lower))
+    out[:p, :p] = upper
+    out[p:, :p] = lower
+    np.fill_diagonal(out[p:, p:], 1)
+    return out
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,14 @@ import enum
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError, NumericalError, PoleError
 from .graphs import (_MAX_TOTAL, NetworkGraph, NodeDims, _as_floats, _as_int, _frozen, _kept,
-                     strongly_connected_components)
+                     _ranges, _starts, strongly_connected_components)
 
 #: Evaluation of C (zI - A)^{-1} B refuses condition numbers at or above this.
 #: An upper bound on the 2-norm condition number, built from the strongly
@@ -49,7 +50,7 @@ _EPS = float(np.finfo(float).eps)
 #: every other system of that workload one chunk; ``2**18`` was no faster.
 _CHUNK_FLOOR_ENTRIES = 2 ** 17
 #: The most entries of a stack whose Frobenius norms the stacked pass takes
-#: in one ``np.linalg.norm`` call, which holds two temporaries of its size.
+#: in one step of :func:`_frobenius_norms`, which holds two temporaries of its size.
 _NORM_ENTRIES = 2 ** 10
 #: The most points a floored chunk holds: each point also holds Python
 #: objects the entry count does not see, its value array first.
@@ -240,28 +241,35 @@ class BlockRealization:
 
         From A's nonzero node blocks (:attr:`occupancy`) and one call for
         their components: a coupled pair is a block between two components.
+        The states of every component are gathered once, in component
+        order; each component's states and each size group's stack are
+        taken from that one array.
         """
-        slices = self.dims.state_slices
         blocks = self.occupancy.A
-        owner = np.zeros(self.num_nodes, dtype=int)
-        states = []
-        for nodes in strongly_connected_components(
-                self.num_nodes, zip(blocks.rows.tolist(), blocks.cols.tolist())):
-            part = np.concatenate([np.arange(slices[k].start, slices[k].stop) for k in nodes])
-            if part.size:
-                owner[nodes] = len(states)
-                states.append(_frozen(part))
-        count = len(states)
+        components = strongly_connected_components(
+            self.num_nodes, zip(blocks.rows.tolist(), blocks.cols.tolist()))
+        nodes = np.fromiter(chain.from_iterable(components), dtype=np.intp, count=self.num_nodes)
+        per_node = np.array(self.dims.states, dtype=np.intp)
+        counts = per_node[nodes]
+        gathered = _frozen(_ranges(_starts(per_node)[nodes], counts))
+        lengths = [len(part) for part in components]
+        # Components without states are left out; no A block reads their nodes.
+        sizes = np.add.reduceat(counts, _starts(np.array(lengths)))
+        kept = sizes > 0
+        owner = np.empty(self.num_nodes, dtype=np.intp)
+        owner[nodes] = np.repeat(np.cumsum(kept) - 1, lengths)
+        sizes = sizes[kept]
+        count = len(sizes)
         readers, read = np.divmod(_distinct(owner[blocks.rows] * count + owner[blocks.cols]), count)
-        sizes = np.array([len(part) for part in states], dtype=int)
-        starts = np.cumsum(sizes) - sizes
+        starts = _starts(sizes)
+        spans = tuple(zip(starts.tolist(), (starts + sizes).tolist()))
         groups = []
         for size in _distinct(sizes):
             members = np.flatnonzero(sizes == size)
-            stacked = np.stack([states[k] for k in members])
-            groups.append((members, stacked, (starts[members, None] + np.arange(size)).ravel(),
-                           self.A[stacked[:, :, None], stacked[:, None, :]]))
-        return _Layout(tuple(states), tuple(zip(starts.tolist(), (starts + sizes).tolist())), tuple(groups),
+            rows = (starts[members, None] + np.arange(size)).ravel()
+            stacked = gathered[rows].reshape(len(members), size)
+            groups.append((members, stacked, rows, self.A[stacked[:, :, None], stacked[:, None, :]]))
+        return _Layout(tuple(gathered[start:stop] for start, stop in spans), spans, tuple(groups),
                        tuple((i, l) for i, l in zip(readers.tolist(), read.tolist()) if i != l))
 
     @cached_property
@@ -318,7 +326,7 @@ class BlockRealization:
         # A norm that overflows reads inf, which certifies nothing.
         with np.errstate(over="ignore"):
             for _, _, blocks, members in pair_groups:
-                gammas[members] = np.linalg.norm(blocks, axis=(1, 2))
+                gammas[members] = _frobenius_norms(blocks)
             coupling_sq = float(np.sum(np.square(gammas)))
         # Complex, as the products with the complex inverses are then faster.
         pair_groups = tuple((g, places, blocks.astype(complex), members)
@@ -353,7 +361,8 @@ class BlockRealization:
 class _Layout(NamedTuple):
     """The strongly connected components of A, as :attr:`BlockRealization._layout` lays them out."""
 
-    #: The states of each component (:attr:`BlockRealization.components`).
+    #: The states of each component (:attr:`BlockRealization.components`):
+    #: each a read-only slice of one array that holds them all, in component order.
     states: tuple[np.ndarray, ...]
     #: ``(start, stop)`` of each component's rows among the states in component order.
     spans: tuple[tuple[int, int], ...]
@@ -590,18 +599,20 @@ def _transfers(real: BlockRealization, points: np.ndarray):
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(stack, axis=(-2, -1))``, over slices of ``stack``'s first axis.
+    """``np.linalg.norm(stack, axis=(-2, -1))``, bit for bit, over slices of ``stack``'s first axis.
 
-    ``np.linalg.norm`` holds two temporaries the size of what it is
-    given; a slice holds at most ``_NORM_ENTRIES`` entries, or one step
-    of the first axis where that is larger.  Each matrix's norm has the
-    bits of one call on the whole stack, as it has those of a call on
-    the matrix alone.
+    Each slice takes the expression ``np.linalg.norm`` evaluates for a
+    stack of matrices, without its dispatch.  It holds two temporaries
+    the size of what it is given; a slice holds at most
+    ``_NORM_ENTRIES`` entries, or one step of the first axis where that
+    is larger.  Each matrix's norm has the bits of one call on the whole
+    stack, as it has those of a call on the matrix alone.
     """
     norms = np.empty(stack.shape[:-2])
     step = max(1, _NORM_ENTRIES * len(stack) // max(1, stack.size))
     for start in range(0, len(stack), step):
-        norms[start:start + step] = np.linalg.norm(stack[start:start + step], axis=(-2, -1))
+        part = stack[start:start + step]
+        norms[start:start + step] = np.sqrt(np.add.reduce((part.conj() * part).real, axis=(-2, -1)))
     return norms
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from .algebra import node_major_indices
 from .errors import InputError, NumericalError
 from .graphs import (NetworkGraph, _as_counts, _as_floats, _as_int, _frozen, _kept, _node_slice,
-                     partition_slices)
+                     _ranges, _starts, partition_slices)
 from .realization import BlockRealization, DMode, _node_blocks, check_compatibility
 
 
@@ -138,16 +138,6 @@ def _check_finite(start: int, *traces: np.ndarray) -> None:
     if bad.any():
         raise NumericalError(
             f"simulation diverged: non-finite values at step {start + int(np.argmax(bad))}")
-
-
-def _starts(counts: np.ndarray) -> np.ndarray:
-    """Where each of ``counts`` starts when they are laid end to end."""
-    return np.cumsum(counts) - counts
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``arange(s, s + c)`` for each start ``s`` and count ``c``, concatenated."""
-    return np.repeat(starts - _starts(counts), counts) + np.arange(counts.sum())
 
 
 def _bucket(counts: np.ndarray) -> np.ndarray:

@@ -50,7 +50,8 @@ System and JSON trajectory files are parsed by :func:`_json`, with
 ``json.loads`` for every document orjson refuses, so each refusal and
 its message is json's.  CSV trajectories take orjson too, with the same
 bytes and values either way (:func:`trajectory_to_csv`,
-:func:`trajectory_from_csv`).  Matrix entries and trajectory values
+:func:`trajectory_from_csv`), and so does the system writer
+(:func:`write_system`).  Matrix entries and trajectory values
 follow :func:`graphs._as_floats`: strings, ``true``, ``false`` and
 ``null`` are refused.
 
@@ -69,6 +70,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Collection
 
 import numpy as np
 
@@ -255,7 +257,7 @@ def system_to_obj(
     return obj
 
 
-def _system_text(obj: dict) -> str:
+def _system_text(obj: dict, fast: Collection[str] = ()) -> str:
     """A :func:`system_to_obj` document laid out like the packaged data files.
 
     The edges stand on one line, each dims entry and each block on its
@@ -264,13 +266,20 @@ def _system_text(obj: dict) -> str:
     at ``}, {`` between dims entries, and at ``]]], [`` between blocks.
     Neither occurs inside an entry, as a dims entry holds three integers
     and a block's rows are a nonempty list of nonempty rows of numbers.
+    The block lists of the matrices named in ``fast`` are one
+    ``orjson.dumps`` call each, with json's ``", "`` put back: the same
+    text where orjson writes every entry as ``repr`` does
+    (:func:`_repr_digits`).
     """
 
-    def listed(items, indent: str, close: str, open_: str) -> str:
+    def listed(items, indent: str, close: str, open_: str, dumps=json.dumps) -> str:
         if not items:
             return "[]"
-        body = json.dumps(items)[1:-1].replace(f"{close}, {open_}", f"{close},\n{indent}{open_}")
+        body = dumps(items)[1:-1].replace(f"{close}, {open_}", f"{close},\n{indent}{open_}")
         return f"[\n{indent}{body}\n{indent[:-2]}]"
+
+    def orjson_dumps(items) -> str:
+        return _orjson.dumps(items).decode().replace(",", ", ")
 
     graph = obj["graph"]
     members = [f'"name": {json.dumps(obj["name"])}'] if "name" in obj else []
@@ -278,7 +287,8 @@ def _system_text(obj: dict) -> str:
                    f'    "edges": {json.dumps(graph["edges"])}\n  }}')
     members.append(f'"dims": {listed(obj["dims"], "    ", "}", "{")}')
     members.extend(
-        f'"{key}": {{\n    "blocks": {listed(obj[key]["blocks"], "      ", "]]]", "[")}\n  }}'
+        f'"{key}": {{\n    "blocks": '
+        f'{listed(obj[key]["blocks"], "      ", "]]]", "[", orjson_dumps if key in fast else json.dumps)}\n  }}'
         for key in _MATRIX_AXES if key in obj)
     return "{\n  " + ",\n  ".join(members) + "\n}\n"
 
@@ -413,8 +423,15 @@ def write_system(path, real, graph, name=None) -> None:
 
     The file is :func:`system_to_obj`'s document in the layout of
     :func:`_system_text`; a system the writer refuses leaves no file.
+    With orjson installed, a matrix whose nonzero entries are all of
+    magnitude in [1e-4, 1e16) has its blocks written by ``orjson.dumps``,
+    any other by ``json.dumps``; the text is the same.
     """
-    text = _system_text(system_to_obj(real, graph, name))
+    obj = system_to_obj(real, graph, name)
+    matrices = {key: getattr(real, key) for key in _MATRIX_AXES if key in obj}
+    fast = () if _orjson is None else [
+        key for key, matrix in matrices.items() if _repr_digits(matrix[np.nonzero(matrix)])]
+    text = _system_text(obj, fast)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -459,16 +476,23 @@ def _csv_lines(values: np.ndarray):
             for line in _orjson_lines(values[start:start + _CSV_BLOCK_ROWS]))
 
 
+def _repr_digits(values: np.ndarray, axis=None):
+    """Whether ``orjson.dumps`` writes all of ``values``, along ``axis``, as ``repr`` does.
+
+    The one rule of both writers that take orjson (:func:`write_system`,
+    :func:`_orjson_lines`).  repr writes +-0 and magnitudes in [1e-4,
+    1e16) in fixed notation, and orjson the same digits; outside, orjson
+    writes 1e-05 as 0.00001, 1e+16 as 1e16, and NaN and +-inf as null.
+    """
+    size = np.abs(values)
+    return ((size == 0) | ((size >= 1e-4) & (size < 1e16))).all(axis=axis)
+
+
 def _orjson_lines(block: np.ndarray):
     """:func:`_csv_lines` of a block of rows: orjson's line where it writes ``repr``'s digits."""
-    # repr writes +-0 and magnitudes in [1e-4, 1e16) in fixed notation, and
-    # orjson the same digits; outside, orjson writes 1e-05 as 0.00001, 1e+16
-    # as 1e16, and NaN and +-inf as null.
-    size = np.abs(block)
-    fixed = ((size == 0) | ((size >= 1e-4) & (size < 1e16))).all(axis=1)
     return (_orjson.dumps(row, option=_orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode() + "\n" if ok
             else _csv_line(row.tolist())
-            for row, ok in zip(np.ascontiguousarray(block), fixed.tolist()))
+            for row, ok in zip(np.ascontiguousarray(block), _repr_digits(block, axis=1).tolist()))
 
 
 def _write_csv(out, traj: SignalTrajectory) -> None:

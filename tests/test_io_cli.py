@@ -180,6 +180,67 @@ def test_system_file_roundtrip_is_bit_exact_over_seeds(tmp_path):
     assert read_back >= 55
 
 
+#: Entries at the edges of the rule by which orjson writes a saved matrix.
+_SYSTEM_WRITER_EDGES = (1e-05, 9.999e-05, 1e-4, 5e-324, 1e16, -2.5e16, 1234567890123456.0)
+
+
+def test_system_writer_gives_the_same_bytes_with_and_without_orjson(tmp_path, json_paths, monkeypatch):
+    """``write_system`` writes the same bytes whether orjson is installed or not.
+
+    orjson writes a matrix's blocks only when it writes every nonzero entry
+    as ``repr`` does: magnitudes in [1e-4, 1e16).  Random systems with a
+    zero-width node and blocks of ``-0.0`` alone, and each entry at an edge
+    of that rule alone in a matrix and among entries orjson writes; every
+    file reads back bit for bit.
+    """
+    rng = np.random.default_rng(36)
+    systems = []
+    for _ in range(12):
+        count = int(rng.integers(2, 6))
+        graph = random_graph(rng, count)
+        dims = random_dims(rng, count, min_channels=1)
+        dims = NodeDims(*((0, *counts[1:]) for counts in (dims.states, dims.inputs, dims.outputs)))
+        real = random_system(rng, graph, dims)
+        a, d = real.A.copy(), real.D.copy()
+        a[dims.state_slice(count - 1), dims.state_slice(count - 1)] = -0.0
+        d[dims.output_slice(1), dims.input_slice(1)] = -0.0
+        systems.append((BlockRealization(dims, a, real.B, real.C, d), graph))
+    single = NodeDims((1,), (1,), (1,))
+    for edge in _SYSTEM_WRITER_EDGES:
+        systems.append((BlockRealization(single, A=[[edge]]), build_graph(1, [(0, 0)])))
+        real, graph = systems[int(rng.integers(12))]
+        c = real.C.copy()
+        c[np.nonzero(c)[0][0], np.nonzero(c)[1][0]] = edge
+        systems.append((BlockRealization(real.dims, real.A, real.B, c, real.D), graph))
+    picked, text_of = [], sysio._system_text
+
+    def recording(obj, fast=()):
+        picked.append(set(fast))
+        return text_of(obj, fast)
+
+    monkeypatch.setattr(sysio, "_system_text", recording)
+    texts = {}
+    for route in json_paths:
+        picked.clear()
+        for k, (real, graph) in enumerate(systems):
+            path = tmp_path / f"{route}-{k}.json"
+            write_system(path, real, graph, f"s{k}")
+            texts.setdefault(k, set()).add(path.read_bytes())
+            back, graph2, _ = read_system(path)
+            assert graph2 == graph and back.dims == real.dims
+            for got, want in zip((back.A, back.B, back.C, back.D), (real.A, real.B, real.C, real.D)):
+                assert got.tobytes() == want.tobytes(), (route, k)
+        if route == "orjson":
+            inside = [1e-4 <= abs(edge) < 1e16 for edge in _SYSTEM_WRITER_EDGES]
+            assert [("A" in taken) for taken in picked[12::2]] == inside
+            assert [("C" in taken) for taken in picked[13::2]] == inside
+            assert all(taken == {key for key in "ABCD" if getattr(real, key).size}
+                       for taken, (real, _) in zip(picked, systems[:12]))
+        else:
+            assert not any(picked)
+    assert all(len(variants) == 1 for variants in texts.values())
+
+
 def test_system_parse_diagnostics(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"graph": [,]}')

@@ -35,6 +35,7 @@ from netreal.realization import (
     POLE_COND_LIMIT,
     _certified_inverse,
     _frobenius_cond_bound,
+    _frobenius_norms,
     _EPS,
     _gram_certified,
     _group_heads,
@@ -662,6 +663,28 @@ def test_layout_matches_a_dense_scan_of_a(rng):
     assert all(seen[key] for key in ("negative zero", "negative zero coupling", "several nodes",
                                      "pairs")), seen
     assert seen["grid"] == 1, seen
+
+
+def test_frobenius_norms_are_numpy_norms_bitwise(rng):
+    """``_frobenius_norms`` gives ``np.linalg.norm(stack, axis=(-2, -1))`` bit for bit.
+
+    It evaluates the expression ``np.linalg.norm`` runs for a stack of
+    matrices itself, so a numpy whose ``norm`` changes fails here first.
+    Real and complex stacks, stacks that span several ``_NORM_ENTRIES``
+    slices, matrices larger than one slice, norms that overflow, and
+    empty stacks.
+    """
+    entries = netreal.realization._NORM_ENTRIES
+    shapes = [(1, 1, 1), (9, 40, 2, 2), (6, 3, 4, 4), (entries // 4 + 3, 2, 2), (3, entries, 2),
+              (5, 0, 3), (0, 2, 2), (2, 3, 0, 4)]
+    for shape in shapes:
+        real = rng.normal(size=shape) * 10.0 ** rng.integers(-160, 160, size=shape)
+        real[rng.random(shape) < 0.2] = -0.0
+        for stack in (real, real + 1j * real[..., ::-1, :], rng.normal(size=shape) * (1 + 1j)):
+            with np.errstate(over="ignore"):
+                got, want = _frobenius_norms(stack), np.linalg.norm(stack, axis=(-2, -1))
+            assert got.dtype == want.dtype and got.shape == want.shape, shape
+            assert got.tobytes() == want.tobytes(), shape
 
 
 def test_spectral_radius(river):
