@@ -12,8 +12,9 @@ structural zeros of the inputs survive as exact zeros in the output:
 when both operands are compatible with a graph (strict direct terms
 where required), so is the result.
 The builders form their products with overflow warnings silenced and
-raise :class:`~netreal.errors.NumericalError` when a matrix of the
-result is not finite.
+hand each result's fresh matrices to :func:`_realization`, the one
+entrance: the checked constructor's scan is the finiteness check, and
+the entrance raises its refusal as :class:`~netreal.errors.NumericalError`.
 """
 
 from __future__ import annotations
@@ -64,16 +65,16 @@ def _part_positions(parts) -> list[np.ndarray]:
     return np.split(position, np.cumsum([sum(part) for part in parts])[:-1])
 
 
-def _finite(*matrices: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``matrices`` (A, B, C, D of a result) frozen, or :class:`NumericalError` if one overflowed.
+def _realization(dims: NodeDims, *matrices: np.ndarray) -> BlockRealization:
+    """The realization of a builder's fresh A to D, frozen so that it keeps them.
 
-    Each is a fresh array, so the realization built from them keeps it
-    (:func:`graphs._kept`).
+    The constructor's scan is their one finiteness check: it refuses such arrays only for a
+    non-finite entry, so its refusal is raised as :class:`~netreal.errors.NumericalError`.
     """
-    for name, matrix in zip("ABCD", matrices):
-        if not np.isfinite(matrix).all():
-            raise NumericalError(f"{name} of the result is not finite: a product overflowed")
-    return tuple(map(_frozen, matrices))
+    try:
+        return BlockRealization(dims, *map(_frozen, matrices))
+    except InputError as exc:
+        raise NumericalError(f"{exc}: a product overflowed") from exc
 
 
 def _node_major(a, b, c, d, states, inputs, outputs) -> BlockRealization:
@@ -89,15 +90,15 @@ def _node_major(a, b, c, d, states, inputs, outputs) -> BlockRealization:
     by :func:`node_major_indices` along both axes (one part keeps an axis
     in order), so node ``k`` of the result counts the sum of its parts'
     entries; :func:`_assemble` writes each block straight to its place,
-    one matrix at a time, so no stacked copy is ever held.  Raises
-    :class:`~netreal.errors.NumericalError` when a matrix is not finite.
+    one matrix at a time, so no stacked copy is ever held, and
+    :func:`_realization` checks and builds the result.
     """
     dims = NodeDims(*(tuple(map(sum, zip(*parts))) for parts in (states, inputs, outputs)))
     s, i, o = (_part_positions(parts) for parts in (states, inputs, outputs))
     grids = [(a, s, s), (b, s, i), (c, o, s), (d, o, i)]
     # Each grid's blocks are released as soon as its matrix is written.
     del a, b, c, d
-    return BlockRealization(dims, *_finite(*(_assemble(*grids.pop(0)) for _ in range(4))))
+    return _realization(dims, *(_assemble(*grids.pop(0)) for _ in range(4)))
 
 
 def add(r1: BlockRealization, r2: BlockRealization) -> BlockRealization:
@@ -202,4 +203,4 @@ def invert(real: BlockRealization) -> BlockRealization:
         a_new = real.A - b_new @ real.C
         c_new = -(d_inv @ real.C)
     dims = NodeDims(real.dims.states, real.dims.outputs, real.dims.inputs)
-    return BlockRealization(dims, *_finite(a_new, b_new, c_new, d_inv))
+    return _realization(dims, a_new, b_new, c_new, d_inv)

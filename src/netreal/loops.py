@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _node_major, _part_positions
+from .algebra import _node_major, _part_positions, _realization
 from .errors import InputError, PoleError
-from .graphs import NodeDims, _frozen
+from .graphs import NodeDims
 from .realization import (
     POLE_COND_LIMIT,
     BlockRealization,
@@ -82,8 +82,7 @@ class ClosedLoop:
             self.p_dims if col == 1 else self.m_dims,
             self.p_dims if row == 1 else self.m_dims,
         )
-        return BlockRealization(dims, h.A, _frozen(h.B.take(cols, axis=1)),
-                                _frozen(h.C[rows]), _frozen(h.D[np.ix_(rows, cols)]))
+        return _realization(dims, h.A, h.B.take(cols, axis=1), h.C[rows], h.D[np.ix_(rows, cols)])
 
     @property
     def spectral_radius(self) -> float:
@@ -129,7 +128,7 @@ def q_param(plant: BlockRealization, controller: BlockRealization) -> BlockReali
     """
     loop = close_loop(plant, controller)
     sub = loop.block(2, 1)
-    return BlockRealization(sub.dims, sub.A, sub.B, _frozen(-sub.C), _frozen(-sub.D))
+    return _realization(sub.dims, sub.A, sub.B, -sub.C, -sub.D)
 
 
 def _loop_inverse(p_z: np.ndarray, c_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,20 @@ from netreal import (
     InputError,
     InversionError,
     NodeDims,
+    NumericalError,
     StabilityWarning,
     add,
     build_graph,
     check_compatibility,
+    close_loop,
     eval_transfer,
+    imc_controller,
     invert,
     multiply,
     node_major_indices,
+    q_param,
     scaled_deviation,
+    simulate_imc_loop,
 )
 from netreal.algebra import _block_diagonal, _node_major
 from _support import (
@@ -292,3 +298,55 @@ def test_compositions_preserve_structural_zeros_bitwise(rng):
                 if i != j:
                     assert not prod.b_block(i, j).any()
                     assert not prod.d_block(i, j).any()
+
+
+def _with(real, scale=1.0, d=None):
+    """``real`` with B and C scaled by ``scale``, and with direct term ``d`` when given."""
+    return BlockRealization(real.dims, real.A, real.B * scale, real.C * scale,
+                            real.D if d is None else d)
+
+
+def test_every_builder_reports_an_overflowed_product_as_numerical_error(river, river_wide,
+                                                                       river_q):
+    # Every entry is finite, so each system is accepted; the products overflow.
+    plant, model, q = (_with(real, 1e200) for real in (river[0], river_wide[0], river_q))
+    builders = {
+        "multiply": lambda: multiply(model, model),
+        "invert": lambda: invert(_with(model, d=np.eye(model.p))),
+        "close_loop": lambda: close_loop(plant, q),
+        "q_param": lambda: q_param(plant, q),
+        "imc_controller": lambda: imc_controller(plant, q),
+        "simulate_imc_loop": lambda: simulate_imc_loop(plant, model, q, np.ones((4, plant.p))),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, build in builders.items():
+            with pytest.raises(NumericalError) as failure:
+                build()
+            assert re.match(r"[ABCD] .*overflowed", str(failure.value)), (name, failure.value)
+
+
+def test_each_composite_matrix_is_scanned_for_finiteness_once(monkeypatch, river, river_wide,
+                                                              river_q):
+    """The checked constructor's scan is a composite's only finiteness check."""
+    scanned = []
+    isfinite = np.isfinite
+
+    def counted(value, *args, **kwargs):
+        scanned.append(value)
+        return isfinite(value, *args, **kwargs)
+
+    plant, wide = river[0], river_wide[0]
+    builders = {
+        "add": lambda: add(wide, wide),
+        "multiply": lambda: multiply(wide, wide),
+        "invert": lambda: invert(_with(wide, d=np.eye(wide.p))),
+        "close_loop": lambda: close_loop(plant, river_q).realization,
+        "imc_controller": lambda: imc_controller(plant, river_q),
+    }
+    monkeypatch.setattr(np, "isfinite", counted)
+    for name, build in builders.items():
+        scanned.clear()
+        built = build()
+        counts = [sum(value is getattr(built, m) for value in scanned) for m in "ABCD"]
+        assert counts == [1, 1, 1, 1], (name, counts)

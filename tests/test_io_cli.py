@@ -1669,14 +1669,19 @@ def test_cli_numerical_failures_exit_1(tmp_path, capsys):
     big = str(tmp_path / "big.json")
     write_system(big, BlockRealization(
         wide.dims, wide.A, wide.B * 1e200, wide.C * 1e200, wide.D), wide_graph, "big")
+    big_inv = str(tmp_path / "big_inv.json")
+    write_system(big_inv, BlockRealization(
+        wide.dims, wide.A, wide.B * 1e200, wide.C * 1e200, np.eye(wide.p)), wide_graph, "big_inv")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for argv in (["compose", "--op", "add", big, big], ["compose", "--op", "mul", big, big],
-                     ["closeloop", big, big]):
+                     ["closeloop", big, big], ["compose", "--op", "inv", big_inv],
+                     ["imc", big, big]):
             assert main([*argv, "--json"]) == 1, argv
             captured = capsys.readouterr()
             assert captured.out == "", argv
             assert captured.err.startswith("error:") and captured.err.count("\n") == 1, argv
+            assert "overflowed" in captured.err, (argv, captured.err)
 
 
 def test_cli_sampling_failure_names_the_refusal(tmp_path, capsys):
